@@ -1,95 +1,54 @@
-"""Benchmark the hot kernels under the numba backend vs the pure-numpy
-fallback.
+"""Time the series kernels `polyval012` and `polyval` across degree and
+point count.
 
-Run:  python3 benchmarks/bench_kernels.py [--repeat N]
+Run:  PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat N]
 
-The script re-executes itself once per backend (the backend is fixed at
-import time by UNIVALENCE_LAB_BACKEND) and prints a comparison table.
+Each row is the best of N repeats of a loop long enough to take at least
+0.2 s.  The (4096, *) rows are the truncated Koebe series of the
+`koebe_cor32` check: one point is a refinement probe, four are one
+batched hop, 5120 are the default disk grid.  (32, 5120) is the scan of a
+degree-32 exponential series.  The two degree-2 rows are the quadratic
+series that the operator and chain paths evaluate one point at a time or
+on large grids, where the blocked scheme falls back to plain Horner and
+must cost no more.  To compare two checkouts, run the script in each.
 """
 
 import argparse
-import json
-import os
-import subprocess
-import sys
-import time
+import timeit
+
+import numpy as np
+
+from univalence_lab import _kernels
+
+CASES = ((4096, 1), (4096, 4), (4096, 5120), (32, 5120), (2, 1), (2, 100_000))
 
 
-def _timings(repeat):
-    import numpy as np
-
-    from univalence_lab import _kernels
-
-    rng = np.random.default_rng(0)
-    coeffs = rng.normal(size=64) + 1j * rng.normal(size=64)
+def _inputs(degree, npts, rng):
+    coeffs = rng.normal(size=degree) + 1j * rng.normal(size=degree)
     coeffs[0] = 1.0
-    z = 0.95 * np.sqrt(rng.uniform(size=200_000)) * np.exp(
-        2j * np.pi * rng.uniform(size=200_000)
-    )
-    cloud_z = z[:20_000]
-    cloud_v = cloud_z + 0.01 * cloud_z**2
-    th = np.linspace(0.0, 2 * np.pi, 4097)
-    curve = 0.9 * np.exp(1j * th)
-    curve[-1] = curve[0]
-    targets = cloud_z[:200] * 0.5
-
-    cases = {
-        "polyval012 (64 coeffs x 200k pts)": lambda: _kernels.polyval012(coeffs, z),
-        "polyval (64 coeffs x 200k pts)": lambda: _kernels.polyval(coeffs, z),
-        "collision_scan (20k cloud)": lambda: _kernels.collision_scan(cloud_z, cloud_v, 1e-9),
-        "winding_stats (4k curve x 200 targets)": lambda: _kernels.winding_stats(curve, targets),
-    }
-    out = {}
-    for name, fn in cases.items():
-        fn()  # warm up (JIT compile / cache load)
-        best = min(_time_once(fn) for _ in range(repeat))
-        out[name] = best
-    return {"backend": _kernels.backend_name(), "seconds": out}
+    z = 0.99 * np.sqrt(rng.uniform(size=npts)) * np.exp(2j * np.pi * rng.uniform(size=npts))
+    return coeffs, z
 
 
-def _time_once(fn):
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
+def _best(fn, repeat):
+    timer = timeit.Timer(fn)
+    number, _ = timer.autorange()
+    return min(timer.repeat(repeat=repeat, number=number)) / number
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5)
-    parser.add_argument("--emit-json", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
-    if args.emit_json:
-        print(json.dumps(_timings(args.repeat)))
-        return
-
-    results = []
-    for backend in ("numpy", "numba"):
-        env = dict(os.environ, UNIVALENCE_LAB_BACKEND=backend)
-        proc = subprocess.run(
-            [sys.executable, __file__, "--emit-json", "--repeat", str(args.repeat)],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        if proc.returncode != 0:
-            print(f"{backend}: unavailable ({proc.stderr.strip().splitlines()[-1]})")
-            continue
-        results.append(json.loads(proc.stdout))
-
-    if len(results) < 2:
-        for r in results:
-            for name, sec in r["seconds"].items():
-                print(f"{r['backend']:>6}  {name:<42} {sec * 1e3:9.2f} ms")
-        return
-
-    numpy_res, numba_res = results
-    width = max(len(k) for k in numpy_res["seconds"])
-    print(f"{'kernel':<{width}}  {'numpy':>10}  {'numba':>10}  {'speedup':>8}")
-    for name in numpy_res["seconds"]:
-        a = numpy_res["seconds"][name]
-        b = numba_res["seconds"][name]
-        print(f"{name:<{width}}  {a * 1e3:8.2f} ms  {b * 1e3:8.2f} ms  {a / b:7.2f}x")
+    rng = np.random.default_rng(0)
+    print(f"backend {_kernels.backend_name()}, numpy {np.__version__}")
+    print(f"{'degree':>6} {'points':>7}  {'polyval012':>12}  {'polyval':>12}")
+    for degree, npts in CASES:
+        coeffs, z = _inputs(degree, npts, rng)
+        t012 = _best(lambda: _kernels.polyval012(coeffs, z), args.repeat)
+        t1 = _best(lambda: _kernels.polyval(coeffs, z), args.repeat)
+        print(f"{degree:>6} {npts:>7}  {t012 * 1e3:9.4f} ms  {t1 * 1e3:9.4f} ms")
 
 
 if __name__ == "__main__":

@@ -1,278 +1,143 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, in plain numpy.
 
-Backend selection:
-    UNIVALENCE_LAB_BACKEND=numba   require numba (ImportError if missing)
-    UNIVALENCE_LAB_BACKEND=numpy   force the pure-numpy fallback
-    unset / auto                   numba if importable, else numpy
-
-UNIVALENCE_LAB_THREADS caps the numba threading layer (0 = auto).
+Polynomials are evaluated by the baby-step/giant-step scheme of Paterson
+and Stockmeyer (SIAM J. Comput. 2(1), 1973): with block size B, the
+coefficients are cut into blocks of B, every block is evaluated at once
+against the powers 1, z, ..., z^{B-1} by one matrix product, and the block
+values are combined by Horner in w = z^B.  That turns a degree-N Horner
+loop of N array operations into ~sqrt(N) of them.  Below 64 coefficients
+B = 1: plain Horner needs no more array operations there, and keeps the
+results of the low-degree series bit for bit.
 """
 
 import math
-import os
 
 import numpy as np
 
-_choice = os.environ.get("UNIVALENCE_LAB_BACKEND", "auto").strip().lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise ValueError(f"UNIVALENCE_LAB_BACKEND must be auto|numba|numpy, got {_choice!r}")
-
-_numba = None
-if _choice in ("auto", "numba"):
-    try:
-        import numba as _numba
-    except ImportError:
-        if _choice == "numba":
-            raise
-        _numba = None
-
-if _numba is not None:
-    _threads = os.environ.get("UNIVALENCE_LAB_THREADS", "0").strip()
-    try:
-        _nthreads = int(_threads)
-    except ValueError:
-        _nthreads = 0
-    if _nthreads > 0:
-        _numba.set_num_threads(min(_nthreads, _numba.config.NUMBA_NUM_THREADS))
+_BLOCKED_MIN_TERMS = 64
+_CHUNK_BYTES = 1 << 20
 
 
 def backend_name():
-    return "numba" if _numba is not None else "numpy"
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+def _blocked_rows(rows, z):
+    """sum_k rows[j, k] z^k for every row j at every point of the 1-d z.
 
-def _polyval012_numpy(coeffs, z):
-    """Value and first two derivatives of p(z) = sum_{n>=1} c_n z^n.
-
-    coeffs holds c_1..c_N; the implied c_0 = 0 is appended here.  Horner
-    in one pass, vectorized over z.
+    Block size B = isqrt(n) for n coefficients per row; returns an
+    (m, z.size) array for m rows.  Points are processed in chunks of about
+    _CHUNK_BYTES of working set (powers plus block values), so the memory
+    peak does not grow with the number of points.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    p = np.full_like(z, coeffs[-1])
+    m, n = rows.shape
+    b = math.isqrt(n)
+    nb = -(-n // b)
+    padded = np.zeros((m, nb * b), dtype=np.complex128)
+    padded[:, :n] = rows
+    # block-major: row i*m + j holds coefficients i*b .. i*b + b - 1 of row j
+    blocks = padded.reshape(m, nb, b).transpose(1, 0, 2).reshape(nb * m, b)
+    out = np.empty((m, z.size), dtype=np.complex128)
+    chunk = max(1, _CHUNK_BYTES // (16 * (b + (nb + 2) * m)))
+    for s in range(0, z.size, chunk):
+        zc = z[s : s + chunk]
+        powers = np.empty((b, zc.size), dtype=np.complex128)
+        powers[0] = 1.0
+        powers[1:] = zc
+        np.cumprod(powers, axis=0, out=powers)
+        w = powers[-1] * zc
+        vals = (blocks @ powers).reshape(nb, m, zc.size)
+        acc = vals[-1]
+        for i in range(nb - 2, -1, -1):
+            acc *= w
+            acc += vals[i]
+        out[:, s : s + zc.size] = acc
+    return out
+
+
+def polyval012(coeffs, z):
+    """(p, p', p'') of p(z) = sum c_n z^n with coeffs = [c_1..c_N]."""
+    c = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    z = np.ascontiguousarray(z, dtype=np.complex128).ravel()
+    n = c.size + 1
+    if n >= _BLOCKED_MIN_TERMS:
+        # rows of p, p', p'': the coefficient of z^k in row j is
+        # (k+j)!/k! c_{k+j}
+        k = np.arange(1, n)
+        rows = np.zeros((3, n), dtype=np.complex128)
+        rows[0, 1:] = c
+        rows[1, : n - 1] = k * c
+        rows[2, : n - 2] = (k[1:] * k[:-1]) * c[1:]
+        return tuple(_blocked_rows(rows, z))
+    # B = 1: Horner, carrying the derivatives along
+    p = np.full_like(z, c[-1])
     dp = np.zeros_like(z)
     ddp = np.zeros_like(z)
-    for k in range(len(coeffs) - 2, -2, -1):
-        a = coeffs[k] if k >= 0 else 0.0 + 0.0j
+    for k in range(c.size - 2, -2, -1):
+        a = c[k] if k >= 0 else 0.0 + 0.0j
         ddp = ddp * z + dp
         dp = dp * z + p
         p = p * z + a
     return p, dp, 2.0 * ddp
 
 
-def _polyval_numpy(coeffs, z):
-    """Plain Horner for q(z) = sum_{n>=0} a_n z^n, vectorized over z."""
-    z = np.asarray(z, dtype=np.complex128)
-    q = np.full_like(z, coeffs[-1])
-    for k in range(len(coeffs) - 2, -1, -1):
-        q = q * z + coeffs[k]
+def polyval(coeffs, z):
+    """q(z) = sum a_n z^n with coeffs = [a_0..a_M]."""
+    a = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    z = np.ascontiguousarray(z, dtype=np.complex128).ravel()
+    if a.size >= _BLOCKED_MIN_TERMS:
+        return _blocked_rows(a[None, :], z)[0]
+    q = np.full_like(z, a[-1])
+    for k in range(a.size - 2, -1, -1):
+        q = q * z + a[k]
     return q
 
 
-def _collision_scan_numpy(zr, zi, fr, fi, idx, tol):
-    """First collision (lexicographic in original index order) in a cloud
-    pre-sorted by fr.  Returns (i, j) original indices or (-1, -1).
-
-    A collision is |F_i - F_j| < tol with |z_i - z_j| > 10 tol.
-    """
-    n = fr.shape[0]
-    best_i = -1
-    best_j = -1
+def collision_scan(z, values, tol):
+    """Lexicographically first pair (i, j), i < j, with
+    |values_i - values_j| < tol and |z_i - z_j| > 10 tol, or None."""
+    z = np.asarray(z, dtype=np.complex128)
+    values = np.asarray(values, dtype=np.complex128)
+    tol = float(tol)
+    order = np.argsort(values.real, kind="stable")
+    zr = z.real[order]
+    zi = z.imag[order]
+    fr = values.real[order]
+    fi = values.imag[order]
+    best = None
     sep2 = (10.0 * tol) ** 2
     tol2 = tol * tol
     ends = np.searchsorted(fr, fr + tol, side="left")
-    for i in range(n):
+    for i in range(fr.shape[0]):
         e = ends[i]
         if e <= i + 1:
             continue
         sl = slice(i + 1, e)
         df2 = (fr[sl] - fr[i]) ** 2 + (fi[sl] - fi[i]) ** 2
         dz2 = (zr[sl] - zr[i]) ** 2 + (zi[sl] - zi[i]) ** 2
-        hits = np.nonzero((df2 < tol2) & (dz2 > sep2))[0]
-        for h in hits:
-            oi = idx[i]
-            oj = idx[i + 1 + h]
-            if oi > oj:
-                oi, oj = oj, oi
-            if best_i < 0 or (oi, oj) < (best_i, best_j):
-                best_i, best_j = oi, oj
-    return best_i, best_j
+        for h in np.nonzero((df2 < tol2) & (dz2 > sep2))[0]:
+            pair = tuple(sorted((int(order[i]), int(order[i + 1 + h]))))
+            if best is None or pair < best:
+                best = pair
+    return best
 
 
-def _winding_stats_numpy(cr, ci, tr, ti):
-    """Per-target winding statistics of a closed sampled curve.
+def winding_stats(curve, targets):
+    """(total signed angle, min distance, max |arg increment|) per target.
 
-    Returns (total signed angle, min distance to curve, max |arg increment|)
-    for each target, summing principal argument increments in fixed order.
-    """
-    m = tr.shape[0]
+    Sums the principal argument increments of the closed sampled curve
+    around each target in fixed order."""
+    c = np.asarray(curve, dtype=np.complex128)
+    targets = np.asarray(targets, dtype=np.complex128)
+    m = targets.shape[0]
     total = np.empty(m)
     mindist = np.empty(m)
     maxinc = np.empty(m)
-    c = cr + 1j * ci
     for j in range(m):
-        d = c - (tr[j] + 1j * ti[j])
-        ang = np.angle(d)
-        inc = np.diff(ang)
+        d = c - targets[j]
+        inc = np.diff(np.angle(d))
         inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
         total[j] = inc.sum()
         mindist[j] = np.abs(d).min()
         maxinc[j] = np.abs(inc).max() if inc.size else 0.0
     return total, mindist, maxinc
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-# ---------------------------------------------------------------------------
-
-if _numba is not None:
-    _njit = _numba.njit(cache=True)
-
-    @_njit
-    def _polyval012_numba(coeffs, z):
-        n = z.shape[0]
-        nc = coeffs.shape[0]
-        p = np.empty(n, dtype=np.complex128)
-        dp = np.empty(n, dtype=np.complex128)
-        ddp = np.empty(n, dtype=np.complex128)
-        for i in range(n):
-            zi = z[i]
-            pv = coeffs[nc - 1]
-            d1 = 0.0 + 0.0j
-            d2 = 0.0 + 0.0j
-            for k in range(nc - 2, -2, -1):
-                a = coeffs[k] if k >= 0 else 0.0 + 0.0j
-                d2 = d2 * zi + d1
-                d1 = d1 * zi + pv
-                pv = pv * zi + a
-            p[i] = pv
-            dp[i] = d1
-            ddp[i] = 2.0 * d2
-        return p, dp, ddp
-
-    @_njit
-    def _polyval_numba(coeffs, z):
-        n = z.shape[0]
-        nc = coeffs.shape[0]
-        q = np.empty(n, dtype=np.complex128)
-        for i in range(n):
-            zi = z[i]
-            qv = coeffs[nc - 1]
-            for k in range(nc - 2, -1, -1):
-                qv = qv * zi + coeffs[k]
-            q[i] = qv
-        return q
-
-    @_njit
-    def _collision_scan_numba(zr, zi, fr, fi, idx, tol):
-        n = fr.shape[0]
-        best_i = -1
-        best_j = -1
-        sep2 = (10.0 * tol) ** 2
-        tol2 = tol * tol
-        for i in range(n):
-            j = i + 1
-            while j < n and fr[j] - fr[i] < tol:
-                dfr = fr[j] - fr[i]
-                dfi = fi[j] - fi[i]
-                if dfr * dfr + dfi * dfi < tol2:
-                    dzr = zr[j] - zr[i]
-                    dzi = zi[j] - zi[i]
-                    if dzr * dzr + dzi * dzi > sep2:
-                        oi = idx[i]
-                        oj = idx[j]
-                        if oi > oj:
-                            oi, oj = oj, oi
-                        if best_i < 0 or oi < best_i or (oi == best_i and oj < best_j):
-                            best_i = oi
-                            best_j = oj
-                j += 1
-        return best_i, best_j
-
-    @_njit
-    def _winding_stats_numba(cr, ci, tr, ti):
-        m = tr.shape[0]
-        n = cr.shape[0]
-        total = np.empty(m)
-        mindist = np.empty(m)
-        maxinc = np.empty(m)
-        twopi = 2.0 * math.pi
-        for j in range(m):
-            tot = 0.0
-            mx = 0.0
-            prev = math.atan2(ci[0] - ti[j], cr[0] - tr[j])
-            md = math.hypot(cr[0] - tr[j], ci[0] - ti[j])
-            for i in range(1, n):
-                dr = cr[i] - tr[j]
-                di = ci[i] - ti[j]
-                dist = math.hypot(dr, di)
-                if dist < md:
-                    md = dist
-                ang = math.atan2(di, dr)
-                inc = ang - prev
-                inc = (inc + math.pi) % twopi - math.pi
-                tot += inc
-                if abs(inc) > mx:
-                    mx = abs(inc)
-                prev = ang
-            total[j] = tot
-            mindist[j] = md
-            maxinc[j] = mx
-        return total, mindist, maxinc
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def polyval012(coeffs, z):
-    """(p, p', p'') of p(z) = sum c_n z^n with coeffs = [c_1..c_N]."""
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    z = np.ascontiguousarray(z, dtype=np.complex128)
-    if _numba is not None:
-        return _polyval012_numba(coeffs, z.ravel())
-    return _polyval012_numpy(coeffs, z.ravel())
-
-
-def polyval(coeffs, z):
-    """q(z) = sum a_n z^n with coeffs = [a_0..a_M]."""
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    z = np.ascontiguousarray(z, dtype=np.complex128)
-    if _numba is not None:
-        return _polyval_numba(coeffs, z.ravel())
-    return _polyval_numpy(coeffs, z.ravel())
-
-
-def collision_scan(z, values, tol):
-    """Lexicographically first pair (i, j), i < j, with
-    |values_i - values_j| < tol and |z_i - z_j| > 10 tol, or None."""
-    z = np.ascontiguousarray(z, dtype=np.complex128)
-    values = np.ascontiguousarray(values, dtype=np.complex128)
-    order = np.argsort(values.real, kind="stable")
-    zr = np.ascontiguousarray(z.real[order])
-    zi = np.ascontiguousarray(z.imag[order])
-    fr = np.ascontiguousarray(values.real[order])
-    fi = np.ascontiguousarray(values.imag[order])
-    idx = np.ascontiguousarray(order, dtype=np.int64)
-    if _numba is not None:
-        i, j = _collision_scan_numba(zr, zi, fr, fi, idx, float(tol))
-    else:
-        i, j = _collision_scan_numpy(zr, zi, fr, fi, idx, float(tol))
-    if i < 0:
-        return None
-    return int(i), int(j)
-
-
-def winding_stats(curve, targets):
-    """(total signed angle, min distance, max |arg increment|) per target."""
-    curve = np.ascontiguousarray(curve, dtype=np.complex128)
-    targets = np.ascontiguousarray(targets, dtype=np.complex128)
-    cr = np.ascontiguousarray(curve.real)
-    ci = np.ascontiguousarray(curve.imag)
-    tr = np.ascontiguousarray(targets.real)
-    ti = np.ascontiguousarray(targets.imag)
-    if _numba is not None:
-        return _winding_stats_numba(cr, ci, tr, ti)
-    return _winding_stats_numpy(cr, ci, tr, ti)

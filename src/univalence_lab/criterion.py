@@ -199,6 +199,50 @@ def _check_hypotheses(variant, p, f, g, phi, grid):
             )
 
 
+def _sup_search(variant, p, f, g, phi, grid):
+    """(sup, witness) of the criterion expression: the grid maximum, then a
+    coordinate search in (r, theta) with `refine_steps` halvings, clamped to
+    the outermost grid radius.
+
+    The four probes of a hop are fixed before any of them is looked at, so
+    they are evaluated in one call and then taken in order."""
+    z = grid.points()
+    vals = criterion_values(variant, z, p, f, g, phi)
+    best = int(np.argmax(vals))
+    sup = float(vals[best])
+    witness = complex(z[best])
+
+    r = abs(witness)
+    th = cmath.phase(witness)
+    radii = grid.radii
+    i = min(range(len(radii)), key=lambda j: abs(radii[j] - r))
+    gaps = [radii[j + 1] - radii[j] for j in range(len(radii) - 1)] or [radii[0] / 2]
+    dr = max(gaps[max(i - 1, 0) : i + 1] or gaps) / 2.0
+    dth = math.pi / grid.angles_per_radius
+    rmax = radii[-1]
+    for _ in range(grid.refine_steps):
+        moved = True
+        hops = 0
+        while moved and hops < 8:
+            moved = False
+            probes = (
+                (min(r + dr, rmax), th),
+                (max(r - dr, 1e-6), th),
+                (r, th + dth),
+                (r, th - dth),
+            )
+            pz = np.array([rr * cmath.exp(1j * tt) for rr, tt in probes])
+            pvals = criterion_values(variant, pz, p, f, g, phi)
+            for (rr, tt), v in zip(probes, pvals.tolist()):
+                if v > sup:
+                    sup, r, th = v, rr, tt
+                    moved = True
+                    hops += 1
+        dr /= 2.0
+        dth /= 2.0
+    return sup, r * cmath.exp(1j * th)
+
+
 def criterion_check(variant, p, f, g=None, phi=None, grid=None):
     """Sup-scan the disk and report pass/fail against the variant bound.
 
@@ -215,53 +259,13 @@ def criterion_check(variant, p, f, g=None, phi=None, grid=None):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
         try:
-            z = grid.points()
-            vals = criterion_values(variant, z, p, f, g, phi)
+            sup, witness = _sup_search(variant, p, f, g, phi, grid)
         except DerivativeVanishes as exc:
             report = CriterionReport(
                 variant, False, math.inf, bound, exc.witness, -math.inf, grid
             )
             report.warnings.append(str(exc))
             return report
-        best = int(np.argmax(vals))
-        sup = float(vals[best])
-        witness = complex(z[best])
-
-        # local refinement around the best sample
-        r = abs(witness)
-        th = cmath.phase(witness)
-        radii = grid.radii
-        i = min(range(len(radii)), key=lambda j: abs(radii[j] - r))
-        gaps = [radii[j + 1] - radii[j] for j in range(len(radii) - 1)] or [radii[0] / 2]
-        dr = max(gaps[max(i - 1, 0) : i + 1] or gaps) / 2.0
-        dth = math.pi / grid.angles_per_radius
-        rmax = radii[-1]
-        for _ in range(grid.refine_steps):
-            moved = True
-            hops = 0
-            while moved and hops < 8:
-                moved = False
-                for rr, tt in (
-                    (min(r + dr, rmax), th),
-                    (max(r - dr, 1e-6), th),
-                    (r, th + dth),
-                    (r, th - dth),
-                ):
-                    try:
-                        v = criterion_value(variant, rr * cmath.exp(1j * tt), p, f, g, phi)
-                    except DerivativeVanishes as exc:
-                        report = CriterionReport(
-                            variant, False, math.inf, bound, exc.witness, -math.inf, grid
-                        )
-                        report.warnings.append(str(exc))
-                        return report
-                    if v > sup:
-                        sup, r, th = v, rr, tt
-                        moved = True
-                        hops += 1
-            dr /= 2.0
-            dth /= 2.0
-        witness = r * cmath.exp(1j * th)
 
     passed = sup <= bound + STRICTNESS_TOL
     report = CriterionReport(variant, passed, sup, bound, witness, bound - sup, grid)

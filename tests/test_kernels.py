@@ -1,47 +1,120 @@
-"""Backend kernels: the active dispatch must agree with the pure-numpy
-reference, and the env flag must select the backend."""
-
-import os
-import subprocess
-import sys
+"""Kernels: the series evaluators against an independent extended-precision
+Horner reference, and the oracle kernels against brute force."""
 
 import numpy as np
 import pytest
 
-from univalence_lab import _kernels
-from univalence_lab import backend_name
+from univalence_lab import DiskGrid, ParameterSet, _kernels, backend_name, catalog_build, criterion_check
 from .conftest import random_disk_points
 
+ACCURACY = 1e-13
 
-def _numpy_reference_scan(z, values, tol):
-    order = np.argsort(values.real, kind="stable")
-    i, j = _kernels._collision_scan_numpy(
-        np.ascontiguousarray(z.real[order]),
-        np.ascontiguousarray(z.imag[order]),
-        np.ascontiguousarray(values.real[order]),
-        np.ascontiguousarray(values.imag[order]),
-        np.ascontiguousarray(order, dtype=np.int64),
-        tol,
-    )
-    return None if i < 0 else (i, j)
+
+def _reference_rows(rows, z):
+    """(sum_k a_jk z^k, sum_k |a_jk| |z|^k) per row, by Horner in clongdouble."""
+    rows = np.asarray(rows, dtype=np.clongdouble)
+    absrows = np.abs(rows)
+    z = np.asarray(z, dtype=np.clongdouble)
+    az = np.abs(z)
+    val = np.zeros((rows.shape[0], z.size), dtype=np.clongdouble)
+    scale = np.zeros((rows.shape[0], z.size), dtype=np.longdouble)
+    for k in range(rows.shape[1] - 1, -1, -1):
+        val = val * z + rows[:, k : k + 1]
+        scale = scale * az + absrows[:, k : k + 1]
+    return val, scale
+
+
+def _derivative_rows(coeffs):
+    """Rows of p, p', p'' for p = sum_{n>=1} c_n z^n: the coefficient of
+    z^k in row j is n!/(n-j)! c_n with n = k + j."""
+    c = np.concatenate(([0.0], np.asarray(coeffs, dtype=np.complex128)))
+    n = np.arange(c.size, dtype=float)
+    rows = np.zeros((3, c.size), dtype=np.clongdouble)
+    for j in range(3):
+        fall = np.prod([n - i for i in range(j)], axis=0) if j else np.ones_like(n)
+        rows[j, : c.size - j] = (fall * c)[j:]
+    return rows
+
+
+def _assert_accurate(got, ref, scale):
+    err = np.abs(np.asarray(got, dtype=np.clongdouble) - ref)
+    assert np.all(err <= ACCURACY * scale), float(np.max(err / np.maximum(scale, 1e-300)))
+
+
+def _points(rng, n, r_max):
+    """n disk points with |z| <= r_max; the first lies on |z| = r_max."""
+    z = random_disk_points(rng, n, r_max)
+    z[0] = r_max * np.exp(0.7j)
+    return z
+
+
+SERIES = {
+    "koebe4096": (lambda: catalog_build("koebe", {"degree": 4096}), 0.999),
+    "expscaled32": (lambda: catalog_build("expscaled", {"lam": 2.5 * np.exp(0.9j), "degree": 32}), 0.999),
+    "quadratic": (lambda: catalog_build("quadratic", {"c": 0.4 - 0.2j}), 0.999),
+}
+
+
+class TestSeriesAccuracy:
+    """Error <= 1e-13 * sum_n n!/(n-j)! |c_n| |z|^(n-j) for value, p', p''."""
+
+    @pytest.mark.parametrize("npts", [1, 4, 5120])
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    def test_polyval012(self, rng, name, npts):
+        build, r_max = SERIES[name]
+        s = build()
+        z = _points(rng, npts, r_max)
+        ref, scale = _reference_rows(_derivative_rows(s.coefficients), z)
+        got = _kernels.polyval012(s.coefficients, z)
+        for j in range(3):
+            assert got[j].shape == (npts,)
+            _assert_accurate(got[j], ref[j], scale[j])
+
+    @pytest.mark.parametrize("npts", [1, 4, 5120])
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    def test_polyval(self, rng, name, npts):
+        # the cofactor s(z)/z, whose coefficients start at z^0
+        build, r_max = SERIES[name]
+        s = build()
+        z = _points(rng, npts, r_max)
+        ref, scale = _reference_rows(s.coefficients[None, :], z)
+        got = _kernels.polyval(s.coefficients, z)
+        assert got.shape == (npts,)
+        _assert_accurate(got, ref[0], scale[0])
+
+    def test_origin_and_empty(self):
+        s = catalog_build("koebe", {"degree": 4096})
+        p, dp, ddp = _kernels.polyval012(s.coefficients, np.zeros(3))
+        assert np.all(p == 0) and np.all(dp == 1) and np.all(ddp == 4)
+        assert _kernels.polyval(s.coefficients, np.zeros(0)).shape == (0,)
+        assert all(a.shape == (0,) for a in _kernels.polyval012(s.coefficients, np.zeros(0)))
+
+
+def _brute_force_scan(z, values, tol):
+    i, j = np.triu_indices(z.size, 1)
+    hit = (np.abs(values[i] - values[j]) < tol) & (np.abs(z[i] - z[j]) > 10 * tol)
+    if not hit.any():
+        return None
+    k = np.flatnonzero(hit)[0]  # triu_indices are in lexicographic order
+    return int(i[k]), int(j[k])
 
 
 class TestDispatchAgreesWithNumpy:
+    """The public kernels agree with independent numpy computations."""
+
     def test_polyval012(self, rng):
         coeffs = (rng.normal(size=12) + 1j * rng.normal(size=12)).astype(complex)
         coeffs[0] = 1.0
         z = random_disk_points(rng, 200, 0.95)
-        got = _kernels.polyval012(coeffs, z)
-        ref = _kernels._polyval012_numpy(coeffs, z)
-        for a, b in zip(got, ref):
-            assert np.allclose(a, b, rtol=1e-13, atol=1e-300)
+        ref, scale = _reference_rows(_derivative_rows(coeffs), z)
+        for j, got in enumerate(_kernels.polyval012(coeffs, z)):
+            _assert_accurate(got, ref[j], scale[j])
 
     def test_polyval(self, rng):
         coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
         z = random_disk_points(rng, 100, 0.9)
-        assert np.allclose(
-            _kernels.polyval(coeffs, z), _kernels._polyval_numpy(coeffs, z), rtol=1e-13
-        )
+        ref, scale = _reference_rows(coeffs[None, :], z)
+        _assert_accurate(_kernels.polyval(coeffs, z), ref[0], scale[0])
 
     def test_collision_scan(self, rng):
         z = random_disk_points(rng, 400, 0.9)
@@ -50,8 +123,7 @@ class TestDispatchAgreesWithNumpy:
         values[37] = values[301]
         tol = 1e-7
         got = _kernels.collision_scan(z, values, tol)
-        ref = _numpy_reference_scan(z, values, tol)
-        assert got == ref == (37, 301)
+        assert got == _brute_force_scan(z, values, tol) == (37, 301)
 
     def test_collision_scan_none(self, rng):
         z = random_disk_points(rng, 300, 0.9)
@@ -62,62 +134,24 @@ class TestDispatchAgreesWithNumpy:
         curve = 0.7 * np.exp(1j * th) + 0.05 * np.exp(5j * th)
         curve[-1] = curve[0]
         targets = random_disk_points(rng, 20, 0.4)
-        got = _kernels.winding_stats(curve, targets)
-        ref = _kernels._winding_stats_numpy(
-            np.ascontiguousarray(curve.real),
-            np.ascontiguousarray(curve.imag),
-            np.ascontiguousarray(targets.real),
-            np.ascontiguousarray(targets.imag),
-        )
-        for a, b in zip(got, ref):
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+        total, mindist, maxinc = _kernels.winding_stats(curve, targets)
+        d = curve[None, :] - targets[:, None]
+        inc = np.diff(np.unwrap(np.angle(d), axis=1), axis=1)
+        assert np.allclose(total, inc.sum(axis=1), rtol=1e-12, atol=1e-12)
+        assert np.allclose(total, 2.0 * np.pi, rtol=1e-12)  # every target is inside
+        assert np.allclose(mindist, np.abs(d).min(axis=1), rtol=1e-12, atol=1e-12)
+        assert np.allclose(maxinc, np.abs(inc).max(axis=1), rtol=1e-12, atol=1e-12)
 
 
 class TestBackendSelection:
-    @staticmethod
-    def _probe(backend):
-        env = dict(os.environ, UNIVALENCE_LAB_BACKEND=backend)
-        return subprocess.run(
-            [sys.executable, "-c", "import univalence_lab as u; print(u.backend_name())"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-
-    def test_numpy_forced(self):
-        out = self._probe("numpy")
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numpy"
-
-    def test_numba_forced(self):
-        pytest.importorskip("numba")
-        out = self._probe("numba")
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numba"
-
-    def test_invalid_rejected(self):
-        out = self._probe("cuda")
-        assert out.returncode != 0
-
     def test_current_backend_reported(self):
-        assert backend_name() in ("numba", "numpy")
+        assert backend_name() == "numpy"
 
     def test_numpy_backend_full_pipeline(self):
-        # criterion check runs identically under the fallback backend
-        code = (
-            "from univalence_lab import ParameterSet, catalog_build, criterion_check, DiskGrid\n"
-            "f = catalog_build('quadratic', {'c': 0.25})\n"
-            "g = catalog_build('quadratic', {'c': 0.5})\n"
-            "grid = DiskGrid(radii=(0.5, 0.9), angles_per_radius=64, refine_steps=5)\n"
-            "p = ParameterSet(alpha=0.5, beta=0.5, gamma=1.0, m=1.0)\n"
-            "r = criterion_check('thm32', p, f, g, catalog_build('identity'), grid)\n"
-            "print(r.passed, repr(r.sup_value))\n"
-        )
-        env = dict(os.environ, UNIVALENCE_LAB_BACKEND="numpy")
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert out.returncode == 0, out.stderr
-        passed, sup = out.stdout.split()
-        assert passed == "True"
-        assert float(sup) < 1.0
+        f = catalog_build("quadratic", {"c": 0.25})
+        g = catalog_build("quadratic", {"c": 0.5})
+        grid = DiskGrid(radii=(0.5, 0.9), angles_per_radius=64, refine_steps=5)
+        p = ParameterSet(alpha=0.5, beta=0.5, gamma=1.0, m=1.0)
+        r = criterion_check("thm32", p, f, g, catalog_build("identity"), grid)
+        assert r.passed
+        assert r.sup_value < 1.0
