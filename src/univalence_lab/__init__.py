@@ -7,10 +7,12 @@ from .branchpow import BranchedPath, continuous_power_along_path, principal_powe
 from .chain import (
     ChainPoint,
     chain_eval,
+    chain_grid,
     chain_point,
     pde_residual,
     subordination_probe,
     transfer_functions,
+    transfer_grid,
 )
 from .criterion import (
     CriterionReport,
@@ -25,8 +27,10 @@ from .extension import (
     ExtensionConstants,
     becker_extend,
     beltrami_estimate,
+    beltrami_grid,
     beltrami_ring,
     disk_containment_check,
+    extend_grid,
     extension_constants,
 )
 from .operator import (
@@ -72,9 +76,11 @@ __all__ = [
     "backend_name",
     "becker_extend",
     "beltrami_estimate",
+    "beltrami_grid",
     "beltrami_ring",
     "catalog_build",
     "chain_eval",
+    "chain_grid",
     "chain_point",
     "continuous_power_along_path",
     "criterion_check",
@@ -85,6 +91,7 @@ __all__ = [
     "eval_many",
     "eval_with_derivatives",
     "example31_closed_form",
+    "extend_grid",
     "extension_constants",
     "hyp2f1",
     "injectivity_scan",
@@ -97,5 +104,6 @@ __all__ = [
     "principal_power",
     "subordination_probe",
     "transfer_functions",
+    "transfer_grid",
     "winding_numbers",
 ]

@@ -11,14 +11,11 @@ factoring is valid because Log(e^{-a t} z) = -a t + Log z for positive
 real scalings.  One fixed [0, 1] quadrature rule therefore serves every
 (z, t)."""
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
-from .branchpow import principal_power
 from .errors import (
     DegeneratePointError,
     DomainError,
@@ -27,13 +24,14 @@ from .errors import (
     TransferPoleError,
 )
 from .operator import QuadratureConfig, _integrand_matrix, operator_grid
-from .series import catalog_build, criterion_terms
-
-_IDENTITY = catalog_build("identity")
+from .series import _IDENTITY, bracket_terms
 
 FD_STEP_Z = 1e-5
 FD_STEP_T = 1e-4
 T_CLAMP = 1e-3
+# points per operator_grid call: bounds the (panel nodes x points) working
+# set, which otherwise grows with the request (benchmarks/bench_chain.py)
+_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -46,63 +44,85 @@ class ChainPoint:
     p: complex
 
 
-def _h_at(p, f, g, phi, zeta):
-    """h(zeta) with continuity tracked along the ray 0 -> zeta."""
-    if zeta == 0:
-        return 1.0 + 0.0j, False
-    ray = np.linspace(0.0, 1.0, 33)[1:, None] * np.array([[zeta]])
-    h, crossing = _integrand_matrix(p, f, g, phi, ray)
-    return complex(h[-1, 0]), bool(crossing[0])
+def _flat(z, t):
+    """Broadcast z (complex) and t (real) and flatten; returns (z, t, shape)."""
+    z, t = np.broadcast_arrays(np.asarray(z, dtype=np.complex128), np.asarray(t, dtype=float))
+    return z.ravel(), t.ravel(), z.shape
 
 
-def chain_eval(z, t, p, f, g=None, phi=None, q=None):
-    """L(z, t); reduces to the integral operator at t = 0."""
+def chain_grid(z, t, p, f, g=None, phi=None, q=None):
+    """L(z, t) on broadcastable arrays of z and t; the integral operator at
+    t = 0.  Returns (values, flagged): flagged marks points where the
+    operator path or the ray 0 -> e^{-a t} z carrying h crossed a branch,
+    so the value is invalid."""
     g = g or _IDENTITY
     phi = phi or _IDENTITY
     q = q or QuadratureConfig()
-    z = complex(z)
-    t = float(t)
-    if t < 0:
+    zf, tf, shape = _flat(z, t)
+    if np.any(tf < 0):
         raise DomainError("t must be >= 0")
-    if abs(z) > 1.0 or (abs(z) >= 1.0 and t <= 0):
+    r = np.abs(zf)
+    if np.any((r > 1.0) | ((r >= 1.0) & (tf <= 0))):
         raise DomainError("need |z| < 1, or |z| <= 1 with t > 0")
     if p.gamma.real <= 0:
         raise HypothesisViolation("chain evaluation requires Re gamma > 0")
-    if z == 0:
-        return 0.0 + 0.0j
-    zeta = math.exp(-p.a * t) * z
-    _, brackets, _, _ = operator_grid(np.array([zeta]), p, f, g, phi, q)
-    B = complex(brackets[0])
-    h, _ = _h_at(p, f, g, phi, zeta)
+    values = np.zeros_like(zf)
+    flagged = np.zeros(zf.shape, dtype=bool)
+    nz = np.flatnonzero(zf != 0)
+    for lo in range(0, nz.size, _BATCH):
+        idx = nz[lo : lo + _BATCH]
+        values[idx], flagged[idx] = _chain_batch(zf[idx], tf[idx], p, f, g, phi, q)
+    return values.reshape(shape), flagged.reshape(shape)
+
+
+def _chain_batch(z, t, p, f, g, phi, q):
+    zeta = np.exp(-p.a * t) * z
+    _, B, _, op_crossing = operator_grid(zeta, p, f, g, phi, q)
+    # h(zeta), continuity-tracked along the ray 0 -> zeta
+    ray = np.linspace(0.0, 1.0, 33)[1:, None] * zeta[None, :]
+    h, ray_crossing = _integrand_matrix(p, f, g, phi, ray)
     atg = p.a * t * p.gamma
-    inner = cmath.exp(-atg) * B + (cmath.exp(p.m * atg) - cmath.exp(-atg)) * h
-    return z * principal_power(inner, 1.0 / p.gamma)
+    inner = np.exp(-atg) * B + (np.exp(p.m * atg) - np.exp(-atg)) * h[-1]
+    # principal inner^{1/gamma}; 0 maps to 0 since Re(1/gamma) > 0
+    values = np.zeros_like(z)
+    ok = inner != 0
+    values[ok] = z[ok] * np.exp((1.0 / p.gamma) * np.log(inner[ok]))
+    return values, op_crossing | ray_crossing
 
 
-def transfer_functions(z, t, p, f, g=None, phi=None):
-    """(G, w, p) of the chain at (z, t).
+def chain_eval(z, t, p, f, g=None, phi=None, q=None):
+    """L(z, t) at one point; see chain_grid."""
+    values, _ = chain_grid(complex(z), float(t), p, f, g, phi, q)
+    return complex(values)
+
+
+def transfer_grid(z, t, p, f, g=None, phi=None):
+    """(G, w, p) of the chain on broadcastable arrays of z and t.
 
     G collects the criterion bracket at zeta = e^{-a t} z scaled by
     (1 - e^{-(m+1) a t gamma}) / gamma; w is the Moebius transfer
     [(1+a)G + 1 - ma] / [(1-a)G + 1 + ma] and p = (1+w)/(1-w)."""
-    g = g or _IDENTITY
-    phi = phi or _IDENTITY
-    z = complex(z)
-    t = float(t)
-    zeta = math.exp(-p.a * t) * z
-    pre, lr = criterion_terms(f, g, phi, zeta)
+    zf, tf, shape = _flat(z, t)
+    zeta = np.exp(-p.a * tf) * zf
+    pre, lr = bracket_terms(f, g or _IDENTITY, phi or _IDENTITY, zeta)
     bracket = p.alpha * pre + p.beta * lr
-    G = bracket / p.gamma * (1.0 - cmath.exp(-(p.m + 1.0) * p.a * t * p.gamma))
-    return _transfer_from_G(G, p.m, p.a)
+    G = bracket / p.gamma * (1.0 - np.exp(-(p.m + 1.0) * p.a * tf * p.gamma))
+    return tuple(x.reshape(shape) for x in _transfer_from_G(G, p.m, p.a))
+
+
+def transfer_functions(z, t, p, f, g=None, phi=None):
+    """(G, w, p) of the chain at one point; see transfer_grid."""
+    return tuple(complex(x) for x in transfer_grid(complex(z), float(t), p, f, g, phi))
 
 
 def _transfer_from_G(G, m, a):
+    G = np.asarray(G, dtype=np.complex128)
     num = (1.0 + a) * G + 1.0 - m * a
     den = (1.0 - a) * G + 1.0 + m * a
-    if den == 0:
-        raise TransferPoleError(f"transfer denominator vanished at G = {G}")
+    if np.any(den == 0):
+        raise TransferPoleError(f"transfer denominator vanished at G = {complex(G[den == 0][0])}")
     w = num / den
-    if w == 1.0:
+    if np.any(w == 1.0):
         raise TransferPoleError("w = 1: p is undefined")
     return G, w, (1.0 + w) / (1.0 - w)
 
@@ -124,14 +144,14 @@ def pde_residual(z, t, p, f, g=None, phi=None, q=None):
         raise DomainError("need 0 < |z| < 1")
     hz = FD_STEP_Z
     ht = FD_STEP_T
-
-    def L(zz, tt):
-        return chain_eval(zz, tt, p, f, g, phi, q)
-
-    dx = (L(z + hz, t) - L(z - hz, t)) / (2.0 * hz)
-    dy = (L(z + 1j * hz, t) - L(z - 1j * hz, t)) / (2.0 * hz)
+    stencil_z = [z + hz, z - hz, z + 1j * hz, z - 1j * hz, z, z]
+    stencil_t = [t, t, t, t, t + ht, t - ht]
+    L, _ = chain_grid(stencil_z, stencil_t, p, f, g, phi, q)
+    x_plus, x_minus, y_plus, y_minus, t_plus, t_minus = L.tolist()
+    dx = (x_plus - x_minus) / (2.0 * hz)
+    dy = (y_plus - y_minus) / (2.0 * hz)
     Lz = 0.5 * (dx + dy / 1j)
-    Lt = (L(z, t + ht) - L(z, t - ht)) / (2.0 * ht)
+    Lt = (t_plus - t_minus) / (2.0 * ht)
     _, _, pval = transfer_functions(z, t, p, f, g, phi)
     lhs = z * Lz
     rhs = pval * Lt
@@ -151,15 +171,11 @@ def subordination_probe(t, s, rho, p, f, g=None, phi=None, q=None, samples=64):
     if not 0.0 < rho < 1.0:
         raise DomainError("need 0 < rho < 1")
     angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    pts = np.array(
-        [chain_eval(0.5 * rho * cmath.exp(1j * a), t, p, f, g, phi, q) for a in angles]
-    )
+    pts, _ = chain_grid(0.5 * rho * np.exp(1j * angles), t, p, f, g, phi, q)
     n_curve = 256
     while True:
         thetas = np.linspace(0.0, 2.0 * np.pi, n_curve + 1)
-        curve = np.array(
-            [chain_eval(rho * cmath.exp(1j * th), s, p, f, g, phi, q) for th in thetas]
-        )
+        curve, _ = chain_grid(rho * np.exp(1j * thetas), s, p, f, g, phi, q)
         curve[-1] = curve[0]
         try:
             windings = oracle.winding_numbers(curve, pts, min_dist=1e-10)

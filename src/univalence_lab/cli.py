@@ -5,7 +5,6 @@ Exit codes: 0 success/pass, 2 criterion fail or collision found,
 """
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -14,10 +13,10 @@ from importlib import resources
 
 import numpy as np
 
-from .chain import chain_eval, transfer_functions
+from .chain import chain_grid, transfer_grid
 from .criterion import DiskGrid, ParameterSet, criterion_check
 from .errors import ConfigError, HypothesisViolation, UnivalenceLabError
-from .extension import becker_extend, beltrami_estimate, extension_constants
+from .extension import beltrami_grid, extend_grid, extension_constants
 from .operator import QuadratureConfig, operator_eval, operator_grid
 from .oracle import SampleCloud, argument_principle_check, injectivity_scan, polar_samples
 from .series import SeriesFunction, catalog_build
@@ -346,37 +345,37 @@ def _cmd_chain(spec, flags):
         raise ConfigError("chain needs --out")
     zs = polar_samples(flags.get("nr", 8), flags.get("ntheta", 16), flags.get("rmax", 0.9))
     ts = np.linspace(0.0, flags.get("tmax", 1.0), flags.get("tsteps", 5))
-    rows = []
-    for t in ts:
-        for z in zs:
-            L = chain_eval(z, t, spec.params, spec.f, spec.g, spec.phi, spec.quad)
-            _, w, _ = transfer_functions(z, t, spec.params, spec.f, spec.g, spec.phi)
-            rows.append((z.real, z.imag, t, L.real, L.imag, abs(w)))
-    emit_grid_csv(rows, ("re_z", "im_z", "t", "re_w", "im_w", "abs_w"), flags["out"])
+    z = np.tile(zs, ts.size)
+    t = np.repeat(ts, zs.size)
+    L, flagged = chain_grid(z, t, spec.params, spec.f, spec.g, spec.phi, spec.quad)
+    _, w, _ = transfer_grid(z, t, spec.params, spec.f, spec.g, spec.phi)
+    if np.any(flagged):
+        print(
+            f"warning: {int(flagged.sum())} of {flagged.size} points flagged for a "
+            "branch crossing; their values are invalid",
+            file=sys.stderr,
+        )
+    rows = np.column_stack((z.real, z.imag, t, L.real, L.imag, np.abs(w), flagged))
+    emit_grid_csv(
+        rows.tolist(), ("re_z", "im_z", "t", "re_w", "im_w", "abs_w", "flagged"), flags["out"]
+    )
     return 0, [flags["out"]]
 
 
 def _cmd_extend(spec, flags):
     if not flags.get("out"):
         raise ConfigError("extend needs --out")
-    rmin = flags.get("rmin", 0.5)
-    rmax = flags.get("rmax", 2.0)
-    nr = flags.get("nr", 8)
-    ntheta = flags.get("ntheta", 16)
-    rows = []
-    mu_cut = 1.0 + 3e-5
-    for r in np.linspace(rmin, rmax, nr):
-        for th in np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False):
-            z = r * cmath.exp(1j * th)
-            F = becker_extend(z, spec.params, spec.f, spec.g, spec.phi, spec.quad)
-            if r > mu_cut:
-                mu = abs(
-                    beltrami_estimate(z, spec.params, spec.f, spec.g, spec.phi, spec.quad).mu
-                )
-            else:
-                mu = 0.0
-            rows.append((z.real, z.imag, F.real, F.imag, mu))
-    emit_grid_csv(rows, ("re_z", "im_z", "re_w", "im_w", "abs_mu"), flags["out"])
+    r = np.linspace(flags.get("rmin", 0.5), flags.get("rmax", 2.0), flags.get("nr", 8))
+    theta = np.linspace(0.0, 2.0 * np.pi, flags.get("ntheta", 16), endpoint=False)
+    z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    F = extend_grid(z, spec.params, spec.f, spec.g, spec.phi, spec.quad)
+    mu = np.zeros(z.shape)
+    has_mu = np.repeat(r > 1.0 + 3e-5, theta.size)
+    mu[has_mu] = np.abs(
+        beltrami_grid(z[has_mu], spec.params, spec.f, spec.g, spec.phi, spec.quad)
+    )
+    rows = np.column_stack((z.real, z.imag, F.real, F.imag, mu))
+    emit_grid_csv(rows.tolist(), ("re_z", "im_z", "re_w", "im_w", "abs_mu"), flags["out"])
     return 0, [flags["out"]]
 
 

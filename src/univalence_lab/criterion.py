@@ -20,12 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DerivativeVanishes, HypothesisViolation, TruncationWarning
-from .series import catalog_build, eval_many, log_derivative, nonvanishing_check
+from .series import _IDENTITY, bracket_terms, nonvanishing_check
 
 VARIANTS = ("thm31", "thm32", "cor31", "cor32", "thm41")
 STRICTNESS_TOL = 1e-12
-
-_IDENTITY = catalog_build("identity")
 
 
 @dataclass(frozen=True)
@@ -127,16 +125,7 @@ def criterion_values(variant, z, p, f, g=None, phi=None):
     z = np.asarray(z, dtype=np.complex128)
     alpha, beta, g_eff, phi_eff = _resolve(variant, p, f, g or _IDENTITY, phi or _IDENTITY)
 
-    _, fp, fpp = eval_many(f, z)
-    bad = np.abs(fp) < 1e-13
-    if np.any(bad):
-        w = complex(z[np.nonzero(bad)[0][0]] if z.ndim else z)
-        raise DerivativeVanishes(f"f'(z) = 0 at z = {w}", witness=w)
-    pre = z * fpp / fp
-    if beta != 0:
-        lr = log_derivative(g_eff, z) - log_derivative(phi_eff, z)
-    else:
-        lr = np.zeros_like(z)
+    pre, lr = bracket_terms(f, g_eff, phi_eff, z, log_ratio=beta != 0)
     bracket = alpha * pre + beta * lr
 
     r = np.abs(z)

@@ -9,15 +9,14 @@ For a != 1 the constant is
 
 and l = k at a = 1 (the sharpest case, hence the default a = 1)."""
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import chain_eval
+from .chain import chain_grid
 from .errors import DegeneratePointError, DomainError
-from .operator import operator_eval
+from .operator import operator_grid
 
 SEAM_CLAMP = 1e-6
 
@@ -102,42 +101,71 @@ def disk_containment_check(k, a, l, m=1.0, tol=1e-12):
     return slack >= -tol, slack
 
 
+def _unit(z, r):
+    """z/r for r = |z| > 0, with |u| <= 1 as the chain tests it.
+
+    A rounded z/|z| can have modulus 1 + 2.2e-16, which the chain rejects;
+    such points are scaled by 1 - 2^-51 until none is outside."""
+    u = (z.real / r) + 1j * (z.imag / r)
+    out = np.abs(u) > 1.0
+    while np.any(out):
+        u[out] *= 1.0 - 2.0**-51
+        out = np.abs(u) > 1.0
+    return u
+
+
+def extend_grid(z, p, f, g=None, phi=None, q=None):
+    """Piecewise extension on an array: the operator inside the disk, the
+    chain along the boundary ray outside (t = log|z|, clamped just above 0
+    at the seam)."""
+    z = np.asarray(z, dtype=np.complex128)
+    r = np.abs(z)
+    inside = r < 1.0
+    out = np.empty_like(z)
+    if np.any(inside):
+        out[inside] = operator_grid(z[inside], p, f, g, phi, q)[0]
+    outside = ~inside
+    if np.any(outside):
+        t = np.maximum(np.log(r[outside]), SEAM_CLAMP)
+        out[outside] = chain_grid(_unit(z[outside], r[outside]), t, p, f, g, phi, q)[0]
+    return out
+
+
 def becker_extend(z, p, f, g=None, phi=None, q=None):
-    """Piecewise extension: the operator inside the disk, the chain along
-    the boundary ray outside (t = log|z|, clamped just above 0 at the
-    seam)."""
-    z = complex(z)
-    if abs(z) < 1.0:
-        return operator_eval(z, p, f, g, phi, q).value
-    t = max(math.log(abs(z)), SEAM_CLAMP)
-    return chain_eval(z / abs(z), t, p, f, g, phi, q)
+    """The extension at one point; see extend_grid."""
+    return complex(extend_grid(complex(z), p, f, g, phi, q))
+
+
+def beltrami_grid(z, p, f, g=None, phi=None, q=None, h=1e-5):
+    """Sampled Beltrami coefficients of the extension at an array of points
+    with |z| > 1 + 2h.
+
+    Wirtinger derivatives from one central-difference stencil per point:
+    d_z = (d_x - i d_y)/2, d_zbar = (d_x + i d_y)/2."""
+    z = np.asarray(z, dtype=np.complex128)
+    if np.any(np.abs(z) <= 1.0 + 2.0 * h):
+        raise DomainError(f"need |z| > 1 + 2h = {1.0 + 2.0 * h}")
+    offsets = np.array([h, -h, 1j * h, -1j * h])
+    F = extend_grid(z[..., None] + offsets, p, f, g, phi, q)
+    dx = (F[..., 0] - F[..., 1]) / (2.0 * h)
+    dy = (F[..., 2] - F[..., 3]) / (2.0 * h)
+    dz = 0.5 * (dx - 1j * dy)
+    dzbar = 0.5 * (dx + 1j * dy)
+    small = np.abs(dz) < 1e-12
+    if np.any(small):
+        raise DegeneratePointError(f"|d_z F| < 1e-12 at z = {complex(z[small][0])}")
+    return dzbar / dz
 
 
 def beltrami_estimate(z, p, f, g=None, phi=None, q=None, h=1e-5):
-    """Sampled Beltrami coefficient of the extension at |z| > 1 + 2h.
-
-    Wirtinger derivatives from the same central-difference stencil:
-    d_z = (d_x - i d_y)/2, d_zbar = (d_x + i d_y)/2."""
+    """Sampled Beltrami coefficient at one point; see beltrami_grid."""
     z = complex(z)
-    if abs(z) <= 1.0 + 2.0 * h:
-        raise DomainError(f"need |z| > 1 + 2h = {1.0 + 2.0 * h}")
-
-    def F(zz):
-        return becker_extend(zz, p, f, g, phi, q)
-
-    dx = (F(z + h) - F(z - h)) / (2.0 * h)
-    dy = (F(z + 1j * h) - F(z - 1j * h)) / (2.0 * h)
-    dz = 0.5 * (dx - 1j * dy)
-    dzbar = 0.5 * (dx + 1j * dy)
-    if abs(dz) < 1e-12:
-        raise DegeneratePointError(f"|d_z F| < 1e-12 at z = {z}")
-    return BeltramiSample(z, dzbar / dz)
+    return BeltramiSample(z, complex(beltrami_grid(z, p, f, g, phi, q, h)))
 
 
 def beltrami_ring(p, f, g=None, phi=None, q=None, radii=(1.05, 1.3, 1.6, 2.0), n_theta=8, h=1e-5):
     """Beltrami samples on a ring grid outside the unit circle."""
-    samples = []
-    for r in radii:
-        for th in np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False):
-            samples.append(beltrami_estimate(r * cmath.exp(1j * th), p, f, g, phi, q, h))
-    return samples
+    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    z = (np.asarray(radii, dtype=float)[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    mu = beltrami_grid(z, p, f, g, phi, q, h)
+    return [BeltramiSample(zz, mm) for zz, mm in zip(z.tolist(), mu.tolist())]

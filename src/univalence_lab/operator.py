@@ -19,9 +19,7 @@ import numpy as np
 from . import _kernels
 from .branchpow import principal_power
 from .errors import ConvergenceError, DomainError, HypothesisViolation
-from .series import catalog_build
-
-_IDENTITY = catalog_build("identity")
+from .series import _IDENTITY
 
 
 @dataclass(frozen=True)

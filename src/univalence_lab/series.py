@@ -133,22 +133,35 @@ def log_derivative(s, z):
     return out
 
 
+def bracket_terms(f, g, phi, z, log_ratio=True):
+    """Arrays (z f''/f', z g'/g - z phi'/phi) over points with |z| <= 1, the
+    two terms of the criterion bracket a zf''/f' + b (zg'/g - zphi'/phi).
+
+    Raises DerivativeVanishes at the first point where |f'| < 1e-13.  With
+    log_ratio=False the second term is returned as zeros and g, phi are not
+    evaluated."""
+    z = np.asarray(z, dtype=np.complex128)
+    _, fp, fpp = eval_many(f, z)
+    bad = np.abs(fp) < 1e-13
+    if np.any(bad):
+        w = complex(z[bad][0])
+        raise DerivativeVanishes(f"f'(z) = 0 at z = {w}", witness=w)
+    pre = z * fpp / fp
+    if log_ratio:
+        lr = log_derivative(g, z) - log_derivative(phi, z)
+    else:
+        lr = np.zeros_like(z)
+    return pre, lr
+
+
 def criterion_terms(f, g, phi, z):
     """The two building blocks of the criteria at a point.
 
     Returns (z f''(z)/f'(z), z g'(z)/g(z) - z phi'(z)/phi(z)); both are 0
     at z = 0 (removable singularities of the class-A normalization).
     """
-    z = complex(z)
-    _, fp, fpp = eval_with_derivatives(f, z)
-    if abs(fp) < 1e-13:
-        raise DerivativeVanishes(f"f'(z) = 0 at z = {z}", witness=z)
-    pre_schwarzian = z * fpp / fp
-    zarr = np.array([z])
-    log_ratio = complex(log_derivative(g, zarr)[0] - log_derivative(phi, zarr)[0])
-    if z == 0:
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    return pre_schwarzian, log_ratio
+    pre, lr = bracket_terms(f, g, phi, np.array([complex(z)]))
+    return complex(pre[0]), complex(lr[0])
 
 
 _CATALOG = ("identity", "quadratic", "koebe", "expscaled")
@@ -187,6 +200,9 @@ def catalog_build(name, params=None):
     if params:
         raise ValueError(f"unexpected parameters for {name!r}: {sorted(params)}")
     return SeriesFunction(coeffs, label=name)
+
+
+_IDENTITY = catalog_build("identity")  # default g and phi
 
 
 def nonvanishing_check(s, radius, grid, floor=1e-9):

@@ -1,0 +1,259 @@
+"""The array chain and extension layer: chain_grid / transfer_grid against
+their one-point wrappers and the example31 closed form, batching, typed
+errors, and values pinned from the former one-point implementation."""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from univalence_lab import (
+    ParameterSet,
+    beltrami_ring,
+    chain_eval,
+    hyp2f1,
+    pde_residual,
+    principal_power,
+    subordination_probe,
+    transfer_functions,
+)
+from univalence_lab import chain
+from univalence_lab.chain import _transfer_from_G, chain_grid, transfer_grid
+from univalence_lab.errors import (
+    DerivativeVanishes,
+    DomainError,
+    HypothesisViolation,
+    TransferPoleError,
+)
+from univalence_lab.extension import beltrami_grid, extend_grid
+from univalence_lab.series import SeriesFunction
+
+GAMMAS = (1.0, 0.3, 0.5 + 0.5j, 2.0 + 1.0j)
+SPEEDS = ((1.0, 1.0), (2.0, 0.7))  # (m, a)
+INTERIOR = (0.0, 0.5, -0.3 + 0.6j, 0.9j, 0.7 * cmath.exp(2.0j), 1e-6)
+BOUNDARY = (1.0, cmath.exp(1.0j), -1.0j)
+TIMES = (0.0, 0.3, 1.2)
+
+# A one-ulp change of F moves a central difference of step h by about
+# eps / (2h) relative to |F'|.  Batching changes the summation order inside
+# operator_grid, so values derived from FD stencils (h = 1e-5) can only be
+# pinned to a few times that.
+FD_TOL = 4.0 * np.finfo(float).eps / (2.0 * 1e-5)
+
+
+def _points():
+    """(z, t) pairs covering t = 0, z = 0, |z| = 1 with t > 0."""
+    pairs = [(z, t) for z in INTERIOR for t in TIMES]
+    pairs += [(z, t) for z in BOUNDARY for t in TIMES if t > 0]
+    z, t = zip(*pairs)
+    return np.array(z, dtype=complex), np.array(t)
+
+
+def _params(gamma, m, a):
+    return ParameterSet(alpha=0.5, beta=0.5, gamma=gamma, m=m, a=a)
+
+
+def _close(batch, single, rel):
+    single = np.asarray(single)
+    return np.all(np.abs(batch - single) <= rel * np.abs(single))
+
+
+class TestAgainstWrappers:
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("m,a", SPEEDS)
+    def test_chain_batch_matches_points(self, gamma, m, a, f_quarter, g_half, identity):
+        p = _params(gamma, m, a)
+        z, t = _points()
+        values, flagged = chain_grid(z, t, p, f_quarter, g_half, identity)
+        single = [chain_eval(zz, tt, p, f_quarter, g_half, identity) for zz, tt in zip(z, t)]
+        assert values.shape == z.shape and flagged.dtype == bool
+        assert not flagged.any()
+        assert _close(values, single, 1e-14)
+        assert values[z == 0].tolist() == [0.0] * int(np.sum(z == 0))
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("m,a", SPEEDS)
+    def test_transfer_batch_matches_points(self, gamma, m, a, f_quarter, g_half, identity):
+        p = _params(gamma, m, a)
+        z, t = _points()
+        batch = transfer_grid(z, t, p, f_quarter, g_half, identity)
+        single = np.array(
+            [transfer_functions(zz, tt, p, f_quarter, g_half, identity) for zz, tt in zip(z, t)]
+        )
+        for j in range(3):
+            assert _close(batch[j], single[:, j], 1e-14)
+
+    def test_broadcasting(self, f_quarter, g_half, identity, params_ref):
+        z = np.array([0.2, 0.5j, -0.7])
+        t = np.array([[0.0], [0.5]])
+        values, flagged = chain_grid(z, t, params_ref, f_quarter, g_half, identity)
+        assert values.shape == flagged.shape == (2, 3)
+        G, w, pv = transfer_grid(z, t, params_ref, f_quarter, g_half, identity)
+        assert G.shape == w.shape == pv.shape == (2, 3)
+        assert values[1, 2] == chain_grid(-0.7, 0.5, params_ref, f_quarter, g_half, identity)[0]
+
+    def test_larger_than_one_batch(self, f_quarter, g_half, identity, rng):
+        p = _params(0.5 + 0.5j, 2.0, 0.7)
+        n = 2 * chain._BATCH + 5
+        z = 0.95 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        t = rng.uniform(0.0, 2.0, size=n)
+        values, _ = chain_grid(z, t, p, f_quarter, g_half, identity)
+        single = [chain_eval(zz, tt, p, f_quarter, g_half, identity) for zz, tt in zip(z, t)]
+        assert _close(values, single, 1e-14)
+
+    def test_empty(self, f_quarter, params_ref):
+        values, flagged = chain_grid(np.array([], dtype=complex), 0.5, params_ref, f_quarter)
+        assert values.shape == flagged.shape == (0,)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("m,a", SPEEDS)
+    def test_example31(self, gamma, m, a, f_quarter, g_half, identity):
+        # f' = g/phi = 1 + z/2, so h = (1 + z/2)^(alpha+beta) and the bracket
+        # is 2F1(gamma, -(alpha+beta); 1+gamma; -zeta/2)
+        p = _params(gamma, m, a)
+        s = p.alpha + p.beta
+        z, t = _points()
+        values, _ = chain_grid(z, t, p, f_quarter, g_half, identity)
+        for zz, tt, L in zip(z, t, values):
+            if zz == 0:
+                continue
+            zeta = math.exp(-a * tt) * zz
+            atg = a * tt * p.gamma
+            inner = cmath.exp(-atg) * hyp2f1(p.gamma, -s, 1.0 + p.gamma, -zeta / 2.0) + (
+                cmath.exp(m * atg) - cmath.exp(-atg)
+            ) * principal_power(1.0 + zeta / 2.0, s)
+            want = zz * principal_power(inner, 1.0 / p.gamma)
+            assert abs(L - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("m,a", SPEEDS)
+    def test_example31_transfer(self, gamma, m, a, f_quarter, g_half, identity):
+        # z f''/f' = z g'/g - 1 = zeta/(2 + zeta) for f = z + z^2/4, g = z + z^2/2
+        p = _params(gamma, m, a)
+        z, t = _points()
+        G, w, pv = transfer_grid(z, t, p, f_quarter, g_half, identity)
+        zeta = np.exp(-a * t) * z
+        G_want = (p.alpha + p.beta) * zeta / (2.0 + zeta) / p.gamma * (
+            1.0 - np.exp(-(m + 1.0) * a * t * p.gamma)
+        )
+        w_want = ((1.0 + a) * G_want + 1.0 - m * a) / ((1.0 - a) * G_want + 1.0 + m * a)
+        assert np.all(np.abs(G - G_want) <= 1e-14 * (1.0 + np.abs(G_want)))
+        assert np.all(np.abs(w - w_want) <= 1e-14 * (1.0 + np.abs(w_want)))
+        assert np.all(np.abs(pv - (1.0 + w_want) / (1.0 - w_want)) <= 1e-13 * np.abs(pv))
+
+
+class TestFlags:
+    def test_branch_crossing_flagged(self, identity):
+        # f' = (1 + 1.5 z)^2 winds past the negative axis on the ray to
+        # -0.9 +- 0.1i, so (f')^(1/2) leaves the principal branch there
+        f = SeriesFunction(np.array([1.0, 1.5, 0.75]))
+        p = ParameterSet(alpha=0.5, beta=0.0)
+        values, flagged = chain_grid([-0.9 + 0.1j, 0.3, -0.9 - 0.1j], [0.0, 0.2, 0.1], p, f)
+        assert flagged.tolist() == [True, False, True]
+        assert np.all(np.isfinite(values))
+
+
+class TestErrors:
+    """One bad point in a batch raises what chain_eval raises for it."""
+
+    @pytest.mark.parametrize(
+        "bad_z,bad_t,message",
+        [(0.5, -0.1, "t must be >= 0"), (1.0, 0.0, "need |z| < 1"), (1.5, 1.0, "need |z| < 1")],
+    )
+    def test_chain_bad_point(self, bad_z, bad_t, message, f_quarter, params_ref):
+        with pytest.raises(DomainError) as single:
+            chain_eval(bad_z, bad_t, params_ref, f_quarter)
+        z = np.array([0.1, 0.5j, bad_z, -0.3])
+        t = np.array([0.2, 0.0, bad_t, 1.0])
+        with pytest.raises(DomainError) as batch:
+            chain_grid(z, t, params_ref, f_quarter)
+        assert str(batch.value) == str(single.value)
+        assert str(single.value).startswith(message)
+
+    def test_chain_gamma(self, f_quarter):
+        with pytest.raises(HypothesisViolation):
+            chain_grid([0.1, 0.2], 0.5, ParameterSet(gamma=-1.0), f_quarter)
+
+    def test_transfer_derivative_vanishes(self, identity, params_ref):
+        f = SeriesFunction(np.array([1.0, 0.5]))  # f' = 1 + z vanishes at -1
+        with pytest.raises(DerivativeVanishes) as exc:
+            transfer_grid([0.3, -1.0, 0.5j], 0.0, params_ref, f, identity, identity)
+        assert exc.value.witness == -1.0
+
+    def test_transfer_domain(self, f_quarter, params_ref):
+        with pytest.raises(DomainError):
+            transfer_grid([0.3, 1.5], 0.0, params_ref, f_quarter)
+
+    def test_transfer_poles(self):
+        with pytest.raises(TransferPoleError, match="denominator"):
+            _transfer_from_G(np.array([0.1, 3.0]), 1.0, 2.0)
+        with pytest.raises(TransferPoleError, match="w = 1"):
+            _transfer_from_G(np.array([0.1, 1.0]), 1.0, 2.0)
+
+    def test_beltrami_domain(self, identity, params_ref):
+        with pytest.raises(DomainError):
+            beltrami_grid([1.5, 1.0 + 1e-5], params_ref, identity)
+
+
+class TestExtendGrid:
+    def test_matches_points_and_seam(self, f_quarter, g_half, identity, params_ref):
+        z = np.array([0.0, 0.4 + 0.3j, 1.0, cmath.exp(0.5j), 1.7 * cmath.exp(2.5j)])
+        F = extend_grid(z, params_ref, f_quarter, g_half, identity)
+        assert F[0] == 0.0
+        for zz, v in zip(z, F):
+            single = extend_grid(zz, params_ref, f_quarter, g_half, identity)
+            assert v == pytest.approx(single, rel=1e-14)
+
+    def test_unit_circle_overshoot(self, identity):
+        # z/|z| rounds to modulus 1 + 2.2e-16 for about 8% of angles
+        p = ParameterSet(alpha=1.0, beta=1.0, m=1.0, a=1.0)
+        z = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 1000))
+        assert np.sum(np.abs(z / np.abs(z)) > 1.0) > 0
+        F = extend_grid(z, p, identity, identity, identity)
+        assert np.all(np.abs(F - z) <= 1e-5)
+
+
+class TestPinned:
+    """Values of the one-point implementation on the inputs of test_chain.py
+    and test_extension.py."""
+
+    def test_pde_residual(self, f_quarter, g_half, identity, params_ref):
+        p = ParameterSet(alpha=1.0, beta=1.0, m=1.0, a=1.0)
+        got = (
+            pde_residual(0.4 + 0.2j, 0.5, p, identity, identity, identity),
+            pde_residual(0.4 + 0.2j, 0.3, params_ref, f_quarter, g_half, identity),
+            pde_residual(0.5, 0.0, params_ref, f_quarter, g_half, identity),
+        )
+        want = (8.324713445743318e-10, 1.020112693849137e-09, 1.3288042459367487e-09)
+        assert np.allclose(got, want, rtol=0.0, atol=FD_TOL)
+
+    def test_subordination_probe(self, f_quarter, g_half, identity, params_ref):
+        p = ParameterSet(alpha=1.0, beta=1.0)
+        ident = (identity, identity, identity)
+        assert subordination_probe(0.1, 0.5, 0.8, p, *ident, samples=16) is True
+        assert subordination_probe(0.3, 0.3, 0.6, p, *ident, samples=16) is True
+        assert subordination_probe(0.1, 0.5, 0.8, params_ref, f_quarter, g_half, identity) is True
+
+    def test_beltrami_ring_identity(self, identity):
+        p = ParameterSet(alpha=1.0, beta=1.0, m=1.0, a=2.0)
+        ring = beltrami_ring(p, identity, identity, identity, radii=(1.2, 1.6), n_theta=4)
+        got = [s.mu for s in ring]
+        want = [
+            0.33333333331834575, -0.33333333331834575, 0.3333333333183458, -0.33333333331834575,
+            0.33333333332818116, -0.3333333333281811, 0.3333333333281811, -0.3333333333281811,
+        ]
+        assert np.allclose(got, want, rtol=0.0, atol=FD_TOL)
+
+    def test_beltrami_ring_example31(self, f_quarter, g_half, identity, params_ref):
+        ring = beltrami_ring(params_ref, f_quarter, g_half, identity, radii=(1.05, 2.0), n_theta=4)
+        got = [s.mu for s in ring]
+        want = [
+            -0.029990490715703064, 0.017184939228571457 + 0.036088372472507194j,
+            0.08451865577388812, 0.017184939241172852 - 0.036088372464493916j,
+            -0.15000000001569094, 0.04411764701707006 + 0.17647058827097778j,
+            0.25000000006945006, 0.04411764701902927 - 0.17647058828159018j,
+        ]
+        assert np.allclose(got, want, rtol=0.0, atol=FD_TOL)

@@ -232,14 +232,39 @@ class TestEndToEnd:
             == 0
         )
         header, rows = read_grid_csv(chain_csv)
-        assert header == ["re_z", "im_z", "t", "re_w", "im_w", "abs_w"]
+        assert header == ["re_z", "im_z", "t", "re_w", "im_w", "abs_w", "flagged"]
         assert len(rows) == 16
+        assert {row[-1] for row in rows} == {0.0}
 
         ext_csv = tmp_path / "ext.csv"
         assert main(["extend", cfg, "--out", str(ext_csv), "--nr", "3", "--ntheta", "4"]) == 0
         header, rows = read_grid_csv(ext_csv)
         assert header == ["re_z", "im_z", "re_w", "im_w", "abs_mu"]
         assert len(rows) == 12
+
+    def test_chain_flagged_column(self, write_config, tmp_path, capsys):
+        # (f')^(1/2) with f' = (1 + 1.5 z)^2 leaves the principal branch
+        # at the grid points 0.9 exp(+-7i pi/8), t = 0 (see test_chain_grid.py)
+        cfg = write_config(
+            {"f": {"coefficients": [1.0, 1.5, 0.75]}, "params": {"alpha": 0.5}}
+        )
+        out = tmp_path / "chain.csv"
+        argv = ["chain", cfg, "--out", str(out), "--nr", "2", "--ntheta", "16", "--tsteps", "2"]
+        assert main(argv) == 0
+        assert "branch crossing" in capsys.readouterr().err
+        header, rows = read_grid_csv(out)
+        flags = {row[header.index("flagged")] for row in rows}
+        assert flags == {0.0, 1.0}
+
+    def test_extend_default_flags(self, write_config, tmp_path):
+        # the default ring has Beltrami stencil points whose z/|z| rounds to
+        # modulus 1 + 2.2e-16
+        out = tmp_path / "ext.csv"
+        assert main(["extend", write_config(REFERENCE_DOC), "--out", str(out)]) == 0
+        header, rows = read_grid_csv(out)
+        assert header == ["re_z", "im_z", "re_w", "im_w", "abs_mu"]
+        assert len(rows) == 128
+        assert np.all(np.isfinite(rows))
 
     def test_oracle_identity_clean(self, write_config, capsys):
         cfg = write_config(

@@ -5,12 +5,15 @@ import cmath
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from univalence_lab import (
     ParameterSet,
     becker_extend,
     beltrami_estimate,
     beltrami_ring,
+    catalog_build,
     disk_containment_check,
     extension_constants,
     operator_eval,
@@ -120,6 +123,23 @@ class TestBeckerExtend:
         assert becker_extend(z, p, identity, identity, identity) == pytest.approx(
             z * abs(z), rel=1e-10
         )
+
+    @given(
+        theta=st.floats(-4.0, 4.0),
+        r=st.one_of(st.just(1.0), st.floats(1.0, 1.0 + 1e-9), st.floats(1.0, 3.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(theta=2.557013752954216, r=1.3)  # z/|z| has modulus 1 + 2.2e-16
+    @example(theta=3.35270895707058, r=1.3)
+    def test_accepts_every_outside_point(self, theta, r):
+        # z/|z| can round to modulus 1 + 2.2e-16; the chain must never see it
+        z = r * complex(math.cos(theta), math.sin(theta))
+        assume(abs(z) >= 1.0)
+        f = catalog_build("quadratic", {"c": 0.25})
+        g = catalog_build("quadratic", {"c": 0.5})
+        p = ParameterSet(alpha=0.5, beta=0.5, gamma=1.0, m=1.0, a=1.0)
+        F = becker_extend(z, p, f, g)
+        assert cmath.isfinite(F)
 
 
 class TestBeltrami:
