@@ -87,9 +87,14 @@ def polyval(coeffs, z):
     z = np.ascontiguousarray(z, dtype=np.complex128).ravel()
     if a.size >= _BLOCKED_MIN_TERMS:
         return _blocked_rows(a[None, :], z)[0]
-    q = np.full_like(z, a[-1])
-    for k in range(a.size - 2, -1, -1):
-        q = q * z + a[k]
+    if a.size == 1:
+        return np.full_like(z, a[0])
+    # Horner in place: the same operations as q = q * z + a[k] from q = a[-1]
+    q = z * a[-1]
+    q += a[-2]
+    for k in range(a.size - 3, -1, -1):
+        q *= z
+        q += a[k]
     return q
 
 

@@ -51,24 +51,61 @@ class BranchedPath:
         object.__setattr__(self, "samples", s)
 
 
+def track_power(w, c, rel_tol=1e-9):
+    """The power w^c continued down axis 0 from the principal branch at the
+    first sample, for every column of an array at once.
+
+    The argument theta = Arg w - 2 pi k carries an integer sheet index k,
+    the cumulative sum of the 2 pi wraps of the principal-argument
+    increments, so k = 0 at the first sample and every increment lies in
+    [-pi, pi].  Returns (log_power, crossed, max_step):
+
+      log_power  c (log|w| + i theta), the log of the continued power;
+      crossed    per column, True where the continued power differs from
+                 the principal one, i.e. |e^{2 pi i c k} - 1| exceeds
+                 rel_tol (1 + |e^{2 pi i c k}|) at some sample (the same
+                 test as |cont - principal| > rel_tol (|cont| + |principal|)
+                 without forming the principal power); samples whose
+                 sheet index is not finite count as crossed;
+      max_step   per column, the largest |increment| of theta (0 for one
+                 sample), for callers that reject undersampled paths.
+
+    Zeros of w are the caller's business: their argument is taken as 0."""
+    w = np.asarray(w, dtype=np.complex128)
+    c = complex(c)
+    log_power = np.empty(w.shape, dtype=np.complex128)
+    np.log(np.abs(w), out=log_power.real)
+    theta = log_power.imag
+    np.arctan2(w.imag, w.real, out=theta)  # np.angle(w), written in place
+    step = np.diff(theta, axis=0)
+    wraps = np.rint(step * (0.5 / math.pi))
+    step -= (2.0 * math.pi) * wraps
+    max_step = np.maximum(step.max(axis=0, initial=0.0), -step.min(axis=0, initial=0.0))
+    crossed = np.zeros(max_step.shape, dtype=bool)
+    if np.any(wraps):  # else k = 0: no theta shift and nothing crossed
+        k = np.zeros(w.shape)
+        np.cumsum(wraps, axis=0, out=k[1:])
+        theta -= (2.0 * math.pi) * k
+        off = k != 0
+        turn = np.exp((2j * math.pi * c) * k[off])
+        bad = np.zeros(k.shape, dtype=bool)
+        bad[off] = ~np.isfinite(turn) | (np.abs(turn - 1.0) > rel_tol * (1.0 + np.abs(turn)))
+        crossed = bad.any(axis=0)
+    log_power *= c
+    return log_power, crossed, max_step
+
+
 def unwrapped_arguments(samples):
     """Continuous argument along a path, seeded at the principal argument
     of the first sample.  Raises on zeros and on undersampled jumps."""
-    samples = np.asarray(samples, dtype=np.complex128)
-    if np.any(samples == 0):
-        raise SingularPathError("path passes through 0")
-    ang = np.angle(samples)
-    inc = np.diff(ang)
-    inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
-    if inc.size and np.abs(inc).max() >= _JUMP_LIMIT:
-        k = int(np.argmax(np.abs(inc)))
+    samples = BranchedPath(samples).samples
+    log_arg, _, max_step = track_power(samples, 1.0)
+    theta = log_arg.imag
+    if max_step >= _JUMP_LIMIT:
+        k = int(np.argmax(np.abs(np.diff(theta))))
         raise UndersampledPathError(
-            f"argument jump {np.abs(inc).max():.4f} >= pi between samples {k} and {k + 1}"
+            f"argument jump {float(max_step):.4f} >= pi between samples {k} and {k + 1}"
         )
-    theta = np.empty(samples.shape)
-    theta[0] = ang[0]
-    if inc.size:
-        theta[1:] = ang[0] + np.cumsum(inc)
     return theta
 
 
@@ -77,16 +114,12 @@ def continuous_power_along_path(path, c, rel_tol=1e-9):
 
     Returns (values, crossed) where `crossed` is True iff the continuous
     determination differs from the pointwise principal power anywhere,
-    i.e. the path wound across the negative real axis.
-    """
+    i.e. the path wound across the negative real axis."""
     if isinstance(path, BranchedPath):
         samples = path.samples
     else:
         samples = BranchedPath(path).samples
-    c = complex(c)
-    theta = unwrapped_arguments(samples)
-    values = np.exp(c * (np.log(np.abs(samples)) + 1j * theta))
-    principal = np.exp(c * np.log(samples))
-    scale = np.abs(values) + np.abs(principal) + 1e-300
-    crossed = bool(np.any(np.abs(values - principal) > rel_tol * scale))
-    return values, crossed
+    log_power, crossed, max_step = track_power(samples, complex(c), rel_tol=rel_tol)
+    if max_step >= _JUMP_LIMIT:
+        unwrapped_arguments(samples)  # raises, naming the samples
+    return np.exp(log_power), bool(crossed)

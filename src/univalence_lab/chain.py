@@ -17,6 +17,7 @@ import numpy as np
 
 from . import oracle
 from .errors import (
+    BranchCrossingError,
     DegeneratePointError,
     DomainError,
     HypothesisViolation,
@@ -90,9 +91,18 @@ def _chain_batch(z, t, p, f, g, phi, q):
     return values, op_crossing | ray_crossing
 
 
+def _reject_flagged(flagged, where):
+    if np.any(flagged):
+        raise BranchCrossingError(
+            f"{int(np.sum(flagged))} chain values of {where} flagged for a branch crossing"
+        )
+
+
 def chain_eval(z, t, p, f, g=None, phi=None, q=None):
-    """L(z, t) at one point; see chain_grid."""
-    values, _ = chain_grid(complex(z), float(t), p, f, g, phi, q)
+    """L(z, t) at one point; see chain_grid.  Raises BranchCrossingError
+    where chain_grid flags the point."""
+    values, flagged = chain_grid(complex(z), float(t), p, f, g, phi, q)
+    _reject_flagged(flagged, f"({z}, {t})")
     return complex(values)
 
 
@@ -146,7 +156,8 @@ def pde_residual(z, t, p, f, g=None, phi=None, q=None):
     ht = FD_STEP_T
     stencil_z = [z + hz, z - hz, z + 1j * hz, z - 1j * hz, z, z]
     stencil_t = [t, t, t, t, t + ht, t - ht]
-    L, _ = chain_grid(stencil_z, stencil_t, p, f, g, phi, q)
+    L, flagged = chain_grid(stencil_z, stencil_t, p, f, g, phi, q)
+    _reject_flagged(flagged, f"the stencil at ({z}, {t})")
     x_plus, x_minus, y_plus, y_minus, t_plus, t_minus = L.tolist()
     dx = (x_plus - x_minus) / (2.0 * hz)
     dy = (y_plus - y_minus) / (2.0 * hz)
@@ -171,11 +182,13 @@ def subordination_probe(t, s, rho, p, f, g=None, phi=None, q=None, samples=64):
     if not 0.0 < rho < 1.0:
         raise DomainError("need 0 < rho < 1")
     angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    pts, _ = chain_grid(0.5 * rho * np.exp(1j * angles), t, p, f, g, phi, q)
+    pts, flagged = chain_grid(0.5 * rho * np.exp(1j * angles), t, p, f, g, phi, q)
+    _reject_flagged(flagged, f"test points at t = {t}")
     n_curve = 256
     while True:
         thetas = np.linspace(0.0, 2.0 * np.pi, n_curve + 1)
-        curve, _ = chain_grid(rho * np.exp(1j * thetas), s, p, f, g, phi, q)
+        curve, flagged = chain_grid(rho * np.exp(1j * thetas), s, p, f, g, phi, q)
+        _reject_flagged(flagged, f"curve at s = {s}")
         curve[-1] = curve[0]
         try:
             windings = oracle.winding_numbers(curve, pts, min_dist=1e-10)

@@ -14,7 +14,7 @@ from importlib import resources
 import numpy as np
 
 from .chain import chain_grid, transfer_grid
-from .criterion import DiskGrid, ParameterSet, criterion_check
+from .criterion import VARIANTS, DiskGrid, ParameterSet, criterion_check
 from .errors import ConfigError, HypothesisViolation, UnivalenceLabError
 from .extension import beltrami_grid, extend_grid, extension_constants
 from .operator import QuadratureConfig, operator_eval, operator_grid
@@ -35,42 +35,56 @@ class ProblemSpec:
     variant: str = "thm31"
 
 
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _finite(parts, path):
+    """complex(*parts), rejecting NaN, infinities and integers too large
+    for a float."""
+    try:
+        z = complex(*parts)
+    except OverflowError:
+        z = complex(math.inf)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ConfigError(f"{path}: must be finite")
+    return z
+
+
 def _complex_from(value, path):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        return complex(value[0], value[1])
+    if _is_real(value):
+        return _finite((value,), path)
+    if isinstance(value, list) and len(value) == 2 and all(_is_real(x) for x in value):
+        return _finite(value, path)
     raise ConfigError(f"{path}: expected a number or an [re, im] pair")
 
 
 def _real_from(value, path):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+    if _is_real(value):
+        return _finite((value,), path).real
     raise ConfigError(f"{path}: expected a real number")
 
 
 def _reject_unknown(obj, allowed, path):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
 
 
 def _parse_function(obj, path):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
     _reject_unknown(obj, ("catalog", "params", "coefficients"), path)
     if "catalog" in obj:
         if "coefficients" in obj:
             raise ConfigError(f"{path}: give either catalog or coefficients, not both")
         try:
             return catalog_build(obj["catalog"], obj.get("params"))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     if "coefficients" in obj:
+        if not isinstance(obj["coefficients"], list):
+            raise ConfigError(f"{path}.coefficients: expected a list")
         coeffs = [
             _complex_from(c, f"{path}.coefficients[{i}]")
             for i, c in enumerate(obj["coefficients"])
@@ -95,15 +109,13 @@ def _parse_params(obj):
     for key in ("m", "a", "k"):
         if key in obj:
             kwargs[key] = _real_from(obj[key], f"params.{key}")
-    if kwargs.get("gamma") == 0:
-        raise ConfigError("params.gamma: must be nonzero")
+    # k = 1 is the "univalence only" sentinel, not a configurable value
     if "k" in kwargs and not 0.0 <= kwargs["k"] < 1.0:
         raise ConfigError("params.k: must lie in [0, 1)")
-    if "m" in kwargs and kwargs["m"] < 0:
-        raise ConfigError("params.m: must be >= 0")
-    if "a" in kwargs and kwargs["a"] <= 0:
-        raise ConfigError("params.a: must be > 0")
-    return ParameterSet(**kwargs)
+    try:
+        return ParameterSet(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"params.{exc}") from exc
 
 
 def parse_config(text):
@@ -130,6 +142,8 @@ def parse_config(text):
 
     gobj = obj.get("grid", {})
     _reject_unknown(gobj, ("radii", "angles_per_radius", "refine_steps"), "grid")
+    if not isinstance(gobj.get("radii", []), list):
+        raise ConfigError("grid.radii: expected a list of numbers")
     try:
         grid = DiskGrid(
             **{
@@ -137,7 +151,7 @@ def parse_config(text):
                 for k, v in gobj.items()
             }
         )
-    except ValueError as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
     qobj = obj.get("quad", {})
@@ -148,11 +162,11 @@ def parse_config(text):
         quad = QuadratureConfig(
             **{k: (float(v) if k == "rel_tol" else int(v)) for k, v in qobj.items()}
         )
-    except ValueError as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"quad: {exc}") from exc
 
     variant = obj.get("variant", "thm31")
-    if variant not in ("thm31", "thm32", "cor31", "cor32", "thm41"):
+    if variant not in VARIANTS:
         raise ConfigError(f"variant: unknown variant {variant!r}")
     return ProblemSpec(
         funcs["f"], funcs["g"], funcs["phi"], params, grid, quad, variant
@@ -340,6 +354,15 @@ def _cmd_eval(spec, flags):
     return 0, [flags["out"]]
 
 
+def _warn_flagged(flagged):
+    if np.any(flagged):
+        print(
+            f"warning: {int(flagged.sum())} of {flagged.size} points flagged for a "
+            "branch crossing; their values are invalid",
+            file=sys.stderr,
+        )
+
+
 def _cmd_chain(spec, flags):
     if not flags.get("out"):
         raise ConfigError("chain needs --out")
@@ -349,12 +372,7 @@ def _cmd_chain(spec, flags):
     t = np.repeat(ts, zs.size)
     L, flagged = chain_grid(z, t, spec.params, spec.f, spec.g, spec.phi, spec.quad)
     _, w, _ = transfer_grid(z, t, spec.params, spec.f, spec.g, spec.phi)
-    if np.any(flagged):
-        print(
-            f"warning: {int(flagged.sum())} of {flagged.size} points flagged for a "
-            "branch crossing; their values are invalid",
-            file=sys.stderr,
-        )
+    _warn_flagged(flagged)
     rows = np.column_stack((z.real, z.imag, t, L.real, L.imag, np.abs(w), flagged))
     emit_grid_csv(
         rows.tolist(), ("re_z", "im_z", "t", "re_w", "im_w", "abs_w", "flagged"), flags["out"]
@@ -368,14 +386,18 @@ def _cmd_extend(spec, flags):
     r = np.linspace(flags.get("rmin", 0.5), flags.get("rmax", 2.0), flags.get("nr", 8))
     theta = np.linspace(0.0, 2.0 * np.pi, flags.get("ntheta", 16), endpoint=False)
     z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    F = extend_grid(z, spec.params, spec.f, spec.g, spec.phi, spec.quad)
+    F, flagged = extend_grid(z, spec.params, spec.f, spec.g, spec.phi, spec.quad)
+    _warn_flagged(flagged)
     mu = np.zeros(z.shape)
-    has_mu = np.repeat(r > 1.0 + 3e-5, theta.size)
+    # no Beltrami coefficient at a flagged point: its stencil would raise
+    has_mu = np.repeat(r > 1.0 + 3e-5, theta.size) & ~flagged
     mu[has_mu] = np.abs(
         beltrami_grid(z[has_mu], spec.params, spec.f, spec.g, spec.phi, spec.quad)
     )
-    rows = np.column_stack((z.real, z.imag, F.real, F.imag, mu))
-    emit_grid_csv(rows.tolist(), ("re_z", "im_z", "re_w", "im_w", "abs_mu"), flags["out"])
+    rows = np.column_stack((z.real, z.imag, F.real, F.imag, mu, flagged))
+    emit_grid_csv(
+        rows.tolist(), ("re_z", "im_z", "re_w", "im_w", "abs_mu", "flagged"), flags["out"]
+    )
     return 0, [flags["out"]]
 
 

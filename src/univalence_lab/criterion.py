@@ -44,14 +44,18 @@ class ParameterSet:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "gamma", complex(self.gamma))
+        for name in ("alpha", "beta", "gamma"):
+            z = getattr(self, name)
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise ValueError(f"{name}: must be finite")
         if self.gamma == 0:
-            raise ValueError("gamma must be nonzero")
+            raise ValueError("gamma: must be nonzero")
         if not self.m >= 0:
-            raise ValueError("m must be >= 0")
+            raise ValueError("m: must be >= 0")
         if not self.a > 0:
-            raise ValueError("a must be > 0")
+            raise ValueError("a: must be > 0")
         if not 0.0 <= self.k <= 1.0:
-            raise ValueError("k must lie in [0, 1]")
+            raise ValueError("k: must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

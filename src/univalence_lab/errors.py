@@ -33,6 +33,11 @@ class UndersampledPathError(UnivalenceLabError):
     """Adjacent path samples differ in argument by pi or more."""
 
 
+class BranchCrossingError(UnivalenceLabError):
+    """A value a computation needs was flagged for a branch crossing, so it
+    is not the continuous branch and cannot be used."""
+
+
 class TransferPoleError(UnivalenceLabError):
     """Denominator of the transfer function w vanished."""
 

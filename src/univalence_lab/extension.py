@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import chain_grid
-from .errors import DegeneratePointError, DomainError
+from .errors import BranchCrossingError, DegeneratePointError, DomainError
 from .operator import operator_grid
 
 SEAM_CLAMP = 1e-6
@@ -117,23 +117,32 @@ def _unit(z, r):
 def extend_grid(z, p, f, g=None, phi=None, q=None):
     """Piecewise extension on an array: the operator inside the disk, the
     chain along the boundary ray outside (t = log|z|, clamped just above 0
-    at the seam)."""
+    at the seam).  Returns (values, flagged) like chain_grid: flagged marks
+    points whose operator or chain value crossed a branch and is invalid."""
     z = np.asarray(z, dtype=np.complex128)
     r = np.abs(z)
     inside = r < 1.0
     out = np.empty_like(z)
+    flagged = np.zeros(z.shape, dtype=bool)
     if np.any(inside):
-        out[inside] = operator_grid(z[inside], p, f, g, phi, q)[0]
+        values, _, _, crossing = operator_grid(z[inside], p, f, g, phi, q)
+        out[inside], flagged[inside] = values, crossing
     outside = ~inside
     if np.any(outside):
         t = np.maximum(np.log(r[outside]), SEAM_CLAMP)
-        out[outside] = chain_grid(_unit(z[outside], r[outside]), t, p, f, g, phi, q)[0]
-    return out
+        out[outside], flagged[outside] = chain_grid(
+            _unit(z[outside], r[outside]), t, p, f, g, phi, q
+        )
+    return out, flagged
 
 
 def becker_extend(z, p, f, g=None, phi=None, q=None):
-    """The extension at one point; see extend_grid."""
-    return complex(extend_grid(complex(z), p, f, g, phi, q))
+    """The extension at one point; see extend_grid.  Raises
+    BranchCrossingError where extend_grid flags the point."""
+    value, flagged = extend_grid(complex(z), p, f, g, phi, q)
+    if flagged:
+        raise BranchCrossingError(f"extension at z = {complex(z)} flagged for a branch crossing")
+    return complex(value)
 
 
 def beltrami_grid(z, p, f, g=None, phi=None, q=None, h=1e-5):
@@ -146,7 +155,10 @@ def beltrami_grid(z, p, f, g=None, phi=None, q=None, h=1e-5):
     if np.any(np.abs(z) <= 1.0 + 2.0 * h):
         raise DomainError(f"need |z| > 1 + 2h = {1.0 + 2.0 * h}")
     offsets = np.array([h, -h, 1j * h, -1j * h])
-    F = extend_grid(z[..., None] + offsets, p, f, g, phi, q)
+    F, flagged = extend_grid(z[..., None] + offsets, p, f, g, phi, q)
+    if np.any(flagged):
+        bad = complex(z[flagged.any(axis=-1)][0])
+        raise BranchCrossingError(f"extension flagged for a branch crossing near z = {bad}")
     dx = (F[..., 0] - F[..., 1]) / (2.0 * h)
     dy = (F[..., 2] - F[..., 3]) / (2.0 * h)
     dz = 0.5 * (dx - 1j * dy)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .branchpow import principal_power
+from .branchpow import _JUMP_LIMIT, principal_power, track_power
 from .errors import ConvergenceError, DomainError, HypothesisViolation
 from .series import _IDENTITY
 
@@ -60,7 +60,7 @@ def _gl_nodes(n):
 
 @lru_cache(maxsize=256)
 def _panel_rule(nodes_per_panel, n_panels):
-    """Composite GL nodes/weights on [0, 1] plus panel-boundary cut indices.
+    """Composite GL nodes/weights on [0, 1] plus the panels' upper bounds.
 
     Panels are graded geometrically toward 0 so the endpoint factor
     s^{p gamma - 1} (algebraic decay with a log-oscillation for complex
@@ -78,9 +78,7 @@ def _panel_rule(nodes_per_panel, n_panels):
         w_parts.append(w * half)
     s = np.concatenate(s_parts)
     wts = np.concatenate(w_parts)
-    cuts = np.arange(1, n_panels + 1) * nodes_per_panel
-    bounds = edges[1:]
-    return s, wts, cuts, bounds
+    return s, wts, edges[1:]
 
 
 def _derivative_coeffs(s):
@@ -91,35 +89,31 @@ def _derivative_coeffs(s):
 
 def _integrand_matrix(p, f, g, phi, u):
     """h(u) on a (nodes, npoints) matrix of ray points, continuity-tracked
-    down each column from h(0) = 1.  Returns (h, crossing-per-column)."""
-    shape = u.shape
+    down each column from h(0) = 1.  Returns (h, crossing-per-column).
+
+    The log-powers of both factors are summed and exponentiated once."""
+    log_h = None
+    crossing = np.zeros(u.shape[1], dtype=bool)
     flat = u.ravel()
-    crossing = np.zeros(shape[1], dtype=bool)
-    h = np.ones(shape, dtype=np.complex128)
-    for s_fun, expo, deriv in ((f, p.alpha, True), (g, p.beta, False)):
+    for expo, deriv in ((p.alpha, True), (p.beta, False)):
         if expo == 0:
             continue
         if deriv:
-            w = _kernels.polyval(_derivative_coeffs(f), flat).reshape(shape)
+            w = _kernels.polyval(_derivative_coeffs(f), flat)
         else:
-            w = (
-                _kernels.polyval(g.coefficients, flat)
-                / _kernels.polyval(phi.coefficients, flat)
-            ).reshape(shape)
+            w = _kernels.polyval(g.coefficients, flat) / _kernels.polyval(phi.coefficients, flat)
         if np.any(w == 0) or np.any(~np.isfinite(w)):
             which = "f'" if deriv else "g/phi"
             raise HypothesisViolation(f"{which} vanishes or blows up on the integration ray")
-        ang = np.angle(w)
-        # seed the continuous argument at 0 (value 1 at u = 0)
-        inc = np.diff(np.vstack([np.zeros(shape[1]), ang]), axis=0)
-        inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
-        theta = np.cumsum(inc, axis=0)
-        cont = np.exp(expo * (np.log(np.abs(w)) + 1j * theta))
-        principal = np.exp(expo * np.log(w))
-        scale = np.abs(cont) + np.abs(principal) + 1e-300
-        crossing |= np.any(np.abs(cont - principal) > 1e-9 * scale, axis=0)
-        h *= cont
-    return h, crossing
+        log_power, crossed, _ = track_power(w.reshape(u.shape), expo)
+        if log_h is None:
+            log_h = log_power
+        else:
+            log_h += log_power
+        crossing |= crossed
+    if log_h is None:
+        return np.ones(u.shape, dtype=np.complex128), crossing
+    return np.exp(log_h), crossing
 
 
 _CHUNK = 4096
@@ -164,14 +158,17 @@ def operator_grid(zs, p, f, g=None, phi=None, q=None):
 def _grid_chunk(zflat, p, f, g, phi, q):
     pw = q.power_for(p.gamma)
     pg = pw * p.gamma
+    npp = q.nodes_per_panel
     prev = None
     n_panels = 1
     while n_panels <= q.max_panels:
-        s, wts, cuts, bounds = _panel_rule(q.nodes_per_panel, n_panels)
+        s, wts, bounds = _panel_rule(npp, n_panels)
         u = (s**pw)[:, None] * zflat[None, :]
         h, crossing = _integrand_matrix(p, f, g, phi, u)
-        weighted = (wts * pw * p.gamma * s ** (pg - 1.0))[:, None] * h
-        brackets = weighted.sum(axis=0)
+        weights = (wts * pw * p.gamma * s ** (pg - 1.0)).reshape(n_panels, 1, npp)
+        # one (1 x npp) @ (npp x points) product per panel
+        panel_sums = np.matmul(weights, h.reshape(n_panels, npp, -1))[:, 0, :]
+        brackets = panel_sums.sum(axis=0)
         if prev is not None:
             delta = np.abs(brackets - prev)
             if np.all(delta <= q.rel_tol * np.maximum(np.abs(brackets), 1e-300)):
@@ -183,28 +180,30 @@ def _grid_chunk(zflat, p, f, g, phi, q):
             f"quadrature did not converge within {q.max_panels} panels"
         )
 
-    partials = np.cumsum(weighted, axis=0)[cuts - 1, :]
-    taus = bounds**pw
+    # the bracket path tau^{-gamma} int_0^tau, tau = bound**pw, through the
+    # panel bounds; the power is taken in logs since bound**pw underflows
+    # once pw is in the thousands
+    partials = np.cumsum(panel_sums, axis=0)
     paths = np.vstack(
-        [np.ones(zflat.size), np.exp(-p.gamma * np.log(taus))[:, None] * partials]
+        [np.ones(zflat.size), np.exp(-p.gamma * pw * np.log(bounds))[:, None] * partials]
     )
     zero_path = np.any(paths == 0, axis=0)
     safe = np.where(zero_path[None, :], 1.0 + 0.0j, paths)
-    ang = np.angle(safe)
-    inc = np.diff(ang, axis=0)
-    inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
-    undersampled = np.abs(inc).max(axis=0) >= np.pi * (1.0 - 1e-12)
-    theta = ang[0] + np.cumsum(inc, axis=0)
-    cont = np.exp((np.log(np.abs(safe[1:])) + 1j * theta) / p.gamma)
-    principal = np.exp(np.log(safe[1:]) / p.gamma)
-    scale = np.abs(cont) + np.abs(principal) + 1e-300
-    root_jump = np.any(np.abs(cont - principal) > 1e-9 * scale, axis=0)
-    crossing |= (zero_path | undersampled | root_jump) & (zflat != 0)
-    values = np.zeros_like(zflat)
+    _, root_jump, max_step = track_power(safe, 1.0 / p.gamma)
+    undersampled = max_step >= _JUMP_LIMIT
     nz = zflat != 0
+    crossing |= (zero_path | undersampled | root_jump) & nz
+    values = np.zeros_like(zflat)
     ok = nz & (brackets != 0)
     values[ok] = zflat[ok] * np.exp(np.log(brackets[ok]) / p.gamma)
     crossing |= nz & (brackets == 0)
+    lost = nz & ~crossing & ~((values != 0) & np.isfinite(values))
+    if np.any(lost):
+        z = complex(zflat[lost][0])
+        raise ConvergenceError(
+            f"F({z}) = {complex(values[lost][0])} is not a finite nonzero number "
+            f"(bracket {complex(brackets[lost][0])}, 1/gamma = {1.0 / p.gamma})"
+        )
     brackets = np.where(nz, brackets, 1.0 + 0.0j)
     return values, brackets, n_panels, crossing
 

@@ -21,12 +21,13 @@ from univalence_lab import (
 from univalence_lab import chain
 from univalence_lab.chain import _transfer_from_G, chain_grid, transfer_grid
 from univalence_lab.errors import (
+    BranchCrossingError,
     DerivativeVanishes,
     DomainError,
     HypothesisViolation,
     TransferPoleError,
 )
-from univalence_lab.extension import beltrami_grid, extend_grid
+from univalence_lab.extension import becker_extend, beltrami_grid, extend_grid
 from univalence_lab.series import SeriesFunction
 
 GAMMAS = (1.0, 0.3, 0.5 + 0.5j, 2.0 + 1.0j)
@@ -155,6 +156,38 @@ class TestFlags:
         assert flagged.tolist() == [True, False, True]
         assert np.all(np.isfinite(values))
 
+    def test_extend_grid_carries_flags(self, identity):
+        f = SeriesFunction(np.array([1.0, 1.5, 0.75]))
+        p = ParameterSet(alpha=0.5, beta=0.0)
+        u = cmath.exp(7j * math.pi / 8)
+        _, flagged = extend_grid([1.1 * u, 0.9 * u, 0.5, 1.5], p, f)
+        assert flagged.tolist() == [True, True, False, False]
+
+    def test_flagged_points_raise(self, identity):
+        f = SeriesFunction(np.array([1.0, 1.5, 0.75]))
+        p = ParameterSet(alpha=0.5, beta=0.0)
+        with pytest.raises(BranchCrossingError, match="stencil"):
+            pde_residual(-0.9 - 0.1j, 0.1, p, f)
+        with pytest.raises(BranchCrossingError, match="curve"):
+            subordination_probe(0.0, 0.1, 0.9, p, f, samples=16)
+        with pytest.raises(BranchCrossingError, match="extension"):
+            beltrami_grid([2.0, 1.1 * cmath.exp(7j * math.pi / 8)], p, f)
+
+    def test_one_point_wrappers_raise_where_flagged(self, identity):
+        f = SeriesFunction(np.array([1.0, 1.5, 0.75]))
+        p = ParameterSet(alpha=0.5, beta=0.0)
+        u = cmath.exp(7j * math.pi / 8)
+        assert chain_grid(-0.9 + 0.1j, 0.0, p, f)[1]
+        with pytest.raises(BranchCrossingError):
+            chain_eval(-0.9 + 0.1j, 0.0, p, f)
+        with pytest.raises(BranchCrossingError):
+            becker_extend(0.9 * u, p, f)
+        with pytest.raises(BranchCrossingError):
+            becker_extend(1.1 * u, p, f)
+        # unflagged points still evaluate, to the grid value
+        assert chain_eval(0.5, 0.0, p, f) == complex(chain_grid(0.5, 0.0, p, f)[0])
+        assert becker_extend(1.5, p, f) == complex(extend_grid(1.5, p, f)[0])
+
 
 class TestErrors:
     """One bad point in a batch raises what chain_eval raises for it."""
@@ -201,10 +234,11 @@ class TestErrors:
 class TestExtendGrid:
     def test_matches_points_and_seam(self, f_quarter, g_half, identity, params_ref):
         z = np.array([0.0, 0.4 + 0.3j, 1.0, cmath.exp(0.5j), 1.7 * cmath.exp(2.5j)])
-        F = extend_grid(z, params_ref, f_quarter, g_half, identity)
+        F, flagged = extend_grid(z, params_ref, f_quarter, g_half, identity)
         assert F[0] == 0.0
+        assert not flagged.any()
         for zz, v in zip(z, F):
-            single = extend_grid(zz, params_ref, f_quarter, g_half, identity)
+            single, _ = extend_grid(zz, params_ref, f_quarter, g_half, identity)
             assert v == pytest.approx(single, rel=1e-14)
 
     def test_unit_circle_overshoot(self, identity):
@@ -212,8 +246,33 @@ class TestExtendGrid:
         p = ParameterSet(alpha=1.0, beta=1.0, m=1.0, a=1.0)
         z = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 1000))
         assert np.sum(np.abs(z / np.abs(z)) > 1.0) > 0
-        F = extend_grid(z, p, identity, identity, identity)
+        F, _ = extend_grid(z, p, identity, identity, identity)
         assert np.all(np.abs(F - z) <= 1e-5)
+
+
+def _exact_example31_mu(z, h):
+    """d_zbar F / d_z F by the 4-point stencil of step h, in exact rational
+    arithmetic on the example31 closed form outside the unit disk."""
+    from fractions import Fraction as Q
+
+    def F(x, y):  # (re, im) of z + (z^2 / r^2)(1/2 - 1/(4 r^2))
+        r2 = x * x + y * y
+        c = Q(1, 2) - 1 / (4 * r2)
+        return x + (x * x - y * y) / r2 * c, y + 2 * x * y / r2 * c
+
+    x, y, hq = Q(z.real), Q(z.imag), Q(h)
+    (a, b), (c, d) = F(x + hq, y), F(x - hq, y)
+    (e, f), (g, k) = F(x, y + hq), F(x, y - hq)
+    dx = ((a - c) / (2 * hq), (b - d) / (2 * hq))
+    dy = ((e - g) / (2 * hq), (f - k) / (2 * hq))
+    # d_z = (dx - i dy)/2, d_zbar = (dx + i dy)/2; the halves cancel
+    num = (dx[0] - dy[1], dx[1] + dy[0])
+    den = (dx[0] + dy[1], dx[1] - dy[0])
+    n2 = den[0] ** 2 + den[1] ** 2
+    return complex(
+        float((num[0] * den[0] + num[1] * den[1]) / n2),
+        float((num[1] * den[0] - num[0] * den[1]) / n2),
+    )
 
 
 class TestPinned:
@@ -248,12 +307,15 @@ class TestPinned:
         assert np.allclose(got, want, rtol=0.0, atol=FD_TOL)
 
     def test_beltrami_ring_example31(self, f_quarter, g_half, identity, params_ref):
-        ring = beltrami_ring(params_ref, f_quarter, g_half, identity, radii=(1.05, 2.0), n_theta=4)
-        got = [s.mu for s in ring]
-        want = [
-            -0.029990490715703064, 0.017184939228571457 + 0.036088372472507194j,
-            0.08451865577388812, 0.017184939241172852 - 0.036088372464493916j,
-            -0.15000000001569094, 0.04411764701707006 + 0.17647058827097778j,
-            0.25000000006945006, 0.04411764701902927 - 0.17647058828159018j,
-        ]
+        # Against the same stencil applied in exact rational arithmetic to
+        # the closed form.  For example31 at alpha = beta = 1/2, gamma = m =
+        # a = 1 the extension outside the disk is
+        #   F(z) = z + (z^2/r^2) (1/2 - 1/(4 r^2)),  r = |z|,
+        # rational in (x, y).  Values pinned from an earlier implementation
+        # were up to 9.7e-11 off this stencil, more than FD_TOL, because
+        # its tracked arguments carried cumulative rounding.
+        radii, n_theta, h = (1.05, 2.0), 4, 1e-5
+        ring = beltrami_ring(params_ref, f_quarter, g_half, identity, radii=radii, n_theta=n_theta, h=h)
+        got = np.array([s.mu for s in ring])
+        want = np.array([_exact_example31_mu(s.z, h) for s in ring])
         assert np.allclose(got, want, rtol=0.0, atol=FD_TOL)

@@ -58,6 +58,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{nope")
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"params": {"m": float("nan")}}, "params.m: must be finite"),
+            ({"params": {"a": 10**400}}, "params.a: must be finite"),
+            ({"params": {"alpha": float("nan")}}, "params.alpha: must be finite"),
+            ({"params": {"gamma": [1.0, float("inf")]}}, "params.gamma: must be finite"),
+            ({"params": {"a": 0.0}}, r"params.a: must be > 0"),
+            ({"params": {"m": -1.0}}, r"params.m: must be >= 0"),
+            ({"params": [1, 2]}, "params: expected an object"),
+            ({"grid": {"radii": 5}}, "grid.radii: expected a list"),
+            ({"grid": {"angles_per_radius": float("inf")}}, "grid:"),
+            ({"f": {"coefficients": [1.0, float("nan")]}}, r"f.coefficients\[1\]: must be finite"),
+        ],
+    )
+    def test_rejected_at_parse_time(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps(doc))
+
+    def test_every_variant_parses(self):
+        from univalence_lab.criterion import VARIANTS
+
+        for variant in VARIANTS:
+            assert parse_config({"variant": variant}).variant == variant
+
     def test_complex_forms(self):
         spec = parse_config({"params": {"gamma": 2.0, "alpha": [0.5, -0.25]}})
         assert spec.params.gamma == 2.0
@@ -239,8 +264,9 @@ class TestEndToEnd:
         ext_csv = tmp_path / "ext.csv"
         assert main(["extend", cfg, "--out", str(ext_csv), "--nr", "3", "--ntheta", "4"]) == 0
         header, rows = read_grid_csv(ext_csv)
-        assert header == ["re_z", "im_z", "re_w", "im_w", "abs_mu"]
+        assert header == ["re_z", "im_z", "re_w", "im_w", "abs_mu", "flagged"]
         assert len(rows) == 12
+        assert {row[-1] for row in rows} == {0.0}
 
     def test_chain_flagged_column(self, write_config, tmp_path, capsys):
         # (f')^(1/2) with f' = (1 + 1.5 z)^2 leaves the principal branch
@@ -262,9 +288,40 @@ class TestEndToEnd:
         out = tmp_path / "ext.csv"
         assert main(["extend", write_config(REFERENCE_DOC), "--out", str(out)]) == 0
         header, rows = read_grid_csv(out)
-        assert header == ["re_z", "im_z", "re_w", "im_w", "abs_mu"]
+        assert header == ["re_z", "im_z", "re_w", "im_w", "abs_mu", "flagged"]
         assert len(rows) == 128
         assert np.all(np.isfinite(rows))
+
+    @pytest.mark.parametrize(
+        "text", ['{"params": {"m": NaN}}', '{"grid": {"radii": 5}}', '{"params": {"alpha": NaN}}']
+    )
+    def test_bad_config_exits_64(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        assert main(["check", str(cfg)]) == 64
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_underflowed_value_exits_70(self, write_config, capsys):
+        cfg = write_config({"params": {"gamma": 1e-300}})
+        assert main(["eval", cfg, "--z", "0.5"]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == "" and "numerical failure" in captured.err
+
+    def test_extend_flagged_column(self, write_config, tmp_path, capsys):
+        # the continued (f')^(1/2) with f' = (1 + 1.5 z)^2 is 1 + 1.5 u and
+        # the principal one parts from it where Re(1 + 1.5 u) < 0; on the
+        # negative axis the ray runs through the zero and f' stays positive
+        cfg = write_config({"f": {"coefficients": [1.0, 1.5, 0.75]}, "params": {"alpha": 0.5}})
+        out = tmp_path / "ext.csv"
+        argv = ["extend", cfg, "--out", str(out), "--rmax", "0.95", "--nr", "4", "--ntheta", "16"]
+        assert main(argv) == 0
+        assert "branch crossing" in capsys.readouterr().err
+        header, rows = read_grid_csv(out)
+        rows = np.array(rows)
+        flagged = rows[:, header.index("flagged")]
+        assert set(flagged.tolist()) == {0.0, 1.0}
+        past_zero = (rows[:, 0] < -2.0 / 3.0) & (np.abs(rows[:, 1]) > 1e-12)
+        assert np.array_equal(flagged == 1.0, past_zero)
 
     def test_oracle_identity_clean(self, write_config, capsys):
         cfg = write_config(

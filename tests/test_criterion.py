@@ -171,6 +171,16 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             ParameterSet(k=1.5)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"alpha": float("nan")}, {"beta": complex(0.0, float("inf"))}, {"gamma": float("nan")},
+         {"m": float("nan")}, {"a": float("nan")}, {"k": float("nan")}],
+    )
+    def test_non_finite_rejected(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            ParameterSet(**kwargs)
+
     def test_disk_grid(self):
         with pytest.raises(ValueError):
             DiskGrid(radii=())
