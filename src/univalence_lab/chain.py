@@ -8,14 +8,15 @@ L is evaluated in the factored form
 
 where B(w) = g int_0^1 s^{g-1} h(s w) ds is the operator bracket; the
 factoring is valid because Log(e^{-a t} z) = -a t + Log z for positive
-real scalings.  One fixed [0, 1] quadrature rule therefore serves every
-(z, t)."""
+real scalings.  B and h at every zeta = e^{-a t} z therefore come from the
+operator's machinery: its certified Taylor series where it applies, one
+fixed [0, 1] quadrature rule and a tracked ray elsewhere."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
+from . import _kernels, oracle
 from .errors import (
     BranchCrossingError,
     DegeneratePointError,
@@ -24,7 +25,7 @@ from .errors import (
     InconclusiveError,
     TransferPoleError,
 )
-from .operator import QuadratureConfig, _integrand_matrix, operator_grid
+from .operator import QuadratureConfig, _integrand_matrix, _series_plan, operator_grid
 from .series import _IDENTITY, bracket_terms
 
 FD_STEP_Z = 1e-5
@@ -78,17 +79,26 @@ def chain_grid(z, t, p, f, g=None, phi=None, q=None):
 
 def _chain_batch(z, t, p, f, g, phi, q):
     zeta = np.exp(-p.a * t) * z
-    _, B, _, op_crossing = operator_grid(zeta, p, f, g, phi, q)
-    # h(zeta), continuity-tracked along the ray 0 -> zeta
-    ray = np.linspace(0.0, 1.0, 33)[1:, None] * zeta[None, :]
-    h, ray_crossing = _integrand_matrix(p, f, g, phi, ray)
+    _, B, _, crossing = operator_grid(zeta, p, f, g, phi, q)
+    # h(zeta): the plan's Taylor series inside its certified radius, else
+    # continuity-tracked along the ray 0 -> zeta (operator_grid has
+    # flagged the rays through a zero)
+    plan = _series_plan(f, g, phi, p.alpha, p.beta, p.gamma)
+    near = np.abs(zeta) <= plan.radius
+    h = np.empty_like(zeta)
+    h[near] = _kernels.polyval(plan.h, zeta[near])
+    if not near.all():
+        ray = np.linspace(0.0, 1.0, 33)[1:, None] * zeta[None, ~near]
+        h_ray, ray_crossing = _integrand_matrix(p, f, g, phi, ray)
+        h[~near] = h_ray[-1]
+        crossing[~near] |= ray_crossing
     atg = p.a * t * p.gamma
-    inner = np.exp(-atg) * B + (np.exp(p.m * atg) - np.exp(-atg)) * h[-1]
+    inner = np.exp(-atg) * B + (np.exp(p.m * atg) - np.exp(-atg)) * h
     # principal inner^{1/gamma}; 0 maps to 0 since Re(1/gamma) > 0
     values = np.zeros_like(z)
     ok = inner != 0
     values[ok] = z[ok] * np.exp((1.0 / p.gamma) * np.log(inner[ok]))
-    return values, op_crossing | ray_crossing
+    return values, crossing
 
 
 def _reject_flagged(flagged, where):

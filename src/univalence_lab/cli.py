@@ -236,11 +236,12 @@ def parse_complex(text):
 def emit_grid_csv(rows, columns, path):
     """CSV with 17-significant-digit decimals and a newline-terminated
     final line."""
+    fmt = ",".join(["%.17g"] * len(columns))  # one format per row: the same text as _fmt
     lines = [",".join(columns)]
     for row in rows:
         if len(row) != len(columns):
             raise ValueError("ragged row in CSV emission")
-        lines.append(",".join(_fmt(x) for x in row))
+        lines.append(fmt % tuple(row))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -348,9 +349,10 @@ def _cmd_eval(spec, flags):
     if not flags.get("out"):
         raise ConfigError("eval needs --z or --out")
     zs = polar_samples(flags.get("nr", 16), flags.get("ntheta", 64), flags.get("rmax", 0.9))
-    values, _, _, _ = operator_grid(zs, spec.params, spec.f, spec.g, spec.phi, spec.quad)
-    rows = [(z.real, z.imag, w.real, w.imag) for z, w in zip(zs, values)]
-    emit_grid_csv(rows, ("re_z", "im_z", "re_w", "im_w"), flags["out"])
+    values, _, _, flagged = operator_grid(zs, spec.params, spec.f, spec.g, spec.phi, spec.quad)
+    _warn_flagged(flagged)
+    rows = np.column_stack((zs.real, zs.imag, values.real, values.imag, flagged))
+    emit_grid_csv(rows.tolist(), ("re_z", "im_z", "re_w", "im_w", "flagged"), flags["out"])
     return 0, [flags["out"]]
 
 

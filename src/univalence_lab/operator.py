@@ -1,18 +1,43 @@
 """The integral operator F(z) = z [g int_0^1 t^{g-1} h(tz) dt]^{1/g} with
-h(u) = (f'(u))^alpha (g(u)/phi(u))^beta, evaluated by singularity-aware
-Gauss-Legendre quadrature, plus the hypergeometric closed form that serves
-as its independent oracle on the quadratic/quadratic/identity configuration.
+h(u) = (f'(u))^alpha (g(u)/phi(u))^beta, plus the hypergeometric closed
+form that serves as its independent oracle on the
+quadratic/quadratic/identity configuration.
 
-The substitution t = s^p with p = max(1, ceil(2/Re gamma)) makes the
-endpoint factor t^{gamma-1} boundedly differentiable, so one fixed rule
-with panel doubling converges for every Re gamma > 0.  Integrand powers
-are tracked continuously along the ray from u = 0 (where h = 1); branch
-crossings are flagged, never repaired.
+Two paths evaluate it.
+
+Series path.  h = (f')^alpha (g/z)^beta (phi/z)^{-beta} is analytic with
+h(0) = 1, and its Taylor coefficients h_n follow from J.C.P. Miller's
+recurrence for powers of a power series (Knuth, TAOCP vol. 2, 4.7), one
+polynomial factor at a time.  The bracket is then exactly
+
+    B(z) = 1 + gamma sum_{n>=1} S_n z^n,   S_n = h_n / (gamma + n),
+
+and F = z exp(log1p(B - 1) / gamma), never through log B, which would
+round B - 1 away for small |gamma|.  A plan, built once per problem,
+holds the h_n, the S_n and the largest radius r_c < 1 on which three
+certificates hold: every factor P = 1 + p_1 u + ... has
+eps_P(r) = sum |p_k| r^k < 1 with L_P = -log(1 - eps_P) below pi for f'
+and for g/z and phi/z together, so no factor vanishes and the branch
+tracker never leaves sheet 0; a Cauchy bound on the tail of h beyond the
+kept terms is at most 1e-16; and |gamma| (sum |S_n| r^n + tail) stays
+below 1 - e^{-pi/2}, so |Arg B| < pi/2 along every bracket path.  Points
+with |z| <= r_c take this path, unflagged and with no quadrature panel.
+
+Quadrature path, for the remaining points.  The substitution t = s^p with
+p = max(1, ceil(2/Re gamma)) makes the endpoint factor t^{gamma-1}
+boundedly differentiable, so one fixed Gauss-Legendre rule with panel
+doubling converges for Re gamma > 0.  Integrand powers are tracked
+continuously along the ray from u = 0 (where h = 1); branch crossings are
+flagged, never repaired.  A ray that runs through a zero of a factor
+with a non-integer exponent is flagged too, for factors of fewer than 64
+coefficients, whose zeros the plan computes; the sampled tracker cannot
+see such a zero.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,15 +141,169 @@ def _integrand_matrix(p, f, g, phi, u):
     return np.exp(log_h), crossing
 
 
+_SERIES_TERMS = 256  # Taylor terms of h a plan computes; bounds its cost
+_TAIL_TOL = 1e-16  # Cauchy bound asked of the tail of h beyond the kept terms
+_ARG_LIMIT = 1.0 - math.exp(-math.pi / 2.0)  # |B - 1| below it keeps |Arg B| < pi/2
+_ZERO_TOL = 1e-12  # a ray this close to a zero, relative to |z|, runs through it
+
+
+def _power_coeffs(p, c, n):
+    """The first n Taylor coefficients of P(u)^c, P = 1 + p_1 u + ... given
+    as p = [1, p_1, ...], by J.C.P. Miller's recurrence
+    q_k = (1/k) sum_{j=1}^{min(k, m)} ((c + 1) j - k) p_j q_{k-j}."""
+    q = np.zeros(n, dtype=np.complex128)
+    q[0] = 1.0
+    pj = p[1:n]
+    cj = (c + 1.0) * np.arange(1, pj.size + 1) * pj
+    for k in range(1, n):
+        top = min(k, pj.size)
+        q[k] = ((cj[:top] - k * pj[:top]) @ q[k - top : k][::-1]) / k
+    return q
+
+
+def _zeros(coeffs):
+    """Zeros of 1 + p_1 u + ..., each also as the mean of its cluster: a
+    k-fold zero comes back from np.roots as k roots about eps^(1/k) apart,
+    and their mean is accurate to rounding."""
+    roots = np.roots(coeffs[::-1])
+    near = np.abs(roots[:, None] - roots[None, :]) <= 1e-3 * (1.0 + np.abs(roots))[:, None]
+    return np.concatenate([roots, (near @ roots) / near.sum(axis=1)])
+
+
+def _eps(absp, r):
+    """eps_P(r) = sum_{k>=1} |p_k| r^k for each r of a 1-d array."""
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN from inf * 0 fails every "< 1"
+        powers = np.cumprod(np.broadcast_to(r[:, None], (r.size, absp.size - 1)), axis=1)
+        return powers @ absp[1:]
+
+
+def _log_bound(absp, r):
+    """L_P(r) = -log(1 - eps_P(r)), the bound on |log P| for |u| <= r;
+    inf where eps_P(r) >= 1."""
+    e = _eps(absp, r)
+    return np.where(e < 1.0, -np.log1p(-np.minimum(e, 1.0 - 1e-16)), np.inf)
+
+
+def _sup(ok, hi):
+    """The largest r in [0, hi] with ok(r), for ok monotone from True at 0."""
+    if ok(hi):
+        return hi
+    lo = 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
+class SeriesPlan(NamedTuple):
+    """Certified series evaluation of one problem (f, g, phi, alpha, beta,
+    gamma): h_0 .. h_N, S_n = h_n / (gamma + n) for n = 1 .. N, the radius
+    r_c up to which both are certified, and the zeros of the factors with a
+    non-integer exponent (see the module docstring).  A NamedTuple, since
+    defining a frozen dataclass costs about 1.7 ms of import time."""
+
+    h: np.ndarray
+    s: np.ndarray
+    radius: float
+    zeros: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def _series_plan(f, g, phi, alpha, beta, gamma):
+    # (coefficients [1, p_1, ...], exponent, group) of each nonconstant factor
+    factors = [(_derivative_coeffs(f), alpha, 0)]
+    if g != phi:
+        factors += [(g.coefficients, beta, 1), (phi.coefficients, -beta, 1)]
+    factors = [(np.trim_zeros(c, "b"), e, grp) for c, e, grp in factors if e != 0]
+    factors = [(c, e, grp) for c, e, grp in factors if c.size > 1]
+    h = np.zeros(_SERIES_TERMS, dtype=np.complex128)
+    h[0] = 1.0
+    zeros = [np.zeros(0, dtype=np.complex128)]
+    for coeffs, expo, _ in factors:
+        h = np.convolve(h, _power_coeffs(coeffs, expo, _SERIES_TERMS))[:_SERIES_TERMS]
+        natural = expo.imag == 0 and expo.real >= 0 and expo.real == int(expo.real)
+        if coeffs.size < _kernels._BLOCKED_MIN_TERMS and not natural:
+            zeros.append(_zeros(coeffs))
+    zeros = np.concatenate(zeros)
+    if not factors:  # h = 1
+        return SeriesPlan(h[:1], h[1:1], 1.0, zeros)
+    absps = [(np.abs(c), abs(e), grp) for c, e, grp in factors]
+
+    def r_arg_ok(r):  # L_{f'}(r) < pi and L_{g/z}(r) + L_{phi/z}(r) < pi
+        logs = [0.0, 0.0]
+        for absp, _, grp in absps:
+            logs[grp] += _log_bound(absp, np.array([r]))[0]
+        return max(logs) < math.pi
+
+    def zero_free(r):
+        return all(_eps(absp, np.array([r]))[0] < 1.0 for absp, _, _ in absps)
+
+    top = 1.0
+    while top < 1024.0 and zero_free(top):  # Cauchy radii past 1024 gain nothing for |z| <= 1
+        top *= 2.0
+    # Cauchy radii where every eps < 1, crowded toward the largest, and there
+    # log M(rho) = sum |c| L_P(rho), the log of a bound on |h| on |u| = rho
+    rho = _sup(zero_free, top) * (1.0 - np.geomspace(1.0, 1e-6, 200)[1:])
+    log_m = sum(e * _log_bound(absp, rho) for absp, e, _ in absps)
+    n = np.arange(1, _SERIES_TERMS)
+    s = h[1:] / (gamma + n)
+    terms = np.arange(_SERIES_TERMS)[:, None]  # keeping h_0 .. h_N: rows N = 0, 1, ...
+
+    def certified(r):
+        """Per N, whether the tail and the argument certificates hold at r."""
+        if r == 0.0:
+            return np.ones(_SERIES_TERMS, dtype=bool)
+        x = r / rho[rho > r]
+        # Cauchy bounds on sum_{n>N} |h_n| r^n, which also bound the tail of S
+        tails = np.exp((log_m[rho > r] + (terms + 1.0) * np.log(x) - np.log1p(-x)).min(axis=1, initial=np.inf))
+        partial = np.concatenate([[0.0], np.cumsum(np.abs(s) * r**n)])
+        return (tails <= _TAIL_TOL) & (abs(gamma) * (partial + tails) < _ARG_LIMIT)
+
+    radius = _sup(lambda r: certified(r)[-1], _sup(r_arg_ok, 1.0))
+    keep = int(np.argmax(certified(radius))) + 1
+    return SeriesPlan(h[:keep], s[: keep - 1], radius, zeros)
+
+
+def _log1p(w):
+    """log(1 + w) for complex w, accurate for small |w| (numpy's complex
+    log1p rounds 1 + w first)."""
+    x, y = w.real, w.imag
+    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+
+
+def _series_values(plan, z, gamma):
+    """(F, B) at points with |z| <= plan.radius."""
+    b1 = gamma * z * _kernels.polyval(plan.s, z) if plan.s.size else np.zeros_like(z)
+    values = z * np.exp(_log1p(b1) / gamma)
+    bad = (z != 0) & ~((values != 0) & np.isfinite(values))
+    if np.any(bad):
+        raise ConvergenceError(
+            f"F({complex(z[bad][0])}) = {complex(values[bad][0])} is not a finite nonzero number"
+        )
+    return values, 1.0 + b1
+
+
+def _through_zero(zeros, z):
+    """True where the segment [0, z] passes within _ZERO_TOL |z| of a zero."""
+    hit = np.zeros(z.shape, dtype=bool)
+    r2 = (z * z.conj()).real
+    for w in zeros:
+        t = np.clip((w * z.conj()).real / np.where(r2 > 0, r2, 1.0), 0.0, 1.0)
+        hit |= np.abs(w - t * z) <= _ZERO_TOL * np.abs(z)
+    return hit
+
+
 _CHUNK = 4096
 
 
 def operator_grid(zs, p, f, g=None, phi=None, q=None):
     """Vectorized operator evaluation over an array of disk points.
 
-    Returns (values, brackets, panels_used, crossing flags).  Points are
-    processed in chunks sharing one panel count; doubling stops when every
-    bracket in the chunk is stable to rel_tol."""
+    Returns (values, brackets, panels_used, crossing flags).  Points inside
+    the plan's certified radius take the series path; the rest are
+    processed by quadrature in chunks sharing one panel count, where
+    doubling stops when every bracket in the chunk is stable to rel_tol.
+    panels_used is the largest panel count of a chunk, 0 if none ran."""
     g = g or _IDENTITY
     phi = phi or _IDENTITY
     q = q or QuadratureConfig()
@@ -136,16 +315,20 @@ def operator_grid(zs, p, f, g=None, phi=None, q=None):
     if zflat.size and np.abs(zflat).max() >= 1.0:
         raise DomainError("operator is defined for |z| < 1")
 
+    plan = _series_plan(f, g, phi, p.alpha, p.beta, p.gamma)
+    near = np.abs(zflat) <= plan.radius
     values = np.empty_like(zflat)
     brackets = np.empty_like(zflat)
-    crossing = np.empty(zflat.shape, dtype=bool)
+    crossing = np.zeros(zflat.shape, dtype=bool)
+    values[near], brackets[near] = _series_values(plan, zflat[near], p.gamma)
+    far = np.flatnonzero(~near)
     panels = 0
-    for lo in range(0, zflat.size, _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        v, b, n, c = _grid_chunk(zflat[sl], p, f, g, phi, q)
-        values[sl] = v
-        brackets[sl] = b
-        crossing[sl] = c
+    for lo in range(0, far.size, _CHUNK):
+        idx = far[lo : lo + _CHUNK]
+        v, b, n, c = _grid_chunk(zflat[idx], p, f, g, phi, q)
+        values[idx] = v
+        brackets[idx] = b
+        crossing[idx] = c | _through_zero(plan.zeros, zflat[idx])
         panels = max(panels, n)
     return (
         values.reshape(shape),

@@ -242,8 +242,9 @@ class TestEndToEnd:
         csv = tmp_path / "grid.csv"
         assert main(["eval", cfg, "--out", str(csv), "--nr", "3", "--ntheta", "8"]) == 0
         header, rows = read_grid_csv(csv)
-        assert header == ["re_z", "im_z", "re_w", "im_w"]
+        assert header == ["re_z", "im_z", "re_w", "im_w", "flagged"]
         assert len(rows) == 24
+        assert {row[-1] for row in rows} == {0.0}
 
         svg = tmp_path / "grid.svg"
         assert main(["plot", "--csv", str(csv), "--out", str(svg)]) == 0
@@ -301,8 +302,16 @@ class TestEndToEnd:
         assert main(["check", str(cfg)]) == 64
         assert capsys.readouterr().err.startswith("config error:")
 
-    def test_underflowed_value_exits_70(self, write_config, capsys):
+    def test_tiny_gamma_identity_is_exact(self, write_config, capsys):
+        # the series path: B - 1 = 0 exactly, so F = z at any gamma
         cfg = write_config({"params": {"gamma": 1e-300}})
+        assert main(["eval", cfg, "--z", "0.5"]) == 0
+        assert capsys.readouterr().out == "0.5+0i\n"
+
+    def test_underflowed_value_exits_70(self, write_config, capsys):
+        # f' = 1 + 4u is not certified at |z| = 0.5; on the quadrature
+        # fallback F = z B^(1/gamma) with 1/gamma = 1e300 is not representable
+        cfg = write_config({"f": {"coefficients": [1, 2]}, "params": {"gamma": 1e-300}})
         assert main(["eval", cfg, "--z", "0.5"]) == 70
         captured = capsys.readouterr()
         assert captured.out == "" and "numerical failure" in captured.err
@@ -310,7 +319,7 @@ class TestEndToEnd:
     def test_extend_flagged_column(self, write_config, tmp_path, capsys):
         # the continued (f')^(1/2) with f' = (1 + 1.5 z)^2 is 1 + 1.5 u and
         # the principal one parts from it where Re(1 + 1.5 u) < 0; on the
-        # negative axis the ray runs through the zero and f' stays positive
+        # negative axis the ray runs through the zero, which is flagged too
         cfg = write_config({"f": {"coefficients": [1.0, 1.5, 0.75]}, "params": {"alpha": 0.5}})
         out = tmp_path / "ext.csv"
         argv = ["extend", cfg, "--out", str(out), "--rmax", "0.95", "--nr", "4", "--ntheta", "16"]
@@ -320,7 +329,7 @@ class TestEndToEnd:
         rows = np.array(rows)
         flagged = rows[:, header.index("flagged")]
         assert set(flagged.tolist()) == {0.0, 1.0}
-        past_zero = (rows[:, 0] < -2.0 / 3.0) & (np.abs(rows[:, 1]) > 1e-12)
+        past_zero = rows[:, 0] < -2.0 / 3.0
         assert np.array_equal(flagged == 1.0, past_zero)
 
     def test_oracle_identity_clean(self, write_config, capsys):

@@ -1,7 +1,6 @@
 """operator_grid against values recorded before the branch tracker used
 sheet indices, the crossing flags of a known branch-crossing example, and
-the failure modes at tiny gamma: every point is accurate, flagged, or
-raises."""
+tiny gamma: every point is accurate, flagged, or raises."""
 
 import warnings
 
@@ -16,11 +15,13 @@ from univalence_lab.series import SeriesFunction
 
 # operator_grid on the `eval` command's default grid (16 radii x 64 angles
 # up to |z| = 0.9): (panels, values, brackets) at PIN_INDEX, one point per
-# radius at angles 0, 4, ..., 60.
+# radius at angles 0, 4, ..., 60.  The values and brackets were recorded
+# from the quadrature; panels is the quadrature's panel count, 0 where the
+# series path certifies every point of the grid.
 PIN_INDEX = np.arange(16) * 64 + np.arange(16) * 4
 PINS = {
     'example31': (
-        2,
+        0,
         [
             (0.057041015625000004+0j), (0.10617377745736778+0.04528921619092065j),
             (0.11932426932522987+0.1264434099502299j), (0.07715445208275319+0.2168222150144317j),
@@ -43,7 +44,7 @@ PINS = {
         ],
     ),
     'identity': (
-        2,
+        0,
         [
             (0.05624999999999998+0j), (0.10393644740751973+0.04305188614107259j),
             (0.11932426932522987+0.11932426932522985j), (0.08610377228214519+0.20787289481503946j),
@@ -89,7 +90,7 @@ PINS = {
         ],
     ),
     'example31 gamma=0.5': (
-        2,
+        0,
         [
             (0.05730963134765624+0j), (0.10693468956937176+0.046071533031495346j),
             (0.11922988196375216+0.12891084418670767j), (0.07387902409128834+0.21968423831779074j),
@@ -112,7 +113,7 @@ PINS = {
         ],
     ),
     'example31 gamma=0.5+0.5i': (
-        32,
+        0,
         [
             (0.05720007212682354-0.00032262864759765935j), (0.10756482614585379+0.044828673033067964j),
             (0.12227683334548708+0.12800255166113528j), (0.07874109932981385+0.22254782095208517j),
@@ -179,7 +180,9 @@ def test_example31_gammas_match_pins(key, f_quarter, g_half, identity):
 
 
 class TestCrossingFlags:
-    """f' = (1 + 1.5 z)^2 has a double zero at -2/3, inside |z| = 0.9."""
+    """f' = (1 + 1.5 z)^2 has a double zero at -2/3, inside |z| = 0.9: the
+    rays past it leave the principal branch (points 7 and 9) and the ray
+    to -0.9 runs through it (point 8)."""
 
     F = SeriesFunction(np.array([1.0, 1.5, 0.75]))
     CIRCLE = 0.9 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False))
@@ -187,7 +190,7 @@ class TestCrossingFlags:
     @pytest.mark.parametrize("alpha", [0.5, 0.5 + 0.3j])
     def test_fractional_power_flags_the_rays_past_the_zero(self, alpha):
         _, _, _, crossing = operator_grid(self.CIRCLE, ParameterSet(alpha=alpha), self.F)
-        assert np.flatnonzero(crossing).tolist() == [7, 9]
+        assert np.flatnonzero(crossing).tolist() == [7, 8, 9]
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     def test_integer_power_never_flags(self, alpha):
@@ -200,7 +203,7 @@ class TestCrossingFlags:
         g = SeriesFunction(np.array([1.0, 3.0, 2.25]))
         p = ParameterSet(alpha=1.0, beta=0.5)
         _, _, _, crossing = operator_grid(self.CIRCLE, p, identity, g)
-        assert np.flatnonzero(crossing).tolist() == [7, 9]
+        assert np.flatnonzero(crossing).tolist() == [7, 8, 9]
 
     def test_bracket_path_through_the_cut_is_undersampled(self):
         # f' = 1 + 4u: the bracket path 1 - 1.8 tau at z = -0.9 turns from
@@ -226,8 +229,17 @@ class TestTinyGamma:
         assert np.all(accurate | crossing)
         assert np.all(np.isfinite(values))
 
-    def test_underflowed_value_raises(self):
-        # F = z B^(1/gamma) with 1/gamma = 1e300 cannot be represented
+    def test_tiny_gamma_takes_the_exact_limit(self):
+        # h = 1 + u/2: B - 1 = gamma z / (2 (gamma + 1)), so F -> z e^(z/2)
         f = catalog_build("quadratic", {"c": 0.25})
+        values, brackets, panels, crossing = operator_grid(np.array([0.5]), ParameterSet(gamma=1e-300), f)
+        assert values[0] == pytest.approx(0.5 * np.exp(0.25), rel=1e-15)
+        assert brackets[0] == 1.0 and panels == 0 and not crossing[0]
+
+    def test_underflowed_value_raises(self):
+        # f' = 1 + 4u: eps_f'(0.5) = 2, so z = 0.5 falls back to the
+        # quadrature, where F = z B^(1/gamma) with 1/gamma = 1e300 cannot be
+        # represented
+        f = SeriesFunction(np.array([1.0, 2.0]))
         with pytest.raises(ConvergenceError, match="not a finite nonzero number"):
             operator_grid(np.array([0.5]), ParameterSet(gamma=1e-300), f)
