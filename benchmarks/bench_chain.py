@@ -1,5 +1,4 @@
-"""Time `chain_grid` against a loop of one-point `chain_eval` calls, and
-measure the memory peak of a large request at several batch sizes.
+"""Time `chain_grid` against a loop of one-point `chain_eval` calls.
 
 Run:  PYTHONPATH=src python3 benchmarks/bench_chain.py [--repeat N]
 
@@ -9,28 +8,19 @@ callers ask for: 1 is a one-point wrapper, 6 the `pde_residual` stencil,
 640 the default `chain` command grid (8 x 16 points x 5 times) and 4097
 the finest `subordination_probe` curve.  Each row is the best of N
 repeats of a loop long enough to take at least 0.2 s; the loop of
-`chain_eval` is timed once per repeat at 4097 points.
-
-The second table is the `tracemalloc` peak of one 4097-point
-`chain_grid` call with `chain._BATCH` set to each batch size ("all" is
-one batch), with its time.  The working set is about
-(32 x panels) x batch complex values per quadrature matrix, so the peak
-grows with the batch while the time stops improving once per-call
-overhead is amortised; `_BATCH` is chosen where both are flat.  To
-compare two checkouts, run the script in each.
+`chain_eval` is timed once per repeat at 4097 points.  To compare two
+checkouts, run the script in each.
 """
 
 import argparse
 import timeit
-import tracemalloc
 
 import numpy as np
 
-from univalence_lab import ParameterSet, catalog_build, chain
+from univalence_lab import ParameterSet, catalog_build
 from univalence_lab.chain import chain_eval, chain_grid
 
 SIZES = (1, 6, 640, 4097)
-BATCHES = (32, 64, 128, 256, 512, None)
 
 
 def _problem():
@@ -60,7 +50,7 @@ def main():
 
     p, f, g, phi = _problem()
     rng = np.random.default_rng(0)
-    print(f"numpy {np.__version__}, batch {chain._BATCH}")
+    print(f"numpy {np.__version__}")
     print(f"{'points':>6}  {'chain_grid':>12}  {'chain_eval loop':>16}  {'speed-up':>8}")
     for n in SIZES:
         z, t = _points(n, rng)
@@ -72,23 +62,6 @@ def main():
 
         t_loop = _best(loop, args.repeat, number=1 if n > 640 else None)
         print(f"{n:>6}  {t_grid * 1e3:9.3f} ms  {t_loop * 1e3:13.3f} ms  {t_loop / t_grid:7.1f}x")
-
-    z, t = _points(4097, rng)
-    saved = chain._BATCH
-    print(f"\n{'batch':>6}  {'peak (4097 points)':>18}  {'time':>12}")
-    try:
-        for batch in BATCHES:
-            chain._BATCH = batch or z.size
-            chain_grid(z, t, p, f, g, phi)  # warm the quadrature-rule caches
-            tracemalloc.start()
-            chain_grid(z, t, p, f, g, phi)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            elapsed = _best(lambda: chain_grid(z, t, p, f, g, phi), args.repeat, number=1)
-            label = "all" if batch is None else str(batch)
-            print(f"{label:>6}  {peak / 2**20:14.2f} MiB  {elapsed * 1e3:9.2f} ms")
-    finally:
-        chain._BATCH = saved
 
 
 if __name__ == "__main__":

@@ -1,24 +1,20 @@
-"""Time the operator's integrand kernel, whole `operator_grid` calls and
-the series plan.
+"""Time whole `operator_grid` calls and the series plan.
 
 Run:  PYTHONPATH=src python3 benchmarks/bench_operator.py [--repeat N]
 
-The problem is example31 (f = z + z^2/4, g = z + z^2/2, phi = z,
-alpha = beta = 1/2) unless a row says otherwise.
-
-The first table times `operator._integrand_matrix`, which evaluates
-h = (f')^alpha (g/phi)^beta on a (nodes, points) matrix of ray points and
-tracks its branch down each column.  The shapes are the sizes the
-quadrature fallback asks for: (64, 4096) is a two-panel `operator_grid`
-chunk, (2048, 64) a 64-panel chain batch and (32, 64) the chain's ray to
-h(zeta).
-
-The second table times `operator_grid` on the `eval` command's points
-(32 radii x 128 angles up to |z| = 0.9).  example31 at gamma = 1, 1e-3
-and 0.01 + 1i and the identity configuration are certified on the whole
-grid and take the series path; f = z + 2z^2 (alpha = 1, beta = 0) is
-certified only up to |z| = 0.21, so most of its points fall back to the
-quadrature.  The "series" column counts the points on the series path.
+The first table times `operator_grid` on the `eval` command's points
+(32 radii x 128 angles up to |z| = 0.9).  example31 (f = z + z^2/4,
+g = z + z^2/2, phi = z, alpha = beta = 1/2) at gamma = 1, 1e-3 and
+0.01 + 1i and the identity configuration are certified on the whole grid
+and take the series path.  The last three rows (alpha = 1/2, beta = 0,
+gamma = 1) are certified only near 0, so most of their points are
+continued step by step along their rays: f = z + 1.5z^2 + 0.75z^3, whose
+f' = (1 + 1.5u)^2 vanishes at -2/3 inside the grid, the degree-64 scaled
+exponential with lambda = 1, and the degree-512 Koebe series, whose
+factor is long enough for the Lagrange remainder of the step
+certificate.  The "series" column counts the points on the series path,
+"steps" is the largest number of continuation steps of a point and
+"flagged" the number of flagged points.
 
 The last row times building the series plan of example31 at gamma = 1
 from a cold cache: Miller's recurrence for each factor and the search for
@@ -34,20 +30,14 @@ import timeit
 import numpy as np
 
 from univalence_lab import ParameterSet, catalog_build
-from univalence_lab.operator import _integrand_matrix, _series_plan, operator_grid
+from univalence_lab.operator import _series_plan, operator_grid
 from univalence_lab.series import SeriesFunction
-
-MATRICES = ((64, 4096), (2048, 64), (32, 64))
 
 
 def _best(fn, repeat):
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
     return min(timer.repeat(repeat=repeat, number=number)) / number
-
-
-def _disk(n, r_max, rng):
-    return r_max * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
 
 
 def _polar(nr, ntheta, r_max):
@@ -65,32 +55,26 @@ def main():
     g = catalog_build("quadratic", {"c": 0.5})
     ident = catalog_build("identity")
     p = ParameterSet(alpha=0.5, beta=0.5, gamma=1.0)
-    rng = np.random.default_rng(0)
+    half = ParameterSet(alpha=0.5)
 
     print(f"numpy {np.__version__}")
-    print(f"{'_integrand_matrix':>22}  {'time':>10}  {'per node':>9}")
-    for nodes, points in MATRICES:
-        s = np.sort(rng.uniform(size=nodes))
-        u = s[:, None] * _disk(points, 0.9, rng)[None, :]
-        elapsed = _best(lambda: _integrand_matrix(p, f, g, ident, u), args.repeat)
-        label = f"({nodes}, {points})"
-        print(f"{label:>22}  {elapsed * 1e3:7.2f} ms  {elapsed / u.size * 1e9:6.1f} ns")
-
     grid = _polar(32, 128, 0.9)
     cases = (
         ("example31 gamma=1", p, f, g),
         ("example31 gamma=1e-3", ParameterSet(alpha=0.5, beta=0.5, gamma=1e-3), f, g),
         ("example31 gamma=0.01+1i", ParameterSet(alpha=0.5, beta=0.5, gamma=0.01 + 1j), f, g),
         ("identity", ParameterSet(alpha=1.0, beta=1.0), ident, ident),
-        ("f = z + 2z^2 (fallback)", ParameterSet(), SeriesFunction(np.array([1.0, 2.0])), ident),
+        ("z + 1.5z^2 + 0.75z^3", half, SeriesFunction(np.array([1.0, 1.5, 0.75])), ident),
+        ("expscaled lambda=1", half, catalog_build("expscaled", {"lam": 1.0}), ident),
+        ("koebe degree 512", half, catalog_build("koebe", {"degree": 512}), ident),
     )
-    print(f"\n{'operator_grid':>26}  {'points':>6}  {'series':>6}  {'panels':>6}  {'time':>10}")
+    print(f"{'operator_grid':>26}  {'points':>6}  {'series':>6}  {'steps':>6}  {'flagged':>7}  {'time':>10}")
     for label, params, ff, gg in cases:
-        panels = operator_grid(grid, params, ff, gg, ident)[2]
+        _, _, steps, flagged = operator_grid(grid, params, ff, gg, ident)
         radius = _series_plan(ff, gg, ident, params.alpha, params.beta, params.gamma).radius
         series = int(np.sum(np.abs(grid) <= radius))
         elapsed = _best(lambda: operator_grid(grid, params, ff, gg, ident), args.repeat)
-        print(f"{label:>26}  {grid.size:>6}  {series:>6}  {panels:>6}  {elapsed * 1e3:7.2f} ms")
+        print(f"{label:>26}  {grid.size:>6}  {series:>6}  {steps:>6}  {int(flagged.sum()):>7}  {elapsed * 1e3:7.2f} ms")
 
     def cold_plan():
         _series_plan.cache_clear()

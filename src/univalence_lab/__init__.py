@@ -35,7 +35,6 @@ from .extension import (
 )
 from .operator import (
     OperatorResult,
-    QuadratureConfig,
     example31_closed_form,
     hyp2f1,
     operator_eval,
@@ -69,7 +68,6 @@ __all__ = [
     "ExtensionConstants",
     "OperatorResult",
     "ParameterSet",
-    "QuadratureConfig",
     "SampleCloud",
     "SeriesFunction",
     "argument_principle_check",

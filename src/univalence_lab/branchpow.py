@@ -87,12 +87,19 @@ def track_power(w, c, rel_tol=1e-9):
         np.cumsum(wraps, axis=0, out=k[1:])
         theta -= (2.0 * math.pi) * k
         off = k != 0
-        turn = np.exp((2j * math.pi * c) * k[off])
         bad = np.zeros(k.shape, dtype=bool)
-        bad[off] = ~np.isfinite(turn) | (np.abs(turn - 1.0) > rel_tol * (1.0 + np.abs(turn)))
+        bad[off] = sheet_crossed(k[off], c, rel_tol)
         crossed = bad.any(axis=0)
     log_power *= c
     return log_power, crossed, max_step
+
+
+def sheet_crossed(k, c, rel_tol=1e-9):
+    """Where the power w^c continued onto sheet k (argument Arg w - 2 pi k)
+    differs from the principal one: |e^{2 pi i c k} - 1| exceeds
+    rel_tol (1 + |e^{2 pi i c k}|), or e^{2 pi i c k} is not finite."""
+    turn = np.exp((2j * math.pi * complex(c)) * np.asarray(k, dtype=float))
+    return ~np.isfinite(turn) | (np.abs(turn - 1.0) > rel_tol * (1.0 + np.abs(turn)))
 
 
 def unwrapped_arguments(samples):

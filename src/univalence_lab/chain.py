@@ -9,8 +9,9 @@ L is evaluated in the factored form
 where B(w) = g int_0^1 s^{g-1} h(s w) ds is the operator bracket; the
 factoring is valid because Log(e^{-a t} z) = -a t + Log z for positive
 real scalings.  B and h at every zeta = e^{-a t} z therefore come from the
-operator's machinery: its certified Taylor series where it applies, one
-fixed [0, 1] quadrature rule and a tracked ray elsewhere."""
+operator's machinery: its certified Taylor series where it applies, and
+elsewhere the step-by-step continuation along the ray 0 -> zeta, which
+carries h(zeta) on the continued branches."""
 
 from dataclasses import dataclass
 
@@ -25,15 +26,12 @@ from .errors import (
     InconclusiveError,
     TransferPoleError,
 )
-from .operator import QuadratureConfig, _integrand_matrix, _series_plan, operator_grid
+from .operator import _evaluate, _series_plan
 from .series import _IDENTITY, bracket_terms
 
 FD_STEP_Z = 1e-5
 FD_STEP_T = 1e-4
 T_CLAMP = 1e-3
-# points per operator_grid call: bounds the (panel nodes x points) working
-# set, which otherwise grows with the request (benchmarks/bench_chain.py)
-_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -52,14 +50,13 @@ def _flat(z, t):
     return z.ravel(), t.ravel(), z.shape
 
 
-def chain_grid(z, t, p, f, g=None, phi=None, q=None):
+def chain_grid(z, t, p, f, g=None, phi=None):
     """L(z, t) on broadcastable arrays of z and t; the integral operator at
     t = 0.  Returns (values, flagged): flagged marks points where the
     operator path or the ray 0 -> e^{-a t} z carrying h crossed a branch,
     so the value is invalid."""
     g = g or _IDENTITY
     phi = phi or _IDENTITY
-    q = q or QuadratureConfig()
     zf, tf, shape = _flat(z, t)
     if np.any(tf < 0):
         raise DomainError("t must be >= 0")
@@ -70,30 +67,21 @@ def chain_grid(z, t, p, f, g=None, phi=None, q=None):
         raise HypothesisViolation("chain evaluation requires Re gamma > 0")
     values = np.zeros_like(zf)
     flagged = np.zeros(zf.shape, dtype=bool)
-    nz = np.flatnonzero(zf != 0)
-    for lo in range(0, nz.size, _BATCH):
-        idx = nz[lo : lo + _BATCH]
-        values[idx], flagged[idx] = _chain_batch(zf[idx], tf[idx], p, f, g, phi, q)
+    nz = zf != 0
+    values[nz], flagged[nz] = _chain_values(zf[nz], tf[nz], p, f, g, phi)
     return values.reshape(shape), flagged.reshape(shape)
 
 
-def _chain_batch(z, t, p, f, g, phi, q):
+def _chain_values(z, t, p, f, g, phi):
     zeta = np.exp(-p.a * t) * z
-    _, B, _, crossing = operator_grid(zeta, p, f, g, phi, q)
-    # h(zeta): the plan's Taylor series inside its certified radius, else
-    # continuity-tracked along the ray 0 -> zeta (operator_grid has
-    # flagged the rays through a zero)
+    b1, h, _, crossing = _evaluate(zeta, p, f, g, phi)
+    # h(zeta) comes from the continuation past the plan's radius, and from
+    # the plan's Taylor series inside it
     plan = _series_plan(f, g, phi, p.alpha, p.beta, p.gamma)
     near = np.abs(zeta) <= plan.radius
-    h = np.empty_like(zeta)
     h[near] = _kernels.polyval(plan.h, zeta[near])
-    if not near.all():
-        ray = np.linspace(0.0, 1.0, 33)[1:, None] * zeta[None, ~near]
-        h_ray, ray_crossing = _integrand_matrix(p, f, g, phi, ray)
-        h[~near] = h_ray[-1]
-        crossing[~near] |= ray_crossing
     atg = p.a * t * p.gamma
-    inner = np.exp(-atg) * B + (np.exp(p.m * atg) - np.exp(-atg)) * h
+    inner = np.exp(-atg) * (1.0 + b1) + (np.exp(p.m * atg) - np.exp(-atg)) * h
     # principal inner^{1/gamma}; 0 maps to 0 since Re(1/gamma) > 0
     values = np.zeros_like(z)
     ok = inner != 0
@@ -108,10 +96,10 @@ def _reject_flagged(flagged, where):
         )
 
 
-def chain_eval(z, t, p, f, g=None, phi=None, q=None):
+def chain_eval(z, t, p, f, g=None, phi=None):
     """L(z, t) at one point; see chain_grid.  Raises BranchCrossingError
     where chain_grid flags the point."""
-    values, flagged = chain_grid(complex(z), float(t), p, f, g, phi, q)
+    values, flagged = chain_grid(complex(z), float(t), p, f, g, phi)
     _reject_flagged(flagged, f"({z}, {t})")
     return complex(values)
 
@@ -147,13 +135,13 @@ def _transfer_from_G(G, m, a):
     return G, w, (1.0 + w) / (1.0 - w)
 
 
-def chain_point(z, t, p, f, g=None, phi=None, q=None):
-    L = chain_eval(z, t, p, f, g, phi, q)
+def chain_point(z, t, p, f, g=None, phi=None):
+    L = chain_eval(z, t, p, f, g, phi)
     G, w, pval = transfer_functions(z, t, p, f, g, phi)
     return ChainPoint(complex(z), float(t), L, G, w, pval)
 
 
-def pde_residual(z, t, p, f, g=None, phi=None, q=None):
+def pde_residual(z, t, p, f, g=None, phi=None):
     """Relative residual of z dL/dz = p(z,t) dL/dt by central differences.
 
     t below T_CLAMP is evaluated at T_CLAMP (one-sided guard at the t = 0
@@ -166,7 +154,7 @@ def pde_residual(z, t, p, f, g=None, phi=None, q=None):
     ht = FD_STEP_T
     stencil_z = [z + hz, z - hz, z + 1j * hz, z - 1j * hz, z, z]
     stencil_t = [t, t, t, t, t + ht, t - ht]
-    L, flagged = chain_grid(stencil_z, stencil_t, p, f, g, phi, q)
+    L, flagged = chain_grid(stencil_z, stencil_t, p, f, g, phi)
     _reject_flagged(flagged, f"the stencil at ({z}, {t})")
     x_plus, x_minus, y_plus, y_minus, t_plus, t_minus = L.tolist()
     dx = (x_plus - x_minus) / (2.0 * hz)
@@ -181,7 +169,7 @@ def pde_residual(z, t, p, f, g=None, phi=None, q=None):
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs))
 
 
-def subordination_probe(t, s, rho, p, f, g=None, phi=None, q=None, samples=64):
+def subordination_probe(t, s, rho, p, f, g=None, phi=None, samples=64):
     """Check L(., t)(half-radius points) lies inside the curve L(rho e^{i.}, s).
 
     Sampling-based: each test point must have winding number exactly 1
@@ -192,12 +180,12 @@ def subordination_probe(t, s, rho, p, f, g=None, phi=None, q=None, samples=64):
     if not 0.0 < rho < 1.0:
         raise DomainError("need 0 < rho < 1")
     angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    pts, flagged = chain_grid(0.5 * rho * np.exp(1j * angles), t, p, f, g, phi, q)
+    pts, flagged = chain_grid(0.5 * rho * np.exp(1j * angles), t, p, f, g, phi)
     _reject_flagged(flagged, f"test points at t = {t}")
     n_curve = 256
     while True:
         thetas = np.linspace(0.0, 2.0 * np.pi, n_curve + 1)
-        curve, flagged = chain_grid(rho * np.exp(1j * thetas), s, p, f, g, phi, q)
+        curve, flagged = chain_grid(rho * np.exp(1j * thetas), s, p, f, g, phi)
         _reject_flagged(flagged, f"curve at s = {s}")
         curve[-1] = curve[0]
         try:

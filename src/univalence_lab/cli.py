@@ -15,9 +15,9 @@ import numpy as np
 
 from .chain import chain_grid, transfer_grid
 from .criterion import VARIANTS, DiskGrid, ParameterSet, criterion_check
-from .errors import ConfigError, HypothesisViolation, UnivalenceLabError
+from .errors import ConfigError, HypothesisViolation, InconclusiveError, UnivalenceLabError
 from .extension import beltrami_grid, extend_grid, extension_constants
-from .operator import QuadratureConfig, operator_eval, operator_grid
+from .operator import operator_eval, operator_grid
 from .oracle import SampleCloud, argument_principle_check, injectivity_scan, polar_samples
 from .series import SeriesFunction, catalog_build
 
@@ -31,7 +31,6 @@ class ProblemSpec:
     phi: SeriesFunction
     params: ParameterSet
     grid: DiskGrid
-    quad: QuadratureConfig
     variant: str = "thm31"
 
 
@@ -129,7 +128,7 @@ def parse_config(text):
         obj = text
     if not isinstance(obj, dict):
         raise ConfigError("config: top level must be an object")
-    _reject_unknown(obj, ("f", "g", "phi", "params", "grid", "quad", "variant"), "config")
+    _reject_unknown(obj, ("f", "g", "phi", "params", "grid", "variant"), "config")
 
     funcs = {}
     for name in ("f", "g", "phi"):
@@ -154,23 +153,10 @@ def parse_config(text):
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    qobj = obj.get("quad", {})
-    _reject_unknown(
-        qobj, ("nodes_per_panel", "max_panels", "rel_tol", "substitution_power"), "quad"
-    )
-    try:
-        quad = QuadratureConfig(
-            **{k: (float(v) if k == "rel_tol" else int(v)) for k, v in qobj.items()}
-        )
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"quad: {exc}") from exc
-
     variant = obj.get("variant", "thm31")
     if variant not in VARIANTS:
         raise ConfigError(f"variant: unknown variant {variant!r}")
-    return ProblemSpec(
-        funcs["f"], funcs["g"], funcs["phi"], params, grid, quad, variant
-    )
+    return ProblemSpec(funcs["f"], funcs["g"], funcs["phi"], params, grid, variant)
 
 
 def serialize(spec):
@@ -190,16 +176,6 @@ def serialize(spec):
             **({"k": spec.params.k} if spec.params.k < 1.0 else {}),
         },
         "grid": spec.grid.to_json(),
-        "quad": {
-            "nodes_per_panel": spec.quad.nodes_per_panel,
-            "max_panels": spec.quad.max_panels,
-            "rel_tol": spec.quad.rel_tol,
-            **(
-                {"substitution_power": spec.quad.substitution_power}
-                if spec.quad.substitution_power is not None
-                else {}
-            ),
-        },
         "variant": spec.variant,
     }
 
@@ -341,7 +317,7 @@ def _cmd_check(spec, flags):
 def _cmd_eval(spec, flags):
     if flags.get("z") is not None:
         z = parse_complex(flags["z"])
-        res = operator_eval(z, spec.params, spec.f, spec.g, spec.phi, spec.quad)
+        res = operator_eval(z, spec.params, spec.f, spec.g, spec.phi)
         print(format_complex(res.value))
         if res.branch_crossing:
             print("warning: branch crossing flagged; value invalid", file=sys.stderr)
@@ -349,7 +325,7 @@ def _cmd_eval(spec, flags):
     if not flags.get("out"):
         raise ConfigError("eval needs --z or --out")
     zs = polar_samples(flags.get("nr", 16), flags.get("ntheta", 64), flags.get("rmax", 0.9))
-    values, _, _, flagged = operator_grid(zs, spec.params, spec.f, spec.g, spec.phi, spec.quad)
+    values, _, _, flagged = operator_grid(zs, spec.params, spec.f, spec.g, spec.phi)
     _warn_flagged(flagged)
     rows = np.column_stack((zs.real, zs.imag, values.real, values.imag, flagged))
     emit_grid_csv(rows.tolist(), ("re_z", "im_z", "re_w", "im_w", "flagged"), flags["out"])
@@ -372,7 +348,7 @@ def _cmd_chain(spec, flags):
     ts = np.linspace(0.0, flags.get("tmax", 1.0), flags.get("tsteps", 5))
     z = np.tile(zs, ts.size)
     t = np.repeat(ts, zs.size)
-    L, flagged = chain_grid(z, t, spec.params, spec.f, spec.g, spec.phi, spec.quad)
+    L, flagged = chain_grid(z, t, spec.params, spec.f, spec.g, spec.phi)
     _, w, _ = transfer_grid(z, t, spec.params, spec.f, spec.g, spec.phi)
     _warn_flagged(flagged)
     rows = np.column_stack((z.real, z.imag, t, L.real, L.imag, np.abs(w), flagged))
@@ -388,14 +364,12 @@ def _cmd_extend(spec, flags):
     r = np.linspace(flags.get("rmin", 0.5), flags.get("rmax", 2.0), flags.get("nr", 8))
     theta = np.linspace(0.0, 2.0 * np.pi, flags.get("ntheta", 16), endpoint=False)
     z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    F, flagged = extend_grid(z, spec.params, spec.f, spec.g, spec.phi, spec.quad)
+    F, flagged = extend_grid(z, spec.params, spec.f, spec.g, spec.phi)
     _warn_flagged(flagged)
     mu = np.zeros(z.shape)
     # no Beltrami coefficient at a flagged point: its stencil would raise
     has_mu = np.repeat(r > 1.0 + 3e-5, theta.size) & ~flagged
-    mu[has_mu] = np.abs(
-        beltrami_grid(z[has_mu], spec.params, spec.f, spec.g, spec.phi, spec.quad)
-    )
+    mu[has_mu] = np.abs(beltrami_grid(z[has_mu], spec.params, spec.f, spec.g, spec.phi))
     rows = np.column_stack((z.real, z.imag, F.real, F.imag, mu, flagged))
     emit_grid_csv(
         rows.tolist(), ("re_z", "im_z", "re_w", "im_w", "abs_mu", "flagged"), flags["out"]
@@ -420,9 +394,7 @@ def _cmd_oracle(spec, flags):
     ntheta = flags.get("ntheta", 100)
     rmax = flags.get("rmax", 0.99)
     zs = polar_samples(nr, ntheta, rmax)
-    values, _, _, crossing = operator_grid(
-        zs, spec.params, spec.f, spec.g, spec.phi, spec.quad
-    )
+    values, _, _, crossing = operator_grid(zs, spec.params, spec.f, spec.g, spec.phi)
     keep = ~crossing
     cloud = SampleCloud(zs[keep], values[keep], rmax)
     pair = injectivity_scan(cloud)
@@ -430,9 +402,12 @@ def _cmd_oracle(spec, flags):
     n_targets = flags.get("targets", 50)
     rng = np.random.default_rng(flags.get("seed", 0))
     circle = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 2049))
-    curve, _, _, _ = operator_grid(
-        rmax * circle, spec.params, spec.f, spec.g, spec.phi, spec.quad
-    )
+    curve, _, _, curve_flagged = operator_grid(rmax * circle, spec.params, spec.f, spec.g, spec.phi)
+    if np.any(curve_flagged):
+        raise InconclusiveError(
+            f"{int(curve_flagged.sum())} of {curve.size} boundary curve points flagged "
+            "for a branch crossing; the covering count cannot be taken"
+        )
     curve[-1] = curve[0]
     inner = cloud.values[np.abs(cloud.z) <= 0.5 * rmax]
     targets = rng.choice(inner, size=min(n_targets, inner.size), replace=False)
@@ -443,6 +418,7 @@ def _cmd_oracle(spec, flags):
         if pair is None
         else [[pair[0].real, pair[0].imag], [pair[1].real, pair[1].imag]],
         "samples": int(cloud.z.size),
+        "flagged": int(crossing.sum()),
         "covered_once": covered_once,
     }
     print(json.dumps(report, indent=2))

@@ -47,7 +47,8 @@ class DegeneratePointError(UnivalenceLabError):
 
 
 class ConvergenceError(UnivalenceLabError):
-    """An iterative scheme (quadrature panels, 2F1 series) did not converge."""
+    """A computed value is not representable (an operator value that is not
+    finite or has underflowed to 0), or the 2F1 series did not converge."""
 
 
 class InconclusiveError(UnivalenceLabError):

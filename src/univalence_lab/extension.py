@@ -114,7 +114,7 @@ def _unit(z, r):
     return u
 
 
-def extend_grid(z, p, f, g=None, phi=None, q=None):
+def extend_grid(z, p, f, g=None, phi=None):
     """Piecewise extension on an array: the operator inside the disk, the
     chain along the boundary ray outside (t = log|z|, clamped just above 0
     at the seam).  Returns (values, flagged) like chain_grid: flagged marks
@@ -125,27 +125,27 @@ def extend_grid(z, p, f, g=None, phi=None, q=None):
     out = np.empty_like(z)
     flagged = np.zeros(z.shape, dtype=bool)
     if np.any(inside):
-        values, _, _, crossing = operator_grid(z[inside], p, f, g, phi, q)
+        values, _, _, crossing = operator_grid(z[inside], p, f, g, phi)
         out[inside], flagged[inside] = values, crossing
     outside = ~inside
     if np.any(outside):
         t = np.maximum(np.log(r[outside]), SEAM_CLAMP)
         out[outside], flagged[outside] = chain_grid(
-            _unit(z[outside], r[outside]), t, p, f, g, phi, q
+            _unit(z[outside], r[outside]), t, p, f, g, phi
         )
     return out, flagged
 
 
-def becker_extend(z, p, f, g=None, phi=None, q=None):
+def becker_extend(z, p, f, g=None, phi=None):
     """The extension at one point; see extend_grid.  Raises
     BranchCrossingError where extend_grid flags the point."""
-    value, flagged = extend_grid(complex(z), p, f, g, phi, q)
+    value, flagged = extend_grid(complex(z), p, f, g, phi)
     if flagged:
         raise BranchCrossingError(f"extension at z = {complex(z)} flagged for a branch crossing")
     return complex(value)
 
 
-def beltrami_grid(z, p, f, g=None, phi=None, q=None, h=1e-5):
+def beltrami_grid(z, p, f, g=None, phi=None, h=1e-5):
     """Sampled Beltrami coefficients of the extension at an array of points
     with |z| > 1 + 2h.
 
@@ -155,7 +155,7 @@ def beltrami_grid(z, p, f, g=None, phi=None, q=None, h=1e-5):
     if np.any(np.abs(z) <= 1.0 + 2.0 * h):
         raise DomainError(f"need |z| > 1 + 2h = {1.0 + 2.0 * h}")
     offsets = np.array([h, -h, 1j * h, -1j * h])
-    F, flagged = extend_grid(z[..., None] + offsets, p, f, g, phi, q)
+    F, flagged = extend_grid(z[..., None] + offsets, p, f, g, phi)
     if np.any(flagged):
         bad = complex(z[flagged.any(axis=-1)][0])
         raise BranchCrossingError(f"extension flagged for a branch crossing near z = {bad}")
@@ -169,15 +169,15 @@ def beltrami_grid(z, p, f, g=None, phi=None, q=None, h=1e-5):
     return dzbar / dz
 
 
-def beltrami_estimate(z, p, f, g=None, phi=None, q=None, h=1e-5):
+def beltrami_estimate(z, p, f, g=None, phi=None, h=1e-5):
     """Sampled Beltrami coefficient at one point; see beltrami_grid."""
     z = complex(z)
-    return BeltramiSample(z, complex(beltrami_grid(z, p, f, g, phi, q, h)))
+    return BeltramiSample(z, complex(beltrami_grid(z, p, f, g, phi, h)))
 
 
-def beltrami_ring(p, f, g=None, phi=None, q=None, radii=(1.05, 1.3, 1.6, 2.0), n_theta=8, h=1e-5):
+def beltrami_ring(p, f, g=None, phi=None, radii=(1.05, 1.3, 1.6, 2.0), n_theta=8, h=1e-5):
     """Beltrami samples on a ring grid outside the unit circle."""
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     z = (np.asarray(radii, dtype=float)[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    mu = beltrami_grid(z, p, f, g, phi, q, h)
+    mu = beltrami_grid(z, p, f, g, phi, h)
     return [BeltramiSample(zz, mm) for zz, mm in zip(z.tolist(), mu.tolist())]

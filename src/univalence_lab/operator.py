@@ -3,35 +3,49 @@ h(u) = (f'(u))^alpha (g(u)/phi(u))^beta, plus the hypergeometric closed
 form that serves as its independent oracle on the
 quadratic/quadratic/identity configuration.
 
-Two paths evaluate it.
+h = (f')^alpha (g/z)^beta (phi/z)^{-beta} is analytic with h(0) = 1.  The
+factors whose exponent is a natural number multiply out into one exact
+polynomial M; the others are powers P^e of polynomials P = 1 + p_1 u + ....
+With J(z) = z^{-gamma} int_0^z u^{gamma-1} (h(u) - 1) du the bracket is
+B = 1 + gamma J, and F = z exp(log1p(gamma J) / gamma), never through
+log B, which would round B - 1 away for small |gamma|.
 
-Series path.  h = (f')^alpha (g/z)^beta (phi/z)^{-beta} is analytic with
-h(0) = 1, and its Taylor coefficients h_n follow from J.C.P. Miller's
+Series.  The Taylor coefficients h_n follow from J.C.P. Miller's
 recurrence for powers of a power series (Knuth, TAOCP vol. 2, 4.7), one
-polynomial factor at a time.  The bracket is then exactly
-
-    B(z) = 1 + gamma sum_{n>=1} S_n z^n,   S_n = h_n / (gamma + n),
-
-and F = z exp(log1p(B - 1) / gamma), never through log B, which would
-round B - 1 away for small |gamma|.  A plan, built once per problem,
-holds the h_n, the S_n and the largest radius r_c < 1 on which three
-certificates hold: every factor P = 1 + p_1 u + ... has
+factor at a time, and J = sum_{n>=1} S_n z^n with S_n = h_n / (gamma + n).
+A plan, built once per problem, holds the h_n, the S_n and the largest
+radius r_c <= 1 on which three certificates hold: every factor P^e has
 eps_P(r) = sum |p_k| r^k < 1 with L_P = -log(1 - eps_P) below pi for f'
-and for g/z and phi/z together, so no factor vanishes and the branch
-tracker never leaves sheet 0; a Cauchy bound on the tail of h beyond the
+and for g/z and phi/z together, so no factor vanishes and each log P
+stays on its principal sheet; a Cauchy bound on the tail of h beyond the
 kept terms is at most 1e-16; and |gamma| (sum |S_n| r^n + tail) stays
-below 1 - e^{-pi/2}, so |Arg B| < pi/2 along every bracket path.  Points
-with |z| <= r_c take this path, unflagged and with no quadrature panel.
+below 1 - e^{-pi/2}, so |Arg B| < pi/2 along every bracket path.  When
+h = M is a polynomial, all its terms are kept and only the last
+certificate limits r_c; when 1/gamma is a natural number as well,
+B^{1/gamma} has no branch and r_c = 1.  Points with |z| <= r_c take this
+path, unflagged.
 
-Quadrature path, for the remaining points.  The substitution t = s^p with
-p = max(1, ceil(2/Re gamma)) makes the endpoint factor t^{gamma-1}
-boundedly differentiable, so one fixed Gauss-Legendre rule with panel
-doubling converges for Re gamma > 0.  Integrand powers are tracked
-continuously along the ray from u = 0 (where h = 1); branch crossings are
-flagged, never repaired.  A ray that runs through a zero of a factor
-with a non-integer exponent is flagged too, for factors of fewer than 64
-coefficients, whose zeros the plan computes; the sampled tracker cannot
-see such a zero.
+Continuation, for the other points: numerical analytic continuation of
+h along the ray (van der Hoeven, "Fast evaluation of holonomic
+functions", TCS 1999), started at r_c z/|z| from the series.  A step
+moves the centre c to c(1 + sigma).  Each factor P^e is shifted to c,
+P(c(1+s))/P(c) = 1 + sum_k a_k s^k, and sigma is the largest rung of a
+ladder with eps(2 sigma) = sum |a_k| (2 sigma)^k <= 1/2, the first
+_SHIFT_TERMS terms exact and the rest bounded by the Lagrange remainder
+of the majorant sum |p_j| u^j.  Then |P(c(1+s))/P(c) - 1| <= 1/2 for
+|s| <= 2 sigma: the step is zero-free and the principal log of the ratio
+continues log P.  M may at most double its majorant on that disc, and
+sigma <= 1/4 keeps (1 + s)^{gamma-1} analytic there.  A fixed
+Gauss-Legendre rule in s gives
+
+    J(c(1+sigma)) = (1+sigma)^{-gamma}
+                    (J(c) + int_0^sigma (1+s)^{gamma-1} (h(c(1+s)) - 1) ds).
+
+A point is flagged where the continued power of f' or of g/phi, or the
+continued B^{1/gamma}, differs from the principal one at z (by the sheet
+index, as in track_power); where Arg B jumps by pi or more between step
+ends; and where a step would fall below 1e-14 or the steps run out, which
+is what happens on a ray through a zero of a factor.
 """
 
 import math
@@ -42,68 +56,17 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .branchpow import _JUMP_LIMIT, principal_power, track_power
+from .branchpow import _JUMP_LIMIT, principal_power, sheet_crossed
 from .errors import ConvergenceError, DomainError, HypothesisViolation
 from .series import _IDENTITY
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    nodes_per_panel: int = 32
-    max_panels: int = 64
-    rel_tol: float = 1e-10
-    substitution_power: int | None = None
-
-    def __post_init__(self):
-        if self.nodes_per_panel < 2 or self.max_panels < 1:
-            raise ValueError("need >= 2 nodes per panel and >= 1 panel")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-
-    def power_for(self, gamma):
-        """Substitution exponent p with Re(p*gamma) >= 2 unless overridden."""
-        if self.substitution_power is not None:
-            if self.substitution_power < 1:
-                raise ValueError("substitution power must be >= 1")
-            return int(self.substitution_power)
-        return max(1, math.ceil(2.0 / complex(gamma).real))
 
 
 @dataclass(frozen=True)
 class OperatorResult:
     value: complex
     bracket: complex
-    panels_used: int
+    steps: int
     branch_crossing: bool
-
-
-@lru_cache(maxsize=32)
-def _gl_nodes(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-@lru_cache(maxsize=256)
-def _panel_rule(nodes_per_panel, n_panels):
-    """Composite GL nodes/weights on [0, 1] plus the panels' upper bounds.
-
-    Panels are graded geometrically toward 0 so the endpoint factor
-    s^{p gamma - 1} (algebraic decay with a log-oscillation for complex
-    gamma) is resolved spectrally on every panel; doubling the panel count
-    halves the innermost edge geometrically."""
-    x, w = _gl_nodes(nodes_per_panel)
-    edges = np.concatenate(
-        [[0.0], 2.0 ** -np.arange(n_panels - 1, -1, -1, dtype=float)]
-    )
-    s_parts = []
-    w_parts = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = (hi - lo) / 2.0
-        s_parts.append((x + 1.0) * half + lo)
-        w_parts.append(w * half)
-    s = np.concatenate(s_parts)
-    wts = np.concatenate(w_parts)
-    return s, wts, edges[1:]
 
 
 def _derivative_coeffs(s):
@@ -112,39 +75,20 @@ def _derivative_coeffs(s):
     return s.coefficients * n
 
 
-def _integrand_matrix(p, f, g, phi, u):
-    """h(u) on a (nodes, npoints) matrix of ray points, continuity-tracked
-    down each column from h(0) = 1.  Returns (h, crossing-per-column).
-
-    The log-powers of both factors are summed and exponentiated once."""
-    log_h = None
-    crossing = np.zeros(u.shape[1], dtype=bool)
-    flat = u.ravel()
-    for expo, deriv in ((p.alpha, True), (p.beta, False)):
-        if expo == 0:
-            continue
-        if deriv:
-            w = _kernels.polyval(_derivative_coeffs(f), flat)
-        else:
-            w = _kernels.polyval(g.coefficients, flat) / _kernels.polyval(phi.coefficients, flat)
-        if np.any(w == 0) or np.any(~np.isfinite(w)):
-            which = "f'" if deriv else "g/phi"
-            raise HypothesisViolation(f"{which} vanishes or blows up on the integration ray")
-        log_power, crossed, _ = track_power(w.reshape(u.shape), expo)
-        if log_h is None:
-            log_h = log_power
-        else:
-            log_h += log_power
-        crossing |= crossed
-    if log_h is None:
-        return np.ones(u.shape, dtype=np.complex128), crossing
-    return np.exp(log_h), crossing
-
-
 _SERIES_TERMS = 256  # Taylor terms of h a plan computes; bounds its cost
 _TAIL_TOL = 1e-16  # Cauchy bound asked of the tail of h beyond the kept terms
 _ARG_LIMIT = 1.0 - math.exp(-math.pi / 2.0)  # |B - 1| below it keeps |Arg B| < pi/2
-_ZERO_TOL = 1e-12  # a ray this close to a zero, relative to |z|, runs through it
+_MULTIPLIER_TERMS = 1 << 16  # the longest polynomial M a plan multiplies out
+
+_NODES = 12  # Gauss-Legendre nodes per continuation step
+_MAX_STEPS = 128  # continuation steps a ray may take before its point is flagged
+_SHIFT_TERMS = 16  # shifted coefficients a step certificate computes per factor
+_LADDER = 0.25 * 2.0 ** (-0.5 * np.arange(90))  # step sizes sigma, from 1/4 down to 1.1e-14
+
+
+def _natural(e):
+    """Whether the complex number e is a non-negative integer."""
+    return e.imag == 0 and e.real >= 0 and e.real == int(e.real)
 
 
 def _power_coeffs(p, c, n):
@@ -159,15 +103,6 @@ def _power_coeffs(p, c, n):
         top = min(k, pj.size)
         q[k] = ((cj[:top] - k * pj[:top]) @ q[k - top : k][::-1]) / k
     return q
-
-
-def _zeros(coeffs):
-    """Zeros of 1 + p_1 u + ..., each also as the mean of its cluster: a
-    k-fold zero comes back from np.roots as k roots about eps^(1/k) apart,
-    and their mean is accurate to rounding."""
-    roots = np.roots(coeffs[::-1])
-    near = np.abs(roots[:, None] - roots[None, :]) <= 1e-3 * (1.0 + np.abs(roots))[:, None]
-    return np.concatenate([roots, (near @ roots) / near.sum(axis=1)])
 
 
 def _eps(absp, r):
@@ -196,38 +131,53 @@ def _sup(ok, hi):
 
 
 class SeriesPlan(NamedTuple):
-    """Certified series evaluation of one problem (f, g, phi, alpha, beta,
-    gamma): h_0 .. h_N, S_n = h_n / (gamma + n) for n = 1 .. N, the radius
-    r_c up to which both are certified, and the zeros of the factors with a
-    non-integer exponent (see the module docstring).  A NamedTuple, since
-    defining a frozen dataclass costs about 1.7 ms of import time."""
+    """Certified evaluation of one problem (f, g, phi, alpha, beta, gamma):
+    h_0 .. h_N, S_n = h_n / (gamma + n) for n = 1 .. N, the radius r_c up
+    to which both are certified, the factors with an exponent that is not
+    a natural number as (coefficients, exponent, group, sign) with group 0
+    for f' and 1 for g/phi, and the polynomial M, the product of the other
+    factors (see the module docstring).  A NamedTuple, since defining a
+    frozen dataclass costs about 1.7 ms of import time."""
 
     h: np.ndarray
     s: np.ndarray
     radius: float
-    zeros: np.ndarray
+    factors: tuple
+    multiplier: np.ndarray
 
 
 @lru_cache(maxsize=256)
 def _series_plan(f, g, phi, alpha, beta, gamma):
-    # (coefficients [1, p_1, ...], exponent, group) of each nonconstant factor
-    factors = [(_derivative_coeffs(f), alpha, 0)]
+    # (coefficients [1, p_1, ...], exponent, group, sign) of each nonconstant factor
+    factors = [(_derivative_coeffs(f), alpha, 0, 1)]
     if g != phi:
-        factors += [(g.coefficients, beta, 1), (phi.coefficients, -beta, 1)]
-    factors = [(np.trim_zeros(c, "b"), e, grp) for c, e, grp in factors if e != 0]
-    factors = [(c, e, grp) for c, e, grp in factors if c.size > 1]
+        factors += [(g.coefficients, beta, 1, 1), (phi.coefficients, -beta, 1, -1)]
+    factors = [(np.trim_zeros(c, "b"), *rest) for c, *rest in factors if rest[0] != 0]
+    multiplier = np.ones(1, dtype=np.complex128)
+    powers = []
+    for coeffs, expo, grp, sign in factors:
+        if coeffs.size == 1:
+            continue
+        if _natural(expo) and multiplier.size + (coeffs.size - 1) * expo.real <= _MULTIPLIER_TERMS:
+            for _ in range(int(expo.real)):
+                multiplier = np.convolve(multiplier, coeffs)
+        else:
+            powers.append((coeffs, expo, grp, sign))
+    factors = tuple(powers)
+    if not factors:  # h = M: every term kept, nothing to truncate
+        n = np.arange(1, multiplier.size)
+        s = multiplier[1:] / (gamma + n)
+        radius = 1.0
+        if s.size and not _natural(1.0 / gamma):
+            radius = _sup(lambda r: abs(gamma) * (np.abs(s) @ r**n) < _ARG_LIMIT, 1.0)
+        return SeriesPlan(multiplier, s, radius, factors, multiplier)
     h = np.zeros(_SERIES_TERMS, dtype=np.complex128)
     h[0] = 1.0
-    zeros = [np.zeros(0, dtype=np.complex128)]
-    for coeffs, expo, _ in factors:
+    for coeffs, expo, _, _ in factors:
         h = np.convolve(h, _power_coeffs(coeffs, expo, _SERIES_TERMS))[:_SERIES_TERMS]
-        natural = expo.imag == 0 and expo.real >= 0 and expo.real == int(expo.real)
-        if coeffs.size < _kernels._BLOCKED_MIN_TERMS and not natural:
-            zeros.append(_zeros(coeffs))
-    zeros = np.concatenate(zeros)
-    if not factors:  # h = 1
-        return SeriesPlan(h[:1], h[1:1], 1.0, zeros)
-    absps = [(np.abs(c), abs(e), grp) for c, e, grp in factors]
+    if multiplier.size > 1:
+        h = np.convolve(h, multiplier)[:_SERIES_TERMS]
+    absps = [(np.abs(c), abs(e), grp) for c, e, grp, _ in factors]
 
     def r_arg_ok(r):  # L_{f'}(r) < pi and L_{g/z}(r) + L_{phi/z}(r) < pi
         logs = [0.0, 0.0]
@@ -242,9 +192,13 @@ def _series_plan(f, g, phi, alpha, beta, gamma):
     while top < 1024.0 and zero_free(top):  # Cauchy radii past 1024 gain nothing for |z| <= 1
         top *= 2.0
     # Cauchy radii where every eps < 1, crowded toward the largest, and there
-    # log M(rho) = sum |c| L_P(rho), the log of a bound on |h| on |u| = rho
+    # log M(rho) = sum |c| L_P(rho) (+ log sum |m_k| rho^k), the log of a
+    # bound on |h| on |u| = rho
     rho = _sup(zero_free, top) * (1.0 - np.geomspace(1.0, 1e-6, 200)[1:])
     log_m = sum(e * _log_bound(absp, rho) for absp, e, _ in absps)
+    if multiplier.size > 1:
+        with np.errstate(over="ignore"):
+            log_m = log_m + np.log(_kernels.polyval(np.abs(multiplier), rho).real)
     n = np.arange(1, _SERIES_TERMS)
     s = h[1:] / (gamma + n)
     terms = np.arange(_SERIES_TERMS)[:, None]  # keeping h_0 .. h_N: rows N = 0, 1, ...
@@ -261,144 +215,214 @@ def _series_plan(f, g, phi, alpha, beta, gamma):
 
     radius = _sup(lambda r: certified(r)[-1], _sup(r_arg_ok, 1.0))
     keep = int(np.argmax(certified(radius))) + 1
-    return SeriesPlan(h[:keep], s[: keep - 1], radius, zeros)
+    return SeriesPlan(h[:keep], s[: keep - 1], radius, factors, multiplier)
 
 
 def _log1p(w):
     """log(1 + w) for complex w, accurate for small |w| (numpy's complex
-    log1p rounds 1 + w first)."""
+    log1p rounds 1 + w first) and near w = -1, where log1p(|1 + w|^2 - 1)
+    would lose the digits of |1 + w|; that happens only outside every
+    certified disc of a problem with a branched factor, since there
+    |w| < _ARG_LIMIT."""
     x, y = w.real, w.imag
-    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+    small = np.abs(1.0 + w) < 1.0 - _ARG_LIMIT
+    modulus = np.where(small, np.log(np.hypot(1.0 + x, y)), 0.5 * np.log1p(x * (2.0 + x) + y * y))
+    return modulus + 1j * np.arctan2(y, 1.0 + x)
 
 
-def _series_values(plan, z, gamma):
-    """(F, B) at points with |z| <= plan.radius."""
-    b1 = gamma * z * _kernels.polyval(plan.s, z) if plan.s.size else np.zeros_like(z)
-    values = z * np.exp(_log1p(b1) / gamma)
-    bad = (z != 0) & ~((values != 0) & np.isfinite(values))
-    if np.any(bad):
-        raise ConvergenceError(
-            f"F({complex(z[bad][0])}) = {complex(values[bad][0])} is not a finite nonzero number"
-        )
-    return values, 1.0 + b1
+@lru_cache(maxsize=1)
+def _gauss():
+    """The _NODES-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(_NODES)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _through_zero(zeros, z):
-    """True where the segment [0, z] passes within _ZERO_TOL |z| of a zero."""
-    hit = np.zeros(z.shape, dtype=bool)
-    r2 = (z * z.conj()).real
-    for w in zeros:
-        t = np.clip((w * z.conj()).real / np.where(r2 > 0, r2, 1.0), 0.0, 1.0)
-        hit |= np.abs(w - t * z) <= _ZERO_TOL * np.abs(z)
-    return hit
+def _shift_rows(p, terms):
+    """Rows k = 0 .. terms of binom(j, k) p_j: evaluated at u = c, row k is
+    the k-th Taylor coefficient of P at c times c^k."""
+    rows = np.empty((terms + 1, p.size), dtype=p.dtype)
+    rows[0] = p
+    j = np.arange(p.size)
+    for k in range(1, terms + 1):
+        rows[k] = rows[k - 1] * (j - k + 1) / k
+    return rows
 
 
-_CHUNK = 4096
+def _descend(rung, bad):
+    """Move points down the ladder until bad(points, 2 sigma) holds for none
+    of them; points past the last rung drop out."""
+    while True:
+        live = np.flatnonzero(rung < _LADDER.size)
+        worse = bad(live, 2.0 * _LADDER[rung[live]])
+        if not worse.any():
+            return
+        rung[live[worse]] += 1
 
 
-def operator_grid(zs, p, f, g=None, phi=None, q=None):
-    """Vectorized operator evaluation over an array of disk points.
+def _walk(plan, z, gamma):
+    """Continue J = z^{-gamma} I along the rays r_c z/|z| -> z for points
+    with |z| > r_c (see the module docstring).  Returns (J, h, steps,
+    flagged): h is h(z) on the continued branches and steps the number of
+    steps each point took."""
+    x, w = _gauss()
+    powers = (2.0 * _LADDER[:, None]) ** np.arange(1, _SHIFT_TERMS + 1)  # (2 sigma)^k per rung
+    r = np.abs(z)
+    c = z * (plan.radius / r)
+    J = c * _kernels.polyval(plan.s, c) if plan.s.size else np.zeros_like(c)
+    track_b = not _natural(1.0 / gamma)  # else B^{1/gamma} has no branch
+    arg_b = np.angle(1.0 + gamma * J)
+    theta_b = arg_b.copy()
+    # per factor P: its shift rows k = 1 .. K, the majorant's (K+1)-th
+    # Taylor coefficient as a polynomial (None if P has no more terms),
+    # and P and log P at the centres, on the sheet of r_c z/|z|
+    rows, tails, pc, logp = [], [], [], []
+    for p, *_ in plan.factors:
+        k = min(p.size - 1, _SHIFT_TERMS)
+        shift = _shift_rows(p, k + 1)
+        rows.append(shift[1 : k + 1])
+        tails.append(np.abs(shift[k + 1, k + 1 :]) if p.size > k + 1 else None)
+        pc.append(_kernels.polyval(p, c))
+        logp.append(np.log(pc[-1]))
+    absm = np.abs(plan.multiplier) if plan.multiplier.size > 1 else None
+    steps = np.zeros(z.shape, dtype=int)
+    flagged = np.zeros(z.shape, dtype=bool)
+    idx = np.arange(z.size)  # the points still walking
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_STEPS):
+            cc = c[idx]
+            ac = np.abs(cc)
+            ok = np.ones((_LADDER.size, idx.size), dtype=bool)
+            eps = []
+            for shift, pcf in zip(rows, pc):
+                a = np.abs(_kernels._blocked_rows(shift, cc)) / np.abs(pcf[idx])
+                eps.append(powers[:, : a.shape[0]] @ a)
+                ok &= eps[-1] <= 0.5
+            rung = np.where(ok.any(axis=0), np.argmax(ok, axis=0), _LADDER.size)
+            for e, shift, tail, pcf in zip(eps, rows, tails, pc):
+                if tail is not None:  # add the Lagrange remainder of the majorant
+                    _descend(rung, lambda i, rho: e[rung[i], i] + (ac[i] * rho) ** (len(shift) + 1)
+                             * _kernels.polyval(tail, ac[i] * (1.0 + rho)).real / np.abs(pcf[idx[i]]) > 0.5)
+            if absm is not None:  # M may at most double its majorant
+                _descend(rung, lambda i, rho: _kernels.polyval(absm, ac[i] * (1.0 + rho)).real
+                         > 2.0 * _kernels.polyval(absm, ac[i]).real)
+            stalled = rung == _LADDER.size
+            flagged[idx[stalled]] = True
+            idx, cc, rung = idx[~stalled], cc[~stalled], rung[~stalled]
+            rest = r[idx] / np.abs(cc) - 1.0
+            last = _LADDER[rung] >= rest
+            sigma = np.where(last, rest, _LADDER[rung])
+            s = x[:, None] * sigma  # (nodes, points), then the step's end
+            u = np.vstack([cc * (1.0 + s), np.where(last, z[idx], cc * (1.0 + sigma))])
+            log_h = np.zeros(u.shape, dtype=np.complex128)
+            for (p, expo, *_), pcf, logf in zip(plan.factors, pc, logp):
+                pu = _kernels.polyval(p, u.ravel()).reshape(u.shape)
+                lu = logf[idx] + np.log(pu / pcf[idx])
+                log_h += expo * lu
+                pcf[idx], logf[idx] = pu[-1], lu[-1]
+            h = np.exp(log_h[:-1])
+            if absm is not None:
+                h *= _kernels.polyval(plan.multiplier, u[:-1].ravel()).reshape(s.shape)
+            dj = sigma * (w @ (np.exp((gamma - 1.0) * np.log1p(s)) * (h - 1.0)))
+            J[idx] = np.exp(-gamma * np.log1p(sigma)) * (J[idx] + dj)
+            c[idx] = u[-1]
+            steps[idx] += 1
+            if track_b:  # Arg B continued through the step ends
+                arg = np.angle(1.0 + gamma * J[idx])
+                d = arg - arg_b[idx]
+                d -= 2.0 * math.pi * np.rint(d / (2.0 * math.pi))
+                flagged[idx] |= np.abs(d) >= _JUMP_LIMIT
+                theta_b[idx] += d
+                arg_b[idx] = arg
+            idx = idx[~last]
+            if not idx.size:
+                break
+    flagged[idx] = True  # out of steps
+    # h(z), and the continued powers of f' and of g/phi and the continued
+    # root B^{1/gamma} against the principal ones at z
+    log_h = np.zeros_like(z)
+    theta = np.zeros((2,) + z.shape)
+    principal = np.ones((2,) + z.shape, dtype=np.complex128)
+    group_expo = [None, None]
+    for (_, expo, grp, sign), pcf, logf in zip(plan.factors, pc, logp):
+        log_h += expo * logf
+        theta[grp] += sign * logf.imag
+        principal[grp] *= pcf if sign > 0 else 1.0 / pcf
+        group_expo[grp] = expo * sign
+    for grp, expo in enumerate(group_expo):
+        if expo is not None:
+            k = np.rint((theta[grp] - np.angle(principal[grp])) / (2.0 * math.pi))
+            flagged |= sheet_crossed(k, expo)
+    if track_b:
+        k = np.rint((theta_b - np.angle(1.0 + gamma * J)) / (2.0 * math.pi))
+        flagged |= sheet_crossed(k, 1.0 / gamma)
+    h = np.exp(log_h)
+    if absm is not None:
+        h *= _kernels.polyval(plan.multiplier, z)
+    return J, h, steps, flagged
 
-    Returns (values, brackets, panels_used, crossing flags).  Points inside
-    the plan's certified radius take the series path; the rest are
-    processed by quadrature in chunks sharing one panel count, where
-    doubling stops when every bracket in the chunk is stable to rel_tol.
-    panels_used is the largest panel count of a chunk, 0 if none ran."""
-    g = g or _IDENTITY
-    phi = phi or _IDENTITY
-    q = q or QuadratureConfig()
+
+def _evaluate(z, p, f, g, phi):
+    """B - 1, h, the continuation step counts and the crossing flags at a
+    1-d array of points; h is set only at the points past the plan's r_c."""
     if p.gamma.real <= 0:
         raise HypothesisViolation("operator evaluation requires Re gamma > 0")
-    zs = np.asarray(zs, dtype=np.complex128)
-    shape = zs.shape
-    zflat = zs.ravel()
-    if zflat.size and np.abs(zflat).max() >= 1.0:
+    if z.size and np.abs(z).max() >= 1.0:
         raise DomainError("operator is defined for |z| < 1")
-
     plan = _series_plan(f, g, phi, p.alpha, p.beta, p.gamma)
-    near = np.abs(zflat) <= plan.radius
-    values = np.empty_like(zflat)
-    brackets = np.empty_like(zflat)
-    crossing = np.zeros(zflat.shape, dtype=bool)
-    values[near], brackets[near] = _series_values(plan, zflat[near], p.gamma)
-    far = np.flatnonzero(~near)
-    panels = 0
-    for lo in range(0, far.size, _CHUNK):
-        idx = far[lo : lo + _CHUNK]
-        v, b, n, c = _grid_chunk(zflat[idx], p, f, g, phi, q)
-        values[idx] = v
-        brackets[idx] = b
-        crossing[idx] = c | _through_zero(plan.zeros, zflat[idx])
-        panels = max(panels, n)
+    near = np.abs(z) <= plan.radius
+    b1 = np.empty_like(z)
+    h = np.empty_like(z)
+    steps = np.zeros(z.shape, dtype=int)
+    crossing = np.zeros(z.shape, dtype=bool)
+    zn = z[near]
+    b1[near] = p.gamma * zn * _kernels.polyval(plan.s, zn) if plan.s.size else 0.0
+    if not near.all():
+        far = ~near
+        J, h[far], steps[far], crossing[far] = _walk(plan, z[far], p.gamma)
+        b1[far] = p.gamma * J
+    return b1, h, steps, crossing
+
+
+def _root(z, b1, gamma, flagged):
+    """F = z exp(log1p(B - 1) / gamma).  Raises ConvergenceError where an
+    unflagged F at z != 0 is not finite or has underflowed to 0, unless
+    B = 0, where F = 0 on every branch since Re(1/gamma) > 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = z * np.exp(_log1p(b1) / gamma)
+    zero = b1 == -1.0
+    values[zero] = 0.0
+    bad = (z != 0) & ~zero & ~flagged & ~((values != 0) & np.isfinite(values))
+    if np.any(bad):
+        raise ConvergenceError(
+            f"F({complex(z[bad][0])}) = {complex(values[bad][0])} is not a finite nonzero number "
+            f"(bracket {complex(1.0 + b1[bad][0])}, 1/gamma = {1.0 / gamma})"
+        )
+    return values
+
+
+def operator_grid(zs, p, f, g=None, phi=None):
+    """Vectorized operator evaluation over an array of disk points.
+
+    Returns (values, brackets, steps, crossing flags).  Points inside the
+    plan's certified radius take the series path; the rest are continued
+    step by step along their rays.  steps is the largest step count of a
+    point, 0 when every point is certified."""
+    zs = np.asarray(zs, dtype=np.complex128)
+    zflat = zs.ravel()
+    b1, _, steps, crossing = _evaluate(zflat, p, f, g or _IDENTITY, phi or _IDENTITY)
+    values = _root(zflat, b1, p.gamma, crossing)
     return (
-        values.reshape(shape),
-        brackets.reshape(shape),
-        panels,
-        crossing.reshape(shape),
+        values.reshape(zs.shape),
+        (1.0 + b1).reshape(zs.shape),
+        int(steps.max(initial=0)),
+        crossing.reshape(zs.shape),
     )
 
 
-def _grid_chunk(zflat, p, f, g, phi, q):
-    pw = q.power_for(p.gamma)
-    pg = pw * p.gamma
-    npp = q.nodes_per_panel
-    prev = None
-    n_panels = 1
-    while n_panels <= q.max_panels:
-        s, wts, bounds = _panel_rule(npp, n_panels)
-        u = (s**pw)[:, None] * zflat[None, :]
-        h, crossing = _integrand_matrix(p, f, g, phi, u)
-        weights = (wts * pw * p.gamma * s ** (pg - 1.0)).reshape(n_panels, 1, npp)
-        # one (1 x npp) @ (npp x points) product per panel
-        panel_sums = np.matmul(weights, h.reshape(n_panels, npp, -1))[:, 0, :]
-        brackets = panel_sums.sum(axis=0)
-        if prev is not None:
-            delta = np.abs(brackets - prev)
-            if np.all(delta <= q.rel_tol * np.maximum(np.abs(brackets), 1e-300)):
-                break
-        prev = brackets
-        n_panels *= 2
-    else:
-        raise ConvergenceError(
-            f"quadrature did not converge within {q.max_panels} panels"
-        )
-
-    # the bracket path tau^{-gamma} int_0^tau, tau = bound**pw, through the
-    # panel bounds; the power is taken in logs since bound**pw underflows
-    # once pw is in the thousands
-    partials = np.cumsum(panel_sums, axis=0)
-    paths = np.vstack(
-        [np.ones(zflat.size), np.exp(-p.gamma * pw * np.log(bounds))[:, None] * partials]
-    )
-    zero_path = np.any(paths == 0, axis=0)
-    safe = np.where(zero_path[None, :], 1.0 + 0.0j, paths)
-    _, root_jump, max_step = track_power(safe, 1.0 / p.gamma)
-    undersampled = max_step >= _JUMP_LIMIT
-    nz = zflat != 0
-    crossing |= (zero_path | undersampled | root_jump) & nz
-    values = np.zeros_like(zflat)
-    ok = nz & (brackets != 0)
-    values[ok] = zflat[ok] * np.exp(np.log(brackets[ok]) / p.gamma)
-    crossing |= nz & (brackets == 0)
-    lost = nz & ~crossing & ~((values != 0) & np.isfinite(values))
-    if np.any(lost):
-        z = complex(zflat[lost][0])
-        raise ConvergenceError(
-            f"F({z}) = {complex(values[lost][0])} is not a finite nonzero number "
-            f"(bracket {complex(brackets[lost][0])}, 1/gamma = {1.0 / p.gamma})"
-        )
-    brackets = np.where(nz, brackets, 1.0 + 0.0j)
-    return values, brackets, n_panels, crossing
-
-
-def operator_eval(z, p, f, g=None, phi=None, q=None):
+def operator_eval(z, p, f, g=None, phi=None):
     """F(z) at a single point; see operator_grid for the machinery."""
-    values, brackets, panels, crossing = operator_grid(
-        np.array([complex(z)]), p, f, g, phi, q
-    )
-    return OperatorResult(
-        complex(values[0]), complex(brackets[0]), panels, bool(crossing[0])
-    )
+    values, brackets, steps, crossing = operator_grid(np.array([complex(z)]), p, f, g, phi)
+    return OperatorResult(complex(values[0]), complex(brackets[0]), steps, bool(crossing[0]))
 
 
 def hyp2f1(a, b, c, w, max_terms=100_000):

@@ -228,14 +228,14 @@ def test_criterion_8_oracle_consistency(capsys, rng):
             detail.append(f"{name}: criterion unexpectedly failed")
             continue
         zs = polar_samples(200, 200, 0.99)
-        values, _, _, crossing = operator_grid(zs, spec.params, spec.f, spec.g, spec.phi, spec.quad)
+        values, _, _, crossing = operator_grid(zs, spec.params, spec.f, spec.g, spec.phi)
         keep = ~crossing
         cloud = SampleCloud(zs[keep], values[keep], 0.99)
         if injectivity_scan(cloud) is not None:
             ok = False
             detail.append(f"{name}: collision found")
         circle = 0.99 * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 2049))
-        curve, _, _, _ = operator_grid(circle, spec.params, spec.f, spec.g, spec.phi, spec.quad)
+        curve, _, _, _ = operator_grid(circle, spec.params, spec.f, spec.g, spec.phi)
         curve[-1] = curve[0]
         inner = cloud.values[np.abs(cloud.z) <= 0.495]
         targets = rng.choice(inner, size=50, replace=False)

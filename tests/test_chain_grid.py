@@ -18,7 +18,6 @@ from univalence_lab import (
     subordination_probe,
     transfer_functions,
 )
-from univalence_lab import chain
 from univalence_lab.chain import _transfer_from_G, chain_grid, transfer_grid
 from univalence_lab.errors import (
     BranchCrossingError,
@@ -96,7 +95,7 @@ class TestAgainstWrappers:
 
     def test_larger_than_one_batch(self, f_quarter, g_half, identity, rng):
         p = _params(0.5 + 0.5j, 2.0, 0.7)
-        n = 2 * chain._BATCH + 5
+        n = 133
         z = 0.95 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
         t = rng.uniform(0.0, 2.0, size=n)
         values, _ = chain_grid(z, t, p, f_quarter, g_half, identity)

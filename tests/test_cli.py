@@ -97,7 +97,6 @@ class TestParseConfig:
             assert again.f == spec.f and again.g == spec.g and again.phi == spec.phi
             assert again.params == spec.params
             assert again.grid == spec.grid
-            assert again.quad == spec.quad
             assert again.variant == spec.variant
 
 
@@ -309,12 +308,29 @@ class TestEndToEnd:
         assert capsys.readouterr().out == "0.5+0i\n"
 
     def test_underflowed_value_exits_70(self, write_config, capsys):
-        # f' = 1 + 4u is not certified at |z| = 0.5; on the quadrature
-        # fallback F = z B^(1/gamma) with 1/gamma = 1e300 is not representable
-        cfg = write_config({"f": {"coefficients": [1, 2]}, "params": {"gamma": 1e-300}})
-        assert main(["eval", cfg, "--z", "0.5"]) == 70
+        # f = z + 1000 z^2: F -> z e^(2000 z) as gamma -> 0, which underflows
+        # to 0 at z = -0.9
+        cfg = write_config({"f": {"coefficients": [1, 1000]}, "params": {"gamma": 1e-300}})
+        assert main(["eval", cfg, "--z", "-0.9"]) == 70
         captured = capsys.readouterr()
         assert captured.out == "" and "numerical failure" in captured.err
+
+    def test_subnormal_coefficient(self, write_config, capsys):
+        cfg = write_config({"f": {"coefficients": [1, 5e-324]}, "params": {"alpha": [0.5, 0]}})
+        assert main(["eval", cfg, "--z", "0.5"]) == 0
+        assert capsys.readouterr().out == "0.5+0i\n"
+
+    def test_quad_section_rejected(self, write_config, capsys):
+        assert main(["eval", write_config({"quad": {"max_panels": 8}}), "--z", "0.5"]) == 64
+        assert "unknown keys ['quad']" in capsys.readouterr().err
+
+    def test_oracle_refuses_a_flagged_curve(self, write_config, capsys):
+        # the continued (f')^(1/2) = 1 + 1.5 u parts from the principal one on
+        # the boundary curve, so the covering count would rest on invalid values
+        cfg = write_config({"f": {"coefficients": [1.0, 1.5, 0.75]}, "params": {"alpha": 0.5}})
+        assert main(["oracle", cfg, "--nr", "40", "--ntheta", "40"]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == "" and "boundary curve points flagged" in captured.err
 
     def test_extend_flagged_column(self, write_config, tmp_path, capsys):
         # the continued (f')^(1/2) with f' = (1 + 1.5 z)^2 is 1 + 1.5 u and
@@ -340,6 +356,7 @@ class TestEndToEnd:
         doc = json.loads(capsys.readouterr().out)
         assert doc["collision"] is None
         assert doc["covered_once"] is True
+        assert doc["samples"] == 400 and doc["flagged"] == 0
 
     def test_run_command_unknown(self):
         spec = parse_config({})

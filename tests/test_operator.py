@@ -1,4 +1,4 @@
-"""Integral operator quadrature and its hypergeometric oracle."""
+"""Integral operator values, hypotheses and its hypergeometric oracle."""
 
 import cmath
 import math
@@ -8,7 +8,6 @@ import pytest
 
 from univalence_lab import (
     ParameterSet,
-    QuadratureConfig,
     catalog_build,
     example31_closed_form,
     hyp2f1,
@@ -118,30 +117,6 @@ class TestGammaOneOracle:
             assert res.value == pytest.approx(oracle, rel=1e-9)
 
 
-class TestPanelConsistency:
-    def test_a_posteriori(self, f_quarter, g_half, identity):
-        p = ParameterSet(alpha=0.5, beta=0.5, gamma=1.2 + 0.5j)
-        loose = QuadratureConfig(rel_tol=1e-8)
-        tight = QuadratureConfig(rel_tol=1e-10)
-        for z in (0.8, 0.5 + 0.4j):
-            a = operator_eval(z, p, f_quarter, g_half, identity, loose)
-            b = operator_eval(z, p, f_quarter, g_half, identity, tight)
-            assert abs(a.bracket - b.bracket) <= 1e-8 * abs(b.bracket)
-
-    def test_substitution_power(self):
-        assert QuadratureConfig().power_for(1.0) == 2
-        assert QuadratureConfig().power_for(0.5 + 0.8j) == 4
-        assert QuadratureConfig(substitution_power=3).power_for(1.0) == 3
-        with pytest.raises(ValueError):
-            QuadratureConfig(substitution_power=0).power_for(1.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(nodes_per_panel=1)
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0)
-
-
 class TestDomainAndHypotheses:
     def test_gamma_nonpositive_real(self, identity):
         with pytest.raises(HypothesisViolation):
@@ -152,26 +127,23 @@ class TestDomainAndHypotheses:
             operator_eval(1.0, ParameterSet(), identity)
 
     def test_vanishing_on_ray(self, f_quarter, identity):
-        # a node of the integration ray hitting a zero of g/phi aborts
-        from univalence_lab.operator import _integrand_matrix
-
-        g = SeriesFunction(np.array([1.0, -2.0]))  # g(1/2) = 0
-        p = ParameterSet(alpha=0.0, beta=1.0, gamma=1.0)
-        ray = np.linspace(0.0, 0.9, 10)[1:].astype(complex).reshape(-1, 1)
-        ray[4, 0] = 0.5  # plant the zero on a node
-        with pytest.raises(HypothesisViolation):
-            _integrand_matrix(p, f_quarter, g, identity, ray)
+        # g/phi = 1 - 2u vanishes at 1/2: the continuation cannot step past
+        # that zero of (g/phi)^(1/2), so the rays through it are flagged
+        g = SeriesFunction(np.array([1.0, -2.0]))
+        p = ParameterSet(alpha=0.0, beta=0.5, gamma=1.0)
+        _, _, _, crossing = operator_grid(np.array([0.5, 0.9, 0.9j, 0.4]), p, f_quarter, g, identity)
+        assert crossing.tolist() == [True, True, False, False]
 
     def test_vanishing_derivative_on_ray(self, identity):
-        # f'(-1/2) = 0: the derivative factor vanishes at an exact node
-        from univalence_lab.operator import _integrand_matrix
-
+        # f'(-1/2) = 0 for f = z + z^2: (f')^(1/2) is flagged past the zero,
+        # while f' itself is a polynomial, exact through it (F = f at gamma = 1)
         f = SeriesFunction(np.array([1.0, 1.0]))
-        p = ParameterSet(alpha=1.0, beta=0.0, gamma=1.0)
-        ray = np.linspace(0.0, -0.9, 10)[1:].astype(complex).reshape(-1, 1)
-        ray[4, 0] = -0.5
-        with pytest.raises(HypothesisViolation):
-            _integrand_matrix(p, f, identity, identity, ray)
+        z = np.array([-0.9, -0.5, -0.3])
+        _, _, _, crossing = operator_grid(z, ParameterSet(alpha=0.5), f, identity, identity)
+        assert crossing.tolist() == [True, True, False]
+        values, _, _, crossing = operator_grid(z, ParameterSet(alpha=1.0), f, identity, identity)
+        assert not crossing.any()
+        assert np.allclose(values, z + z**2, rtol=1e-14, atol=0)
 
     def test_grid_shape_and_chunking(self, identity):
         zs = random_disk_points(np.random.default_rng(7), 5000, 0.9).reshape(100, 50)

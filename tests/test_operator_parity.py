@@ -14,10 +14,10 @@ from univalence_lab.oracle import polar_samples
 from univalence_lab.series import SeriesFunction
 
 # operator_grid on the `eval` command's default grid (16 radii x 64 angles
-# up to |z| = 0.9): (panels, values, brackets) at PIN_INDEX, one point per
+# up to |z| = 0.9): (steps, values, brackets) at PIN_INDEX, one point per
 # radius at angles 0, 4, ..., 60.  The values and brackets were recorded
-# from the quadrature; panels is the quadrature's panel count, 0 where the
-# series path certifies every point of the grid.
+# from a Gauss-Legendre quadrature; steps is the largest continuation step
+# count, 0 where the series path certifies every point of the grid.
 PIN_INDEX = np.arange(16) * 64 + np.arange(16) * 4
 PINS = {
     'example31': (
@@ -67,7 +67,7 @@ PINS = {
         ],
     ),
     'koebe_cor32': (
-        4,
+        0,
         [
             (0.06315512477522917+0j), (0.12342492598772727+0.06563002856286118j),
             (0.10542819005362761+0.18583049689033418j), (-0.013980019992287027+0.25576065808490644j),
@@ -152,9 +152,9 @@ EXAMPLE31_GAMMAS = {
 
 
 def _assert_pinned(result, gamma, key):
-    values, brackets, panels, crossing = result
-    want_panels, want_values, want_brackets = PINS[key]
-    assert panels == want_panels
+    values, brackets, steps, crossing = result
+    want_steps, want_values, want_brackets = PINS[key]
+    assert steps == want_steps
     assert not crossing.any()
     # F = z B^(1/gamma) carries the bracket's relative error times |1/gamma|
     rel = 1e-14 * max(1.0, abs(1.0 / gamma))
@@ -167,7 +167,7 @@ def _assert_pinned(result, gamma, key):
 def test_bundled_configs_match_pins(name):
     spec = parse_config(bundled_configs()[name])
     zs = polar_samples(16, 64, 0.9)
-    result = operator_grid(zs, spec.params, spec.f, spec.g, spec.phi, spec.quad)
+    result = operator_grid(zs, spec.params, spec.f, spec.g, spec.phi)
     _assert_pinned(result, spec.params.gamma, CONFIG_PINS[name])
 
 
@@ -206,13 +206,18 @@ class TestCrossingFlags:
         assert np.flatnonzero(crossing).tolist() == [7, 8, 9]
 
     def test_bracket_path_through_the_cut_is_undersampled(self):
-        # f' = 1 + 4u: the bracket path 1 - 1.8 tau at z = -0.9 turns from
-        # positive to negative between two panel bounds, a step of pi that
-        # does not fix the sheet; at z = -0.3 it stays positive
+        # f' = 1 + 4u: at gamma = 0.9 the bracket path 1 + (3.6 / 1.9) u at
+        # z = -0.9 turns from positive to negative between two step ends, a
+        # step of pi that does not fix the sheet of B^(1/0.9); at z = -0.3
+        # it stays positive.  At gamma = 1, B^(1/gamma) = B has no branch.
         f = SeriesFunction(np.array([1.0, 2.0]))
-        values, _, _, crossing = operator_grid(np.array([-0.9, -0.3]), ParameterSet(), f)
+        z = np.array([-0.9, -0.3])
+        values, _, _, crossing = operator_grid(z, ParameterSet(gamma=0.9), f)
         assert crossing.tolist() == [True, False]
-        assert values[1] == pytest.approx(-0.3 * (1.0 - 0.6), rel=1e-13)
+        assert values[1] == pytest.approx(-0.3 * (1.0 - 1.08 / 1.9) ** (1.0 / 0.9), rel=1e-13)
+        values, _, _, crossing = operator_grid(z, ParameterSet(), f)
+        assert not crossing.any()
+        assert values == pytest.approx(z * (1.0 + 2.0 * z), rel=1e-14)
 
 
 class TestTinyGamma:
@@ -237,9 +242,8 @@ class TestTinyGamma:
         assert brackets[0] == 1.0 and panels == 0 and not crossing[0]
 
     def test_underflowed_value_raises(self):
-        # f' = 1 + 4u: eps_f'(0.5) = 2, so z = 0.5 falls back to the
-        # quadrature, where F = z B^(1/gamma) with 1/gamma = 1e300 cannot be
-        # represented
-        f = SeriesFunction(np.array([1.0, 2.0]))
+        # f = z + 1000 z^2: h = 1 + 2000 u, so F -> z e^(2000 z) as gamma -> 0,
+        # which underflows to 0 at z = -0.9
+        f = SeriesFunction(np.array([1.0, 1000.0]))
         with pytest.raises(ConvergenceError, match="not a finite nonzero number"):
-            operator_grid(np.array([0.5]), ParameterSet(gamma=1e-300), f)
+            operator_grid(np.array([-0.9]), ParameterSet(gamma=1e-300), f)

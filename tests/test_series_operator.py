@@ -1,28 +1,31 @@
-"""The series path of the operator: Miller's power recurrence, the
-certificates that route a point to it, and its values against exact
-brackets and against the quadrature it replaces."""
+"""The operator's two stages: Miller's power recurrence, the certificates
+that route a point to the series, exact brackets, and an independent
+mpmath reference on and off the certified disc."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from univalence_lab import ParameterSet, QuadratureConfig, catalog_build, operator_grid
+from univalence_lab import ParameterSet, catalog_build, operator_grid
 from univalence_lab.chain import chain_grid
-from univalence_lab.operator import _grid_chunk, _power_coeffs, _series_plan, _through_zero
+from univalence_lab.operator import _ARG_LIMIT, _power_coeffs, _series_plan
+from univalence_lab.oracle import polar_samples
 from univalence_lab.series import SeriesFunction
+
+
+def _log1p(w):
+    """log1p(w) in real arithmetic, accurate for small |w|."""
+    return 0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2) + 1j * np.arctan2(w.imag, 1.0 + w.real)
 
 
 def example31_exact(z, gamma):
     """F on example31 with alpha + beta = 1: h = 1 + u/2, so the bracket is
     exactly 1 + gamma z / (2 (gamma + 1))."""
-    w = gamma * z / (2.0 * (gamma + 1.0))
-    # log1p(w) in real arithmetic, accurate for small |w|
-    log1p = 0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2) + 1j * np.arctan2(w.imag, 1.0 + w.real)
-    return z * np.exp(log1p / gamma)
+    return z * np.exp(_log1p(gamma * z / (2.0 * (gamma + 1.0))) / gamma)
 
 
 class TestMillerRecurrence:
@@ -64,20 +67,15 @@ class TestPlan:
         # f' = 1 + 4u: eps = 4r, and L < pi needs 4r < 1 - e^-pi
         f = SeriesFunction(np.array([1.0, 2.0]))
         identity = catalog_build("identity")
-        plan = _series_plan(f, identity, identity, 1.0 + 0j, 0j, 1.0 + 0j)
+        plan = _series_plan(f, identity, identity, 0.5 + 0j, 0j, 1.0 + 0j)
         assert 0.0 < plan.radius < (1.0 - math.exp(-math.pi)) / 4.0
-
-    def test_zeros_of_fractional_factors_only(self, identity):
-        f = SeriesFunction(np.array([1.0, 1.5, 0.75]))  # f' = (1 + 1.5u)^2
-        fractional = _series_plan(f, identity, identity, 0.5 + 0j, 0j, 1.0 + 0j)
-        assert np.min(np.abs(fractional.zeros + 2.0 / 3.0)) < 1e-15
-        integer = _series_plan(f, identity, identity, 2.0 + 0j, 0j, 1.0 + 0j)
-        assert integer.zeros.size == 0
-
-    def test_through_zero(self):
-        zeros = np.array([-2.0 / 3.0 + 0j])
-        z = np.array([-0.9, -0.9 + 1e-14j, -0.9 + 1e-3j, -0.5, 0.0, -2.0 / 3.0])
-        assert _through_zero(zeros, z).tolist() == [True, True, False, False, False, True]
+        # at alpha = 1, h = f' is an exact polynomial: only |Arg B| < pi/2,
+        # |gamma| |S_1| r < 1 - e^(-pi/2) with S_1 = 4 / (gamma + 1), limits r_c
+        plan = _series_plan(f, identity, identity, 1.0 + 0j, 0j, 0.7 + 0j)
+        assert plan.h.tolist() == [1.0, 4.0] and not plan.factors
+        assert plan.radius == pytest.approx(_ARG_LIMIT * 1.7 / 2.8, rel=1e-12)
+        # and at gamma = 1, B^(1/gamma) = B has no branch: the whole disk
+        assert _series_plan(f, identity, identity, 1.0 + 0j, 0j, 1.0 + 0j).radius == 1.0
 
 
 class TestRayThroughZero:
@@ -123,12 +121,77 @@ class TestSeriesValues:
         assert np.all(np.abs(values - want) <= 1e-14 * np.abs(want))
 
 
+class TestNaturalExponents:
+    """f = z + 2z^2 at alpha = 1: h = f' = 1 + 4u is a polynomial, so the
+    bracket is exactly B = 1 + 4 gamma z / (gamma + 1) on the whole disk."""
+
+    F = SeriesFunction(np.array([1.0, 2.0]))
+    Z = polar_samples(16, 64, 0.9)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1e-8, 1e-14, 0.01 + 1j])
+    def test_exact_bracket_on_the_disk(self, gamma):
+        values, brackets, _, crossing = operator_grid(self.Z, ParameterSet(gamma=gamma), self.F)
+        b1 = 4.0 * gamma * self.Z / (gamma + 1.0)
+        # log(1 + b1) without cancellation for small |b1| and next to -1
+        log_b = np.where(np.abs(1.0 + b1) < 0.5, np.log(1.0 + b1), _log1p(b1))
+        want = self.Z * np.exp(log_b / gamma)
+        # F = z B^(1/gamma) carries the relative error of B - 1 times
+        # |B - 1| / |gamma B|, which is large only next to a zero of B
+        cond = 1.0 + np.abs(b1) / np.abs(gamma * (1.0 + b1))
+        ok = np.abs(values - want) <= 1e-14 * cond * np.abs(want)
+        assert np.all(ok | crossing)
+        assert crossing.sum() <= 0.05 * crossing.size
+
+    @pytest.mark.parametrize("gamma", [1.0, 1e-8])
+    def test_no_flag_and_no_step(self, gamma):
+        # r_c = 1: at gamma = 1 since B^(1/gamma) = B has no branch, at
+        # gamma = 1e-8 since |gamma (B - 1)| stays tiny
+        _, _, steps, crossing = operator_grid(self.Z, ParameterSet(gamma=gamma), self.F)
+        assert steps == 0 and not crossing.any()
+
+    def test_the_zero_of_the_bracket(self):
+        # F = f at gamma = 1, and f(-1/2) = 0 although B = 0 there; next to
+        # that zero F keeps the relative accuracy of B
+        z = np.array([-0.5, -0.9, -0.5 + 1e-5, -0.5 + 1e-5j])
+        values, brackets, _, crossing = operator_grid(z, ParameterSet(), self.F)
+        assert values[0] == 0.0 and brackets[0] == 0.0
+        assert np.allclose(values[1:], z[1:] * (1.0 + 2.0 * z[1:]), rtol=1e-13, atol=0)
+        assert not crossing.any()
+
+
+def mpmath_operator(f, g, phi, alpha, beta, gamma, z):
+    """F(z) to 20 digits with h continued along the ray: each polynomial
+    factor P = prod (1 - u / w_k) over its zeros w_k has the continuous
+    log P(tz) = sum Log(1 - tz / w_k) on t in [0, 1], since each 1 - tz / w_k
+    runs on a line from 1 that misses 0; F takes the principal root of B."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 20
+    parts = [(f.coefficients * np.arange(1, f.degree + 1), alpha)]
+    if g != phi:
+        parts += [(g.coefficients, beta), (phi.coefficients, -beta)]
+    logs = []
+    for coeffs, expo in parts:
+        # terms below 1e-20 change P by less than 4e-20 on the disk, but
+        # would put a root near infinity
+        c = coeffs[: 1 + np.flatnonzero(np.abs(coeffs) >= 1e-20).max()]
+        if c.size > 1 and expo != 0:
+            roots = mp.polyroots([mp.mpc(complex(x)) for x in c[::-1]], maxsteps=200, extraprec=200)
+            logs.append((roots, mp.mpc(expo)))
+    z, gamma = mp.mpc(complex(z)), mp.mpc(complex(gamma))
+
+    def h_minus_1(t):
+        return mp.expm1(sum(e * mp.log(1 - t * z / w) for roots, e in logs for w in roots))
+
+    j = mp.quad(lambda t: t ** (gamma - 1) * h_minus_1(t), [0, 1])
+    return complex(z * mp.exp(mp.log1p(gamma * j) / gamma))
+
+
 coefficient = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 series = st.lists(coefficient, min_size=1, max_size=3).map(lambda c: SeriesFunction(np.array([1.0, *c])))
 exponent = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     f=series,
     g=series,
@@ -139,18 +202,49 @@ exponent = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity
     im_gamma=st.floats(-3.0, 3.0),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(  # a subnormal coefficient once made the zero finder raise LinAlgError
+    f=SeriesFunction(np.array([1.0, 5e-324])),
+    g=SeriesFunction(np.array([1.0, 0j])),
+    phi=SeriesFunction(np.array([1.0, 0j])),
+    alpha=0.5 + 0j,
+    beta=0j,
+    re_gamma=1.0,
+    im_gamma=0.0,
+    seed=0,
+)
 def test_certificate_is_sound(f, g, phi, alpha, beta, re_gamma, im_gamma, seed):
-    """Wherever the plan certifies a point, the quadrature agrees with the
-    series and does not flag it.  The quadrature runs at rel_tol 1e-13:
-    at the default 1e-10 its own error reaches 1.5e-12 (identity at
-    gamma = 3.25, where the series is exact)."""
+    """Wherever the plan certifies a point, the series is unflagged and
+    agrees with the mpmath reference."""
     p = ParameterSet(alpha=alpha, beta=beta, gamma=complex(re_gamma, im_gamma))
     plan = _series_plan(f, g, phi, p.alpha, p.beta, p.gamma)
     rng = np.random.default_rng(seed)
-    r = min(plan.radius, 0.999) * np.sqrt(rng.uniform(size=8))
-    z = r * np.exp(2j * np.pi * rng.uniform(size=8))
-    values, _, panels, crossing = operator_grid(z, p, f, g, phi)
-    assert panels == 0 and not crossing.any()
-    quad, _, _, quad_crossing = _grid_chunk(z, p, f, g, phi, QuadratureConfig(rel_tol=1e-13))
-    assert not quad_crossing.any()
-    assert np.all(np.abs(values - quad) <= 1e-12 * np.abs(quad))
+    r = min(plan.radius, 0.999) * np.sqrt(rng.uniform(size=2))
+    z = r * np.exp(2j * np.pi * rng.uniform(size=2))
+    values, _, steps, crossing = operator_grid(z, p, f, g, phi)
+    assert steps == 0 and not crossing.any()
+    want = np.array([mpmath_operator(f, g, phi, p.alpha, p.beta, p.gamma, zz) for zz in z])
+    assert np.all(np.abs(values - want) <= 1e-12 * np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    f=series,
+    g=series,
+    alpha=exponent,
+    beta=exponent,
+    re_gamma=st.floats(1e-4, 4.0),
+    im_gamma=st.floats(-5.0, 5.0),
+    r=st.floats(0.0, 0.95),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_continuation_is_accurate_or_flagged(f, g, alpha, beta, re_gamma, im_gamma, r, theta):
+    """Past the certified radius every point is within 1e-12 of the mpmath
+    reference, or flagged."""
+    identity = catalog_build("identity")
+    p = ParameterSet(alpha=alpha, beta=beta, gamma=complex(re_gamma, im_gamma))
+    plan = _series_plan(f, g, identity, p.alpha, p.beta, p.gamma)
+    z = max(r, min(plan.radius * 1.01, 0.95)) * np.exp(1j * theta)
+    values, _, _, crossing = operator_grid(np.array([z]), p, f, g)
+    if not crossing[0]:
+        want = mpmath_operator(f, g, identity, p.alpha, p.beta, p.gamma, z)
+        assert abs(values[0] - want) <= 1e-12 * abs(want)
