@@ -42,7 +42,7 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(0)
-    print(f"backend {_kernels.backend_name()}, numpy {np.__version__}")
+    print(f"numpy {np.__version__}")
     print(f"{'degree':>6} {'points':>7}  {'polyval012':>12}  {'polyval':>12}")
     for degree, npts in CASES:
         coeffs, z = _inputs(degree, npts, rng)

@@ -2,8 +2,6 @@
 operator, the associated subordination chains, and quasiconformal
 extension constants, with independent oracles for every checkable claim."""
 
-from ._kernels import backend_name
-from .branchpow import BranchedPath, continuous_power_along_path, principal_power
 from .chain import (
     ChainPoint,
     chain_eval,
@@ -39,6 +37,7 @@ from .operator import (
     hyp2f1,
     operator_eval,
     operator_grid,
+    principal_power,
 )
 from .oracle import (
     SampleCloud,
@@ -60,7 +59,6 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchedPath",
     "BeltramiSample",
     "ChainPoint",
     "CriterionReport",
@@ -71,7 +69,6 @@ __all__ = [
     "SampleCloud",
     "SeriesFunction",
     "argument_principle_check",
-    "backend_name",
     "becker_extend",
     "beltrami_estimate",
     "beltrami_grid",
@@ -80,7 +77,6 @@ __all__ = [
     "chain_eval",
     "chain_grid",
     "chain_point",
-    "continuous_power_along_path",
     "criterion_check",
     "criterion_terms",
     "criterion_value",

@@ -18,10 +18,6 @@ _BLOCKED_MIN_TERMS = 64
 _CHUNK_BYTES = 1 << 20
 
 
-def backend_name():
-    return "numpy"
-
-
 def _blocked_rows(rows, z):
     """sum_k rows[j, k] z^k for every row j at every point of the 1-d z.
 

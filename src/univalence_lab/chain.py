@@ -11,7 +11,11 @@ factoring is valid because Log(e^{-a t} z) = -a t + Log z for positive
 real scalings.  B and h at every zeta = e^{-a t} z therefore come from the
 operator's machinery: its certified Taylor series where it applies, and
 elsewhere the step-by-step continuation along the ray 0 -> zeta, which
-carries h(zeta) on the continued branches."""
+carries h(zeta) on the continued branches.  The root is the operator's
+too: the bracket enters as inner - 1 = e^{-a t g}(B - 1) + expm1(-a t g)
++ (expm1(m a t g) - expm1(-a t g)) h, every term of the size of g, so
+small g loses no digits; it is exactly B - 1 at t = 0, so L(z, 0) = F(z)
+to the last bit."""
 
 from dataclasses import dataclass
 
@@ -22,11 +26,10 @@ from .errors import (
     BranchCrossingError,
     DegeneratePointError,
     DomainError,
-    HypothesisViolation,
     InconclusiveError,
     TransferPoleError,
 )
-from .operator import _evaluate, _series_plan
+from .operator import _evaluate, _root, _series_plan
 from .series import _IDENTITY, bracket_terms
 
 FD_STEP_Z = 1e-5
@@ -54,7 +57,9 @@ def chain_grid(z, t, p, f, g=None, phi=None):
     """L(z, t) on broadcastable arrays of z and t; the integral operator at
     t = 0.  Returns (values, flagged): flagged marks points where the
     operator path or the ray 0 -> e^{-a t} z carrying h crossed a branch,
-    so the value is invalid."""
+    so the value is invalid.  Raises HypothesisViolation unless Re gamma > 0,
+    and ConvergenceError where an unflagged value is not a finite nonzero
+    number, as operator_grid does."""
     g = g or _IDENTITY
     phi = phi or _IDENTITY
     zf, tf, shape = _flat(z, t)
@@ -63,8 +68,6 @@ def chain_grid(z, t, p, f, g=None, phi=None):
     r = np.abs(zf)
     if np.any((r > 1.0) | ((r >= 1.0) & (tf <= 0))):
         raise DomainError("need |z| < 1, or |z| <= 1 with t > 0")
-    if p.gamma.real <= 0:
-        raise HypothesisViolation("chain evaluation requires Re gamma > 0")
     values = np.zeros_like(zf)
     flagged = np.zeros(zf.shape, dtype=bool)
     nz = zf != 0
@@ -81,12 +84,9 @@ def _chain_values(z, t, p, f, g, phi):
     near = np.abs(zeta) <= plan.radius
     h[near] = _kernels.polyval(plan.h, zeta[near])
     atg = p.a * t * p.gamma
-    inner = np.exp(-atg) * (1.0 + b1) + (np.exp(p.m * atg) - np.exp(-atg)) * h
-    # principal inner^{1/gamma}; 0 maps to 0 since Re(1/gamma) > 0
-    values = np.zeros_like(z)
-    ok = inner != 0
-    values[ok] = z[ok] * np.exp((1.0 / p.gamma) * np.log(inner[ok]))
-    return values, crossing
+    decay1 = np.expm1(-atg)  # e^{-a t gamma} - 1
+    inner1 = (1.0 + decay1) * b1 + decay1 + (np.expm1(p.m * atg) - decay1) * h
+    return _root(z, inner1, p.gamma, crossing), crossing
 
 
 def _reject_flagged(flagged, where):

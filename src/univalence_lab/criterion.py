@@ -133,7 +133,7 @@ def criterion_values(variant, z, p, f, g=None, phi=None):
     bracket = alpha * pre + beta * lr
 
     r = np.abs(z)
-    m = p.m
+    m = 1.0 if variant == "cor32" else p.m  # cor32: m fixed at 1 by the statement
     if variant in ("thm31", "thm41", "cor31"):
         fac = np.empty_like(z)
         nz = r > 0
@@ -141,18 +141,11 @@ def criterion_values(variant, z, p, f, g=None, phi=None):
         fac[~nz] = 0.0  # bracket is 0 there anyway
         return np.abs(fac * bracket - (m - 1.0) / 2.0)
     rg = p.gamma.real
-    if variant == "thm32":
-        fac = np.zeros(z.shape)
-        nz = r > 0
-        fac[nz] = (1.0 - r[nz] ** ((m + 1.0) * rg)) / rg
-        fac[~nz] = 1.0 / rg
-        return fac * np.abs(bracket)
-    # cor32: m fixed at 1 by the statement
     fac = np.zeros(z.shape)
     nz = r > 0
-    fac[nz] = (1.0 - r[nz] ** (2.0 * rg)) / rg
+    fac[nz] = (1.0 - r[nz] ** ((m + 1.0) * rg)) / rg
     fac[~nz] = 1.0 / rg
-    return fac * np.abs(pre)
+    return fac * np.abs(bracket)
 
 
 def criterion_value(variant, z, p, f, g=None, phi=None):

@@ -25,14 +25,6 @@ class SingularPowerError(UnivalenceLabError):
     """0 raised to a power with non-positive real part."""
 
 
-class SingularPathError(UnivalenceLabError):
-    """A branch-tracked path passes through 0."""
-
-
-class UndersampledPathError(UnivalenceLabError):
-    """Adjacent path samples differ in argument by pi or more."""
-
-
 class BranchCrossingError(UnivalenceLabError):
     """A value a computation needs was flagged for a branch crossing, so it
     is not the continuous branch and cannot be used."""

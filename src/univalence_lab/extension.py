@@ -1,7 +1,8 @@
-"""Quasiconformal extension machinery: the piecewise Becker extension of
-the chain, sampled Beltrami coefficients, and the extension-constant
-algebra that turns a strengthened criterion constant k and chain speed a
-into the final quasiconformality constant l.
+"""Quasiconformal extension machinery: the Becker extension, which is the
+chain itself (L(z, 0) = F(z) inside the disk, L(z/|z|, log|z|) outside),
+sampled Beltrami coefficients, and the extension-constant algebra that
+turns a strengthened criterion constant k and chain speed a into the
+final quasiconformality constant l.
 
 For a != 1 the constant is
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from .chain import chain_grid
 from .errors import BranchCrossingError, DegeneratePointError, DomainError
-from .operator import operator_grid
 
 SEAM_CLAMP = 1e-6
 
@@ -115,25 +115,18 @@ def _unit(z, r):
 
 
 def extend_grid(z, p, f, g=None, phi=None):
-    """Piecewise extension on an array: the operator inside the disk, the
-    chain along the boundary ray outside (t = log|z|, clamped just above 0
-    at the seam).  Returns (values, flagged) like chain_grid: flagged marks
-    points whose operator or chain value crossed a branch and is invalid."""
+    """Piecewise extension on an array, all of it the chain: L(z, 0), the
+    operator, inside the disk, and L(z/|z|, log|z|) outside, with t clamped
+    just above 0 at the seam.  Returns (values, flagged) like chain_grid:
+    flagged marks points whose value crossed a branch and is invalid."""
     z = np.asarray(z, dtype=np.complex128)
     r = np.abs(z)
-    inside = r < 1.0
-    out = np.empty_like(z)
-    flagged = np.zeros(z.shape, dtype=bool)
-    if np.any(inside):
-        values, _, _, crossing = operator_grid(z[inside], p, f, g, phi)
-        out[inside], flagged[inside] = values, crossing
-    outside = ~inside
-    if np.any(outside):
-        t = np.maximum(np.log(r[outside]), SEAM_CLAMP)
-        out[outside], flagged[outside] = chain_grid(
-            _unit(z[outside], r[outside]), t, p, f, g, phi
-        )
-    return out, flagged
+    outside = r >= 1.0
+    u = z.copy()
+    u[outside] = _unit(z[outside], r[outside])
+    t = np.zeros(r.shape)
+    t[outside] = np.maximum(np.log(r[outside]), SEAM_CLAMP)
+    return chain_grid(u, t, p, f, g, phi)
 
 
 def becker_extend(z, p, f, g=None, phi=None):

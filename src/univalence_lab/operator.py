@@ -43,11 +43,15 @@ Gauss-Legendre rule in s gives
 
 A point is flagged where the continued power of f' or of g/phi, or the
 continued B^{1/gamma}, differs from the principal one at z (by the sheet
-index, as in track_power); where Arg B jumps by pi or more between step
+index, see sheet_crossed); where Arg B jumps by pi or more between step
 ends; and where a step would fall below 1e-14 or the steps run out, which
-is what happens on a ray through a zero of a factor.
+is what happens on a ray through a zero of a factor.  Every power in the
+package is principal (argument in (-pi, pi]) or continued this way; this
+module decides every branch and forms every root B^{1/gamma}, the chain's
+and the extension's included.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,8 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .branchpow import _JUMP_LIMIT, principal_power, sheet_crossed
-from .errors import ConvergenceError, DomainError, HypothesisViolation
+from .errors import ConvergenceError, DomainError, HypothesisViolation, SingularPowerError
 from .series import _IDENTITY
 
 
@@ -67,6 +70,33 @@ class OperatorResult:
     bracket: complex
     steps: int
     branch_crossing: bool
+
+
+_JUMP_LIMIT = math.pi * (1.0 - 1e-12)  # an argument step this large leaves the sheet ambiguous
+_SHEET_TOL = 1e-9  # relative change of a power that counts as a sheet crossing
+
+
+def principal_power(w, c):
+    """w^c = exp(c Log w) with Log the principal logarithm.
+
+    w = 0 is allowed only for Re c > 0 (result 0); 0^0 is rejected."""
+    w = complex(w)
+    c = complex(c)
+    if w == 0:
+        if c.real > 0:
+            return 0.0 + 0.0j
+        raise SingularPowerError(f"0 raised to power {c} with Re c <= 0")
+    if c == 0:
+        return 1.0 + 0.0j
+    return cmath.exp(c * cmath.log(w))
+
+
+def sheet_crossed(k, c):
+    """Where the power w^c continued onto sheet k (argument Arg w - 2 pi k)
+    differs from the principal one: |e^{2 pi i c k} - 1| exceeds
+    _SHEET_TOL (1 + |e^{2 pi i c k}|), or e^{2 pi i c k} is not finite."""
+    turn = np.exp((2j * math.pi * complex(c)) * np.asarray(k, dtype=float))
+    return ~np.isfinite(turn) | (np.abs(turn - 1.0) > _SHEET_TOL * (1.0 + np.abs(turn)))
 
 
 def _derivative_coeffs(s):
@@ -223,10 +253,13 @@ def _log1p(w):
     log1p rounds 1 + w first) and near w = -1, where log1p(|1 + w|^2 - 1)
     would lose the digits of |1 + w|; that happens only outside every
     certified disc of a problem with a branched factor, since there
-    |w| < _ARG_LIMIT."""
+    |w| < _ARG_LIMIT.  Past |w| = 1e154, where |1 + w|^2 - 1 overflows (a
+    chain bracket grows as e^{m a t Re gamma}), |1 + w| is taken directly."""
     x, y = w.real, w.imag
-    small = np.abs(1.0 + w) < 1.0 - _ARG_LIMIT
-    modulus = np.where(small, np.log(np.hypot(1.0 + x, y)), 0.5 * np.log1p(x * (2.0 + x) + y * y))
+    with np.errstate(over="ignore"):
+        square = x * (2.0 + x) + y * y
+    direct = (np.abs(1.0 + w) < 1.0 - _ARG_LIMIT) | np.isinf(square)
+    modulus = np.where(direct, np.log(np.hypot(1.0 + x, y)), 0.5 * np.log1p(square))
     return modulus + 1j * np.arctan2(y, 1.0 + x)
 
 
@@ -384,9 +417,10 @@ def _evaluate(z, p, f, g, phi):
 
 
 def _root(z, b1, gamma, flagged):
-    """F = z exp(log1p(B - 1) / gamma).  Raises ConvergenceError where an
-    unflagged F at z != 0 is not finite or has underflowed to 0, unless
-    B = 0, where F = 0 on every branch since Re(1/gamma) > 0."""
+    """F = z exp(log1p(B - 1) / gamma), and the chain's L with its inner
+    bracket in place of B.  Raises ConvergenceError where an unflagged F at
+    z != 0 is not finite or has underflowed to 0, unless B = 0, where F = 0
+    on every branch since Re(1/gamma) > 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         values = z * np.exp(_log1p(b1) / gamma)
     zero = b1 == -1.0

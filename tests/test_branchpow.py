@@ -1,20 +1,16 @@
-"""Principal-branch powers and path-continuity tracking."""
+"""Principal-branch powers and the sheet-crossing rule of continued powers."""
 
 import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from univalence_lab import BranchedPath, continuous_power_along_path, principal_power
-from univalence_lab.branchpow import track_power, unwrapped_arguments
-from univalence_lab.errors import (
-    SingularPathError,
-    SingularPowerError,
-    UndersampledPathError,
-)
+from univalence_lab import principal_power
+from univalence_lab.errors import SingularPowerError
+from univalence_lab.operator import sheet_crossed
 
 nonzero_complex = st.complex_numbers(
     min_magnitude=1e-6, max_magnitude=1e6, allow_nan=False, allow_infinity=False
@@ -73,110 +69,14 @@ class TestPrincipalPower:
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
-class TestPathTracking:
-    def test_constant_path(self):
-        values, crossed = continuous_power_along_path(np.ones(5), 2 + 1j)
-        assert np.allclose(values, 1.0)
-        assert not crossed
-
-    def test_loop_crossing(self):
-        th = np.linspace(0.0, 2.0 * np.pi, 64)
-        values, crossed = continuous_power_along_path(np.exp(1j * th), 0.5)
-        assert crossed
-        # the continuous square root ends at -1, not back at +1
-        assert values[-1] == pytest.approx(-1.0, abs=1e-12)
-
-    def test_radial_path_no_crossing(self):
-        path = np.linspace(0.1, 0.9, 17)
-        values, crossed = continuous_power_along_path(path, 1 + 1j)
-        assert not crossed
-        expected = np.array([principal_power(x, 1 + 1j) for x in path])
-        assert np.allclose(values, expected, rtol=1e-12)
-
-    def test_zero_sample(self):
-        with pytest.raises(SingularPathError):
-            BranchedPath(np.array([1.0, 0.0, -1.0]))
-        with pytest.raises(SingularPathError):
-            unwrapped_arguments(np.array([1.0, 0.0]))
-
-    def test_undersampled(self):
-        # consecutive arguments differ by ~pi: ambiguous sheet
-        with pytest.raises(UndersampledPathError):
-            continuous_power_along_path(np.array([1.0, -1.0 + 1e-15j, 1.0]), 0.5)
-
-    def test_unwrapped_arguments_continuity(self):
-        th = np.linspace(0.0, 3.0 * np.pi, 200)
-        got = unwrapped_arguments(np.exp(1j * th))
-        assert np.allclose(got, th, atol=1e-12)
-
-
-def _principal_comparison(w, c, rel_tol=1e-9):
-    """The tracker as it was before sheet indices: unwrap by a cumulative
-    sum of wrapped increments, then compare with the principal power.
-    Returns (continued power, crossed per column, threshold ratio)."""
-    ang = np.angle(w)
-    inc = np.diff(ang, axis=0)
-    inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
-    theta = np.concatenate([ang[:1], ang[:1] + np.cumsum(inc, axis=0)])
-    cont = np.exp(c * (np.log(np.abs(w)) + 1j * theta))
-    principal = np.exp(c * np.log(w))
-    scale = np.abs(cont) + np.abs(principal) + 1e-300
-    ratio = np.abs(cont - principal) / (rel_tol * scale)
-    return cont, np.any(ratio > 1.0, axis=0), ratio
-
-
-exponents = st.one_of(
-    st.floats(-3.0, 3.0),
-    st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
-    st.integers(-4, 4),
-)
-
-
-@st.composite
-def sampled_paths(draw):
-    """(n, m) arrays of m paths with n samples: random walks in log w whose
-    steps turn by at most 1.5 rad, so paths wind across the cut freely."""
-    n = draw(st.integers(1, 16))
-    m = draw(st.integers(1, 3))
-    start = draw(st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0, allow_nan=False))
-    steps = draw(
-        st.lists(
-            st.tuples(st.floats(-0.5, 0.5), st.floats(-1.5, 1.5)),
-            min_size=(n - 1) * m,
-            max_size=(n - 1) * m,
-        )
-    )
-    log_steps = np.array([complex(a, b) for a, b in steps]).reshape(n - 1, m)
-    log_w = np.log(start) + np.concatenate([np.zeros((1, m)), np.cumsum(log_steps, axis=0)])
-    return np.exp(log_w)
-
-
-class TestTrackPower:
-    @given(w=sampled_paths(), c=exponents)
-    @settings(max_examples=300, deadline=None)
-    def test_sheet_index_matches_principal_comparison(self, w, c):
-        c = complex(c)
-        cont, crossed_ref, ratio = _principal_comparison(w, c)
-        # both tests round differently; skip paths within 1e-6 of the threshold
-        assume(not np.any(np.abs(ratio - 1.0) < 1e-6))
-        log_power, crossed, max_step = track_power(w, c)
-        assert crossed.tolist() == crossed_ref.tolist()
-        assert np.all(np.abs(np.exp(log_power) - cont) <= 1e-13 * np.abs(cont))
-        assert max_step.shape == (w.shape[1],)
-        assert np.all(max_step <= np.pi)
-
-    def test_max_step(self):
-        w = np.exp(1j * np.array([0.0, 0.5, 2.0, 3.0]))
-        assert track_power(w, 1.0)[2] == pytest.approx(1.5, abs=1e-15)
-        assert track_power(w[:1], 1.0)[2] == 0.0
-
+class TestSheetCrossed:
     def test_integer_power_never_crosses(self):
-        th = np.linspace(0.0, 6.0 * np.pi, 97)
-        log_power, crossed, _ = track_power(np.exp(1j * th), 3)
-        assert not crossed
-        assert np.allclose(log_power.imag, 3 * th, atol=1e-12)
+        k = np.arange(-5, 6)
+        assert not sheet_crossed(k, 3).any()
+        assert sheet_crossed(k, 0.5).tolist() == (k % 2 == 1).tolist()
 
-    def test_non_finite_sample_counts_as_crossed(self):
-        w = np.array([[1.0, 1.0], [1j, np.nan], [-1.0 - 0.1j, 1.0]])
-        assert track_power(w, 0.5)[1].tolist() == [True, True]
-        assert track_power(w, 2.0)[1].tolist() == [False, True]
+    def test_non_finite_sheet_counts_as_crossed(self):
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert sheet_crossed(np.array([np.nan, np.inf, 0.0]), 2.0).tolist() == [True, True, False]
+            # e^{2 pi i c k} overflows for a large sheet index and Im c < 0
+            assert sheet_crossed(np.array([1e300]), 1.0 - 1.0j).tolist() == [True]

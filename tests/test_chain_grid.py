@@ -13,14 +13,18 @@ from univalence_lab import (
     beltrami_ring,
     chain_eval,
     hyp2f1,
+    operator_grid,
     pde_residual,
+    polar_samples,
     principal_power,
     subordination_probe,
     transfer_functions,
 )
 from univalence_lab.chain import _transfer_from_G, chain_grid, transfer_grid
+from univalence_lab.cli import bundled_configs, parse_config
 from univalence_lab.errors import (
     BranchCrossingError,
+    ConvergenceError,
     DerivativeVanishes,
     DomainError,
     HypothesisViolation,
@@ -143,6 +147,74 @@ class TestClosedForm:
         assert np.all(np.abs(G - G_want) <= 1e-14 * (1.0 + np.abs(G_want)))
         assert np.all(np.abs(w - w_want) <= 1e-14 * (1.0 + np.abs(w_want)))
         assert np.all(np.abs(pv - (1.0 + w_want) / (1.0 - w_want)) <= 1e-13 * np.abs(pv))
+
+
+class TestOperatorRoot:
+    """The chain takes its root through the operator's, so L(z, 0) is F(z)
+    bit for bit and the extension inside the disk is the operator."""
+
+    @pytest.mark.parametrize("gamma", [1.0, 1e-8, 1e-11, 1e-14])
+    def test_t_zero_is_the_operator(self, gamma, f_quarter, g_half, identity):
+        p = ParameterSet(alpha=0.5, beta=0.5, gamma=gamma)
+        z = np.concatenate([polar_samples(8, 16, 0.9), [0.5, -0.7 + 0.3j, 0.9j]])
+        values, flagged = chain_grid(z, 0.0, p, f_quarter, g_half, identity)
+        want, _, _, crossing = operator_grid(z, p, f_quarter, g_half, identity)
+        assert np.array_equal(values, want) and np.array_equal(flagged, crossing)
+
+    @pytest.mark.parametrize("name", sorted(bundled_configs()))
+    def test_t_zero_is_the_operator_on_bundled_configs(self, name):
+        spec = parse_config(bundled_configs()[name])
+        z = polar_samples(16, 64, 0.99)
+        values, flagged = chain_grid(z, 0.0, spec.params, spec.f, spec.g, spec.phi)
+        want, _, _, crossing = operator_grid(z, spec.params, spec.f, spec.g, spec.phi)
+        assert np.array_equal(values, want) and np.array_equal(flagged, crossing)
+
+    @pytest.mark.parametrize("gamma", [1e-8, 1e-11, 1e-14])
+    def test_small_gamma_keeps_its_digits(self, gamma, f_quarter, g_half, identity):
+        # h = 1 + u/2 and B = 1 + gamma zeta / (2 (gamma + 1)) on example31
+        mp = pytest.importorskip("mpmath")
+        p = ParameterSet(alpha=0.5, beta=0.5, gamma=gamma, m=2.0, a=0.7)
+        z = np.array([0.5, -0.7 + 0.3j, 0.9j, 0.3 - 0.2j])
+        t = np.array([0.3, 1.0, 0.05, 2.0])
+        values, _ = chain_grid(z, t, p, f_quarter, g_half, identity)
+        with mp.workdps(40):
+            for zz, tt, L in zip(z, t, values):
+                zz, x, g = mp.mpc(complex(zz)), mp.mpf(p.a * tt), mp.mpf(gamma)
+                zeta = mp.exp(-x) * zz
+                inner = mp.exp(-x * g) * (1 + g * zeta / (2 * (g + 1))) + (
+                    mp.exp(p.m * x * g) - mp.exp(-x * g)
+                ) * (1 + zeta / 2)
+                want = complex(zz * mp.exp(mp.log(inner) / g))
+                assert abs(L - want) <= 1e-14 * abs(want)
+
+    def test_underflowed_value_raises(self):
+        # f = z + 1000 z^2: L(z, 0) = F(z) -> z e^(2000 z) as gamma -> 0, which
+        # underflows to 0 at z = -0.9
+        f = SeriesFunction(np.array([1.0, 1000.0]))
+        with pytest.raises(ConvergenceError, match="not a finite nonzero number"):
+            chain_grid([0.5, -0.9], 0.0, ParameterSet(gamma=1e-300), f)
+
+    def test_large_bracket_stays_finite(self, f_quarter, g_half, identity):
+        # e^{m a t} = e^500: the bracket passes 1e154, where |1 + w|^2 - 1
+        # would overflow; h = 1 + u/2 and B = 1 + zeta/4 on example31 at gamma = 1
+        p = ParameterSet(alpha=0.5, beta=0.5, m=500.0)
+        z = np.array([0.5, -0.3j, 0.9 * cmath.exp(2.0j)])
+        values, flagged = chain_grid(z, 1.0, p, f_quarter, g_half, identity)
+        zeta = math.exp(-1.0) * z
+        want = z * (math.exp(-1.0) * (1.0 + zeta / 4.0) + (math.exp(500.0) - math.exp(-1.0)) * (1.0 + zeta / 2.0))
+        assert not flagged.any()
+        assert np.all(np.abs(values - want) <= 1e-13 * np.abs(want))
+
+    def test_extend_inside_is_the_operator(self):
+        # (f')^(1/2) with f' = (1 + 1.5 u)^2 is flagged on the negative axis
+        # past -2/3, so the comparison covers flagged points too
+        f = SeriesFunction(np.array([1.0, 1.5, 0.75]))
+        p = ParameterSet(alpha=0.5, beta=0.0)
+        z = np.concatenate([[0.0], polar_samples(12, 32, 0.95)])
+        values, flagged = extend_grid(z, p, f)
+        want, _, _, crossing = operator_grid(z, p, f)
+        assert crossing.any()
+        assert np.array_equal(values, want) and np.array_equal(flagged, crossing)
 
 
 class TestFlags:

@@ -315,6 +315,12 @@ class TestEndToEnd:
         captured = capsys.readouterr()
         assert captured.out == "" and "numerical failure" in captured.err
 
+    def test_underflowed_chain_exits_70(self, write_config, tmp_path, capsys):
+        # the same problem through the chain, whose L(z, 0) is F(z)
+        cfg = write_config({"f": {"coefficients": [1, 1000]}, "params": {"gamma": 1e-300}})
+        assert main(["chain", cfg, "--out", str(tmp_path / "chain.csv")]) == 70
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_subnormal_coefficient(self, write_config, capsys):
         cfg = write_config({"f": {"coefficients": [1, 5e-324]}, "params": {"alpha": [0.5, 0]}})
         assert main(["eval", cfg, "--z", "0.5"]) == 0

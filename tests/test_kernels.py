@@ -4,7 +4,7 @@ Horner reference, and the oracle kernels against brute force."""
 import numpy as np
 import pytest
 
-from univalence_lab import DiskGrid, ParameterSet, _kernels, backend_name, catalog_build, criterion_check
+from univalence_lab import DiskGrid, ParameterSet, _kernels, catalog_build, criterion_check
 from .conftest import random_disk_points
 
 ACCURACY = 1e-13
@@ -144,9 +144,6 @@ class TestDispatchAgreesWithNumpy:
 
 
 class TestBackendSelection:
-    def test_current_backend_reported(self):
-        assert backend_name() == "numpy"
-
     def test_numpy_backend_full_pipeline(self):
         f = catalog_build("quadratic", {"c": 0.25})
         g = catalog_build("quadratic", {"c": 0.5})

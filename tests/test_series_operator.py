@@ -160,30 +160,40 @@ class TestNaturalExponents:
 
 
 def mpmath_operator(f, g, phi, alpha, beta, gamma, z):
-    """F(z) to 20 digits with h continued along the ray: each polynomial
+    """F(z) to 40 digits with h continued along the ray: each polynomial
     factor P = prod (1 - u / w_k) over its zeros w_k has the continuous
     log P(tz) = sum Log(1 - tz / w_k) on t in [0, 1], since each 1 - tz / w_k
-    runs on a line from 1 that misses 0; F takes the principal root of B."""
+    runs on a line from 1 that misses 0; F takes the principal root of B.
+    The integrand is nearly singular where the ray passes closest to a zero,
+    at t0 = Re(w_k / z), so the quadrature is split at every t0 in (0, 1).
+    mp.quad stops at an absolute error of 10^-40, so the integrand is
+    scaled to about 1 first, and the reference fails loudly unless the
+    error estimate is below 1e-20 |J|."""
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 20
     parts = [(f.coefficients * np.arange(1, f.degree + 1), alpha)]
     if g != phi:
         parts += [(g.coefficients, beta), (phi.coefficients, -beta)]
-    logs = []
-    for coeffs, expo in parts:
-        # terms below 1e-20 change P by less than 4e-20 on the disk, but
-        # would put a root near infinity
-        c = coeffs[: 1 + np.flatnonzero(np.abs(coeffs) >= 1e-20).max()]
-        if c.size > 1 and expo != 0:
-            roots = mp.polyroots([mp.mpc(complex(x)) for x in c[::-1]], maxsteps=200, extraprec=200)
-            logs.append((roots, mp.mpc(expo)))
-    z, gamma = mp.mpc(complex(z)), mp.mpc(complex(gamma))
+    with mp.workdps(40):
+        logs = []
+        for coeffs, expo in parts:
+            # terms below 1e-20 change P by less than 4e-20 on the disk, but
+            # would put a root near infinity
+            c = coeffs[: 1 + np.flatnonzero(np.abs(coeffs) >= 1e-20).max()]
+            if c.size > 1 and expo != 0:
+                roots = mp.polyroots([mp.mpc(complex(x)) for x in c[::-1]], maxsteps=200, extraprec=200)
+                logs.append((roots, mp.mpc(expo)))
+        z, gamma = mp.mpc(complex(z)), mp.mpc(complex(gamma))
+        splits = {mp.re(w / z) for roots, _ in logs for w in roots} if z != 0 else set()
 
-    def h_minus_1(t):
-        return mp.expm1(sum(e * mp.log(1 - t * z / w) for roots, e in logs for w in roots))
+        def integrand(t):
+            return t ** (gamma - 1) * mp.expm1(sum(e * mp.log(1 - t * z / w) for roots, e in logs for w in roots))
 
-    j = mp.quad(lambda t: t ** (gamma - 1) * h_minus_1(t), [0, 1])
-    return complex(z * mp.exp(mp.log1p(gamma * j) / gamma))
+        scale = max(abs(integrand(mp.mpf(k) / 4)) for k in range(1, 5)) or 1
+        nodes = [0, *sorted(t0 for t0 in splits if 0 < t0 < 1), 1]
+        j, err = mp.quad(lambda t: integrand(t) / scale, nodes, error=True)
+        j, err = j * scale, err * scale
+        assert err <= 1e-20 * abs(j), f"mpmath reference inaccurate: error {err} for |J| = {abs(j)}"
+        return complex(z * mp.exp(mp.log1p(gamma * j) / gamma))
 
 
 coefficient = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -236,6 +246,16 @@ def test_certificate_is_sound(f, g, phi, alpha, beta, re_gamma, im_gamma, seed):
     im_gamma=st.floats(-5.0, 5.0),
     r=st.floats(0.0, 0.95),
     theta=st.floats(0.0, 2.0 * math.pi),
+)
+@example(  # the ray passes 0.0025 from the zero -i/3 of f'
+    f=SeriesFunction(np.array([1.0, -1j, 1.0])),
+    g=SeriesFunction(np.array([1.0])),
+    alpha=0.5 + 0j,
+    beta=0j,
+    re_gamma=1.0,
+    im_gamma=0.0,
+    r=0.75,
+    theta=4.75,
 )
 def test_continuation_is_accurate_or_flagged(f, g, alpha, beta, re_gamma, im_gamma, r, theta):
     """Past the certified radius every point is within 1e-12 of the mpmath
