@@ -1,14 +1,13 @@
-"""Time `chain_grid` against a loop of one-point `chain_eval` calls.
+"""Time `chain_grid` by point count.
 
 Run:  PYTHONPATH=src python3 benchmarks/bench_chain.py [--repeat N]
 
 The problem is example31 (f = z + z^2/4, g = z + z^2/2, phi = z,
 alpha = beta = 1/2, gamma = 1).  The point counts are the sizes the
-callers ask for: 1 is a one-point wrapper, 6 the `pde_residual` stencil,
-640 the default `chain` command grid (8 x 16 points x 5 times) and 4097
-the finest `subordination_probe` curve.  Each row is the best of N
-repeats of a loop long enough to take at least 0.2 s; the loop of
-`chain_eval` is timed once per repeat at 4097 points.  To compare two
+callers ask for: 1 a single point, 6 the `pde_residual` stencil, 640 the
+default `chain` command grid (8 x 16 points x 5 times) and 4097 the
+finest `subordination_probe` curve.  Each row is the best of N repeats
+of a loop long enough to take at least 0.2 s.  To compare two
 checkouts, run the script in each.
 """
 
@@ -18,7 +17,7 @@ import timeit
 import numpy as np
 
 from univalence_lab import ParameterSet, catalog_build
-from univalence_lab.chain import chain_eval, chain_grid
+from univalence_lab.chain import chain_grid
 
 SIZES = (1, 6, 640, 4097)
 
@@ -36,10 +35,9 @@ def _points(n, rng):
     return z, t
 
 
-def _best(fn, repeat, number=None):
+def _best(fn, repeat):
     timer = timeit.Timer(fn)
-    if number is None:
-        number, _ = timer.autorange()
+    number, _ = timer.autorange()
     return min(timer.repeat(repeat=repeat, number=number)) / number
 
 
@@ -51,17 +49,11 @@ def main():
     p, f, g, phi = _problem()
     rng = np.random.default_rng(0)
     print(f"numpy {np.__version__}")
-    print(f"{'points':>6}  {'chain_grid':>12}  {'chain_eval loop':>16}  {'speed-up':>8}")
+    print(f"{'points':>6}  {'chain_grid':>12}  {'per point':>12}")
     for n in SIZES:
         z, t = _points(n, rng)
         t_grid = _best(lambda: chain_grid(z, t, p, f, g, phi), args.repeat)
-
-        def loop():
-            for zz, tt in zip(z.tolist(), t.tolist()):
-                chain_eval(zz, tt, p, f, g, phi)
-
-        t_loop = _best(loop, args.repeat, number=1 if n > 640 else None)
-        print(f"{n:>6}  {t_grid * 1e3:9.3f} ms  {t_loop * 1e3:13.3f} ms  {t_loop / t_grid:7.1f}x")
+        print(f"{n:>6}  {t_grid * 1e3:9.3f} ms  {t_grid / n * 1e6:9.3f} us")
 
 
 if __name__ == "__main__":

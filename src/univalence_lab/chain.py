@@ -17,8 +17,6 @@ too: the bracket enters as inner - 1 = e^{-a t g}(B - 1) + expm1(-a t g)
 small g loses no digits; it is exactly B - 1 at t = 0, so L(z, 0) = F(z)
 to the last bit."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels, oracle
@@ -35,16 +33,6 @@ from .series import _IDENTITY, bracket_terms
 FD_STEP_Z = 1e-5
 FD_STEP_T = 1e-4
 T_CLAMP = 1e-3
-
-
-@dataclass(frozen=True)
-class ChainPoint:
-    z: complex
-    t: float
-    L: complex
-    G: complex
-    w: complex
-    p: complex
 
 
 def _flat(z, t):
@@ -96,14 +84,6 @@ def _reject_flagged(flagged, where):
         )
 
 
-def chain_eval(z, t, p, f, g=None, phi=None):
-    """L(z, t) at one point; see chain_grid.  Raises BranchCrossingError
-    where chain_grid flags the point."""
-    values, flagged = chain_grid(complex(z), float(t), p, f, g, phi)
-    _reject_flagged(flagged, f"({z}, {t})")
-    return complex(values)
-
-
 def transfer_grid(z, t, p, f, g=None, phi=None):
     """(G, w, p) of the chain on broadcastable arrays of z and t.
 
@@ -118,11 +98,6 @@ def transfer_grid(z, t, p, f, g=None, phi=None):
     return tuple(x.reshape(shape) for x in _transfer_from_G(G, p.m, p.a))
 
 
-def transfer_functions(z, t, p, f, g=None, phi=None):
-    """(G, w, p) of the chain at one point; see transfer_grid."""
-    return tuple(complex(x) for x in transfer_grid(complex(z), float(t), p, f, g, phi))
-
-
 def _transfer_from_G(G, m, a):
     G = np.asarray(G, dtype=np.complex128)
     num = (1.0 + a) * G + 1.0 - m * a
@@ -133,12 +108,6 @@ def _transfer_from_G(G, m, a):
     if np.any(w == 1.0):
         raise TransferPoleError("w = 1: p is undefined")
     return G, w, (1.0 + w) / (1.0 - w)
-
-
-def chain_point(z, t, p, f, g=None, phi=None):
-    L = chain_eval(z, t, p, f, g, phi)
-    G, w, pval = transfer_functions(z, t, p, f, g, phi)
-    return ChainPoint(complex(z), float(t), L, G, w, pval)
 
 
 def pde_residual(z, t, p, f, g=None, phi=None):
@@ -161,7 +130,7 @@ def pde_residual(z, t, p, f, g=None, phi=None):
     dy = (y_plus - y_minus) / (2.0 * hz)
     Lz = 0.5 * (dx + dy / 1j)
     Lt = (t_plus - t_minus) / (2.0 * ht)
-    _, _, pval = transfer_functions(z, t, p, f, g, phi)
+    pval = complex(transfer_grid(z, t, p, f, g, phi)[2])
     lhs = z * Lz
     rhs = pval * Lt
     if abs(lhs) < 1e-14 and abs(rhs) < 1e-14:

@@ -17,7 +17,7 @@ from .chain import chain_grid, transfer_grid
 from .criterion import VARIANTS, DiskGrid, ParameterSet, criterion_check
 from .errors import ConfigError, HypothesisViolation, InconclusiveError, UnivalenceLabError
 from .extension import beltrami_grid, extend_grid, extension_constants
-from .operator import operator_eval, operator_grid
+from .operator import operator_grid
 from .oracle import SampleCloud, argument_principle_check, injectivity_scan, polar_samples
 from .series import SeriesFunction, catalog_build
 
@@ -88,10 +88,6 @@ def _parse_function(obj, path):
             _complex_from(c, f"{path}.coefficients[{i}]")
             for i, c in enumerate(obj["coefficients"])
         ]
-        if not coeffs:
-            raise ConfigError(f"{path}: coefficients must be nonempty")
-        if coeffs[0] != 1:
-            raise ConfigError(f"{path}: c1 must equal 1")
         try:
             return SeriesFunction(np.asarray(coeffs))
         except ValueError as exc:
@@ -316,11 +312,10 @@ def _cmd_check(spec, flags):
 
 def _cmd_eval(spec, flags):
     if flags.get("z") is not None:
-        z = parse_complex(flags["z"])
-        res = operator_eval(z, spec.params, spec.f, spec.g, spec.phi)
-        print(format_complex(res.value))
-        if res.branch_crossing:
-            print("warning: branch crossing flagged; value invalid", file=sys.stderr)
+        z = np.array([parse_complex(flags["z"])])
+        values, _, _, flagged = operator_grid(z, spec.params, spec.f, spec.g, spec.phi)
+        print(format_complex(values[0]))
+        _warn_flagged(flagged)
         return 0, []
     if not flags.get("out"):
         raise ConfigError("eval needs --z or --out")

@@ -1,4 +1,4 @@
-"""Point evaluation and disk sup-scan of the Becker-type criteria.
+"""Vectorised evaluation and disk sup-scan of the Becker-type criteria.
 
 Five variants are supported:
 
@@ -146,11 +146,6 @@ def criterion_values(variant, z, p, f, g=None, phi=None):
     fac[nz] = (1.0 - r[nz] ** ((m + 1.0) * rg)) / rg
     fac[~nz] = 1.0 / rg
     return fac * np.abs(bracket)
-
-
-def criterion_value(variant, z, p, f, g=None, phi=None):
-    """Scalar criterion expression at one point."""
-    return float(criterion_values(variant, np.array([complex(z)]), p, f, g, phi)[0])
 
 
 def criterion_bound(variant, p):

@@ -129,15 +129,6 @@ def extend_grid(z, p, f, g=None, phi=None):
     return chain_grid(u, t, p, f, g, phi)
 
 
-def becker_extend(z, p, f, g=None, phi=None):
-    """The extension at one point; see extend_grid.  Raises
-    BranchCrossingError where extend_grid flags the point."""
-    value, flagged = extend_grid(complex(z), p, f, g, phi)
-    if flagged:
-        raise BranchCrossingError(f"extension at z = {complex(z)} flagged for a branch crossing")
-    return complex(value)
-
-
 def beltrami_grid(z, p, f, g=None, phi=None, h=1e-5):
     """Sampled Beltrami coefficients of the extension at an array of points
     with |z| > 1 + 2h.
@@ -160,12 +151,6 @@ def beltrami_grid(z, p, f, g=None, phi=None, h=1e-5):
     if np.any(small):
         raise DegeneratePointError(f"|d_z F| < 1e-12 at z = {complex(z[small][0])}")
     return dzbar / dz
-
-
-def beltrami_estimate(z, p, f, g=None, phi=None, h=1e-5):
-    """Sampled Beltrami coefficient at one point; see beltrami_grid."""
-    z = complex(z)
-    return BeltramiSample(z, complex(beltrami_grid(z, p, f, g, phi, h)))
 
 
 def beltrami_ring(p, f, g=None, phi=None, radii=(1.05, 1.3, 1.6, 2.0), n_theta=8, h=1e-5):

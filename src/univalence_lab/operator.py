@@ -53,7 +53,6 @@ and the extension's included.
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -62,14 +61,6 @@ import numpy as np
 from . import _kernels
 from .errors import ConvergenceError, DomainError, HypothesisViolation, SingularPowerError
 from .series import _IDENTITY
-
-
-@dataclass(frozen=True)
-class OperatorResult:
-    value: complex
-    bracket: complex
-    steps: int
-    branch_crossing: bool
 
 
 _JUMP_LIMIT = math.pi * (1.0 - 1e-12)  # an argument step this large leaves the sheet ambiguous
@@ -421,7 +412,7 @@ def _root(z, b1, gamma, flagged):
     bracket in place of B.  Raises ConvergenceError where an unflagged F at
     z != 0 is not finite or has underflowed to 0, unless B = 0, where F = 0
     on every branch since Re(1/gamma) > 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         values = z * np.exp(_log1p(b1) / gamma)
     zero = b1 == -1.0
     values[zero] = 0.0
@@ -451,12 +442,6 @@ def operator_grid(zs, p, f, g=None, phi=None):
         int(steps.max(initial=0)),
         crossing.reshape(zs.shape),
     )
-
-
-def operator_eval(z, p, f, g=None, phi=None):
-    """F(z) at a single point; see operator_grid for the machinery."""
-    values, brackets, steps, crossing = operator_grid(np.array([complex(z)]), p, f, g, phi)
-    return OperatorResult(complex(values[0]), complex(brackets[0]), steps, bool(crossing[0]))
 
 
 def hyp2f1(a, b, c, w, max_terms=100_000):

@@ -77,16 +77,6 @@ def _warn_if_truncated(s, radius):
         )
 
 
-def eval_with_derivatives(s, z):
-    """(s(z), s'(z), s''(z)) in one Horner pass.  Requires |z| <= 1."""
-    z = complex(z)
-    if abs(z) > 1.0 + 1e-15:
-        raise DomainError(f"|z| = {abs(z):.6g} > 1")
-    _warn_if_truncated(s, abs(z))
-    p, dp, ddp = _kernels.polyval012(s.coefficients, np.array([z]))
-    return complex(p[0]), complex(dp[0]), complex(ddp[0])
-
-
 def eval_many(s, z):
     """Vectorized (s, s', s'') on an array of points with |z| <= 1."""
     z = np.asarray(z, dtype=np.complex128)
@@ -97,12 +87,6 @@ def eval_many(s, z):
         _warn_if_truncated(s, float(r.max()))
     p, dp, ddp = _kernels.polyval012(s.coefficients, z)
     return p.reshape(z.shape), dp.reshape(z.shape), ddp.reshape(z.shape)
-
-
-def cofactor_values(s, z):
-    """S(z) = s(z)/z = c_1 + c_2 z + ..., finite and = 1 at z = 0."""
-    z = np.asarray(z, dtype=np.complex128)
-    return _kernels.polyval(s.coefficients, z).reshape(z.shape)
 
 
 def log_derivative(s, z):
@@ -137,9 +121,11 @@ def bracket_terms(f, g, phi, z, log_ratio=True):
     """Arrays (z f''/f', z g'/g - z phi'/phi) over points with |z| <= 1, the
     two terms of the criterion bracket a zf''/f' + b (zg'/g - zphi'/phi).
 
-    Raises DerivativeVanishes at the first point where |f'| < 1e-13.  With
-    log_ratio=False the second term is returned as zeros and g, phi are not
-    evaluated."""
+    Both are 0 at z = 0 (removable singularities of the class-A
+    normalization).  Raises DerivativeVanishes at the first point where
+    |f'| < 1e-13.  Truncated f, and with log_ratio g and phi, warn at the
+    largest |z|.  With log_ratio=False the second term is returned as
+    zeros and g, phi are not evaluated."""
     z = np.asarray(z, dtype=np.complex128)
     _, fp, fpp = eval_many(f, z)
     bad = np.abs(fp) < 1e-13
@@ -148,20 +134,14 @@ def bracket_terms(f, g, phi, z, log_ratio=True):
         raise DerivativeVanishes(f"f'(z) = 0 at z = {w}", witness=w)
     pre = z * fpp / fp
     if log_ratio:
+        if z.size:
+            rmax = float(np.abs(z).max())
+            _warn_if_truncated(g, rmax)
+            _warn_if_truncated(phi, rmax)
         lr = log_derivative(g, z) - log_derivative(phi, z)
     else:
         lr = np.zeros_like(z)
     return pre, lr
-
-
-def criterion_terms(f, g, phi, z):
-    """The two building blocks of the criteria at a point.
-
-    Returns (z f''(z)/f'(z), z g'(z)/g(z) - z phi'(z)/phi(z)); both are 0
-    at z = 0 (removable singularities of the class-A normalization).
-    """
-    pre, lr = bracket_terms(f, g, phi, np.array([complex(z)]))
-    return complex(pre[0]), complex(lr[0])
 
 
 _CATALOG = ("identity", "quadratic", "koebe", "expscaled")
@@ -218,7 +198,7 @@ def nonvanishing_check(s, radius, grid, floor=1e-9):
         radii = np.array([radius])
     theta = np.linspace(0.0, 2.0 * np.pi, grid.angles_per_radius, endpoint=False)
     z = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    vals = np.abs(cofactor_values(s, z))
+    vals = np.abs(_kernels.polyval(s.coefficients, z))  # |s(z)/z|
     bad = np.nonzero(vals <= floor)[0]
     if bad.size:
         return False, complex(z[bad[0]])

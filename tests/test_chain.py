@@ -8,22 +8,28 @@ import pytest
 
 from univalence_lab import (
     ParameterSet,
-    chain_eval,
-    chain_point,
-    operator_eval,
+    chain_grid,
+    operator_grid,
     pde_residual,
     subordination_probe,
-    transfer_functions,
+    transfer_grid,
 )
 from univalence_lab.chain import _transfer_from_G
 from univalence_lab.errors import DomainError, HypothesisViolation, TransferPoleError
 
 
+def _chain(z, t, p, f, g=None, phi=None):
+    """L(z, t) from a one-point chain_grid call, which must be unflagged."""
+    values, flagged = chain_grid(z, t, p, f, g, phi)
+    assert not flagged
+    return complex(values)
+
+
 class TestChainEval:
     def test_t_zero_equals_operator(self, f_quarter, g_half, identity, params_ref):
         for z in (0.5, -0.3 + 0.6j):
-            L = chain_eval(z, 0.0, params_ref, f_quarter, g_half, identity)
-            F = operator_eval(z, params_ref, f_quarter, g_half, identity).value
+            L = _chain(z, 0.0, params_ref, f_quarter, g_half, identity)
+            F = complex(operator_grid(z, params_ref, f_quarter, g_half, identity)[0])
             assert L == pytest.approx(F, rel=1e-12)
 
     def test_identity_closed_form(self, identity):
@@ -31,61 +37,67 @@ class TestChainEval:
             for m, a in ((1.0, 1.0), (2.0, 0.7)):
                 p = ParameterSet(alpha=1.0, beta=1.0, gamma=gamma, m=m, a=a)
                 for z, t in ((0.5 + 0.2j, 0.4), (0.9, 1.5)):
-                    L = chain_eval(z, t, p, identity, identity, identity)
+                    L = _chain(z, t, p, identity, identity, identity)
                     assert L == pytest.approx(cmath.exp(m * a * t) * z, rel=1e-12)
 
     def test_origin(self, f_quarter, params_ref):
-        assert chain_eval(0.0, 0.7, params_ref, f_quarter) == 0.0
+        assert _chain(0.0, 0.7, params_ref, f_quarter) == 0.0
 
     def test_first_coefficient(self, f_quarter, g_half, identity, params_ref):
         # (L(h, t) - L(0, t)) / h matches exp(m a t) to relative 1e-4
         h = 1e-6
         for t in (0.3, 1.0):
-            L = chain_eval(h, t, params_ref, f_quarter, g_half, identity)
+            L = _chain(h, t, params_ref, f_quarter, g_half, identity)
             coeff = L / h
             assert abs(coeff - math.exp(params_ref.m * params_ref.a * t)) <= 1e-4 * abs(coeff)
 
     def test_growth_envelope(self, f_quarter, g_half, identity, params_ref):
         for t in (0.0, 1.0, 3.0, 5.0):
-            L = chain_eval(0.5, t, params_ref, f_quarter, g_half, identity)
+            L = _chain(0.5, t, params_ref, f_quarter, g_half, identity)
             ratio = abs(L) / math.exp(params_ref.m * params_ref.a * t)
             assert 0.1 <= ratio <= 10.0
 
     def test_domain(self, identity, params_ref):
         with pytest.raises(DomainError):
-            chain_eval(0.5, -0.1, params_ref, identity)
+            chain_grid(0.5, -0.1, params_ref, identity)
         with pytest.raises(DomainError):
-            chain_eval(1.0, 0.0, params_ref, identity)
+            chain_grid(1.0, 0.0, params_ref, identity)
         with pytest.raises(DomainError):
-            chain_eval(1.5, 1.0, params_ref, identity)
+            chain_grid(1.5, 1.0, params_ref, identity)
         with pytest.raises(HypothesisViolation):
-            chain_eval(0.5, 0.5, ParameterSet(gamma=-1.0), identity)
+            chain_grid(0.5, 0.5, ParameterSet(gamma=-1.0), identity)
         # boundary point is fine once t > 0
-        chain_eval(1.0, 0.5, params_ref, identity)
+        _chain(1.0, 0.5, params_ref, identity)
 
 
 class TestTransfer:
     def test_identity_values(self, identity):
         p = ParameterSet(alpha=1.0, beta=1.0, m=1.0, a=1.0)
-        G, w, pval = transfer_functions(0.5, 0.3, p, identity, identity, identity)
+        G, w, pval = transfer_grid(0.5, 0.3, p, identity, identity, identity)
         assert G == 0.0
         assert w == 0.0
         assert pval == 1.0
 
     def test_identity_general_ma(self, identity):
         p = ParameterSet(alpha=1.0, beta=1.0, m=2.0, a=0.5)
-        G, w, _ = transfer_functions(0.3, 0.7, p, identity, identity, identity)
+        G, w, _ = transfer_grid(0.3, 0.7, p, identity, identity, identity)
         assert G == 0.0
         assert w == pytest.approx((1 - p.m * p.a) / (1 + p.m * p.a), rel=1e-14)
 
     def test_t_zero_gives_zero_G(self, f_quarter, g_half, identity, params_ref):
-        G, w, _ = transfer_functions(0.7, 0.0, params_ref, f_quarter, g_half, identity)
+        G, w, _ = transfer_grid(0.7, 0.0, params_ref, f_quarter, g_half, identity)
         assert G == 0.0
         assert w == 0.0  # m = a = 1
 
     def test_reference_point_contractive(self, f_quarter, g_half, identity, params_ref):
-        _, w, _ = transfer_functions(0.5, 0.2, params_ref, f_quarter, g_half, identity)
+        _, w, _ = transfer_grid(0.5, 0.2, params_ref, f_quarter, g_half, identity)
         assert abs(w) < 1.0
+
+    def test_p_from_w(self, f_quarter, g_half, identity, params_ref):
+        # p = (1 + w)/(1 - w) away from the identity, where w = 0
+        _, w, pval = transfer_grid(0.5, 0.2, params_ref, f_quarter, g_half, identity)
+        assert w != 0.0
+        assert complex(pval) == pytest.approx((1 + w) / (1 - w), rel=1e-14)
 
     def test_moebius_identity(self, rng):
         # 4a [ |G|^2 - (m-1) Re G - m ] = |num|^2 - |den|^2 exactly
@@ -122,16 +134,6 @@ class TestPdeResidual:
     def test_domain(self, identity, params_ref):
         with pytest.raises(DomainError):
             pde_residual(0.0, 0.5, params_ref, identity)
-
-
-class TestChainPoint:
-    def test_fields(self, f_quarter, g_half, identity, params_ref):
-        cp = chain_point(0.5, 0.2, params_ref, f_quarter, g_half, identity)
-        assert cp.z == 0.5 and cp.t == 0.2
-        assert cp.p == pytest.approx((1 + cp.w) / (1 - cp.w), rel=1e-14)
-        assert cp.L == pytest.approx(
-            chain_eval(0.5, 0.2, params_ref, f_quarter, g_half, identity), rel=1e-14
-        )
 
 
 class TestSubordination:

@@ -1,9 +1,10 @@
 """The array chain and extension layer: chain_grid / transfer_grid against
-their one-point wrappers and the example31 closed form, batching, typed
-errors, and values pinned from the former one-point implementation."""
+one-point calls of themselves and the example31 closed form, batching,
+typed errors, and values pinned from the former one-point implementation."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,14 +12,12 @@ import pytest
 from univalence_lab import (
     ParameterSet,
     beltrami_ring,
-    chain_eval,
     hyp2f1,
     operator_grid,
     pde_residual,
     polar_samples,
     principal_power,
     subordination_probe,
-    transfer_functions,
 )
 from univalence_lab.chain import _transfer_from_G, chain_grid, transfer_grid
 from univalence_lab.cli import bundled_configs, parse_config
@@ -30,7 +29,7 @@ from univalence_lab.errors import (
     HypothesisViolation,
     TransferPoleError,
 )
-from univalence_lab.extension import becker_extend, beltrami_grid, extend_grid
+from univalence_lab.extension import beltrami_grid, extend_grid
 from univalence_lab.series import SeriesFunction
 
 GAMMAS = (1.0, 0.3, 0.5 + 0.5j, 2.0 + 1.0j)
@@ -63,14 +62,24 @@ def _close(batch, single, rel):
     return np.all(np.abs(batch - single) <= rel * np.abs(single))
 
 
+def _single(grid, z, t, *args):
+    """grid called on each (z, t) pair alone, results stacked like a batch."""
+    out = [grid(zz, tt, *args) for zz, tt in zip(z, t)]
+    return tuple(np.array(col) for col in zip(*out))
+
+
 class TestAgainstWrappers:
+    """A batch against one-point calls of the same array function: a value
+    does not depend on the batch it is computed in."""
+
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("m,a", SPEEDS)
     def test_chain_batch_matches_points(self, gamma, m, a, f_quarter, g_half, identity):
         p = _params(gamma, m, a)
         z, t = _points()
         values, flagged = chain_grid(z, t, p, f_quarter, g_half, identity)
-        single = [chain_eval(zz, tt, p, f_quarter, g_half, identity) for zz, tt in zip(z, t)]
+        single, single_flagged = _single(chain_grid, z, t, p, f_quarter, g_half, identity)
+        assert not single_flagged.any()
         assert values.shape == z.shape and flagged.dtype == bool
         assert not flagged.any()
         assert _close(values, single, 1e-14)
@@ -82,11 +91,9 @@ class TestAgainstWrappers:
         p = _params(gamma, m, a)
         z, t = _points()
         batch = transfer_grid(z, t, p, f_quarter, g_half, identity)
-        single = np.array(
-            [transfer_functions(zz, tt, p, f_quarter, g_half, identity) for zz, tt in zip(z, t)]
-        )
+        single = _single(transfer_grid, z, t, p, f_quarter, g_half, identity)
         for j in range(3):
-            assert _close(batch[j], single[:, j], 1e-14)
+            assert _close(batch[j], single[j], 1e-14)
 
     def test_broadcasting(self, f_quarter, g_half, identity, params_ref):
         z = np.array([0.2, 0.5j, -0.7])
@@ -103,7 +110,7 @@ class TestAgainstWrappers:
         z = 0.95 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
         t = rng.uniform(0.0, 2.0, size=n)
         values, _ = chain_grid(z, t, p, f_quarter, g_half, identity)
-        single = [chain_eval(zz, tt, p, f_quarter, g_half, identity) for zz, tt in zip(z, t)]
+        single, _ = _single(chain_grid, z, t, p, f_quarter, g_half, identity)
         assert _close(values, single, 1e-14)
 
     def test_empty(self, f_quarter, params_ref):
@@ -189,10 +196,16 @@ class TestOperatorRoot:
 
     def test_underflowed_value_raises(self):
         # f = z + 1000 z^2: L(z, 0) = F(z) -> z e^(2000 z) as gamma -> 0, which
-        # underflows to 0 at z = -0.9
+        # underflows to 0 at z = -0.9 and overflows at z = 0.5; the overflow
+        # raises no numpy warning, the typed error is the report
         f = SeriesFunction(np.array([1.0, 1000.0]))
-        with pytest.raises(ConvergenceError, match="not a finite nonzero number"):
-            chain_grid([0.5, -0.9], 0.0, ParameterSet(gamma=1e-300), f)
+        p = ParameterSet(gamma=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="not a finite nonzero number"):
+                chain_grid([0.5, -0.9], 0.0, p, f)
+            with pytest.raises(ConvergenceError, match="not a finite nonzero number"):
+                operator_grid([0.5, -0.9], p, f)
 
     def test_large_bracket_stays_finite(self, f_quarter, g_half, identity):
         # e^{m a t} = e^500: the bracket passes 1e154, where |1 + w|^2 - 1
@@ -244,24 +257,22 @@ class TestFlags:
         with pytest.raises(BranchCrossingError, match="extension"):
             beltrami_grid([2.0, 1.1 * cmath.exp(7j * math.pi / 8)], p, f)
 
-    def test_one_point_wrappers_raise_where_flagged(self, identity):
+    def test_one_point_calls_are_flagged(self, identity):
         f = SeriesFunction(np.array([1.0, 1.5, 0.75]))
         p = ParameterSet(alpha=0.5, beta=0.0)
         u = cmath.exp(7j * math.pi / 8)
         assert chain_grid(-0.9 + 0.1j, 0.0, p, f)[1]
-        with pytest.raises(BranchCrossingError):
-            chain_eval(-0.9 + 0.1j, 0.0, p, f)
-        with pytest.raises(BranchCrossingError):
-            becker_extend(0.9 * u, p, f)
-        with pytest.raises(BranchCrossingError):
-            becker_extend(1.1 * u, p, f)
-        # unflagged points still evaluate, to the grid value
-        assert chain_eval(0.5, 0.0, p, f) == complex(chain_grid(0.5, 0.0, p, f)[0])
-        assert becker_extend(1.5, p, f) == complex(extend_grid(1.5, p, f)[0])
+        assert extend_grid(0.9 * u, p, f)[1]
+        assert extend_grid(1.1 * u, p, f)[1]
+        # an unflagged point evaluates to its value in a batch
+        value, flagged = chain_grid(0.5, 0.0, p, f)
+        assert not flagged and value == chain_grid([0.5, -0.9 + 0.1j], 0.0, p, f)[0][0]
+        value, flagged = extend_grid(1.5, p, f)
+        assert not flagged and value == extend_grid([1.5, 1.1 * u], p, f)[0][0]
 
 
 class TestErrors:
-    """One bad point in a batch raises what chain_eval raises for it."""
+    """One bad point in a batch raises what a one-point call raises for it."""
 
     @pytest.mark.parametrize(
         "bad_z,bad_t,message",
@@ -269,7 +280,7 @@ class TestErrors:
     )
     def test_chain_bad_point(self, bad_z, bad_t, message, f_quarter, params_ref):
         with pytest.raises(DomainError) as single:
-            chain_eval(bad_z, bad_t, params_ref, f_quarter)
+            chain_grid(bad_z, bad_t, params_ref, f_quarter)
         z = np.array([0.1, 0.5j, bad_z, -0.3])
         t = np.array([0.2, 0.0, bad_t, 1.0])
         with pytest.raises(DomainError) as batch:

@@ -1,6 +1,7 @@
 """Config parsing, serialization round-trips, file emission, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -293,7 +294,13 @@ class TestEndToEnd:
         assert np.all(np.isfinite(rows))
 
     @pytest.mark.parametrize(
-        "text", ['{"params": {"m": NaN}}', '{"grid": {"radii": 5}}', '{"params": {"alpha": NaN}}']
+        "text",
+        [
+            '{"params": {"m": NaN}}',
+            '{"grid": {"radii": 5}}',
+            '{"params": {"alpha": NaN}}',
+            '{"f": {"coefficients": []}}',
+        ],
     )
     def test_bad_config_exits_64(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.json"
@@ -316,10 +323,25 @@ class TestEndToEnd:
         assert captured.out == "" and "numerical failure" in captured.err
 
     def test_underflowed_chain_exits_70(self, write_config, tmp_path, capsys):
-        # the same problem through the chain, whose L(z, 0) is F(z)
+        # the same problem through the chain, whose L(z, 0) is F(z); the exp
+        # that overflows on the way raises no numpy warning besides that line
         cfg = write_config({"f": {"coefficients": [1, 1000]}, "params": {"gamma": 1e-300}})
-        assert main(["chain", cfg, "--out", str(tmp_path / "chain.csv")]) == 70
-        assert "numerical failure" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["chain", cfg, "--out", str(tmp_path / "chain.csv")]) == 70
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+    def test_eval_point_flagged(self, write_config, capsys):
+        # (f')^(1/2) with f' = (1 + 1.5 z)^2: the ray to -0.9 runs through the
+        # zero at -2/3, so the value is flagged and the shared warning printed
+        cfg = write_config({"f": {"coefficients": [1.0, 1.5, 0.75]}, "params": {"alpha": 0.5}})
+        assert main(["eval", cfg, "--z", "-0.9"]) == 0
+        captured = capsys.readouterr()
+        parse_complex(captured.out.strip())
+        assert captured.err == (
+            "warning: 1 of 1 points flagged for a branch crossing; their values are invalid\n"
+        )
 
     def test_subnormal_coefficient(self, write_config, capsys):
         cfg = write_config({"f": {"coefficients": [1, 5e-324]}, "params": {"alpha": [0.5, 0]}})

@@ -12,7 +12,6 @@ from univalence_lab import (
     ParameterSet,
     catalog_build,
     criterion_check,
-    criterion_value,
     criterion_values,
 )
 from univalence_lab.criterion import criterion_bound
@@ -25,12 +24,12 @@ class TestPointValues:
     def test_identity_thm31_zero(self, identity):
         p = ParameterSet(alpha=1.0, beta=1.0, m=1.0)
         for z in (0.0, 0.5, 0.3 + 0.4j, 0.99):
-            assert criterion_value("thm31", z, p, identity, identity, identity) == 0.0
+            assert criterion_values("thm31", z, p, identity, identity, identity) == 0.0
 
     def test_identity_thm31_m3_constant(self, identity):
         p = ParameterSet(alpha=1.0, beta=1.0, m=3.0)
         for z in (0.5, -0.7j):
-            v = criterion_value("thm31", z, p, identity, identity, identity)
+            v = criterion_values("thm31", z, p, identity, identity, identity)
             assert v == pytest.approx(1.0, abs=1e-14)  # |(m-1)/2| = 1, bound 2
 
     def test_cor32_koebe_explicit_point(self):
@@ -38,7 +37,7 @@ class TestPointValues:
         # (1 - 0.81) (4*0.9 + 2*0.81)/(1 - 0.81) = 5.22
         k = catalog_build("koebe", {"degree": 512})
         p = ParameterSet(gamma=1.0)
-        v = criterion_value("cor32", 0.9, p, k)
+        v = criterion_values("cor32", 0.9, p, k)
         assert v == pytest.approx(5.22, rel=1e-9)
 
     def test_thm41_equals_thm31_values(self, rng, f_quarter, g_half, identity):
@@ -50,7 +49,7 @@ class TestPointValues:
 
     def test_thm32_zero_at_origin(self, f_quarter, g_half, identity):
         p = ParameterSet(alpha=0.5, beta=0.5, gamma=1.0, m=1.0)
-        assert criterion_value("thm32", 0.0, p, f_quarter, g_half, identity) == 0.0
+        assert criterion_values("thm32", 0.0, p, f_quarter, g_half, identity) == 0.0
 
     def test_cor31_substitution(self, rng, f_quarter):
         # cor31 evaluates the thm31 expression with beta = alpha, g = id, phi = f
@@ -64,7 +63,7 @@ class TestPointValues:
 
     def test_unknown_variant(self, identity):
         with pytest.raises(ValueError):
-            criterion_value("thm99", 0.5, ParameterSet(), identity)
+            criterion_values("thm99", 0.5, ParameterSet(), identity)
 
 
 class TestPascuInequality:
@@ -85,9 +84,9 @@ class TestPascuInequality:
             gamma = complex(rng.uniform(0.2, 3.0), rng.uniform(-2.0, 2.0))
             p = ParameterSet(alpha=0.5, beta=0.5, gamma=gamma, m=m)
             z = complex(random_disk_points(rng, 1, 0.97)[0])
-            v32 = criterion_value("thm32", z, p, f_quarter, g_half, identity)
+            v32 = criterion_values("thm32", z, p, f_quarter, g_half, identity)
             if v32 <= 1.0:
-                v31 = criterion_value("thm31", z, p, f_quarter, g_half, identity)
+                v31 = criterion_values("thm31", z, p, f_quarter, g_half, identity)
                 assert v31 <= (m + 1.0) / 2.0 + 1e-12
 
 

@@ -11,7 +11,6 @@ from univalence_lab import (
     catalog_build,
     example31_closed_form,
     hyp2f1,
-    operator_eval,
     operator_grid,
     principal_power,
 )
@@ -64,39 +63,39 @@ class TestIdentityReduction:
         for gamma in (1.0, 2 + 1j, 0.5 + 0.8j):
             p = ParameterSet(alpha=1.0, beta=1.0, gamma=gamma)
             for z in (0.5 + 0.3j, -0.8, 0.1j):
-                res = operator_eval(z, p, identity, identity, identity)
-                assert res.value == pytest.approx(z, rel=1e-13)
-                assert res.bracket == pytest.approx(1.0, rel=1e-12)
-                assert not res.branch_crossing
+                value, bracket, _, crossing = operator_grid(z, p, identity, identity, identity)
+                assert complex(value) == pytest.approx(z, rel=1e-13)
+                assert complex(bracket) == pytest.approx(1.0, rel=1e-12)
+                assert not crossing
 
     def test_zero_maps_to_zero(self, identity):
-        res = operator_eval(0.0, ParameterSet(), identity)
-        assert res.value == 0.0
-        assert res.bracket == 1.0
+        value, bracket, _, _ = operator_grid(0.0, ParameterSet(), identity)
+        assert value == 0.0
+        assert bracket == 1.0
 
 
 class TestKnownValues:
     def test_gamma_one_is_antiderivative(self, f_quarter):
         p = ParameterSet(alpha=1.0, beta=0.0, gamma=1.0)
-        res = operator_eval(0.5, p, f_quarter)
-        assert res.value == pytest.approx(0.5625, rel=1e-12)
+        value = complex(operator_grid(0.5, p, f_quarter)[0])
+        assert value == pytest.approx(0.5625, rel=1e-12)
 
     def test_reference_point(self, f_quarter, g_half, identity, params_ref):
         # alpha = beta = 1/2, gamma = 1: integrand is 1 + u/2, F = z + z^2/4
-        res = operator_eval(0.8j, params_ref, f_quarter, g_half, identity)
-        assert res.value == pytest.approx(-0.16 + 0.8j, rel=1e-11)
+        value = complex(operator_grid(0.8j, params_ref, f_quarter, g_half, identity)[0])
+        assert value == pytest.approx(-0.16 + 0.8j, rel=1e-11)
 
     def test_normalization_near_zero(self, f_quarter, g_half, identity, params_ref):
         z = 1e-4 * cmath.exp(0.3j)
-        res = operator_eval(z, params_ref, f_quarter, g_half, identity)
-        assert abs(res.value / z - 1.0) < 1e-3
+        value = complex(operator_grid(z, params_ref, f_quarter, g_half, identity)[0])
+        assert abs(value / z - 1.0) < 1e-3
 
     def test_value_bracket_consistency(self, f_quarter, g_half, identity):
         p = ParameterSet(alpha=0.5, beta=0.5, gamma=1.2 + 0.5j)
-        res = operator_eval(0.4 + 0.3j, p, f_quarter, g_half, identity)
-        assert not res.branch_crossing
-        expected = (0.4 + 0.3j) * principal_power(res.bracket, 1.0 / p.gamma)
-        assert res.value == pytest.approx(expected, rel=1e-13)
+        value, bracket, _, crossing = operator_grid(0.4 + 0.3j, p, f_quarter, g_half, identity)
+        assert not crossing
+        expected = (0.4 + 0.3j) * principal_power(bracket, 1.0 / p.gamma)
+        assert complex(value) == pytest.approx(expected, rel=1e-13)
 
 
 class TestGammaOneOracle:
@@ -112,19 +111,19 @@ class TestGammaOneOracle:
         g = catalog_build(*gspec)
         p = ParameterSet(alpha=alpha, beta=beta, gamma=1.0)
         for z in (0.5, -0.3 + 0.6j, 0.75j):
-            res = operator_eval(z, p, f, g, identity)
+            value = complex(operator_grid(z, p, f, g, identity)[0])
             oracle = z * _adaptive_simpson(lambda s: _integrand(p, f, g, identity, s * z), 0.0, 1.0)
-            assert res.value == pytest.approx(oracle, rel=1e-9)
+            assert value == pytest.approx(oracle, rel=1e-9)
 
 
 class TestDomainAndHypotheses:
     def test_gamma_nonpositive_real(self, identity):
         with pytest.raises(HypothesisViolation):
-            operator_eval(0.5, ParameterSet(gamma=-1.0), identity)
+            operator_grid(0.5, ParameterSet(gamma=-1.0), identity)
 
     def test_outside_disk(self, identity):
         with pytest.raises(DomainError):
-            operator_eval(1.0, ParameterSet(), identity)
+            operator_grid(1.0, ParameterSet(), identity)
 
     def test_vanishing_on_ray(self, f_quarter, identity):
         # g/phi = 1 - 2u vanishes at 1/2: the continuation cannot step past
@@ -188,7 +187,7 @@ class TestClosedForm:
     def test_matches_quadrature(self, f_quarter, g_half, identity):
         p = ParameterSet(alpha=0.3, beta=0.2, gamma=1.2 + 0.5j)
         for z in (0.5, -0.4 + 0.3j):
-            got = operator_eval(z, p, f_quarter, g_half, identity).value
+            got = complex(operator_grid(z, p, f_quarter, g_half, identity)[0])
             want = example31_closed_form(z, p)
             assert abs(got - want) <= 1e-9 * abs(z)
 

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from univalence_lab import (
     SeriesFunction,
+    bracket_terms,
     catalog_build,
-    criterion_terms,
+    criterion_check,
     eval_many,
-    eval_with_derivatives,
     log_derivative,
     nonvanishing_check,
 )
-from univalence_lab.criterion import DiskGrid
+from univalence_lab.criterion import DiskGrid, ParameterSet
 from univalence_lab.errors import (
     DerivativeVanishes,
     DomainError,
@@ -30,10 +30,10 @@ from .conftest import random_disk_points
 
 class TestEvalWithDerivatives:
     def test_identity(self, identity):
-        assert eval_with_derivatives(identity, 0.3) == (0.3, 1.0, 0.0)
+        assert [complex(x) for x in eval_many(identity, 0.3)] == [0.3, 1.0, 0.0]
 
     def test_quadratic(self, f_quarter):
-        v, d1, d2 = eval_with_derivatives(f_quarter, 0.5)
+        v, d1, d2 = eval_many(f_quarter, 0.5)
         assert v == pytest.approx(0.5625, abs=1e-15)
         assert d1 == pytest.approx(1.25, abs=1e-15)
         assert d2 == pytest.approx(0.5, abs=1e-15)
@@ -41,7 +41,7 @@ class TestEvalWithDerivatives:
     def test_koebe_matches_closed_form(self):
         k = catalog_build("koebe")
         z = 0.5
-        v, d1, _ = eval_with_derivatives(k, z)
+        v, d1, _ = eval_many(k, z)
         assert v == pytest.approx(z / (1 - z) ** 2, abs=1e-12)
         assert d1 == pytest.approx((1 + z) / (1 - z) ** 3, abs=1e-10)
 
@@ -53,7 +53,7 @@ class TestEvalWithDerivatives:
             ("expscaled", {"lam": 1.0}),
         ):
             s = catalog_build(name, params)
-            v, d1, d2 = eval_with_derivatives(s, 0.0)
+            v, d1, d2 = eval_many(s, 0.0)
             assert v == 0.0
             assert d1 == 1.0
             c2 = s.coefficients[1] if s.degree >= 2 else 0.0
@@ -61,7 +61,7 @@ class TestEvalWithDerivatives:
 
     def test_domain_error(self, identity):
         with pytest.raises(DomainError):
-            eval_with_derivatives(identity, 1.5)
+            eval_many(identity, 1.5)
         with pytest.raises(DomainError):
             eval_many(identity, np.array([0.5, 1.2 + 0.1j]))
 
@@ -69,9 +69,9 @@ class TestEvalWithDerivatives:
         s = catalog_build("expscaled", {"lam": 1.5})
         h = 1e-6
         for z in random_disk_points(rng, 20, 0.8):
-            _, d1, _ = eval_with_derivatives(s, z)
-            vp, _, _ = eval_with_derivatives(s, z + h)
-            vm, _, _ = eval_with_derivatives(s, z - h)
+            _, d1, _ = eval_many(s, z)
+            vp, _, _ = eval_many(s, z + h)
+            vm, _, _ = eval_many(s, z - h)
             fd = (vp - vm) / (2 * h)
             assert abs(fd - d1) <= 1e-6 * max(abs(d1), 1.0)
 
@@ -86,7 +86,7 @@ class TestEvalWithDerivatives:
         z = complex(zr, zi)
         if abs(z) > 1:
             return
-        v, d1, d2 = eval_with_derivatives(s, z)
+        v, d1, d2 = eval_many(s, z)
         assert v == pytest.approx(z + c * z * z, abs=1e-12)
         assert d1 == pytest.approx(1 + 2 * c * z, abs=1e-12)
         assert d2 == pytest.approx(2 * c, abs=1e-12)
@@ -95,19 +95,19 @@ class TestEvalWithDerivatives:
 class TestCriterionTerms:
     def test_pre_schwarzian_quadratic(self, f_quarter, identity):
         # f = z + z^2/4 gives z f''/f' = z/(z + 2); at z = 1 that is 1/3
-        pre, _ = criterion_terms(f_quarter, identity, identity, 1.0)
+        pre, _ = bracket_terms(f_quarter, identity, identity, 1.0)
         assert pre == pytest.approx(1.0 / 3.0, abs=1e-14)
         for z in (0.5, 0.3 + 0.4j):
-            pre, _ = criterion_terms(f_quarter, identity, identity, z)
+            pre, _ = bracket_terms(f_quarter, identity, identity, z)
             assert pre == pytest.approx(z / (z + 2), abs=1e-14)
 
     def test_log_ratio(self, f_quarter, g_half, identity):
         z = 0.5
-        _, lr = criterion_terms(f_quarter, g_half, identity, z)
+        _, lr = bracket_terms(f_quarter, g_half, identity, z)
         assert lr == pytest.approx(z / (z + 2), abs=1e-14)
 
     def test_origin_removable(self, f_quarter, g_half, identity):
-        assert criterion_terms(f_quarter, g_half, identity, 0.0) == (0.0, 0.0)
+        assert bracket_terms(f_quarter, g_half, identity, 0.0) == (0.0, 0.0)
 
     def test_continuity_at_origin(self):
         cat = [
@@ -118,20 +118,20 @@ class TestCriterionTerms:
         ]
         z = 1e-6 * cmath.exp(0.7j)
         for s in cat:
-            pre, lr = criterion_terms(s, s, s, z)
+            pre, lr = bracket_terms(s, s, s, z)
             assert abs(pre) < 1e-5
             assert abs(lr) < 1e-5
 
     def test_derivative_vanishes(self, identity):
         f = SeriesFunction(np.array([1.0, 1.0]))  # f' = 1 + 2z, zero at -1/2
         with pytest.raises(DerivativeVanishes) as exc:
-            criterion_terms(f, identity, identity, -0.5)
+            bracket_terms(f, identity, identity, -0.5)
         assert exc.value.witness == -0.5
 
     def test_g_vanishing(self, f_quarter, identity):
         g = SeriesFunction(np.array([1.0, -2.0]))  # zero at z = 1/2
         with pytest.raises(HypothesisViolation):
-            criterion_terms(f_quarter, g, identity, 0.5)
+            bracket_terms(f_quarter, g, identity, 0.5)
 
 
 class TestLogDerivative:
@@ -207,15 +207,25 @@ class TestTruncationWarning:
     def test_truncated_series_warns(self):
         k = catalog_build("koebe")
         with pytest.warns(TruncationWarning):
-            eval_with_derivatives(k, 0.999)
+            eval_many(k, 0.999)
 
     def test_exact_polynomial_never_warns(self, f_quarter):
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
-            eval_with_derivatives(f_quarter, 0.999)
+            eval_many(f_quarter, 0.999)
 
     def test_high_degree_koebe_silent_at_certified_radius(self):
         k = catalog_build("koebe", {"degree": 4096})
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
-            eval_with_derivatives(k, 0.99)
+            eval_many(k, 0.99)
+
+    def test_truncated_g_and_phi_warn(self, identity):
+        # the degree-64 Koebe tail bound is 33.6 at |z| = 0.99, whether the
+        # series is f, g or phi
+        k = catalog_build("koebe", {"degree": 64})
+        grid = DiskGrid(radii=(0.5, 0.9, 0.99), angles_per_radius=64, refine_steps=4)
+        p = ParameterSet(alpha=0.5, beta=0.5)
+        for f, g, phi in ((k, identity, identity), (identity, k, identity), (identity, identity, k)):
+            report = criterion_check("thm31", p, f, g, phi, grid)
+            assert "series koebe: tail bound 33.6 exceeds 1e-12 at |z|=0.99" in report.warnings
