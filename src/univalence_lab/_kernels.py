@@ -85,6 +85,11 @@ def polyval(coeffs, z):
         return _blocked_rows(a[None, :], z)[0]
     if a.size == 1:
         return np.full_like(z, a[0])
+    if z.size == 1 and a.size > 2:
+        # numpy's in-place complex multiply on one element is a slower loop
+        # that rounds differently: two copies of the point take the loop
+        # every batch takes, so a point gets the same bits alone or in one
+        return polyval(a, np.concatenate((z, z)))[:1]
     # Horner in place: the same operations as q = q * z + a[k] from q = a[-1]
     q = z * a[-1]
     q += a[-2]
@@ -96,31 +101,52 @@ def polyval(coeffs, z):
 
 def collision_scan(z, values, tol):
     """Lexicographically first pair (i, j), i < j, with
-    |values_i - values_j| < tol and |z_i - z_j| > 10 tol, or None."""
-    z = np.asarray(z, dtype=np.complex128)
-    values = np.asarray(values, dtype=np.complex128)
+    |values_i - values_j| < tol and |z_i - z_j| > 10 tol, or None.
+
+    The values are sorted by real part, and the candidates of the point at
+    sorted position i are the later positions whose real part is below
+    Re v_i + tol.  The candidate pairs are built with np.repeat in chunks
+    of about _CHUNK_BYTES of working set (64 bytes per pair) and filtered
+    with |dv|^2 < tol^2 and |dz|^2 > (10 tol)^2.
+    """
+    z = np.asarray(z, dtype=np.complex128).ravel()
+    values = np.asarray(values, dtype=np.complex128).ravel()
     tol = float(tol)
+    n = values.size
     order = np.argsort(values.real, kind="stable")
-    zr = z.real[order]
-    zi = z.imag[order]
-    fr = values.real[order]
-    fi = values.imag[order]
-    best = None
-    sep2 = (10.0 * tol) ** 2
+    v = values[order]
+    z = z[order]
     tol2 = tol * tol
-    ends = np.searchsorted(fr, fr + tol, side="left")
-    for i in range(fr.shape[0]):
-        e = ends[i]
-        if e <= i + 1:
-            continue
-        sl = slice(i + 1, e)
-        df2 = (fr[sl] - fr[i]) ** 2 + (fi[sl] - fi[i]) ** 2
-        dz2 = (zr[sl] - zr[i]) ** 2 + (zi[sl] - zi[i]) ** 2
-        for h in np.nonzero((df2 < tol2) & (dz2 > sep2))[0]:
-            pair = tuple(sorted((int(order[i]), int(order[i + 1 + h]))))
-            if best is None or pair < best:
-                best = pair
-    return best
+    sep2 = (10.0 * tol) ** 2
+    start = np.arange(1, n + 1)
+    ends = np.searchsorted(v.real, v.real + tol, side="left")
+    count = np.maximum(ends - start, 0)
+    cum = np.cumsum(count)
+    budget = _CHUNK_BYTES // 64
+    best = None
+    s = 0
+    while s < n:
+        done = int(cum[s - 1]) if s else 0
+        e = max(s + 1, int(np.searchsorted(cum, done + budget, side="right")))
+        c = count[s:e]
+        total = int(cum[e - 1]) - done
+        if total:
+            src = np.repeat(np.arange(s, e), c)
+            dst = np.repeat(start[s:e] - (np.cumsum(c) - c), c) + np.arange(total)
+            dv = v[dst] - v[src]
+            near = np.flatnonzero(dv.real**2 + dv.imag**2 < tol2)
+            if near.size:
+                src = src[near]
+                dst = dst[near]
+                dz = z[dst] - z[src]
+                far = dz.real**2 + dz.imag**2 > sep2
+                if far.any():
+                    a = order[src[far]]
+                    b = order[dst[far]]
+                    code = int((np.minimum(a, b) * n + np.maximum(a, b)).min())
+                    best = code if best is None else min(best, code)
+        s = e
+    return None if best is None else divmod(best, n)
 
 
 def winding_stats(curve, targets):

@@ -207,15 +207,17 @@ def parse_complex(text):
 
 def emit_grid_csv(rows, columns, path):
     """CSV with 17-significant-digit decimals and a newline-terminated
-    final line."""
-    fmt = ",".join(["%.17g"] * len(columns))  # one format per row: the same text as _fmt
-    lines = [",".join(columns)]
-    for row in rows:
-        if len(row) != len(columns):
-            raise ValueError("ragged row in CSV emission")
-        lines.append(fmt % tuple(row))
+    final line; rows is a 2-d array, or anything np.asarray makes one of.
+    The whole body is one format operation: the same text as _fmt."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.size == 0:
+        rows = rows.reshape(0, len(columns))
+    if rows.ndim != 2 or rows.shape[1] != len(columns):
+        raise ValueError("ragged row in CSV emission")
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    text = ",".join(columns) + "\n" + (line * rows.shape[0]) % tuple(rows.ravel().tolist())
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
     return path
 
 
@@ -312,7 +314,8 @@ def _cmd_check(spec, flags):
 
 def _cmd_eval(spec, flags):
     if flags.get("z") is not None:
-        z = np.array([parse_complex(flags["z"])])
+        z = flags["z"]
+        z = np.array([parse_complex(z) if isinstance(z, str) else z])
         values, _, _, flagged = operator_grid(z, spec.params, spec.f, spec.g, spec.phi)
         print(format_complex(values[0]))
         _warn_flagged(flagged)
@@ -323,7 +326,7 @@ def _cmd_eval(spec, flags):
     values, _, _, flagged = operator_grid(zs, spec.params, spec.f, spec.g, spec.phi)
     _warn_flagged(flagged)
     rows = np.column_stack((zs.real, zs.imag, values.real, values.imag, flagged))
-    emit_grid_csv(rows.tolist(), ("re_z", "im_z", "re_w", "im_w", "flagged"), flags["out"])
+    emit_grid_csv(rows, ("re_z", "im_z", "re_w", "im_w", "flagged"), flags["out"])
     return 0, [flags["out"]]
 
 
@@ -347,9 +350,7 @@ def _cmd_chain(spec, flags):
     _, w, _ = transfer_grid(z, t, spec.params, spec.f, spec.g, spec.phi)
     _warn_flagged(flagged)
     rows = np.column_stack((z.real, z.imag, t, L.real, L.imag, np.abs(w), flagged))
-    emit_grid_csv(
-        rows.tolist(), ("re_z", "im_z", "t", "re_w", "im_w", "abs_w", "flagged"), flags["out"]
-    )
+    emit_grid_csv(rows, ("re_z", "im_z", "t", "re_w", "im_w", "abs_w", "flagged"), flags["out"])
     return 0, [flags["out"]]
 
 
@@ -366,9 +367,7 @@ def _cmd_extend(spec, flags):
     has_mu = np.repeat(r > 1.0 + 3e-5, theta.size) & ~flagged
     mu[has_mu] = np.abs(beltrami_grid(z[has_mu], spec.params, spec.f, spec.g, spec.phi))
     rows = np.column_stack((z.real, z.imag, F.real, F.imag, mu, flagged))
-    emit_grid_csv(
-        rows.tolist(), ("re_z", "im_z", "re_w", "im_w", "abs_mu", "flagged"), flags["out"]
-    )
+    emit_grid_csv(rows, ("re_z", "im_z", "re_w", "im_w", "abs_mu", "flagged"), flags["out"])
     return 0, [flags["out"]]
 
 
@@ -405,6 +404,10 @@ def _cmd_oracle(spec, flags):
         )
     curve[-1] = curve[0]
     inner = cloud.values[np.abs(cloud.z) <= 0.5 * rmax]
+    if inner.size == 0:
+        raise InconclusiveError(
+            f"no kept sample with |z| <= {0.5 * rmax:.17g} to serve as a covering target"
+        )
     targets = rng.choice(inner, size=min(n_targets, inner.size), replace=False)
     covered_once = argument_principle_check(curve, targets)
 
@@ -440,7 +443,12 @@ _DISPATCH = {
 
 
 def run_command(command, spec, flags=None):
-    """Dispatch one command; returns (exit status, emitted file paths)."""
+    """Dispatch one command; returns (exit status, emitted file paths).
+
+    flags maps flag names to values as the command-line parser makes
+    them: counts are ints, radii and times floats, and z a complex number
+    or its text.  The parser's types check the ranges; values passed here
+    are used as they are."""
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}")
     try:
@@ -460,6 +468,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _flag(check, message, parse=float):
+    """argparse type: parse the text and keep it if check(value) holds."""
+
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+        if not check(value):
+            raise argparse.ArgumentTypeError(f"{text!r}: {message}")
+        return value
+
+    return convert
+
+
 def _build_parser():
     parser = _Parser(prog="univalence-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -472,46 +495,44 @@ def _build_parser():
             sp.add_argument(f"--{flag}", **kw)
         return sp
 
+    # every range is checked here, so a bad value is a flag error (exit 64)
+    count = {"type": _flag(lambda n: n >= 1, "must be >= 1", int)}
+    radius = {"type": _flag(lambda r: 0.0 < r < 1.0, "must lie in (0, 1)")}
+    disk_point = {"type": _flag(lambda z: abs(z) < 1.0, "must lie in |z| < 1", parse_complex)}
+    finite = {"type": _flag(math.isfinite, "must be finite")}
     add("check", out={"type": str})
-    add(
-        "eval",
-        z={"type": str},
-        out={"type": str},
-        nr={"type": int},
-        ntheta={"type": int},
-        rmax={"type": float},
-    )
+    add("eval", z=disk_point, out={"type": str}, nr=count, ntheta=count, rmax=radius)
     add(
         "chain",
         out={"type": str},
-        nr={"type": int},
-        ntheta={"type": int},
-        rmax={"type": float},
-        tmax={"type": float},
-        tsteps={"type": int},
+        nr=count,
+        ntheta=count,
+        rmax=radius,
+        tmax={"type": _flag(lambda t: 0.0 <= t < math.inf, "must be finite and >= 0")},
+        tsteps=count,
     )
     add(
         "extend",
         out={"type": str},
-        rmin={"type": float},
-        rmax={"type": float},
-        nr={"type": int},
-        ntheta={"type": int},
+        rmin=finite,
+        rmax=finite,
+        nr=count,
+        ntheta=count,
     )
     add(
         "constants",
         config=False,
-        k={"type": float, "required": True},
-        a={"type": float},
+        k={"type": _flag(lambda k: 0.0 <= k < 1.0, "must lie in [0, 1)"), "required": True},
+        a={"type": _flag(lambda a: 0.0 < a < math.inf, "must be finite and > 0")},
         out={"type": str},
     )
     add(
         "oracle",
-        nr={"type": int},
-        ntheta={"type": int},
-        rmax={"type": float},
-        targets={"type": int},
-        seed={"type": int},
+        nr=count,
+        ntheta=count,
+        rmax=radius,
+        targets=count,
+        seed={"type": _flag(lambda n: n >= 0, "must be >= 0", int)},
     )
     add("plot", config=False, csv={"type": str, "required": True}, out={"type": str, "required": True})
     return parser

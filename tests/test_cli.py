@@ -137,6 +137,52 @@ class TestCsv:
             emit_grid_csv([(1, 2)], ("a", "b", "c"), tmp_path / "x.csv")
 
 
+def _per_row_csv(rows, columns):
+    """The row-by-row writer emit_grid_csv replaced, as the byte reference."""
+    fmt = ",".join(["%.17g"] * len(columns))
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(fmt % tuple(row))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+class TestCsvBytes:
+    COLUMNS = ("re_z", "im_z", "re_w", "im_w", "flagged")
+
+    @staticmethod
+    def _grid(rng):
+        rows = rng.normal(size=(4096, 5)) * 10.0 ** rng.integers(-300, 300, size=(4096, 5))
+        rows[::7, 0] = -0.0
+        rows[::11, 1] = 1e-300
+        rows[::13, 2] = 0.0
+        rows[:, 4] = rng.integers(0, 2, size=4096)
+        return rows
+
+    def test_array_matches_per_row_writer(self, rng, tmp_path):
+        rows = self._grid(rng)
+        path = tmp_path / "grid.csv"
+        emit_grid_csv(rows, self.COLUMNS, path)
+        assert path.read_bytes() == _per_row_csv(rows.tolist(), self.COLUMNS)
+
+    def test_column_stack_with_flags(self, rng, tmp_path):
+        # the commands stack float columns with a bool flag column
+        z = rng.normal(size=64) + 1j * rng.normal(size=64)
+        flagged = rng.uniform(size=64) < 0.5
+        rows = np.column_stack((z.real, z.imag, -z.real, z.imag * 1e-300, flagged))
+        path = tmp_path / "grid.csv"
+        emit_grid_csv(rows, self.COLUMNS, path)
+        assert path.read_bytes() == _per_row_csv(rows.tolist(), self.COLUMNS)
+
+    def test_empty_array(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        emit_grid_csv(np.zeros((0, 5)), self.COLUMNS, path)
+        assert path.read_bytes() == b"re_z,im_z,re_w,im_w,flagged\n"
+
+    def test_wrong_width_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            emit_grid_csv(np.zeros((3, 4)), self.COLUMNS, tmp_path / "x.csv")
+
+
 class TestSvg:
     @staticmethod
     def _grid_rows(fun, radii=(0.3, 0.6, 0.9), n_theta=16):
@@ -360,6 +406,12 @@ class TestEndToEnd:
         captured = capsys.readouterr()
         assert captured.out == "" and "boundary curve points flagged" in captured.err
 
+    def test_oracle_without_covering_targets_exits_70(self, capsys):
+        # one ring at radius rmax leaves no sample inside rmax/2 to count
+        assert main(["oracle", "--nr", "1", "--ntheta", "8"]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == "" and "covering target" in captured.err
+
     def test_extend_flagged_column(self, write_config, tmp_path, capsys):
         # the continued (f')^(1/2) with f' = (1 + 1.5 z)^2 is 1 + 1.5 u and
         # the principal one parts from it where Re(1 + 1.5 u) < 0; on the
@@ -386,7 +438,49 @@ class TestEndToEnd:
         assert doc["covered_once"] is True
         assert doc["samples"] == 400 and doc["flagged"] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--z", "1.5"],
+            ["oracle", "--rmax", "1.5"],
+            ["eval", "--out", "{tmp}/x.csv", "--nr", "0"],
+            ["oracle", "--nr", "0"],
+            ["eval", "--out", "{tmp}/x.csv", "--ntheta", "-3"],
+            ["oracle", "--rmax", "-0.5"],
+            ["oracle", "--targets", "-1"],
+            ["oracle", "--targets", "0"],
+            ["oracle", "--seed", "-1"],
+            ["chain", "--out", "{tmp}/x.csv", "--rmax", "1.0"],
+            ["chain", "--out", "{tmp}/x.csv", "--tmax", "-1"],
+            ["chain", "--out", "{tmp}/x.csv", "--tmax", "nan"],
+            ["chain", "--out", "{tmp}/x.csv", "--tsteps", "0"],
+            ["extend", "--out", "{tmp}/x.csv", "--nr", "0"],
+            ["extend", "--out", "{tmp}/x.csv", "--rmin", "nan"],
+            ["extend", "--out", "{tmp}/x.csv", "--rmax", "inf"],
+            ["constants", "--k", "2"],
+            ["constants", "--k", "0.5", "--a", "-1"],
+            ["eval", "--z", "nan"],
+            ["eval", "--z", "zebra"],
+        ],
+    )
+    def test_flag_value_out_of_range_exits_64(self, tmp_path, capsys, argv):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("argument error:") and captured.err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
     def test_run_command_unknown(self):
         spec = parse_config({})
         with pytest.raises(ConfigError):
             run_command("bogus", spec)
+
+    def test_run_command_eval_z_text_or_number(self, capsys):
+        spec = parse_config({})
+        assert main(["eval", "--z", "0.5+0.2i"]) == 0
+        expected = capsys.readouterr().out
+        assert run_command("eval", spec, {"z": "0.5+0.2i"}) == (0, [])
+        assert capsys.readouterr().out == expected
+        assert run_command("eval", spec, {"z": 0.5 + 0.2j}) == (0, [])
+        assert capsys.readouterr().out == expected

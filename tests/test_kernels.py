@@ -3,6 +3,8 @@ Horner reference, and the oracle kernels against brute force."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from univalence_lab import DiskGrid, ParameterSet, _kernels, catalog_build, criterion_check
 from .conftest import random_disk_points
@@ -97,6 +99,65 @@ def _brute_force_scan(z, values, tol):
         return None
     k = np.flatnonzero(hit)[0]  # triu_indices are in lexicographic order
     return int(i[k]), int(j[k])
+
+
+def _cloud(seed, n, log_tol, kind):
+    """(z, values, tol) for a random cloud of n points with tol = 10^log_tol
+    times the value diameter.  kind plants near-collisions within 0.9 tol,
+    exact duplicate values, or rounds the values onto a lattice of spacing
+    0.7 tol or 1.5 tol, which gives many of them equal real parts and puts
+    the end of many search windows on a lattice line."""
+    rng = np.random.default_rng(seed)
+    z = random_disk_points(rng, n, 0.9)
+    values = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    diam = max(np.ptp(values.real), np.ptp(values.imag), 1e-30)
+    tol = diam * 10.0**log_tol
+    pick = rng.integers(n, size=(4, 2))
+    if kind == "near":
+        for i, j in pick:
+            values[i] = values[j] + 0.9 * tol * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+    elif kind == "duplicate":
+        for i, j in pick:
+            values[i] = values[j]
+    elif kind == "lattice":
+        h = tol * rng.choice([0.7, 1.5])
+        values = np.round(values / h) * h
+    return z, values, tol
+
+
+class TestCollisionScanProperty:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        log_tol=st.floats(-12.0, -1.0),
+        kind=st.sampled_from(["plain", "near", "duplicate", "lattice"]),
+    )
+    @example(seed=1, n=300, log_tol=-9.0, kind="near")
+    @example(seed=2, n=300, log_tol=-9.0, kind="lattice")
+    @example(seed=3, n=1, log_tol=-1.0, kind="plain")
+    @settings(max_examples=150, deadline=None)
+    def test_equals_brute_force(self, seed, n, log_tol, kind):
+        z, values, tol = _cloud(seed, n, log_tol, kind)
+        assert _kernels.collision_scan(z, values, tol) == _brute_force_scan(z, values, tol)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pairs_split_over_chunks(self, monkeypatch, seed):
+        # a budget of 3 pairs per chunk: the first pair is the least over
+        # every chunk, not the first one found
+        monkeypatch.setattr(_kernels, "_CHUNK_BYTES", 3 * 64)
+        z, values, tol = _cloud(seed, 200, -1.5, "near")
+        assert _kernels.collision_scan(z, values, tol) == _brute_force_scan(z, values, tol)
+
+
+class TestPolyvalOnePoint:
+    @pytest.mark.parametrize("terms", [2, 3, 4, 17, 63])
+    def test_single_point_equals_batch(self, rng, terms):
+        coeffs = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+        z = random_disk_points(rng, 1000, 0.99)
+        batch = _kernels.polyval(coeffs, z)
+        single = np.array([_kernels.polyval(coeffs, z[i : i + 1])[0] for i in range(z.size)])
+        assert _kernels.polyval(coeffs, z[:1]).shape == (1,)
+        assert np.array_equal(single.view(np.float64), batch.view(np.float64))
 
 
 class TestDispatchAgreesWithNumpy:
