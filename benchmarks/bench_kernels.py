@@ -17,7 +17,16 @@ runs on n x n polar clouds (radius 0.99) of the example31_thm32 operator
 at the default injectivity tolerance 1e-6 and at 2e-2 of the value
 diameter, where each point's real-part window holds many others;
 `emit_grid_csv` writes a 4096 x 5 grid, the size of the default
-`eval --out` CSV.  To compare two
+`eval --out` CSV.
+
+A third table times the criterion search of the `verdict` workload's
+families: example31 (f = z + z^2/4, g = z + z^2/2, phi = z) and the
+degree-32 exponentials f = (e^{lam z} - 1)/lam, g the same at lam/2
+(lam = e^{0.3i}), each under the five variants, and the Koebe degree-4096
+`koebe_cor32` configuration.  `grid` is one `criterion_values` call on
+the default 5120-point disk grid, `probe` one call on the four probes of
+a refinement hop, `probes` the number of probe calls `criterion_check`
+makes, and `check` the whole `criterion_check`.  To compare two
 checkouts, run the script in each.
 """
 
@@ -25,10 +34,11 @@ import argparse
 import os
 import tempfile
 import timeit
+import warnings
 
 import numpy as np
 
-from univalence_lab import _kernels, operator_grid
+from univalence_lab import DiskGrid, ParameterSet, _kernels, catalog_build, criterion, operator_grid
 from univalence_lab.cli import bundled_configs, emit_grid_csv, parse_config
 from univalence_lab.oracle import polar_samples
 
@@ -81,6 +91,54 @@ def main():
         columns = ("re_z", "im_z", "re_w", "im_w", "flagged")
         t = _best(lambda: emit_grid_csv(rows, columns, path), args.repeat)
     print(f"{'emit_grid_csv':>14} {rows.shape[0]:>7} {'':>8}  {t * 1e3:9.4f} ms")
+
+    print(f"\n{'family':>10} {'variant':>7}  {'grid':>9}  {'probe':>9}  {'probes':>6}  {'check':>9}")
+    for label, variant, p, fgp in _verdict_cases():
+        print(f"{label:>10} {variant:>7}  " + _criterion_row(variant, p, *fgp, args.repeat))
+
+
+def _verdict_cases():
+    """(family, variant, parameters, (f, g, phi)) of the verdict searches."""
+    ident = catalog_build("identity")
+    example31 = (catalog_build("quadratic", {"c": 0.25}), catalog_build("quadratic", {"c": 0.5}), ident)
+    lam = np.exp(0.3j)
+    expscaled = (
+        catalog_build("expscaled", {"lam": lam, "degree": 32}),
+        catalog_build("expscaled", {"lam": lam / 2.0, "degree": 32}),
+        ident,
+    )
+    p = ParameterSet(alpha=0.5, beta=0.5, gamma=1.0, m=1.0, a=1.0, k=0.3)
+    for label, fgp in (("example31", example31), ("expscaled", expscaled)):
+        for variant in criterion.VARIANTS:
+            yield label, variant, p, fgp
+    koebe = parse_config(bundled_configs()["koebe_cor32"])
+    yield "koebe4096", koebe.variant, koebe.params, (koebe.f, koebe.g, koebe.phi)
+
+
+def _criterion_row(variant, p, f, g, phi, repeat):
+    """grid ms, probe us, probe calls and criterion_check ms of one case."""
+    grid = DiskGrid()
+    values = criterion.criterion_values
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return values(*args)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        criterion.criterion_values = counted
+        try:
+            witness = criterion.criterion_check(variant, p, f, g, phi, grid).witness
+        finally:
+            criterion.criterion_values = values
+        probes = witness * np.array([0.99, 1.0, np.exp(0.006j), np.exp(-0.006j)])
+        points = grid.points()
+        t_grid = _best(lambda: values(variant, points, p, f, g, phi), repeat)
+        t_probe = _best(lambda: values(variant, probes, p, f, g, phi), repeat)
+        t_check = _best(lambda: criterion.criterion_check(variant, p, f, g, phi, grid), repeat)
+    # one call scans the grid, the others are probes
+    return f"{t_grid * 1e3:6.2f} ms  {t_probe * 1e6:6.1f} us  {len(calls) - 1:>6}  {t_check * 1e3:6.2f} ms"
 
 
 if __name__ == "__main__":

@@ -7,7 +7,10 @@ against the powers 1, z, ..., z^{B-1} by one matrix product, and the block
 values are combined by Horner in w = z^B.  That turns a degree-N Horner
 loop of N array operations into ~sqrt(N) of them.  Below 64 coefficients
 B = 1: plain Horner needs no more array operations there, and keeps the
-results of the low-degree series bit for bit.
+results of the low-degree series bit for bit.  `polyval012` runs that
+Horner loop on a stack of series at once: on few points, where the cost
+of an array operation is its call, a stack costs three array operations
+per coefficient, whatever the number of series.
 """
 
 import math
@@ -16,6 +19,7 @@ import numpy as np
 
 _BLOCKED_MIN_TERMS = 64
 _CHUNK_BYTES = 1 << 20
+_STACK_POINTS = 256
 
 
 def _blocked_rows(rows, z):
@@ -51,30 +55,99 @@ def _blocked_rows(rows, z):
     return out
 
 
-def polyval012(coeffs, z):
-    """(p, p', p'') of p(z) = sum c_n z^n with coeffs = [c_1..c_N]."""
-    c = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    z = np.ascontiguousarray(z, dtype=np.complex128).ravel()
+def _derivative_rows(c):
+    """Rows of p, p', p'' for p = sum c_n z^n with c = [c_1..c_N], for
+    _blocked_rows: the coefficient of z^k in row j is (k+j)!/k! c_{k+j}."""
     n = c.size + 1
-    if n >= _BLOCKED_MIN_TERMS:
-        # rows of p, p', p'': the coefficient of z^k in row j is
-        # (k+j)!/k! c_{k+j}
-        k = np.arange(1, n)
-        rows = np.zeros((3, n), dtype=np.complex128)
-        rows[0, 1:] = c
-        rows[1, : n - 1] = k * c
-        rows[2, : n - 2] = (k[1:] * k[:-1]) * c[1:]
-        return tuple(_blocked_rows(rows, z))
-    # B = 1: Horner, carrying the derivatives along
-    p = np.full_like(z, c[-1])
-    dp = np.zeros_like(z)
-    ddp = np.zeros_like(z)
-    for k in range(c.size - 2, -2, -1):
-        a = c[k] if k >= 0 else 0.0 + 0.0j
-        ddp = ddp * z + dp
-        dp = dp * z + p
-        p = p * z + a
-    return p, dp, 2.0 * ddp
+    k = np.arange(1, n)
+    rows = np.zeros((3, n), dtype=np.complex128)
+    rows[0, 1:] = c
+    rows[1, : n - 1] = k * c
+    rows[2, : n - 2] = (k[1:] * k[:-1]) * c[1:]
+    return rows
+
+
+def polyval012(coeffs, z):
+    """(p, p', p'') of p(z) = sum c_n z^n with coeffs = [c_1..c_N].
+
+    coeffs may also be a sequence of m such arrays of fewer than 63
+    coefficients each, of any lengths: the values are then (m, z.size)
+    arrays, each row with the bits of its series alone.  On at most
+    _STACK_POINTS points the m series advance together in one Horner pass.
+    On more, they go one at a time: a pass then costs by the element, and
+    the padding of the shorter series and the repeated coefficients cost
+    more than the calls saved (for f, g of degree 32 and phi = z, the
+    crossover lies between 256 and 1024 points)."""
+    z = np.ascontiguousarray(z, dtype=np.complex128).ravel()
+    if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1:
+        c = np.ascontiguousarray(coeffs, dtype=np.complex128)
+        if c.size + 1 >= _BLOCKED_MIN_TERMS:
+            return tuple(_blocked_rows(_derivative_rows(c), z))
+        out = np.empty((3, 1, z.size), dtype=np.complex128)
+        _horner012([c], z, out)
+        return tuple(out[:, 0])
+    series = [np.asarray(c, dtype=np.complex128) for c in coeffs]
+    out = np.empty((3, len(series), z.size), dtype=np.complex128)
+    if z.size <= _STACK_POINTS:
+        _horner012(series, z, out)
+    else:
+        for j, c in enumerate(series):
+            _horner012([c], z, out[:, j : j + 1])
+    return tuple(out)
+
+
+def _horner012(series, z, out):
+    """Fill out (3, m, z.size) with p, p', p'' of the m series by Horner,
+    carrying the derivatives along: from (p''/2, p', p) = (0, 0, c_N),
+    each lower coefficient c_k takes every point through
+    p''/2 <- p''/2 z + p', p' <- p' z + p and p <- p z + c_k, down to
+    c_0 = 0.
+
+    The series, zero-padded at the high end, and the points advance
+    together in one flat buffer of the rows [p''/2; p'; p] with z tiled
+    to the same length, so a coefficient step is three array operations
+    on contiguous views.  A shorter series waits at 0 and starts with
+    p = 0 z + c_N, which is c_N but for the sign of a zero part, so p is
+    set to c_N there.  A product never runs in place: numpy rounds an
+    in-place complex product on one element differently.  Points are
+    processed in chunks of about _CHUNK_BYTES of working set (state, next
+    state, tiled z; a stack adds its repeated coefficients, on at most
+    _STACK_POINTS points)."""
+    m = len(series)
+    top = max(c.size for c in series)
+    cols = np.zeros((top + 1, m), dtype=np.complex128)  # c_k of series j at [k, j]
+    for j, c in enumerate(series):
+        cols[1 : c.size + 1, j] = c
+    chunk = max(1, _CHUNK_BYTES // (16 * 9 * m))
+    for s in range(0, z.size, chunk):
+        zc = z[s : s + chunk]
+        w = zc.size
+        # the coefficient operand of each step: one value broadcast for one
+        # series, each series' value repeated along its points for a stack
+        steps = list(np.repeat(cols, w, axis=1) if m > 1 else cols)
+        starts = {}
+        for j, c in enumerate(series):
+            if c.size < top:
+                starts.setdefault(c.size, []).append((slice(j * w, (j + 1) * w), cols[c.size, j]))
+        tiled = np.empty(3 * m * w, dtype=np.complex128)
+        tiled.reshape(3 * m, w)[...] = zc
+        a = np.zeros(3 * m * w, dtype=np.complex128)
+        a[2 * m * w :] = steps[top]
+        b = np.empty_like(a)
+        # (whole, [p''/2; p'], [p'; p], p) of the current and the next state
+        cur = (a, a[: 2 * m * w], a[m * w :], a[2 * m * w :])
+        nxt = (b, b[: 2 * m * w], b[m * w :], b[2 * m * w :])
+        for k in range(top - 1, -1, -1):
+            np.multiply(cur[0], tiled, nxt[0])
+            np.add(nxt[1], cur[2], nxt[1])
+            np.add(nxt[3], steps[k], nxt[3])
+            if k in starts:
+                for row, value in starts[k]:
+                    nxt[3][row] = value
+            cur, nxt = nxt, cur
+        state = cur[0].reshape(3, m, w)
+        out[:2, :, s : s + w] = state[:0:-1]
+        np.multiply(2.0, state[0], out=out[2, :, s : s + w])
 
 
 def polyval(coeffs, z):

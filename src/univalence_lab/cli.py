@@ -7,9 +7,11 @@ Exit codes: 0 success/pass, 2 criterion fail or collision found,
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -314,8 +316,7 @@ def _cmd_check(spec, flags):
 
 def _cmd_eval(spec, flags):
     if flags.get("z") is not None:
-        z = flags["z"]
-        z = np.array([parse_complex(z) if isinstance(z, str) else z])
+        z = np.array([flags["z"]], dtype=np.complex128)
         values, _, _, flagged = operator_grid(z, spec.params, spec.f, spec.g, spec.phi)
         print(format_complex(values[0]))
         _warn_flagged(flagged)
@@ -445,14 +446,27 @@ _DISPATCH = {
 def run_command(command, spec, flags=None):
     """Dispatch one command; returns (exit status, emitted file paths).
 
-    flags maps flag names to values as the command-line parser makes
-    them: counts are ints, radii and times floats, and z a complex number
-    or its text.  The parser's types check the ranges; values passed here
-    are used as they are."""
+    flags maps the command's flag names to values: each either its
+    command-line text or the value the command-line parser makes of it
+    (counts int, radii and times float, z complex).  Every value passes the
+    same checks as on the command line (see _FLAGS), so an unknown flag, a
+    missing required one or a value out of range raises ConfigError."""
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}")
+    flags = dict(flags or {})
+    for name in _REQUIRED.get(command, ()):
+        if name not in flags:
+            raise ConfigError(f"{command}: argument --{name} is required")
+    for name, value in flags.items():
+        if name not in _FLAGS[command]:
+            raise ConfigError(f"{command}: unknown flag --{name}")
+        if _FLAGS[command][name] is not None:
+            try:
+                flags[name] = _convert(_FLAGS[command][name], value)
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(f"argument --{name}: {exc}") from None
     try:
-        return _DISPATCH[command](spec, dict(flags or {}))
+        return _DISPATCH[command](spec, flags)
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3, []
@@ -468,73 +482,88 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _flag(check, message, parse=float):
-    """argparse type: parse the text and keep it if check(value) holds."""
+class _Rule(NamedTuple):
+    """A flag value: `parse` reads its text, a value already parsed must be
+    a `kind`, and `check` must hold, else `message`."""
 
-    def convert(text):
+    parse: Callable
+    kind: type
+    check: Callable
+    message: str
+
+
+def _convert(rule, value):
+    """The value of a flag from its text or its parsed value, raising
+    argparse.ArgumentTypeError when it is malformed or out of range."""
+    if isinstance(value, str):
+        text = value
         try:
-            value = parse(text)
+            value = rule.parse(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
-        if not check(value):
-            raise argparse.ArgumentTypeError(f"{text!r}: {message}")
-        return value
+    elif isinstance(value, bool) or not isinstance(value, rule.kind):
+        raise argparse.ArgumentTypeError(f"invalid value {value!r}")
+    else:
+        text = value
+    if not rule.check(value):
+        raise argparse.ArgumentTypeError(f"{text!r}: {rule.message}")
+    return value
 
-    return convert
+
+_COUNT = _Rule(int, numbers.Integral, lambda n: n >= 1, "must be >= 1")
+_RADIUS = _Rule(float, numbers.Real, lambda r: 0.0 < r < 1.0, "must lie in (0, 1)")
+_FINITE = _Rule(float, numbers.Real, math.isfinite, "must be finite")
+_PATH = None  # a file name, kept as given
+
+# every flag of every command and the rule of its value: the command line
+# and run_command check values here alone, so a bad value is a flag error
+# (exit 64)
+_FLAGS = {
+    "check": {"out": _PATH},
+    "eval": {
+        "z": _Rule(parse_complex, numbers.Complex, lambda z: abs(z) < 1.0, "must lie in |z| < 1"),
+        "out": _PATH,
+        "nr": _COUNT,
+        "ntheta": _COUNT,
+        "rmax": _RADIUS,
+    },
+    "chain": {
+        "out": _PATH,
+        "nr": _COUNT,
+        "ntheta": _COUNT,
+        "rmax": _RADIUS,
+        "tmax": _Rule(float, numbers.Real, lambda t: 0.0 <= t < math.inf, "must be finite and >= 0"),
+        "tsteps": _COUNT,
+    },
+    "extend": {"out": _PATH, "rmin": _FINITE, "rmax": _FINITE, "nr": _COUNT, "ntheta": _COUNT},
+    "constants": {
+        "k": _Rule(float, numbers.Real, lambda k: 0.0 <= k < 1.0, "must lie in [0, 1)"),
+        "a": _Rule(float, numbers.Real, lambda a: 0.0 < a < math.inf, "must be finite and > 0"),
+        "out": _PATH,
+    },
+    "oracle": {
+        "nr": _COUNT,
+        "ntheta": _COUNT,
+        "rmax": _RADIUS,
+        "targets": _COUNT,
+        "seed": _Rule(int, numbers.Integral, lambda n: n >= 0, "must be >= 0"),
+    },
+    "plot": {"csv": _PATH, "out": _PATH},
+}
+_REQUIRED = {"constants": ("k",), "plot": ("csv", "out")}
+_NO_CONFIG = ("constants", "plot")
 
 
 def _build_parser():
     parser = _Parser(prog="univalence-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **opts):
-        sp = sub.add_parser(name)
-        if opts.pop("config", True):
+    for command, rules in _FLAGS.items():
+        sp = sub.add_parser(command)
+        if command not in _NO_CONFIG:
             sp.add_argument("config", nargs="?", help="JSON problem configuration file")
-        for flag, kw in opts.items():
-            sp.add_argument(f"--{flag}", **kw)
-        return sp
-
-    # every range is checked here, so a bad value is a flag error (exit 64)
-    count = {"type": _flag(lambda n: n >= 1, "must be >= 1", int)}
-    radius = {"type": _flag(lambda r: 0.0 < r < 1.0, "must lie in (0, 1)")}
-    disk_point = {"type": _flag(lambda z: abs(z) < 1.0, "must lie in |z| < 1", parse_complex)}
-    finite = {"type": _flag(math.isfinite, "must be finite")}
-    add("check", out={"type": str})
-    add("eval", z=disk_point, out={"type": str}, nr=count, ntheta=count, rmax=radius)
-    add(
-        "chain",
-        out={"type": str},
-        nr=count,
-        ntheta=count,
-        rmax=radius,
-        tmax={"type": _flag(lambda t: 0.0 <= t < math.inf, "must be finite and >= 0")},
-        tsteps=count,
-    )
-    add(
-        "extend",
-        out={"type": str},
-        rmin=finite,
-        rmax=finite,
-        nr=count,
-        ntheta=count,
-    )
-    add(
-        "constants",
-        config=False,
-        k={"type": _flag(lambda k: 0.0 <= k < 1.0, "must lie in [0, 1)"), "required": True},
-        a={"type": _flag(lambda a: 0.0 < a < math.inf, "must be finite and > 0")},
-        out={"type": str},
-    )
-    add(
-        "oracle",
-        nr=count,
-        ntheta=count,
-        rmax=radius,
-        targets=count,
-        seed={"type": _flag(lambda n: n >= 0, "must be >= 0", int)},
-    )
-    add("plot", config=False, csv={"type": str, "required": True}, out={"type": str, "required": True})
+        for name, rule in rules.items():
+            kind = str if rule is None else (lambda text, rule=rule: _convert(rule, text))
+            sp.add_argument(f"--{name}", type=kind, required=name in _REQUIRED.get(command, ()))
     return parser
 
 

@@ -134,17 +134,18 @@ def criterion_values(variant, z, p, f, g=None, phi=None):
 
     r = np.abs(z)
     m = 1.0 if variant == "cor32" else p.m  # cor32: m fixed at 1 by the statement
+    # the mask runs only when a point is 0: on the others it selects every
+    # element, which gives the same bits
+    nz = r > 0
+    if nz.all():
+        nz = ...
     if variant in ("thm31", "thm41", "cor31"):
-        fac = np.empty_like(z)
-        nz = r > 0
+        fac = np.zeros_like(z)  # bracket is 0 at z = 0 anyway
         fac[nz] = (1.0 - np.exp((m + 1.0) * p.gamma * np.log(r[nz]))) / p.gamma
-        fac[~nz] = 0.0  # bracket is 0 there anyway
         return np.abs(fac * bracket - (m - 1.0) / 2.0)
     rg = p.gamma.real
-    fac = np.zeros(z.shape)
-    nz = r > 0
+    fac = np.full(z.shape, 1.0 / rg)
     fac[nz] = (1.0 - r[nz] ** ((m + 1.0) * rg)) / rg
-    fac[~nz] = 1.0 / rg
     return fac * np.abs(bracket)
 
 

@@ -10,6 +10,8 @@ S(z) = h(z)/z, which removes the forced zero at the origin.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +43,7 @@ class SeriesFunction:
         )
 
     def __hash__(self):
-        return hash(self.coefficients.tobytes())
+        return self._hash
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coefficients, dtype=np.complex128))
@@ -53,6 +55,8 @@ class SeriesFunction:
             raise ValueError("c1 must equal 1 (class-A normalization)")
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
+        # the plan caches look a series up on every call
+        object.__setattr__(self, "_hash", hash(c.tobytes()))
 
     @property
     def degree(self):
@@ -80,13 +84,21 @@ def _warn_if_truncated(s, radius):
 def eval_many(s, z):
     """Vectorized (s, s', s'') on an array of points with |z| <= 1."""
     z = np.asarray(z, dtype=np.complex128)
-    r = np.abs(z)
-    if r.size and r.max() > 1.0 + 1e-15:
-        raise DomainError(f"max |z| = {r.max():.6g} > 1")
-    if r.size:
-        _warn_if_truncated(s, float(r.max()))
+    _check_disk(s, np.abs(z))
     p, dp, ddp = _kernels.polyval012(s.coefficients, z)
     return p.reshape(z.shape), dp.reshape(z.shape), ddp.reshape(z.shape)
+
+
+def _check_disk(s, r):
+    """The largest |z| = r, or None for no point: DomainError past 1, and a
+    truncated s warns there."""
+    if not r.size:
+        return None
+    rmax = float(r.max())
+    if rmax > 1.0 + 1e-15:
+        raise DomainError(f"max |z| = {rmax:.6g} > 1")
+    _warn_if_truncated(s, rmax)
+    return rmax
 
 
 def log_derivative(s, z):
@@ -98,23 +110,69 @@ def log_derivative(s, z):
     """
     z = np.asarray(z, dtype=np.complex128)
     p, dp, _ = _kernels.polyval012(s.coefficients, z)
-    p = p.reshape(z.shape)
-    dp = dp.reshape(z.shape)
-    small = np.abs(z) <= SMALL_Z
+    return _log_quotient(s, z, p.reshape(z.shape), dp.reshape(z.shape), np.abs(z))
+
+
+def _log_quotient(s, z, p, dp, r):
+    """log_derivative from p = s(z) and dp = s'(z) at the points z, |z| = r.
+    The masks run only when a point has |z| <= SMALL_Z: on the other
+    points they select every element, which gives the same bits."""
+    small = r <= SMALL_Z
+    masked = bool(small.any())
+    big = ~small if masked else ...
+    denom = p[big]
+    zero = denom == 0
+    if zero.any():
+        bad = z[big][zero][0]
+        raise HypothesisViolation(
+            f"series {s.label or '<unnamed>'} vanishes at z = {bad}", witness=complex(bad)
+        )
+    quotient = dp[big] * z[big] / denom
+    if not masked:
+        return quotient
     out = np.empty_like(p)
-    if np.any(~small):
-        denom = p[~small]
-        if np.any(np.abs(denom) == 0.0):
-            bad = z[~small][np.abs(denom) == 0.0][0]
-            raise HypothesisViolation(
-                f"series {s.label or '<unnamed>'} vanishes at z = {bad}", witness=complex(bad)
-            )
-        out[~small] = dp[~small] * z[~small] / denom
-    if np.any(small):
-        sz = z[small]
-        svals = _kernels.polyval(s.coefficients, sz).reshape(sz.shape)
-        out[small] = dp[small] / svals
+    out[big] = quotient
+    sz = z[small]
+    out[small] = dp[small] / _kernels.polyval(s.coefficients, sz).reshape(sz.shape)
     return out
+
+
+class _BracketPlan(NamedTuple):
+    """How bracket_terms evaluates its distinct series: the coefficient
+    arrays of the short ones (fewer than 64 terms, c_0 = 0 included) as one
+    `stack` for polyval012, and for each long one the derivative rows of its
+    own blocked product from order `first`: 1 for an f that is not also g or
+    phi, whose value is never used, else 0.  `slots` gives the index of f,
+    g, phi (those asked for) among the evaluated series: the stack in
+    order, then the long ones."""
+
+    stack: tuple
+    blocked: tuple
+    slots: tuple
+
+
+@lru_cache(maxsize=256)
+def _bracket_plan(*series):
+    distinct = list(dict.fromkeys(series))
+    short = [s for s in distinct if s.degree + 1 < _kernels._BLOCKED_MIN_TERMS]
+    long = [s for s in distinct if s.degree + 1 >= _kernels._BLOCKED_MIN_TERMS]
+    blocked = []
+    for s in long:
+        first = 0 if s in series[1:] else 1
+        blocked.append((_kernels._derivative_rows(s.coefficients)[first:], first))
+    index = {s: i for i, s in enumerate(short + long)}
+    return _BracketPlan(
+        tuple(s.coefficients for s in short), tuple(blocked), tuple(index[s] for s in series)
+    )
+
+
+def _evaluate(plan, z):
+    """(p, p', p'') of f, g, phi (those the plan was made for) at the 1-d
+    z; p is None for a long f."""
+    values = list(zip(*_kernels.polyval012(plan.stack, z))) if plan.stack else []
+    for rows, first in plan.blocked:
+        values.append((None,) * first + tuple(_kernels._blocked_rows(rows, z)))
+    return [values[i] for i in plan.slots]
 
 
 def bracket_terms(f, g, phi, z, log_ratio=True):
@@ -125,22 +183,32 @@ def bracket_terms(f, g, phi, z, log_ratio=True):
     normalization).  Raises DerivativeVanishes at the first point where
     |f'| < 1e-13.  Truncated f, and with log_ratio g and phi, warn at the
     largest |z|.  With log_ratio=False the second term is returned as
-    zeros and g, phi are not evaluated."""
+    zeros and g, phi are not evaluated.
+
+    The series are evaluated together, with the bits of eval_many and
+    log_derivative: those of fewer than 64 terms (c_0 = 0 included) in one
+    stacked Horner pass, each longer one by its own blocked product (see
+    `_BracketPlan`)."""
     z = np.asarray(z, dtype=np.complex128)
-    _, fp, fpp = eval_many(f, z)
+    r = np.abs(z)
+    rmax = _check_disk(f, r)
+    series = (f, g, phi) if log_ratio else (f,)
+    values = _evaluate(_bracket_plan(*series), z.ravel())
+    fp, fpp = (v.reshape(z.shape) for v in values[0][1:])
     bad = np.abs(fp) < 1e-13
-    if np.any(bad):
+    if bad.any():
         w = complex(z[bad][0])
         raise DerivativeVanishes(f"f'(z) = 0 at z = {w}", witness=w)
     pre = z * fpp / fp
-    if log_ratio:
-        if z.size:
-            rmax = float(np.abs(z).max())
-            _warn_if_truncated(g, rmax)
-            _warn_if_truncated(phi, rmax)
-        lr = log_derivative(g, z) - log_derivative(phi, z)
-    else:
-        lr = np.zeros_like(z)
+    if not log_ratio:
+        return pre, np.zeros_like(z)
+    if rmax is not None:
+        _warn_if_truncated(g, rmax)
+        _warn_if_truncated(phi, rmax)
+    (gp, gdp, _), (pp, pdp, _) = values[1:]
+    lr = _log_quotient(g, z, gp.reshape(z.shape), gdp.reshape(z.shape), r) - _log_quotient(
+        phi, z, pp.reshape(z.shape), pdp.reshape(z.shape), r
+    )
     return pre, lr
 
 

@@ -234,6 +234,31 @@ REFERENCE_DOC = {
 }
 
 
+# flag values the command line rejects with exit 64
+BAD_FLAGS = [
+    ["eval", "--z", "1.5"],
+    ["oracle", "--rmax", "1.5"],
+    ["eval", "--out", "{tmp}/x.csv", "--nr", "0"],
+    ["oracle", "--nr", "0"],
+    ["eval", "--out", "{tmp}/x.csv", "--ntheta", "-3"],
+    ["oracle", "--rmax", "-0.5"],
+    ["oracle", "--targets", "-1"],
+    ["oracle", "--targets", "0"],
+    ["oracle", "--seed", "-1"],
+    ["chain", "--out", "{tmp}/x.csv", "--rmax", "1.0"],
+    ["chain", "--out", "{tmp}/x.csv", "--tmax", "-1"],
+    ["chain", "--out", "{tmp}/x.csv", "--tmax", "nan"],
+    ["chain", "--out", "{tmp}/x.csv", "--tsteps", "0"],
+    ["extend", "--out", "{tmp}/x.csv", "--nr", "0"],
+    ["extend", "--out", "{tmp}/x.csv", "--rmin", "nan"],
+    ["extend", "--out", "{tmp}/x.csv", "--rmax", "inf"],
+    ["constants", "--k", "2"],
+    ["constants", "--k", "0.5", "--a", "-1"],
+    ["eval", "--z", "nan"],
+    ["eval", "--z", "zebra"],
+]
+
+
 class TestEndToEnd:
     def test_check_pass_exit_zero(self, write_config, capsys):
         assert main(["check", write_config(REFERENCE_DOC)]) == 0
@@ -438,31 +463,7 @@ class TestEndToEnd:
         assert doc["covered_once"] is True
         assert doc["samples"] == 400 and doc["flagged"] == 0
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["eval", "--z", "1.5"],
-            ["oracle", "--rmax", "1.5"],
-            ["eval", "--out", "{tmp}/x.csv", "--nr", "0"],
-            ["oracle", "--nr", "0"],
-            ["eval", "--out", "{tmp}/x.csv", "--ntheta", "-3"],
-            ["oracle", "--rmax", "-0.5"],
-            ["oracle", "--targets", "-1"],
-            ["oracle", "--targets", "0"],
-            ["oracle", "--seed", "-1"],
-            ["chain", "--out", "{tmp}/x.csv", "--rmax", "1.0"],
-            ["chain", "--out", "{tmp}/x.csv", "--tmax", "-1"],
-            ["chain", "--out", "{tmp}/x.csv", "--tmax", "nan"],
-            ["chain", "--out", "{tmp}/x.csv", "--tsteps", "0"],
-            ["extend", "--out", "{tmp}/x.csv", "--nr", "0"],
-            ["extend", "--out", "{tmp}/x.csv", "--rmin", "nan"],
-            ["extend", "--out", "{tmp}/x.csv", "--rmax", "inf"],
-            ["constants", "--k", "2"],
-            ["constants", "--k", "0.5", "--a", "-1"],
-            ["eval", "--z", "nan"],
-            ["eval", "--z", "zebra"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", BAD_FLAGS)
     def test_flag_value_out_of_range_exits_64(self, tmp_path, capsys, argv):
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         assert main(argv) == 64
@@ -471,10 +472,40 @@ class TestEndToEnd:
         assert captured.err.startswith("argument error:") and captured.err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv", BAD_FLAGS)
+    def test_run_command_flag_value_out_of_range_raises(self, tmp_path, capsys, argv):
+        # the same flags as texts through the API: the command line's check
+        # and message, and no output
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        main(argv)
+        expected = capsys.readouterr().err
+        flags = {argv[i][2:]: argv[i + 1] for i in range(1, len(argv), 2)}
+        with pytest.raises(ConfigError) as exc:
+            run_command(argv[0], parse_config({}), flags)
+        assert f"argument error: {exc.value}\n" == expected
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "x.csv").exists()
+
     def test_run_command_unknown(self):
         spec = parse_config({})
         with pytest.raises(ConfigError):
             run_command("bogus", spec)
+
+    def test_run_command_checks_parsed_values(self, tmp_path):
+        spec = parse_config({})
+        out = str(tmp_path / "x.csv")
+        for command, flags, message in [
+            ("eval", {"out": out, "nr": 0}, "argument --nr: 0: must be >= 1"),
+            ("eval", {"out": out, "nr": 2.5}, "argument --nr: invalid value 2.5"),
+            ("eval", {"out": out, "nr": True}, "argument --nr: invalid value True"),
+            ("eval", {"z": 1.5j}, "argument --z: 1.5j: must lie in |z| < 1"),
+            ("eval", {"out": out, "nrr": 4}, "eval: unknown flag --nrr"),
+            ("constants", {"a": 2.0}, "constants: argument --k is required"),
+        ]:
+            with pytest.raises(ConfigError) as exc:
+                run_command(command, spec, flags)
+            assert str(exc.value) == message
+        assert not (tmp_path / "x.csv").exists()
 
     def test_run_command_eval_z_text_or_number(self, capsys):
         spec = parse_config({})

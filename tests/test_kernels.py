@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from univalence_lab import DiskGrid, ParameterSet, _kernels, catalog_build, criterion_check
+from univalence_lab import DiskGrid, ParameterSet, SeriesFunction, _kernels, catalog_build, criterion_check
+from univalence_lab.errors import DerivativeVanishes, HypothesisViolation
+from univalence_lab.series import SMALL_Z, bracket_terms
 from .conftest import random_disk_points
 
 ACCURACY = 1e-13
@@ -158,6 +160,143 @@ class TestPolyvalOnePoint:
         single = np.array([_kernels.polyval(coeffs, z[i : i + 1])[0] for i in range(z.size)])
         assert _kernels.polyval(coeffs, z[:1]).shape == (1,)
         assert np.array_equal(single.view(np.float64), batch.view(np.float64))
+
+
+def _horner_reference(c, z):
+    """(p, p', p'') of one series by the per-series Horner loop that
+    evaluated the series of fewer than 64 terms before the stacked kernel:
+    the reference the kernel must match bit for bit."""
+    p = np.full_like(z, c[-1])
+    dp = np.zeros_like(z)
+    ddp = np.zeros_like(z)
+    for k in range(c.size - 2, -2, -1):
+        a = c[k] if k >= 0 else 0.0 + 0.0j
+        ddp = ddp * z + dp
+        dp = dp * z + p
+        p = p * z + a
+    return p, dp, 2.0 * ddp
+
+
+def _log_derivative_reference(s, z):
+    p, dp, _ = _horner_reference(s.coefficients, z)
+    small = np.abs(z) <= SMALL_Z
+    out = np.empty_like(p)
+    if np.any(~small):
+        denom = p[~small]
+        if np.any(np.abs(denom) == 0.0):
+            bad = z[~small][np.abs(denom) == 0.0][0]
+            raise HypothesisViolation(
+                f"series {s.label or '<unnamed>'} vanishes at z = {bad}", witness=complex(bad)
+            )
+        out[~small] = dp[~small] * z[~small] / denom
+    if np.any(small):
+        out[small] = dp[small] / _kernels.polyval(s.coefficients, z[small])
+    return out
+
+
+def _bracket_reference(f, g, phi, z, log_ratio=True):
+    """bracket_terms as it was computed one series at a time."""
+    _, fp, fpp = _horner_reference(f.coefficients, z)
+    bad = np.abs(fp) < 1e-13
+    if np.any(bad):
+        w = complex(z[bad][0])
+        raise DerivativeVanishes(f"f'(z) = 0 at z = {w}", witness=w)
+    if not log_ratio:
+        return z * fpp / fp, np.zeros_like(z)
+    return z * fpp / fp, _log_derivative_reference(g, z) - _log_derivative_reference(phi, z)
+
+
+def _outcome(fn, *args):
+    """The bytes of every returned array, or the exception's type, message
+    and witness."""
+    try:
+        return [np.ascontiguousarray(a).tobytes() for a in fn(*args)]
+    except HypothesisViolation as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def _random_series(rng, n, label, negative_zero):
+    """c_1 = 1 and n - 1 coefficients shrinking like 0.6^k.  negative_zero
+    makes them real with imaginary part -0.0, whose sign the values keep at
+    real z, so that a series shorter than the others must start from its
+    top coefficient exactly."""
+    c = np.ones(n, dtype=np.complex128)
+    c[1:] = rng.normal(size=n - 1) * 0.6 ** np.arange(2, n + 1)
+    if negative_zero:
+        return SeriesFunction(np.conj(c), label=label)
+    c[1:] += 1j * rng.normal(size=n - 1) * 0.6 ** np.arange(2, n + 1)
+    return SeriesFunction(c, label=label)
+
+
+def _probe_points(rng, n):
+    """n points of the closed disk: 0, two of modulus at most SMALL_Z, two
+    on |z| = 1 and two real ones (as many as fit), the rest random, in
+    random order."""
+    z = random_disk_points(rng, n, 1.0)
+    special = [0.0, SMALL_Z * np.exp(2j * np.pi * rng.uniform()), 1e-12j, np.exp(2j * np.pi * rng.uniform()), -1.0]
+    special += list(rng.uniform(-1.0, 1.0, 2))
+    z[: min(n, 7)] = special[: min(n, 7)]
+    return rng.permutation(z)
+
+
+class TestStackedHornerParity:
+    """polyval012 on a stack of series, and bracket_terms, give the bits of
+    the per-series Horner reference."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(st.integers(1, 62), st.integers(1, 62), st.integers(1, 62)),
+        npts=st.integers(1, 300),
+        negative_zero=st.booleans(),
+    )
+    @example(seed=1, sizes=(32, 32, 1), npts=4, negative_zero=False)
+    @example(seed=2, sizes=(62, 7, 7), npts=300, negative_zero=True)
+    @example(seed=3, sizes=(5, 40, 1), npts=1, negative_zero=True)
+    @settings(max_examples=120, deadline=None)
+    def test_bits_equal_per_series_horner(self, seed, sizes, npts, negative_zero):
+        rng = np.random.default_rng(seed)
+        f, g, phi = (_random_series(rng, n, name, negative_zero) for n, name in zip(sizes, "fgp"))
+        z = _probe_points(rng, npts)
+        stacked = _kernels.polyval012([s.coefficients for s in (f, g, phi)], z)
+        for j, s in enumerate((f, g, phi)):
+            for got, ref in zip(stacked, _horner_reference(s.coefficients, z)):
+                assert got[j].tobytes() == ref.tobytes()
+        for log_ratio in (True, False):
+            args = (f, g, phi, z, log_ratio)
+            assert _outcome(bracket_terms, *args) == _outcome(_bracket_reference, *args)
+
+    def test_shorter_series_starts_at_its_top_coefficient(self):
+        # real coefficients with imaginary part -0.0 and a negative top one:
+        # at negative real z the signs of the zero imaginary parts survive,
+        # so the shorter series must start from c_N exactly, not 0 z + c_N
+        f = SeriesFunction(np.conj([1.0, 0.3, -0.2, 0.1, 0.05 + 0j]))
+        g = SeriesFunction(np.conj([1.0, -0.3 + 0j]))
+        z = np.array([-0.5, -0.9, 0.5, -0.2, 0.0], dtype=np.complex128)
+        stacked = _kernels.polyval012([f.coefficients, g.coefficients], z)
+        for j, s in enumerate((f, g)):
+            for got, ref in zip(stacked, _horner_reference(s.coefficients, z)):
+                assert got[j].tobytes() == ref.tobytes()
+
+    def test_derivative_vanishes_keeps_message_and_witness(self):
+        f = SeriesFunction(np.array([1.0, 0.5]), label="f")  # f' = 1 + z
+        ident = catalog_build("identity")
+        z = np.array([0.5, -1.0, 0.25j, -1.0])
+        with pytest.raises(DerivativeVanishes) as exc:
+            bracket_terms(f, ident, ident, z)
+        assert str(exc.value) == "f'(z) = 0 at z = (-1+0j)" and exc.value.witness == -1.0
+        assert _outcome(bracket_terms, f, ident, ident, z) == _outcome(_bracket_reference, f, ident, ident, z)
+
+    @pytest.mark.parametrize("vanishing", ["g", "phi"])
+    def test_log_ratio_vanishing_keeps_message_and_witness(self, vanishing):
+        f = catalog_build("quadratic", {"c": 0.25})
+        zero_at_minus_one = SeriesFunction(np.array([1.0, 1.0]), label=vanishing)  # z (1 + z)
+        fine = SeriesFunction(np.array([1.0, 0.1, 0.01]), label="other")
+        g, phi = (zero_at_minus_one, fine) if vanishing == "g" else (fine, zero_at_minus_one)
+        z = np.array([0.0, 0.5j, -1.0, 0.3, -1.0])
+        with pytest.raises(HypothesisViolation) as exc:
+            bracket_terms(f, g, phi, z)
+        assert str(exc.value) == f"series {vanishing} vanishes at z = (-1+0j)" and exc.value.witness == -1.0
+        assert _outcome(bracket_terms, f, g, phi, z) == _outcome(_bracket_reference, f, g, phi, z)
 
 
 class TestDispatchAgreesWithNumpy:
