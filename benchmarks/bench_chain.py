@@ -1,4 +1,4 @@
-"""Time `chain_grid` by point count.
+"""Time `chain_grid` and `beltrami_grid` by point count.
 
 Run:  PYTHONPATH=src python3 benchmarks/bench_chain.py [--repeat N]
 
@@ -6,9 +6,11 @@ The problem is example31 (f = z + z^2/4, g = z + z^2/2, phi = z,
 alpha = beta = 1/2, gamma = 1).  The point counts are the sizes the
 callers ask for: 1 a single point, 6 the `pde_residual` stencil, 640 the
 default `chain` command grid (8 x 16 points x 5 times) and 4097 the
-finest `subordination_probe` curve.  Each row is the best of N repeats
-of a loop long enough to take at least 0.2 s.  To compare two
-checkouts, run the script in each.
+finest `subordination_probe` curve.  `beltrami_grid` runs on the grids
+its callers use: 80 points, those of the default `extend` grid with
+|z| > 1 + 3e-5, and 32 points, the default `beltrami_ring`.  Each row is
+the best of N repeats of a loop long enough to take at least 0.2 s.  To
+compare two checkouts, run the script in each.
 """
 
 import argparse
@@ -18,8 +20,18 @@ import numpy as np
 
 from univalence_lab import ParameterSet, catalog_build
 from univalence_lab.chain import chain_grid
+from univalence_lab.extension import beltrami_grid
 
 SIZES = (1, 6, 640, 4097)
+
+
+def _rings(radii, n_theta):
+    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    return (np.asarray(radii)[:, None] * np.exp(1j * theta)[None, :]).ravel()
+
+
+# the outside points of the default `extend` grid, and the default ring
+BELTRAMI_GRIDS = (_rings(np.linspace(0.5, 2.0, 8)[3:], 16), _rings((1.05, 1.3, 1.6, 2.0), 8))
 
 
 def _problem():
@@ -54,6 +66,10 @@ def main():
         z, t = _points(n, rng)
         t_grid = _best(lambda: chain_grid(z, t, p, f, g, phi), args.repeat)
         print(f"{n:>6}  {t_grid * 1e3:9.3f} ms  {t_grid / n * 1e6:9.3f} us")
+    print(f"{'points':>6}  {'beltrami_grid':>13}  {'per point':>11}")
+    for z in BELTRAMI_GRIDS:
+        t_mu = _best(lambda: beltrami_grid(z, p, f, g, phi), args.repeat)
+        print(f"{z.size:>6}  {t_mu * 1e3:10.3f} ms  {t_mu / z.size * 1e6:8.3f} us")
 
 
 if __name__ == "__main__":

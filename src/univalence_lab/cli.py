@@ -5,6 +5,7 @@ Exit codes: 0 success/pass, 2 criterion fail or collision found,
 """
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -364,7 +365,7 @@ def _cmd_extend(spec, flags):
     F, flagged = extend_grid(z, spec.params, spec.f, spec.g, spec.phi)
     _warn_flagged(flagged)
     mu = np.zeros(z.shape)
-    # no Beltrami coefficient at a flagged point: its stencil would raise
+    # abs_mu is documented for |z| > 1 + 3e-5 and unflagged rows, 0 elsewhere
     has_mu = np.repeat(r > 1.0 + 3e-5, theta.size) & ~flagged
     mu[has_mu] = np.abs(beltrami_grid(z[has_mu], spec.params, spec.f, spec.g, spec.phi))
     rows = np.column_stack((z.real, z.imag, F.real, F.imag, mu, flagged))
@@ -554,6 +555,7 @@ _REQUIRED = {"constants": ("k",), "plot": ("csv", "out")}
 _NO_CONFIG = ("constants", "plot")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
     parser = _Parser(prog="univalence-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,8 +1,8 @@
 """Quasiconformal extension machinery: the Becker extension, which is the
 chain itself (L(z, 0) = F(z) inside the disk, L(z/|z|, log|z|) outside),
-sampled Beltrami coefficients, and the extension-constant algebra that
-turns a strengthened criterion constant k and chain speed a into the
-final quasiconformality constant l.
+its Beltrami coefficients in closed form from the chain's transfer, and
+the extension-constant algebra that turns a strengthened criterion
+constant k and chain speed a into the final quasiconformality constant l.
 
 For a != 1 the constant is
 
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import chain_grid
-from .errors import BranchCrossingError, DegeneratePointError, DomainError
+from .chain import chain_grid, transfer_grid
+from .errors import DomainError
 
 SEAM_CLAMP = 1e-6
 
@@ -129,33 +129,25 @@ def extend_grid(z, p, f, g=None, phi=None):
     return chain_grid(u, t, p, f, g, phi)
 
 
-def beltrami_grid(z, p, f, g=None, phi=None, h=1e-5):
-    """Sampled Beltrami coefficients of the extension at an array of points
-    with |z| > 1 + 2h.
+def beltrami_grid(z, p, f, g=None, phi=None):
+    """Beltrami coefficients of the extension at an array of points with
+    |z| > 1, in closed form.
 
-    Wirtinger derivatives from one central-difference stencil per point:
-    d_z = (d_x - i d_y)/2, d_zbar = (d_x + i d_y)/2."""
+    With u = z/|z| and t = log|z|, the chain's PDE u L_u = p L_t turns the
+    Wirtinger derivatives of L(u, t) into mu = -(z/zbar) w(u, t), w the
+    transfer.  It depends on f, g and phi only through the branch-free
+    bracket, so a branch crossing of the extension's value leaves it valid."""
     z = np.asarray(z, dtype=np.complex128)
-    if np.any(np.abs(z) <= 1.0 + 2.0 * h):
-        raise DomainError(f"need |z| > 1 + 2h = {1.0 + 2.0 * h}")
-    offsets = np.array([h, -h, 1j * h, -1j * h])
-    F, flagged = extend_grid(z[..., None] + offsets, p, f, g, phi)
-    if np.any(flagged):
-        bad = complex(z[flagged.any(axis=-1)][0])
-        raise BranchCrossingError(f"extension flagged for a branch crossing near z = {bad}")
-    dx = (F[..., 0] - F[..., 1]) / (2.0 * h)
-    dy = (F[..., 2] - F[..., 3]) / (2.0 * h)
-    dz = 0.5 * (dx - 1j * dy)
-    dzbar = 0.5 * (dx + 1j * dy)
-    small = np.abs(dz) < 1e-12
-    if np.any(small):
-        raise DegeneratePointError(f"|d_z F| < 1e-12 at z = {complex(z[small][0])}")
-    return dzbar / dz
+    r = np.abs(z)
+    if np.any(r <= 1.0):
+        raise DomainError("need |z| > 1")
+    _, w, _ = transfer_grid(z / r, np.log(r), p, f, g, phi)
+    return -(z / np.conj(z)) * w
 
 
-def beltrami_ring(p, f, g=None, phi=None, radii=(1.05, 1.3, 1.6, 2.0), n_theta=8, h=1e-5):
+def beltrami_ring(p, f, g=None, phi=None, radii=(1.05, 1.3, 1.6, 2.0), n_theta=8):
     """Beltrami samples on a ring grid outside the unit circle."""
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     z = (np.asarray(radii, dtype=float)[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    mu = beltrami_grid(z, p, f, g, phi, h)
+    mu = beltrami_grid(z, p, f, g, phi)
     return [BeltramiSample(zz, mm) for zz, mm in zip(z.tolist(), mu.tolist())]

@@ -55,8 +55,12 @@ class SeriesFunction:
             raise ValueError("c1 must equal 1 (class-A normalization)")
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
-        # the plan caches look a series up on every call
-        object.__setattr__(self, "_hash", hash(c.tobytes()))
+        # the plan caches look a series up on every call; + 0.0 maps -0.0
+        # to 0.0, so series that compare equal hash equal.  Their values can
+        # still differ in the sign of a zero, so bracket_terms caches its
+        # plans on the exact bytes
+        object.__setattr__(self, "_bits", c.tobytes())
+        object.__setattr__(self, "_hash", hash((c + 0.0).tobytes()))
 
     @property
     def degree(self):
@@ -152,18 +156,17 @@ class _BracketPlan(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def _bracket_plan(*series):
-    distinct = list(dict.fromkeys(series))
-    short = [s for s in distinct if s.degree + 1 < _kernels._BLOCKED_MIN_TERMS]
-    long = [s for s in distinct if s.degree + 1 >= _kernels._BLOCKED_MIN_TERMS]
+def _bracket_plan(*bits):
+    """The plan for the series whose coefficient bytes are `bits`."""
+    coeffs = {b: np.frombuffer(b, dtype=np.complex128) for b in bits}
+    short = [b for b, c in coeffs.items() if c.size + 1 < _kernels._BLOCKED_MIN_TERMS]
+    long = [b for b, c in coeffs.items() if c.size + 1 >= _kernels._BLOCKED_MIN_TERMS]
     blocked = []
-    for s in long:
-        first = 0 if s in series[1:] else 1
-        blocked.append((_kernels._derivative_rows(s.coefficients)[first:], first))
-    index = {s: i for i, s in enumerate(short + long)}
-    return _BracketPlan(
-        tuple(s.coefficients for s in short), tuple(blocked), tuple(index[s] for s in series)
-    )
+    for b in long:
+        first = 0 if b in bits[1:] else 1
+        blocked.append((_kernels._derivative_rows(coeffs[b])[first:], first))
+    index = {b: i for i, b in enumerate(short + long)}
+    return _BracketPlan(tuple(coeffs[b] for b in short), tuple(blocked), tuple(index[b] for b in bits))
 
 
 def _evaluate(plan, z):
@@ -193,7 +196,7 @@ def bracket_terms(f, g, phi, z, log_ratio=True):
     r = np.abs(z)
     rmax = _check_disk(f, r)
     series = (f, g, phi) if log_ratio else (f,)
-    values = _evaluate(_bracket_plan(*series), z.ravel())
+    values = _evaluate(_bracket_plan(*(s._bits for s in series)), z.ravel())
     fp, fpp = (v.reshape(z.shape) for v in values[0][1:])
     bad = np.abs(fp) < 1e-13
     if bad.any():

@@ -185,7 +185,7 @@ def test_criterion_7_beltrami(capsys, f_quarter, g_half, identity):
         for th in np.linspace(0.0, 2 * np.pi, 4, endpoint=False):  # 20 samples
             mu = beltrami_grid(r * cmath.exp(1j * th), ident_p, identity, identity, identity)
             worst_dev = max(worst_dev, abs(abs(mu) - 1.0 / 3.0))
-    ok = worst_dev <= 1e-6
+    ok = worst_dev <= 1e-12
 
     # bundled thm41 configuration (k = 0.3, a = 1, so l = k)
     spec = parse_config(bundled_configs()["example31_thm41"])
@@ -197,7 +197,7 @@ def test_criterion_7_beltrami(capsys, f_quarter, g_half, identity):
         for th in np.linspace(0.0, 2 * np.pi, 4, endpoint=False):
             mu = beltrami_grid(r * cmath.exp(1j * th), spec.params, spec.f, spec.g, spec.phi)
             mu_max = max(mu_max, abs(mu))
-    ok &= mu_max <= ell + 1e-3
+    ok &= mu_max <= ell + 1e-12
 
     w_max = 0.0
     for r in np.linspace(0.95 / 4, 0.95, 4):

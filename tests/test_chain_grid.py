@@ -5,6 +5,7 @@ typed errors, and values pinned from the former one-point implementation."""
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from univalence_lab import (
     ParameterSet,
     beltrami_ring,
+    catalog_build,
     hyp2f1,
     operator_grid,
     pde_residual,
@@ -40,8 +42,8 @@ TIMES = (0.0, 0.3, 1.2)
 
 # A one-ulp change of F moves a central difference of step h by about
 # eps / (2h) relative to |F'|.  Batching changes the summation order inside
-# operator_grid, so values derived from FD stencils (h = 1e-5) can only be
-# pinned to a few times that.
+# operator_grid, so values derived from FD stencils (h = 1e-5, as in
+# pde_residual) can only be pinned to a few times that.
 FD_TOL = 4.0 * np.finfo(float).eps / (2.0 * 1e-5)
 
 
@@ -254,8 +256,6 @@ class TestFlags:
             pde_residual(-0.9 - 0.1j, 0.1, p, f)
         with pytest.raises(BranchCrossingError, match="curve"):
             subordination_probe(0.0, 0.1, 0.9, p, f, samples=16)
-        with pytest.raises(BranchCrossingError, match="extension"):
-            beltrami_grid([2.0, 1.1 * cmath.exp(7j * math.pi / 8)], p, f)
 
     def test_one_point_calls_are_flagged(self, identity):
         f = SeriesFunction(np.array([1.0, 1.5, 0.75]))
@@ -309,8 +309,9 @@ class TestErrors:
             _transfer_from_G(np.array([0.1, 1.0]), 1.0, 2.0)
 
     def test_beltrami_domain(self, identity, params_ref):
-        with pytest.raises(DomainError):
-            beltrami_grid([1.5, 1.0 + 1e-5], params_ref, identity)
+        for bad_z in (1.0, -1.0j, 0.5, 0.0):
+            with pytest.raises(DomainError, match=r"need \|z\| > 1"):
+                beltrami_grid([1.5, bad_z], params_ref, identity)
 
 
 class TestExtendGrid:
@@ -335,14 +336,13 @@ class TestExtendGrid:
 def _exact_example31_mu(z, h):
     """d_zbar F / d_z F by the 4-point stencil of step h, in exact rational
     arithmetic on the example31 closed form outside the unit disk."""
-    from fractions import Fraction as Q
 
     def F(x, y):  # (re, im) of z + (z^2 / r^2)(1/2 - 1/(4 r^2))
         r2 = x * x + y * y
-        c = Q(1, 2) - 1 / (4 * r2)
+        c = Fraction(1, 2) - 1 / (4 * r2)
         return x + (x * x - y * y) / r2 * c, y + 2 * x * y / r2 * c
 
-    x, y, hq = Q(z.real), Q(z.imag), Q(h)
+    x, y, hq = Fraction(z.real), Fraction(z.imag), Fraction(h)
     (a, b), (c, d) = F(x + hq, y), F(x - hq, y)
     (e, f), (g, k) = F(x, y + hq), F(x, y - hq)
     dx = ((a - c) / (2 * hq), (b - d) / (2 * hq))
@@ -379,25 +379,72 @@ class TestPinned:
         assert subordination_probe(0.1, 0.5, 0.8, params_ref, f_quarter, g_half, identity) is True
 
     def test_beltrami_ring_identity(self, identity):
+        # w = -1/3 for the identity at m = 1, a = 2, so mu = (z/zbar)/3
         p = ParameterSet(alpha=1.0, beta=1.0, m=1.0, a=2.0)
         ring = beltrami_ring(p, identity, identity, identity, radii=(1.2, 1.6), n_theta=4)
-        got = [s.mu for s in ring]
-        want = [
-            0.33333333331834575, -0.33333333331834575, 0.3333333333183458, -0.33333333331834575,
-            0.33333333332818116, -0.3333333333281811, 0.3333333333281811, -0.3333333333281811,
-        ]
-        assert np.allclose(got, want, rtol=0.0, atol=FD_TOL)
+        got = np.array([s.mu for s in ring])
+        z = np.array([s.z for s in ring])
+        assert np.allclose(got, (z / np.conj(z)) / 3.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(np.abs(got), 1.0 / 3.0, rtol=0.0, atol=1e-15)
 
     def test_beltrami_ring_example31(self, f_quarter, g_half, identity, params_ref):
-        # Against the same stencil applied in exact rational arithmetic to
-        # the closed form.  For example31 at alpha = beta = 1/2, gamma = m =
-        # a = 1 the extension outside the disk is
+        # Against the exact mu of the closed form.  For example31 at alpha =
+        # beta = 1/2, gamma = m = a = 1 the extension outside the disk is
         #   F(z) = z + (z^2/r^2) (1/2 - 1/(4 r^2)),  r = |z|,
-        # rational in (x, y).  Values pinned from an earlier implementation
-        # were up to 9.7e-11 off this stencil, more than FD_TOL, because
-        # its tracked arguments carried cumulative rounding.
-        radii, n_theta, h = (1.05, 2.0), 4, 1e-5
-        ring = beltrami_ring(params_ref, f_quarter, g_half, identity, radii=radii, n_theta=n_theta, h=h)
+        # rational in (x, y); a stencil of step 1e-30 in rational arithmetic
+        # is its derivative to far below one ulp.
+        ring = beltrami_ring(params_ref, f_quarter, g_half, identity, radii=(1.05, 2.0), n_theta=4)
         got = np.array([s.mu for s in ring])
-        want = np.array([_exact_example31_mu(s.z, h) for s in ring])
-        assert np.allclose(got, want, rtol=0.0, atol=FD_TOL)
+        want = np.array([_exact_example31_mu(s.z, Fraction(1, 10**30)) for s in ring])
+        assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+def _stencil_mu(z, p, f, g=None, phi=None, h=1e-5):
+    """d_zbar F / d_z F by the 4-point central stencil of step h on
+    extend_grid values, and whether any stencil value was flagged."""
+    z = np.asarray(z, dtype=np.complex128)
+    F, flagged = extend_grid(z[:, None] + np.array([h, -h, 1j * h, -1j * h]), p, f, g, phi)
+    dx = (F[:, 0] - F[:, 1]) / (2.0 * h)
+    dy = (F[:, 2] - F[:, 3]) / (2.0 * h)
+    return (dx + 1j * dy) / (dx - 1j * dy), flagged.any(axis=1)
+
+
+def _beltrami_families():
+    ident = catalog_build("identity")
+    quad = (catalog_build("quadratic", {"c": 0.25}), catalog_build("quadratic", {"c": 0.5}), ident)
+    families = {}
+    for name in ("example31_thm32", "example31_thm41"):
+        spec = parse_config(bundled_configs()[name])
+        families[name] = (spec.params, spec.f, spec.g, spec.phi)
+    families["identity_a2"] = (ParameterSet(alpha=1.0, beta=1.0, m=1.0, a=2.0), ident, ident, ident)
+    quad_p = ParameterSet(alpha=0.5, beta=0.5, gamma=0.7 + 0.4j, m=2.0, a=0.6)
+    families["quadratic_gamma"] = (quad_p, *quad)
+    f_exp = catalog_build("expscaled", {"lam": 0.5, "degree": 24})
+    families["expscaled24"] = (ParameterSet(alpha=0.5, m=1.5, a=1.4), f_exp, None, None)
+    return families
+
+
+class TestBeltramiOracle:
+    """The closed-form mu against a central-difference stencil on the
+    extension's values.  A one-ulp change of F moves the stencil by about
+    eps / (2h) relative to |F'|, so agreement is to ~1e-10, not to ulps."""
+
+    @pytest.mark.parametrize("name", sorted(_beltrami_families()))
+    def test_matches_stencil(self, name):
+        p, f, g, phi = _beltrami_families()[name]
+        rng = np.random.default_rng(2024)
+        z = rng.uniform(1.02, 5.0, 128) * np.exp(2j * np.pi * rng.uniform(size=128))
+        want, flagged = _stencil_mu(z, p, f, g, phi)
+        assert not flagged.any()
+        got = beltrami_grid(z, p, f, g, phi)
+        assert np.allclose(got, want, rtol=0.0, atol=2e-10)
+
+    def test_flagged_points(self):
+        # mu needs no branch of F: at points whose extension value crossed
+        # a branch it still matches the stencil of the flagged values
+        f = SeriesFunction(np.array([1.0, 1.5, 0.75]))
+        p = ParameterSet(alpha=0.5, beta=0.0)
+        z = 1.1 * np.exp(np.array([7j, -7j]) * math.pi / 8)
+        want, flagged = _stencil_mu(z, p, f)
+        assert flagged.all()
+        assert np.allclose(beltrami_grid(z, p, f), want, rtol=0.0, atol=5e-10)

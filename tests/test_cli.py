@@ -355,8 +355,8 @@ class TestEndToEnd:
         assert flags == {0.0, 1.0}
 
     def test_extend_default_flags(self, write_config, tmp_path):
-        # the default ring has Beltrami stencil points whose z/|z| rounds to
-        # modulus 1 + 2.2e-16
+        # the default ring has points whose z/|z| rounds to modulus
+        # 1 + 2.2e-16; extend_grid and abs_mu must take them
         out = tmp_path / "ext.csv"
         assert main(["extend", write_config(REFERENCE_DOC), "--out", str(out)]) == 0
         header, rows = read_grid_csv(out)

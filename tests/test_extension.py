@@ -1,5 +1,5 @@
 """Extension constants, disk containment, the piecewise extension map and
-sampled Beltrami coefficients."""
+its Beltrami coefficients."""
 
 import cmath
 import math
@@ -154,20 +154,20 @@ class TestBeltrami:
     def test_identity_conformal(self, identity):
         p = ParameterSet(alpha=1.0, beta=1.0, m=1.0, a=1.0)
         mu = beltrami_grid(1.5 + 0.2j, p, identity, identity, identity)
-        assert abs(mu) < 1e-6
+        assert abs(mu) < 1e-12
 
     def test_identity_ma2_third(self, identity):
         p = ParameterSet(alpha=1.0, beta=1.0, m=1.0, a=2.0)
         for z in (1.5, 1.3 * cmath.exp(1.0j)):
             mu = beltrami_grid(z, p, identity, identity, identity)
-            assert abs(mu) == pytest.approx(1.0 / 3.0, abs=1e-6)
+            assert abs(mu) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_ring_helper(self, identity):
         p = ParameterSet(alpha=1.0, beta=1.0, m=1.0, a=2.0)
         samples = beltrami_ring(p, identity, identity, identity, radii=(1.2, 1.6), n_theta=4)
         assert len(samples) == 8
         for s in samples:
-            assert s.modulus == pytest.approx(1.0 / 3.0, abs=1e-6)
+            assert s.modulus == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_seam_exclusion(self, identity):
         with pytest.raises(DomainError):

@@ -181,6 +181,15 @@ class TestCatalog:
         with pytest.raises(ValueError):
             SeriesFunction(np.empty(0))
 
+    def test_equal_series_hash_equal(self):
+        # z + 0.5 z^2 and z + (0.5 - 0.0i) z^2 differ only in a signed zero
+        a = SeriesFunction(np.array([1.0, 0.5]))
+        b = SeriesFunction(np.array([complex(1.0, -0.0), complex(0.5, -0.0)]))
+        assert np.signbit(b.coefficients.imag).all()
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
 
 class TestNonvanishing:
     def test_identity_true(self, identity):
