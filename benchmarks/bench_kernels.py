@@ -25,7 +25,8 @@ degree-32 exponentials f = (e^{lam z} - 1)/lam, g the same at lam/2
 (lam = e^{0.3i}), each under the five variants, and the Koebe degree-4096
 `koebe_cor32` configuration.  `grid` is one `criterion_values` call on
 the default 5120-point disk grid, `probe` one call on the four probes of
-a refinement hop, `probes` the number of probe calls `criterion_check`
+a refinement hop, `lookahead` one call on the 80 probes of a look-ahead
+over all 20 levels, `probes` the number of probe calls `criterion_check`
 makes, and `check` the whole `criterion_check`.  To compare two
 checkouts, run the script in each.
 """
@@ -92,7 +93,7 @@ def main():
         t = _best(lambda: emit_grid_csv(rows, columns, path), args.repeat)
     print(f"{'emit_grid_csv':>14} {rows.shape[0]:>7} {'':>8}  {t * 1e3:9.4f} ms")
 
-    print(f"\n{'family':>10} {'variant':>7}  {'grid':>9}  {'probe':>9}  {'probes':>6}  {'check':>9}")
+    print(f"\n{'family':>10} {'variant':>7}  {'grid':>9}  {'probe':>9}  {'lookahead':>9}  {'probes':>6}  {'check':>9}")
     for label, variant, p, fgp in _verdict_cases():
         print(f"{label:>10} {variant:>7}  " + _criterion_row(variant, p, *fgp, args.repeat))
 
@@ -116,7 +117,8 @@ def _verdict_cases():
 
 
 def _criterion_row(variant, p, f, g, phi, repeat):
-    """grid ms, probe us, probe calls and criterion_check ms of one case."""
+    """grid ms, probe and look-ahead us, probe calls and criterion_check
+    ms of one case."""
     grid = DiskGrid()
     values = criterion.criterion_values
     calls = []
@@ -133,12 +135,18 @@ def _criterion_row(variant, p, f, g, phi, repeat):
         finally:
             criterion.criterion_values = values
         probes = witness * np.array([0.99, 1.0, np.exp(0.006j), np.exp(-0.006j)])
+        steps = 0.006 / 2.0 ** np.arange(grid.refine_steps)
+        ahead = witness * np.stack([1.0 - steps, 1.0 - 2.0 * steps, np.exp(1j * steps), np.exp(-1j * steps)], 1)
         points = grid.points()
         t_grid = _best(lambda: values(variant, points, p, f, g, phi), repeat)
         t_probe = _best(lambda: values(variant, probes, p, f, g, phi), repeat)
+        t_ahead = _best(lambda: values(variant, ahead.ravel(), p, f, g, phi), repeat)
         t_check = _best(lambda: criterion.criterion_check(variant, p, f, g, phi, grid), repeat)
     # one call scans the grid, the others are probes
-    return f"{t_grid * 1e3:6.2f} ms  {t_probe * 1e6:6.1f} us  {len(calls) - 1:>6}  {t_check * 1e3:6.2f} ms"
+    return (
+        f"{t_grid * 1e3:6.2f} ms  {t_probe * 1e6:6.1f} us  {t_ahead * 1e6:6.1f} us  "
+        f"{len(calls) - 1:>6}  {t_check * 1e3:6.2f} ms"
+    )
 
 
 if __name__ == "__main__":

@@ -143,12 +143,7 @@ def parse_config(text):
     if not isinstance(gobj.get("radii", []), list):
         raise ConfigError("grid.radii: expected a list of numbers")
     try:
-        grid = DiskGrid(
-            **{
-                k: (tuple(v) if k == "radii" else int(v))
-                for k, v in gobj.items()
-            }
-        )
+        grid = DiskGrid(**{k: (tuple(v) if k == "radii" else v) for k, v in gobj.items()})
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 

@@ -371,6 +371,10 @@ class TestEndToEnd:
             '{"grid": {"radii": 5}}',
             '{"params": {"alpha": NaN}}',
             '{"f": {"coefficients": []}}',
+            '{"grid": {"refine_steps": 2.5}}',
+            '{"grid": {"refine_steps": -3}}',
+            '{"grid": {"angles_per_radius": 8.5}}',
+            '{"grid": {"angles_per_radius": true}}',
         ],
     )
     def test_bad_config_exits_64(self, tmp_path, capsys, text):

@@ -190,6 +190,27 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             DiskGrid(angles_per_radius=4)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"refine_steps": 2.5}, "refine_steps must be an integer"),
+            ({"refine_steps": -3}, "refine_steps must be >= 0"),
+            ({"refine_steps": True}, "refine_steps must be an integer"),
+            ({"angles_per_radius": 8.5}, "angles_per_radius must be an integer"),
+            ({"angles_per_radius": False}, "angles_per_radius must be an integer"),
+            ({"angles_per_radius": float("inf")}, "angles_per_radius must be an integer"),
+            ({"angles_per_radius": "64"}, "angles_per_radius must be an integer"),
+        ],
+    )
+    def test_disk_grid_integers(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            DiskGrid(**kwargs)
+
+    def test_disk_grid_integral_values_become_ints(self):
+        grid = DiskGrid(angles_per_radius=64.0, refine_steps=np.int64(0))
+        assert type(grid.angles_per_radius) is int and grid.angles_per_radius == 64
+        assert type(grid.refine_steps) is int and grid.refine_steps == 0
+
     @given(m=st.floats(0.0, 6.0), k=st.floats(0.0, 0.999))
     @settings(max_examples=50, deadline=None)
     def test_bounds(self, m, k):
