@@ -16,10 +16,17 @@ A second table times the oracle and output kernels.  `collision_scan`
 runs on n x n polar clouds (radius 0.99) of the example31_thm32 operator
 at the default injectivity tolerance 1e-6 and at 2e-2 of the value
 diameter, where each point's real-part window holds many others;
-`emit_grid_csv` writes a 4096 x 5 grid, the size of the default
+`emit_grid_csv` writes a 4096 x 5 grid, the size of a 32 x 128
 `eval --out` CSV.
 
-A third table times the criterion search of the `verdict` workload's
+A third table times both paths of `emit_grid_csv`, the one `%` format
+operation and the numpy `g17_csv` kernel, at the grid sizes the commands
+write: 48 x 7 (identity `chain`), 128 x 6 (`extend`), 640 x 7 (example31
+`chain`) and 4096 x 5 (32 x 128 `eval`), on normal random values with a
+0/1 flag column, and gives the tracemalloc peak of one call on each
+path.  Its crossover sets `cli._CSV_VECTOR_CELLS`.
+
+A fourth table times the criterion search of the `verdict` workload's
 families: example31 (f = z + z^2/4, g = z + z^2/2, phi = z) and the
 degree-32 exponentials f = (e^{lam z} - 1)/lam, g the same at lam/2
 (lam = e^{0.3i}), each under the five variants, and the Koebe degree-4096
@@ -35,17 +42,19 @@ import argparse
 import os
 import tempfile
 import timeit
+import tracemalloc
 import warnings
 
 import numpy as np
 
-from univalence_lab import DiskGrid, ParameterSet, _kernels, catalog_build, criterion, operator_grid
+from univalence_lab import DiskGrid, ParameterSet, _kernels, catalog_build, cli, criterion, operator_grid
 from univalence_lab.cli import bundled_configs, emit_grid_csv, parse_config
 from univalence_lab.oracle import polar_samples
 
 CASES = ((4096, 1), (4096, 4), (4096, 5120), (32, 5120), (2, 1), (2, 100_000))
 CLOUDS = (64, 100, 200)
 RELATIVE_TOLS = (1e-6, 2e-2)
+CSV_GRIDS = ((48, 7), (128, 6), (640, 7), (4096, 5))
 
 
 def _inputs(degree, npts, rng):
@@ -93,9 +102,36 @@ def main():
         t = _best(lambda: emit_grid_csv(rows, columns, path), args.repeat)
     print(f"{'emit_grid_csv':>14} {rows.shape[0]:>7} {'':>8}  {t * 1e3:9.4f} ms")
 
+    print(f"\n{'csv grid':>10}  {'% path':>12}  {'g17_csv':>12}  {'% peak':>10}  {'g17 peak':>10}")
+    for n, c in CSV_GRIDS:
+        print(f"{f'{n} x {c}':>10}  " + _csv_row(rng, n, c, args.repeat))
+
     print(f"\n{'family':>10} {'variant':>7}  {'grid':>9}  {'probe':>9}  {'lookahead':>9}  {'probes':>6}  {'check':>9}")
     for label, variant, p, fgp in _verdict_cases():
         print(f"{label:>10} {variant:>7}  " + _criterion_row(variant, p, *fgp, args.repeat))
+
+
+def _csv_row(rng, n, c, repeat):
+    """ms and tracemalloc peak KiB of emit_grid_csv on an n x c grid, with
+    the cutoff set to take the `%` path, then the g17_csv one."""
+    rows = rng.normal(size=(n, c))
+    rows[:, -1] = rng.uniform(size=n) < 0.5
+    columns = tuple(f"c{j}" for j in range(c))
+    saved = cli._CSV_VECTOR_CELLS
+    times, peaks = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.csv")
+        try:
+            for cutoff in (rows.size + 1, 0):  # the `%` path, then g17_csv
+                cli._CSV_VECTOR_CELLS = cutoff
+                times.append(_best(lambda: emit_grid_csv(rows, columns, path), repeat))
+                tracemalloc.start()
+                emit_grid_csv(rows, columns, path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        finally:
+            cli._CSV_VECTOR_CELLS = saved
+    return f"{times[0] * 1e3:9.4f} ms  {times[1] * 1e3:9.4f} ms  {peaks[0] / 1024:6.0f} KiB  {peaks[1] / 1024:6.0f} KiB"
 
 
 def _verdict_cases():

@@ -11,15 +11,25 @@ results of the low-degree series bit for bit.  `polyval012` runs that
 Horner loop on a stack of series at once: on few points, where the cost
 of an array operation is its call, a stack costs three array operations
 per coefficient, whatever the number of series.
+
+`g17_csv` writes CSV text with the bytes of CPython's '%.17g' % x: the
+17 digits come from a double-double product and a 4-digit lookup table,
+and any value whose rounding the arithmetic cannot certify goes through
+the `%` operator itself.
 """
 
+import functools
 import math
+import types
 
 import numpy as np
 
 _BLOCKED_MIN_TERMS = 64
 _CHUNK_BYTES = 1 << 20
 _STACK_POINTS = 256
+_G17_CELL_BYTES = 256  # working set per g17_csv cell: ~200 bytes under tracemalloc
+_G17_TIE_MARGIN = 1e-9
+_G17_EXPONENTS = 290  # layout tables cover decimal exponents -290..290
 
 
 def _blocked_rows(rows, z):
@@ -241,3 +251,180 @@ def winding_stats(curve, targets):
         mindist[j] = np.abs(d).min()
         maxinc[j] = np.abs(inc).max() if inc.size else 0.0
     return total, mindist, maxinc
+
+
+def g17_csv(rows):
+    """Yield the CSV body of the 2-d float64 array rows as uint8 blocks:
+    every value as CPython's '%.17g' % x, cells joined by ',' and each row
+    ended by '\n'.
+
+    Rows are processed in chunks of about _CHUNK_BYTES of working set.  A
+    chunk's cells are laid out in one buffer of 32 bytes per cell (see
+    _g17_cells), the last byte the separator, with 0 wherever a cell has no
+    character; the block is the buffer without its zeros."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    n, c = rows.shape
+    step = max(1, _CHUNK_BYTES // (_G17_CELL_BYTES * c))
+    sep = np.full(c, ord(","), dtype=np.uint64)
+    sep[-1] = ord("\n")
+    sep <<= np.uint64(56)
+    for s in range(0, n, step):
+        cells = _g17_cells(rows[s : s + step].ravel())
+        cells.reshape(-1, c, 4)[:, :, 3] |= sep
+        flat = cells.view(np.uint8).ravel()
+        yield flat[flat != 0]
+
+
+def _g17_cells(x):
+    """'%.17g' % x for every value of the 1-d float64 x, as an (x.size, 4)
+    array of little-endian 64-bit words: 32 bytes per value, padded with
+    zeros anywhere, the last byte 0.
+
+    Word 0 holds the sign and, for -4 <= D < 0, the "0." and zeros of %g's
+    fixed form.  Words 1-3 hold the 17 digits of _g17_round with trailing
+    zeros stripped (but those of the integer part), the point after the
+    first D + 1 digits in fixed form (-4 <= D < 17) or after the first
+    digit in exponent form, and from byte 18 the exponent.  A value the
+    fast path cannot certify is formatted by '%.17g' % x itself."""
+    t = _g17_tables()
+    n, d, fast = _g17_round(x)
+    digits, nd = _g17_digits(n, t)
+    d += _G17_EXPONENTS
+    point = np.take(t.point, d)  # digits before the point
+    keep = np.maximum(nd, np.take(t.whole, d))
+    cells = np.empty((x.size, 4), dtype="<u8")
+    cells[:, 0] = np.take(t.prefix, d) | np.signbit(x) * np.uint64(ord("-"))
+    carry = 0
+    for i, w in enumerate(digits):
+        w &= np.take(t.mask[i], keep)
+        # the digits from the point on move up one byte to make room for it
+        shifted = (w << 8 | carry) & ~np.take(t.mask[i], point + 1)
+        cells[:, 1 + i] = w & np.take(t.mask[i], point) | shifted
+        carry = w >> 56
+    cells[:, 3] |= np.take(t.exponent, d)
+    text = cells.view(np.uint8)
+    r = np.flatnonzero(nd > point)
+    text[r, 8 + point[r]] = ord(".")
+    for i in np.flatnonzero(~fast):
+        value = ("%.17g" % float(x[i])).encode("ascii")
+        text[i] = 0
+        text[i, : len(value)] = np.frombuffer(value, dtype=np.uint8)
+    return cells
+
+
+def _g17_round(x):
+    """(N, D, certified) of the 1-d float64 x: D = floor(log10 |x|) and N
+    the rounding of V = |x| 10^(16 - D) to an integer in [10^16, 10^17), so
+    N carries the 17 significant digits of x.
+
+    V is formed as a double-double from the exact (hi, lo) pair of
+    10^(16 - D) and Dekker's two-product (Numer. Math. 18, 1971), with an
+    error below 1e-14.  N is certified unless x is not finite, |x| lies
+    outside [1e-280, 1e280], the fractional part of V lies within
+    _G17_TIE_MARGIN of 1/2 (exact ties round half-even there) or N falls
+    outside [10^16, 10^17) because log10 misjudged D.  Zeros are certified
+    with N = 0 and D = 0."""
+    a = np.abs(x)
+    zero = a == 0.0
+    ok = (a >= 1e-280) & (a <= 1e280)
+    a[~ok] = 1.0
+    d = np.floor(np.log10(a)).astype(np.int64)
+    k = 16 - d
+    kmin = int(k.min())
+    table = np.array([_pow10(j) for j in range(kmin, int(k.max()) + 1)]).T
+    k -= kmin
+    hi, hi_hi, hi_lo, lo = (np.take(col, k) for col in table)
+    split = 134217729.0 * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    v = a * hi
+    tail = (((a_hi * hi_hi - v) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo) + a * lo
+    whole = np.floor(tail)
+    tail -= whole
+    n = v.astype(np.int64) + whole.astype(np.int64)  # floor(V): v >= 2^53 is an integer
+    fast = ok & (np.abs(tail - 0.5) > _G17_TIE_MARGIN) & (n >= 10**16)
+    n += tail > 0.5
+    fast &= n < 10**17
+    n[zero] = 0
+    return n, d, fast | zero
+
+
+def _g17_digits(n, t):
+    """The 17 ASCII digits of 0 <= N < 10^17, zero-padded, as three words
+    of a little-endian 24-byte string, and the number of digits up to the
+    last nonzero one (1 for N = 0)."""
+    top = n // 10**8
+    low = n - top * 10**8
+    lead = top // 10**8
+    mid = top - lead * 10**8
+    g1 = mid // 10**4
+    g3 = low // 10**4
+    groups = (g1, mid - g1 * 10**4, g3, low - g3 * 10**4)
+    nd = np.ones(n.size, dtype=np.int64)
+    for j, g in enumerate(groups):
+        nd = np.where(g > 0, 1 + 4 * j + np.take(t.sig, g), nd)
+    q = [np.take(t.quads, g) for g in groups]
+    words = (
+        (lead + ord("0")).astype(np.uint64) | q[0] << 8 | q[1] << 40,
+        q[1] >> 24 | q[2] << 8 | q[3] << 40,
+        q[3] >> 24,
+    )
+    return words, nd
+
+
+@functools.cache
+def _pow10(k):
+    """(hi, hi split in 26-bit halves, lo) of the exact 10^k = hi + lo.
+
+    hi and lo are correctly rounded quotients of Python integers."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den
+    p, q = hi.as_integer_ratio()
+    split = 134217729.0 * hi
+    hi_hi = split - (split - hi)
+    return hi, hi_hi, hi - hi_hi, (num * q - p * den) / (den * q)
+
+
+@functools.cache
+def _g17_tables():
+    """The layout tables of _g17_cells, built on first use:
+
+    quads     the 4 ASCII digits of 0..9999, the first in the low byte
+    sig       the digits of a 4-digit group up to its last nonzero one
+    mask      (3, 19): the words of 24 bytes whose first k are 0xFF
+    point     by D: the digits before the point (17: none among them)
+    whole     by D: the digits kept even when zero, the integer part's
+    prefix    by D: word 0 of a cell, "0." and zeros for -4 <= D < 0
+    exponent  by D: word 3 of a cell, "e+dd" from byte 2 in exponent form
+    """
+    i = np.arange(10000, dtype=np.uint64)
+    quads = np.zeros(10000, dtype=np.uint64)
+    sig = np.full(10000, 4, dtype=np.int64)
+    for p in range(4):
+        quads |= (ord("0") + i // np.uint64(10 ** (3 - p)) % np.uint64(10)) << np.uint64(8 * p)
+        sig -= i % np.uint64(10 ** (p + 1)) == 0
+    byte = np.arange(24)
+    mask = (byte < np.arange(19)[:, None]).astype(np.uint8) * 0xFF
+    d = np.arange(-_G17_EXPONENTS, _G17_EXPONENTS + 1)
+    fixed = (d >= -4) & (d < 17)
+    prefix = np.zeros((d.size, 8), dtype=np.uint8)
+    exponent = np.zeros((d.size, 8), dtype=np.uint8)
+    for j, e in enumerate(d.tolist()):
+        if fixed[j] and e < 0:
+            prefix[j, 1 : 2 - e] = np.frombuffer(b"0." + b"0" * (-e - 1), dtype=np.uint8)
+        elif not fixed[j]:
+            suffix = f"e{e:+03d}".encode("ascii")
+            exponent[j, 2 : 2 + len(suffix)] = np.frombuffer(suffix, dtype=np.uint8)
+
+    def words(b):
+        return b.view("<u8").astype(np.uint64)
+
+    return types.SimpleNamespace(
+        quads=quads,
+        sig=sig,
+        mask=words(mask).T.copy(),
+        point=np.where(fixed & (d >= 0), d + 1, np.where(fixed, 17, 1)),
+        whole=np.where(fixed & (d >= 0), d + 1, 0),
+        prefix=words(prefix).ravel(),
+        exponent=words(exponent).ravel(),
+    )

@@ -16,6 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from .chain import chain_grid, transfer_grid
 from .criterion import VARIANTS, DiskGrid, ParameterSet, criterion_check
 from .errors import ConfigError, HypothesisViolation, InconclusiveError, UnivalenceLabError
@@ -187,6 +188,11 @@ def bundled_configs():
 # file emission
 # ---------------------------------------------------------------------------
 
+# grids of at least this many values are formatted by _kernels.g17_csv
+# (the crossover of the emit_grid_csv table of benchmarks/bench_kernels.py)
+_CSV_VECTOR_CELLS = 1000
+
+
 def _fmt(x):
     return f"{float(x):.17g}"
 
@@ -206,16 +212,31 @@ def parse_complex(text):
 def emit_grid_csv(rows, columns, path):
     """CSV with 17-significant-digit decimals and a newline-terminated
     final line; rows is a 2-d array, or anything np.asarray makes one of.
-    The whole body is one format operation: the same text as _fmt."""
+
+    Every value is written as '%.17g' % x, the text of _fmt.  A grid of
+    fewer than _CSV_VECTOR_CELLS values is one format operation on a
+    repeated row format.  A larger grid goes through _kernels.g17_csv,
+    which forms the digits with numpy in chunks of about 1 MiB of working
+    set and hands any value it cannot certify (non-finite, |x| outside
+    [1e-280, 1e280], within 1e-9 of a rounding tie, or with a misjudged
+    exponent) to the same `%` operator, so both paths write the same
+    bytes."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.size == 0:
         rows = rows.reshape(0, len(columns))
     if rows.ndim != 2 or rows.shape[1] != len(columns):
         raise ValueError("ragged row in CSV emission")
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    text = ",".join(columns) + "\n" + (line * rows.shape[0]) % tuple(rows.ravel().tolist())
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+    header = ",".join(columns) + "\n"
+    if rows.size < _CSV_VECTOR_CELLS:
+        line = ",".join(["%.17g"] * len(columns)) + "\n"
+        text = header + (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+        return path
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for block in _kernels.g17_csv(rows):
+            fh.write(block)
     return path
 
 

@@ -72,7 +72,11 @@ class DiskGrid:
     refine_steps: int = 20
 
     def __post_init__(self):
-        r = tuple(float(x) for x in self.radii)
+        r = tuple(self.radii)
+        real = (isinstance(x, numbers.Real) and not isinstance(x, bool) for x in r)
+        if not all(real) or not all(map(math.isfinite, r)):
+            raise ValueError("radii must be finite real numbers")
+        r = tuple(map(float, r))
         if not r or any(b <= a for a, b in zip(r, r[1:])):
             raise ValueError("radii must be a nonempty increasing sequence")
         if not (0.0 < r[0] and r[-1] < 1.0):

@@ -1,11 +1,16 @@
 """Config parsing, serialization round-trips, file emission, exit codes."""
 
 import json
+import struct
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from univalence_lab import cli
 from univalence_lab.cli import (
     bundled_configs,
     emit_grid_csv,
@@ -146,8 +151,65 @@ def _per_row_csv(rows, columns):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+# exact 17-digit ties, V = |x| 10^(16 - D) ending in .5, where 10^(16 - D)
+# is not a double (the strategy adds 1e15 + k/4, where it is)
+_TIES = [q * 2.0**-24 for q in range(3, 17, 2)] + [2.0**-25, 3 * 2.0**-25]
+# V within 1e-17 of a half-integer, found by lattice reduction
+_NEAR_TIES = [
+    float.fromhex(h)
+    for h in (
+        "0x1.3de005bd620dfp+216",
+        "0x1.6061245105274p+171",
+        "0x1.b848a3ee9807ep-123",
+        "0x1.3e7e84afdabf8p-47",
+    )
+]
+_EDGES = [2.0**53 - 2, 2.0**53 + 2, 5e-324, 1.7976931348623157e308, 0.0, float("nan"), float("inf")]
+_G17_VALUES = st.tuples(
+    st.one_of(
+        st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]),
+        st.tuples(st.integers(-323, 308), st.sampled_from((-np.inf, 0.0, np.inf))).map(
+            lambda t: float(np.nextafter(float(f"1e{t[0]}"), t[1])) if t[1] else float(f"1e{t[0]}")
+        ),
+        st.integers(-400, 400).map(lambda k: 1e15 + k / 4),
+        st.sampled_from(_TIES + _NEAR_TIES + _EDGES),
+    ),
+    st.booleans(),
+).map(lambda t: -t[0] if t[1] else t[0])
+
+
 class TestCsvBytes:
     COLUMNS = ("re_z", "im_z", "re_w", "im_w", "flagged")
+
+    @given(
+        values=st.lists(_G17_VALUES, min_size=1, max_size=40),
+        size=st.sampled_from(("none", "one", "below cutoff", "at cutoff", "eval")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_row_writer(self, tmp_path_factory, values, size, seed):
+        # row counts on both sides of the cutoff, with a 0/1 flag column
+        at = -(-cli._CSV_VECTOR_CELLS // len(self.COLUMNS))
+        n = {"none": 0, "one": 1, "below cutoff": at - 1, "at cutoff": at, "eval": 4096}[size]
+        flags = np.random.default_rng(seed).uniform(size=n) < 0.5
+        rows = np.column_stack((np.resize(np.array(values), (n, 4)), flags))
+        path = tmp_path_factory.getbasetemp() / "g17.csv"
+        emit_grid_csv(rows, self.COLUMNS, path)
+        assert path.read_bytes() == _per_row_csv(rows.tolist(), self.COLUMNS)
+
+    @pytest.mark.parametrize("name", sorted(bundled_configs()))
+    def test_commands_write_the_same_bytes_on_both_paths(self, name, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(bundled_configs()[name])
+        runs = (["eval"], ["eval", "--nr", "32", "--ntheta", "128"], ["chain"], ["extend"])
+        for command, *flags in runs:
+            written = []
+            for cutoff in (0, sys.maxsize):  # the g17_csv kernel, then `%`
+                monkeypatch.setattr(cli, "_CSV_VECTOR_CELLS", cutoff)
+                out = tmp_path / f"{cutoff}.csv"
+                assert main([command, str(cfg), "--out", str(out), *flags]) == 0
+                written.append(out.read_bytes())
+            assert written[0] == written[1]
 
     @staticmethod
     def _grid(rng):
@@ -375,6 +437,9 @@ class TestEndToEnd:
             '{"grid": {"refine_steps": -3}}',
             '{"grid": {"angles_per_radius": 8.5}}',
             '{"grid": {"angles_per_radius": true}}',
+            '{"grid": {"radii": [0.5, NaN, 0.9]}}',
+            '{"grid": {"radii": [0.5, "0.7", 0.9]}}',
+            '{"grid": {"radii": [true, 0.5]}}',
         ],
     )
     def test_bad_config_exits_64(self, tmp_path, capsys, text):

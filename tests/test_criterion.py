@@ -191,6 +191,14 @@ class TestParameterValidation:
             DiskGrid(angles_per_radius=4)
 
     @pytest.mark.parametrize(
+        "radii",
+        [(0.5, float("nan"), 0.9), (0.5, float("inf")), (0.5, "0.7", 0.9), ("0.5",), (False, 0.5), (0.5, True)],
+    )
+    def test_disk_grid_radii_must_be_finite_reals(self, radii):
+        with pytest.raises(ValueError, match="radii must be finite real numbers"):
+            DiskGrid(radii=radii)
+
+    @pytest.mark.parametrize(
         "kwargs,message",
         [
             ({"refine_steps": 2.5}, "refine_steps must be an integer"),
