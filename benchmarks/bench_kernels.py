@@ -36,9 +36,21 @@ a refinement hop, `lookahead` one call on the 80 probes of a look-ahead
 over all 20 levels, `probes` the number of probe calls `criterion_check`
 makes, and `check` the whole `criterion_check`.  To compare two
 checkouts, run the script in each.
+
+A fifth table times the grid scan of `criterion_check` on the same cases,
+Koebe on its config grid (7 radii x 512 angles): `exact` is one
+`criterion_values` call on every grid point, `pruned` the FFT scan with
+its cost cutoff off (`criterion._SCAN_MIN_TERMS` = 0), three runs each,
+alternating.  `terms` is the number the cutoff reads (the terms of the
+series the criterion evaluates, summed), `cands` the points the pruned
+scan evaluates exactly, and `fallback` the reason the scan as
+`criterion_check` runs it evaluates the whole grid instead ("-" for
+none).  Rows for the exponential family at lower degrees locate the
+crossover, which sets `criterion._SCAN_MIN_TERMS`.
 """
 
 import argparse
+import math
 import os
 import tempfile
 import timeit
@@ -110,6 +122,10 @@ def main():
     for label, variant, p, fgp in _verdict_cases():
         print(f"{label:>10} {variant:>7}  " + _criterion_row(variant, p, *fgp, args.repeat))
 
+    print(f"\n{'family':>12} {'variant':>7} {'terms':>5}  {'exact ms':>20}  {'pruned ms':>20}  {'cands':>5}  fallback")
+    for label, variant, p, fgp, grid in _scan_cases():
+        print(f"{label:>12} {variant:>7}  " + _scan_row(variant, p, *fgp, grid, args.repeat))
+
 
 def _csv_row(rng, n, c, repeat):
     """ms and tracemalloc peak KiB of emit_grid_csv on an n x c grid, with
@@ -150,6 +166,49 @@ def _verdict_cases():
             yield label, variant, p, fgp
     koebe = parse_config(bundled_configs()["koebe_cor32"])
     yield "koebe4096", koebe.variant, koebe.params, (koebe.f, koebe.g, koebe.phi)
+
+
+def _scan_cases():
+    """(family, variant, parameters, (f, g, phi), grid) of the grid scan
+    table: the verdict families on the default grid, Koebe on its config
+    grid, and the exponential family at degrees 8, 16 and 24."""
+    for label, variant, p, fgp in _verdict_cases():
+        if label == "koebe4096":
+            yield label, variant, p, fgp, parse_config(bundled_configs()["koebe_cor32"]).grid
+        else:
+            yield label, variant, p, fgp, DiskGrid()
+    lam = np.exp(0.3j)
+    p = ParameterSet(alpha=0.5, beta=0.5, gamma=1.0, m=1.0, a=1.0, k=0.3)
+    for degree in (8, 16, 24):
+        f = catalog_build("expscaled", {"lam": lam, "degree": degree})
+        g = catalog_build("expscaled", {"lam": lam / 2.0, "degree": degree})
+        for variant in ("thm31", "cor31", "cor32"):
+            yield f"expscaled{degree}", variant, p, (f, g, catalog_build("identity")), DiskGrid()
+
+
+def _scan_row(variant, p, f, g, phi, grid, repeat):
+    """exact and pruned ms of the grid scan, three runs each, the terms the
+    cutoff reads, the candidate count and the fallback."""
+    z = grid.points()
+    scan = criterion._grid_max
+    _, beta, g_eff, phi_eff = criterion._resolve(variant, p, f, g, phi)
+    terms = sum(s.degree + 1 for s in {f, g_eff, phi_eff} if beta != 0 or s is f)
+    times = {"exact": [], "pruned": []}
+    saved = criterion._SCAN_MIN_TERMS
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            for _ in range(3):
+                for side, cutoff in (("exact", math.inf), ("pruned", 0)):
+                    criterion._SCAN_MIN_TERMS = cutoff
+                    times[side].append(_best(lambda: scan(variant, p, f, g, phi, grid, z), repeat))
+            idx, _ = criterion._grid_candidates(variant, p, f, g, phi, grid, z)
+        finally:
+            criterion._SCAN_MIN_TERMS = saved
+        _, reason = criterion._grid_candidates(variant, p, f, g, phi, grid, z)
+    ms = {side: "/".join(f"{t * 1e3:.2f}" for t in ts) for side, ts in times.items()}
+    cands = "-" if idx is None else idx.size
+    return f"{terms:>5}  {ms['exact']:>20}  {ms['pruned']:>20}  {cands:>5}  {reason or '-'}"
 
 
 def _criterion_row(variant, p, f, g, phi, repeat):

@@ -10,7 +10,8 @@ B = 1: plain Horner needs no more array operations there, and keeps the
 results of the low-degree series bit for bit.  `polyval012` runs that
 Horner loop on a stack of series at once: on few points, where the cost
 of an array operation is its call, a stack costs three array operations
-per coefficient, whatever the number of series.
+per coefficient, whatever the number of series.  `circle_rows` takes
+series on whole circles at once instead, one FFT per row and circle.
 
 `g17_csv` writes CSV text with the bytes of CPython's '%.17g' % x: the
 17 digits come from a double-double product and a 4-digit lookup table,
@@ -27,6 +28,7 @@ import numpy as np
 _BLOCKED_MIN_TERMS = 64
 _CHUNK_BYTES = 1 << 20
 _STACK_POINTS = 256
+_WINDING_CELLS = 8192
 _G17_CELL_BYTES = 256  # working set per g17_csv cell: ~200 bytes under tracemalloc
 _G17_TIE_MARGIN = 1e-9
 _G17_EXPONENTS = 290  # layout tables cover decimal exponents -290..290
@@ -39,6 +41,13 @@ def _blocked_rows(rows, z):
     (m, z.size) array for m rows.  Points are processed in chunks of about
     _CHUNK_BYTES of working set (powers plus block values), so the memory
     peak does not grow with the number of points.
+
+    OpenBLAS rounds the columns of a matrix product's tail (the last
+    columns of a width that is not a multiple of 4) differently, so every
+    product here has a multiple of 4 columns: the chunk is a multiple of
+    4, and a shorter last chunk is padded with copies of its last point,
+    whose columns are dropped.  A point then gets the same bits alone as
+    in any batch.
     """
     m, n = rows.shape
     b = math.isqrt(n)
@@ -48,9 +57,12 @@ def _blocked_rows(rows, z):
     # block-major: row i*m + j holds coefficients i*b .. i*b + b - 1 of row j
     blocks = padded.reshape(m, nb, b).transpose(1, 0, 2).reshape(nb * m, b)
     out = np.empty((m, z.size), dtype=np.complex128)
-    chunk = max(1, _CHUNK_BYTES // (16 * (b + (nb + 2) * m)))
+    chunk = max(4, _CHUNK_BYTES // (16 * (b + (nb + 2) * m)) // 4 * 4)
     for s in range(0, z.size, chunk):
         zc = z[s : s + chunk]
+        k = zc.size
+        if k % 4:
+            zc = np.concatenate((zc, np.repeat(zc[-1:], 4 - k % 4)))
         powers = np.empty((b, zc.size), dtype=np.complex128)
         powers[0] = 1.0
         powers[1:] = zc
@@ -61,7 +73,7 @@ def _blocked_rows(rows, z):
         for i in range(nb - 2, -1, -1):
             acc *= w
             acc += vals[i]
-        out[:, s : s + zc.size] = acc
+        out[:, s : s + k] = acc[:, :k]
     return out
 
 
@@ -160,6 +172,50 @@ def _horner012(series, z, out):
         np.multiply(2.0, state[0], out=out[2, :, s : s + w])
 
 
+def circle_rows(rows, radii, n):
+    """The power series sum_k rows[j, k] z^k on the circles |z| = r of
+    radii, each at its n points r e^{2 pi i l / n}: (values, sums, dsums).
+
+    values (m, len(radii), n) comes from one inverse FFT per row and
+    radius of the coefficients rows[j, k] r^k folded mod n (Cooley and
+    Tukey, Math. Comp. 19, 1965).  sums holds sum_k |rows[j, k]| r^k and
+    dsums sum_k k |rows[j, k]| r^(k-1), the absolute series of the row and
+    of its derivative, per row and radius.
+
+    A coefficient k = t n + l takes r^k as (r^n)^t r^l: the fold is one
+    matrix product of the powers (r^n)^t with the coefficients cut into
+    blocks of n, on the real and imaginary parts, and r^k carries the
+    rounding of at most k + t + 1 products.  numpy.fft is imported on the
+    first call, so importing the package does not load it."""
+    from numpy import fft
+
+    m, k = rows.shape
+    folds = -(-k // n)
+    radii = np.asarray(radii, dtype=np.float64)
+    low = np.empty((n + 1, radii.size))  # r^l, l <= n
+    low[0] = 1.0
+    low[1:] = radii
+    np.cumprod(low, axis=0, out=low)
+    high = np.empty((radii.size, folds))  # (r^n)^t
+    high[:, 0] = 1.0
+    high[:, 1:] = low[-1][:, None]
+    np.cumprod(high, axis=1, out=high)
+    low = low[:-1]
+    parts = np.zeros((m, folds, 2 * n))  # real and imaginary parts, interleaved
+    parts.reshape(m, -1).view(np.complex128)[:, :k] = rows
+    low2 = np.repeat(low.T, 2, axis=1)
+    if folds == 1:  # a matrix product of inner size 1 is several times slower
+        folded = parts * low2
+    else:
+        folded = np.matmul(high, parts)
+        folded *= low2
+    a = np.zeros((2, m, folds * n))  # |rows[j, k]| and (k + 1) |rows[j, k + 1]|
+    a[0, :, :k] = np.abs(rows)
+    a[1, :, : k - 1] = a[0, :, 1:k] * np.arange(1, k)
+    sums = ((a.reshape(-1, n) @ low).reshape(2, m, folds, -1) * high.T).sum(axis=2)
+    return fft.ifft(folded.view(np.complex128), axis=-1, norm="forward"), sums[0], sums[1]
+
+
 def polyval(coeffs, z):
     """q(z) = sum a_n z^n with coeffs = [a_0..a_M]."""
     a = np.ascontiguousarray(coeffs, dtype=np.complex128)
@@ -236,20 +292,24 @@ def winding_stats(curve, targets):
     """(total signed angle, min distance, max |arg increment|) per target.
 
     Sums the principal argument increments of the closed sampled curve
-    around each target in fixed order."""
+    around each target in fixed order.  Targets go in blocks of at most
+    _WINDING_CELLS curve x target elements, each block one pass of
+    elementwise operations and reductions along the curve, which gives
+    the bits of one pass per target."""
     c = np.asarray(curve, dtype=np.complex128)
     targets = np.asarray(targets, dtype=np.complex128)
     m = targets.shape[0]
     total = np.empty(m)
     mindist = np.empty(m)
     maxinc = np.empty(m)
-    for j in range(m):
-        d = c - targets[j]
-        inc = np.diff(np.angle(d))
+    step = max(1, _WINDING_CELLS // max(c.size, 1))
+    for s in range(0, m, step):
+        d = c[None, :] - targets[s : s + step, None]
+        inc = np.diff(np.angle(d), axis=1)
         inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
-        total[j] = inc.sum()
-        mindist[j] = np.abs(d).min()
-        maxinc[j] = np.abs(inc).max() if inc.size else 0.0
+        total[s : s + step] = inc.sum(axis=1)
+        mindist[s : s + step] = np.abs(d).min(axis=1)
+        maxinc[s : s + step] = np.abs(inc).max(axis=1) if inc.shape[1] else 0.0
     return total, mindist, maxinc
 
 

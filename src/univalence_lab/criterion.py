@@ -13,6 +13,7 @@ not a proof; reports carry the grid metadata and any truncation warnings.
 """
 
 import cmath
+import functools
 import math
 import numbers
 import warnings
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .errors import DerivativeVanishes, HypothesisViolation, TruncationWarning
 from .series import _IDENTITY, _warn_if_truncated, bracket_terms, nonvanishing_check
 
@@ -29,6 +31,16 @@ STRICTNESS_TOL = 1e-12
 # (_kernels._STACK_POINTS).  It binds only past 64 refine_steps, where
 # uncapped calls were 2-5x slower at 300 and 1000 levels
 _LOOK_AHEAD_HOPS = 64
+# the pruned grid scan (_grid_candidates) evaluates the whole grid when
+# the series hold fewer than _SCAN_MIN_TERMS terms in all (the crossover
+# in benchmarks/bench_kernels.py) or more than 1/_SCAN_SHARE of the points
+# are candidates; the constants of its bound are in units of 2^-53
+_SCAN_MIN_TERMS = 24
+_SCAN_SHARE = 4
+_UNIT_ROUNDOFF = 2.0**-53
+_FFT_ROUNDING = 32
+_GRID_OFFSET = 32
+_BOUND_SAFETY = 4.0
 
 
 @dataclass(frozen=True)
@@ -143,13 +155,16 @@ def criterion_values(variant, z, p, f, g=None, phi=None):
     """Vectorized criterion expression over an array of disk points."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    _check_parameters(variant, p)
     z = np.asarray(z, dtype=np.complex128)
     alpha, beta, g_eff, phi_eff = _resolve(variant, p, f, g or _IDENTITY, phi or _IDENTITY)
-
     pre, lr = bracket_terms(f, g_eff, phi_eff, z, log_ratio=beta != 0)
-    bracket = alpha * pre + beta * lr
+    return _expression(variant, p, np.abs(z), alpha * pre + beta * lr)[0]
 
-    r = np.abs(z)
+
+def _expression(variant, p, r, bracket):
+    """(criterion values, factor) from the bracket at points of modulus r:
+    |fac bracket - (m-1)/2| or fac |bracket|, fac depending on r only."""
     m = 1.0 if variant == "cor32" else p.m  # cor32: m fixed at 1 by the statement
     # the mask runs only when a point is 0: on the others it selects every
     # element, which gives the same bits
@@ -157,13 +172,13 @@ def criterion_values(variant, z, p, f, g=None, phi=None):
     if nz.all():
         nz = ...
     if variant in ("thm31", "thm41", "cor31"):
-        fac = np.zeros_like(z)  # bracket is 0 at z = 0 anyway
+        fac = np.zeros_like(bracket)  # bracket is 0 at z = 0 anyway
         fac[nz] = (1.0 - np.exp((m + 1.0) * p.gamma * np.log(r[nz]))) / p.gamma
-        return np.abs(fac * bracket - (m - 1.0) / 2.0)
+        return np.abs(fac * bracket - (m - 1.0) / 2.0), fac
     rg = p.gamma.real
-    fac = np.full(z.shape, 1.0 / rg)
+    fac = np.full(r.shape, 1.0 / rg)
     fac[nz] = (1.0 - r[nz] ** ((m + 1.0) * rg)) / rg
-    return fac * np.abs(bracket)
+    return fac * np.abs(bracket), fac
 
 
 def criterion_bound(variant, p):
@@ -176,7 +191,8 @@ def criterion_bound(variant, p):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _check_hypotheses(variant, p, f, g, phi, grid):
+def _check_parameters(variant, p):
+    """The conditions the variant's statement puts on the scalar parameters."""
     if variant in ("thm32", "cor32"):
         if p.gamma.real <= 0:
             raise HypothesisViolation(f"{variant} requires Re gamma > 0")
@@ -184,6 +200,9 @@ def _check_hypotheses(variant, p, f, g, phi, grid):
             raise HypothesisViolation("thm32 requires m >= 1")
     if variant == "thm41" and not p.k < 1.0:
         raise HypothesisViolation("thm41 requires k in [0, 1)")
+
+
+def _check_hypotheses(variant, f, g, phi, grid):
     rmax = grid.radii[-1]
     to_check = ()
     if variant in ("thm31", "thm32", "thm41"):
@@ -196,6 +215,154 @@ def _check_hypotheses(variant, p, f, g, phi, grid):
             raise HypothesisViolation(
                 f"{name} vanishes inside the scanned disk near z = {witness}", witness=witness
             )
+
+
+def _grid_max(variant, p, f, g, phi, grid, z):
+    """(index, value) of the first maximum of criterion_values over the
+    grid points z, as argmax of one call on all of them would give it, or
+    the exception that call would raise.
+
+    The values come from criterion_values at the candidates of
+    _grid_candidates alone, in index order, when it finds few enough; its
+    truncation warnings are dropped and those of the whole grid issued at
+    the grid's largest |z|, in bracket_terms' order."""
+    idx, _ = _grid_candidates(variant, p, f, g, phi, grid, z)
+    if idx is None:
+        vals = criterion_values(variant, z, p, f, g, phi)
+        best = int(np.argmax(vals))
+        return best, float(vals[best])
+    _, beta, g_eff, phi_eff = _resolve(variant, p, f, g, phi)
+    rmax = float(np.abs(z).max())
+    _warn_if_truncated(f, rmax)
+    with warnings.catch_warnings(record=True):
+        vals = criterion_values(variant, z[idx], p, f, g, phi)
+    if beta != 0:
+        _warn_if_truncated(g_eff, rmax)
+        _warn_if_truncated(phi_eff, rmax)
+    best = int(np.argmax(vals))
+    return int(idx[best]), float(vals[best])
+
+
+def _grid_candidates(variant, p, f, g, phi, grid, z):
+    """(indices, None) of the grid points z that can hold the first maximum
+    of criterion_values or make it raise, or (None, reason) when the whole
+    grid is to be evaluated.
+
+    The criterion reads the quotients z f''/f' and, when beta != 0,
+    z g'/g and z phi'/phi (1 for the identity).  Each row of such a
+    quotient is taken on every circle |z| = r of the grid from one inverse
+    FFT, by _kernels.circle_rows.  A row value there differs from the
+    Horner value at the grid point by at most _BOUND_SAFETY times the sum of
+      - Horner's a-priori bound gamma_2n sum |a_k| r^k (Higham, Accuracy
+        and Stability, 2nd ed., sections 5.1 and 24.1) for a row of n
+        terms, with the rounding of r^k, of the fold and of the FFT:
+        (n + _FFT_ROUNDING ceil(log2 2N)) u sum |a_k| r^k;
+      - the grid point's distance from r e^{2 pi i l/N} (under 10 u r
+        measured, _GRID_OFFSET u r taken) times the absolute series of the
+        row's derivative.
+    The bound is carried through each quotient z A/B, where it holds while
+    |B| exceeds its bound, the bracket with 32 u times the size of its
+    terms for the rounding, and the factor fac (see _factor_error).  A
+    candidate is a point whose upper bound reaches the largest lower
+    bound, or where the bound admits |f'| < 1e-13, g = 0 or phi = 0.
+
+    reason is "terms" when the series the criterion evaluates hold fewer
+    than _SCAN_MIN_TERMS terms in all, too few for the FFT to pay,
+    "nonfinite" when an approximation or bound is not finite, and
+    "candidates" when they exceed 1/_SCAN_SHARE of the grid."""
+    _check_parameters(variant, p)
+    alpha, beta, g_eff, phi_eff = _resolve(variant, p, f, g, phi)
+    # (series, order of the numerator, weight, least |denominator|)
+    quotients = [(f, 2, alpha, 1e-13)]
+    if beta != 0:
+        quotients += [(g_eff, 1, beta, 0.0), (phi_eff, 1, -beta, 0.0)]
+    if sum(s.degree + 1 for s in {s for s, *_ in quotients}) < _SCAN_MIN_TERMS:
+        return None, "terms"
+    with np.errstate(all="ignore"):  # overflow and 0/0 end as non-finite values
+        row = _circle_rows(quotients, grid)
+        if row is None:
+            return None, "nonfinite"
+        rad = np.asarray(grid.radii)[:, None]
+        z = z.reshape(rad.size, -1)
+        ratios = e_ratios = size = 0.0  # sums of w a/b, of their bounds and of |w a/b|
+        shift = shift_size = 0.0  # sums of w and |w| over the quotients that are 1
+        for s, top, w, least in quotients:
+            if _unit(s, top):
+                shift += w
+                shift_size += abs(w)
+                continue
+            (a, e_a), (b, e_b) = row[s._bits, top], row[s._bits, top - 1]
+            ratio = a / b
+            size_q = abs(w) * np.abs(ratio)
+            gap = np.maximum(np.abs(b) - (e_b + least), 0.0)  # 0 where B may be too small
+            ratios = ratios + w * ratio
+            e_ratios = e_ratios + (abs(w) * e_a + size_q * e_b) / gap
+            size = size + size_q
+        bracket = z * ratios + shift
+        e_bracket = rad * (e_ratios + 32.0 * _UNIT_ROUNDOFF * size) + 32.0 * _UNIT_ROUNDOFF * shift_size
+        approx, fac = _expression(variant, p, rad, bracket)
+        fac = np.abs(fac[:, :1])
+        e_fac = _factor_error(variant, p, rad)
+        d = abs(p.m - 1.0) / 2.0 if variant in ("thm31", "thm41", "cor31") else 0.0
+        err = (fac + e_fac) * e_bracket + (e_fac + 16.0 * _UNIT_ROUNDOFF * fac) * np.abs(bracket)
+        err += 16.0 * _UNIT_ROUNDOFF * d
+    ok = np.isfinite(err)
+    if not np.isfinite(approx[ok]).all():
+        return None, "nonfinite"
+    floor = (approx - err)[ok].max(initial=-math.inf)
+    idx = np.flatnonzero(~ok | (approx + err >= floor))
+    if idx.size * _SCAN_SHARE > z.size:
+        return None, "candidates"
+    return idx, None
+
+
+def _circle_rows(quotients, grid):
+    """{(coefficient bytes, order): (values (radii, angles), bounds
+    (radii, 1))} of the rows the quotients read on the grid's circles, or
+    None when a row's absolute series is not finite."""
+    keys = tuple(dict.fromkeys((s._bits, j) for s, top, *_ in quotients if not _unit(s, top) for j in (top, top - 1)))
+    rows, terms = _scan_rows(keys)
+    n = grid.angles_per_radius
+    radii = np.asarray(grid.radii)
+    vals, sums, dsums = _kernels.circle_rows(rows, radii, n)
+    terms = terms + _FFT_ROUNDING * math.ceil(math.log2(2 * n))
+    errs = _BOUND_SAFETY * _UNIT_ROUNDOFF * (terms * sums + _GRID_OFFSET * radii * dsums)
+    # a value on a circle is at most its absolute series, so this also
+    # keeps every value finite
+    if not (np.isfinite(errs).all() and sums.max() < 1e300):
+        return None
+    return {key: (vals[i], errs[i][:, None]) for i, key in enumerate(keys)}
+
+
+@functools.lru_cache(maxsize=64)
+def _scan_rows(keys):
+    """(rows, terms) for the (coefficient bytes, order) keys: the
+    derivative rows of _grid_candidates, zero-padded to one width, and the
+    number of terms of each."""
+    coeffs = [np.frombuffer(b, dtype=np.complex128) for b, _ in keys]
+    rows = np.zeros((len(keys), max(c.size for c in coeffs) + 1), dtype=np.complex128)
+    for i, (c, (_, j)) in enumerate(zip(coeffs, keys)):
+        rows[i, : c.size + 1] = _kernels._derivative_rows(c)[j]
+    rows.setflags(write=False)
+    return rows, np.array([[c.size + 1] for c in coeffs])
+
+
+def _unit(s, top):
+    """Whether the quotient z s^(top)/s^(top-1) is 1: z s'/s of the identity."""
+    return top == 1 and s.degree == 1
+
+
+def _factor_error(variant, p, r):
+    """A bound on the distance of fac at the radii r, as _expression
+    computes it, from fac at |z| of a grid point on the circle: the
+    rounding of (1 - e^{c log r})/gamma, twice, and the change of fac over
+    the few ulps by which |z| differs from r."""
+    m = 1.0 if variant == "cor32" else p.m
+    gamma = p.gamma if variant in ("thm31", "thm41", "cor31") else p.gamma.real
+    exponent = (m + 1.0) * gamma * np.log(r)
+    power = np.exp(exponent)
+    rounding = (np.abs(power) * (np.abs(exponent) + 1.0) + np.abs(1.0 - power)) / abs(gamma)
+    return 8.0 * _UNIT_ROUNDOFF * (rounding + (m + 1.0) * np.abs(power))
 
 
 def _hops(r, th, dr, dth, rmax, levels):
@@ -243,15 +410,13 @@ def _sup_search(variant, p, f, g, phi, grid):
     makes one call per move plus one, instead of one per hop: 176 instead
     of 442 on the bundled configs and the example31 and expscaled variant
     families of tests/test_refinement.py.  A point takes the same
-    bits in a batch as in a four-point call (every operation is
-    elementwise, and the product of a long series sees a multiple of four
-    points either way), so the path, sup and witness are those of one call
-    per hop.  Truncation warnings are issued per hop the walk takes, at
+    bits in a batch of any size (every operation is elementwise, and the
+    product of a long series pads its columns to a multiple of four), so
+    the grid maximum of _grid_max and the path, sup and witness are those
+    of one call on the grid and one per hop.  Truncation warnings are issued per hop the walk takes, at
     the largest |z| of its four probes, as its own call would issue them."""
     z = grid.points()
-    vals = criterion_values(variant, z, p, f, g, phi)
-    best = int(np.argmax(vals))
-    sup = float(vals[best])
+    best, sup = _grid_max(variant, p, f, g, phi, grid, z)
     witness = complex(z[best])
 
     r = abs(witness)
@@ -298,7 +463,8 @@ def criterion_check(variant, p, f, g=None, phi=None, grid=None):
     grid = grid or DiskGrid()
     g = g or _IDENTITY
     phi = phi or _IDENTITY
-    _check_hypotheses(variant, p, f, g, phi, grid)
+    _check_parameters(variant, p)
+    _check_hypotheses(variant, f, g, phi, grid)
     bound = criterion_bound(variant, p)
 
     with warnings.catch_warnings(record=True) as caught:

@@ -159,6 +159,29 @@ class TestCheck:
         assert doc["grid"]["radii"] == list(small_grid.radii)
 
 
+class TestValuesRefuseParameters:
+    """criterion_values refuses the parameters the statement excludes, with
+    the text criterion_check raises."""
+
+    @pytest.mark.parametrize("variant", ["thm32", "cor32"])
+    @pytest.mark.parametrize("gamma", [1j, -0.5 + 1j])
+    def test_re_gamma_not_positive(self, variant, gamma, f_quarter, g_half, identity, small_grid):
+        p = ParameterSet(alpha=0.5, beta=0.5, gamma=gamma, m=1.0)
+        message = f"^{variant} requires Re gamma > 0$"
+        with pytest.raises(HypothesisViolation, match=message):
+            criterion_values(variant, np.array([0.3 + 0.1j]), p, f_quarter, g_half, identity)
+        with pytest.raises(HypothesisViolation, match=message):
+            criterion_check(variant, p, f_quarter, g_half, identity, small_grid)
+
+    @pytest.mark.parametrize(
+        "variant,kwargs,message",
+        [("thm32", {"m": 0.5}, "thm32 requires m >= 1"), ("thm41", {"k": 1.0}, r"thm41 requires k in \[0, 1\)")],
+    )
+    def test_other_scalar_conditions(self, variant, kwargs, message, f_quarter, identity):
+        with pytest.raises(HypothesisViolation, match=message):
+            criterion_values(variant, 0.3, ParameterSet(**kwargs), f_quarter, identity, identity)
+
+
 class TestParameterValidation:
     def test_parameter_set(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,172 @@
+"""The pruned grid scan of `criterion_check` (FFT on each circle, exact
+evaluation at the certified candidates) returns the index and the bits of
+the first maximum of one `criterion_values` call on every grid point, or
+the exception that call raises, with the same truncation warnings."""
+
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from univalence_lab import DiskGrid, ParameterSet, SeriesFunction, catalog_build, criterion, criterion_values
+from univalence_lab.criterion import VARIANTS
+from univalence_lab.errors import DerivativeVanishes, HypothesisViolation, UnivalenceLabError
+
+KOEBE = catalog_build("koebe", {"degree": 4096})
+IDENTITY = catalog_build("identity")
+
+
+def _outcome(scan, variant, p, f, g, phi, grid):
+    """(index, sup bits, warnings) of a grid scan, or the exception's type,
+    message and witness."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            best, sup = scan(variant, p, f, g, phi, grid)
+        except UnivalenceLabError as exc:
+            return type(exc), str(exc), getattr(exc, "witness", None)
+    return best, float(sup).hex(), [str(w.message) for w in caught]
+
+
+def _full_scan(variant, p, f, g, phi, grid):
+    vals = criterion_values(variant, grid.points(), p, f, g, phi)
+    best = int(np.argmax(vals))
+    return best, float(vals[best])
+
+
+def _pruned_scan(variant, p, f, g, phi, grid):
+    # criterion_check passes the identity for a missing g or phi
+    return criterion._grid_max(variant, p, f, g or IDENTITY, phi or IDENTITY, grid, grid.points())
+
+
+def _assert_as_full_scan(variant, p, f, g, phi, grid):
+    """The pruned scan with its cost and share fallbacks off matches the
+    full scan; so does the scan as criterion_check runs it."""
+    expected = _outcome(_full_scan, variant, p, f, g, phi, grid)
+    with mock.patch.multiple(criterion, _SCAN_MIN_TERMS=0, _SCAN_SHARE=1):
+        assert _outcome(_pruned_scan, variant, p, f, g, phi, grid) == expected
+    assert _outcome(_pruned_scan, variant, p, f, g, phi, grid) == expected
+
+
+def _series(terms, decay, seed, real):
+    """Random coefficients c_1 = 1, c_k ~ decay^k N(0, 1), complex or real
+    with -0.0 imaginary parts."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=terms) * decay ** np.arange(terms)
+    c = c + 1j * (rng.normal(size=terms) * decay ** np.arange(terms)) if not real else c - 0.0j
+    c[0] = 1.0
+    return SeriesFunction(c)
+
+
+_SERIES = st.one_of(
+    st.builds(_series, st.integers(1, 62), st.floats(0.2, 1.3), st.integers(0, 2**32 - 1), st.booleans()),
+    st.builds(_series, st.integers(64, 600), st.floats(0.5, 1.02), st.integers(0, 2**32 - 1), st.booleans()),
+    st.just(KOEBE),
+    st.just(IDENTITY),
+)
+_COMPLEX = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+_PARAMS = st.builds(
+    ParameterSet,
+    alpha=_COMPLEX,
+    beta=st.one_of(st.just(0.0), _COMPLEX),
+    gamma=st.builds(complex, st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)).filter(lambda g: abs(g) > 1e-3),
+    m=st.floats(0.0, 3.0),
+    k=st.floats(0.0, 0.99),
+)
+_GRIDS = st.builds(
+    lambda radii, n: DiskGrid(radii=tuple(sorted(set(radii))), angles_per_radius=n, refine_steps=0),
+    st.lists(st.one_of(st.floats(1e-9, 1e-6), st.floats(0.01, 0.995)), min_size=1, max_size=12),
+    st.integers(8, 1024),
+)
+
+
+@given(variant=st.sampled_from(VARIANTS), p=_PARAMS, f=_SERIES, g=_SERIES, phi=_SERIES, grid=_GRIDS)
+@example(  # Koebe against a long random g: both long rows in one bound
+    variant="thm31",
+    p=ParameterSet(alpha=0.5 + 0.2j, beta=0.3 - 0.1j, gamma=1.0 + 0.5j, m=2.0, k=0.3),
+    f=KOEBE,
+    g=_series(200, 0.9, 7, False),
+    phi=IDENTITY,
+    grid=DiskGrid(radii=(0.5, 0.9, 0.99), angles_per_radius=97, refine_steps=0),
+)
+@settings(max_examples=200, deadline=None)
+def test_pruned_scan_matches_full_scan(variant, p, f, g, phi, grid):
+    _assert_as_full_scan(variant, p, f, g, phi, grid)
+
+
+_P = ParameterSet(alpha=0.5, beta=0.5, gamma=1.0, m=1.0, k=0.3)
+
+
+def test_exact_ties_take_the_first_index():
+    # z f''/f' = lam z up to rounding for the exponential, so the values on
+    # a circle tie, four of them exactly at the maximum
+    f = catalog_build("expscaled", {"lam": np.exp(0.3j), "degree": 32})
+    grid = DiskGrid()
+    vals = criterion_values("cor32", grid.points(), _P, f)
+    assert np.count_nonzero(vals == vals.max()) == 4
+    assert _outcome(_full_scan, "cor32", _P, f, None, None, grid)[0] == 108
+    _assert_as_full_scan("cor32", _P, f, None, None, grid)
+
+
+def test_constant_values_take_index_zero():
+    grid = DiskGrid(radii=(0.3, 0.6, 0.9), angles_per_radius=16)
+    p = ParameterSet(alpha=0.5, beta=0.5, gamma=1.0, m=3.0)
+    assert _outcome(_full_scan, "thm31", p, IDENTITY, IDENTITY, IDENTITY, grid)[:2] == (0, (1.0).hex())
+    _assert_as_full_scan("thm31", p, IDENTITY, IDENTITY, IDENTITY, grid)
+
+
+def test_derivative_vanishing_at_a_grid_point():
+    grid = DiskGrid(radii=(0.3, 0.5, 0.9), angles_per_radius=64)
+    w = complex(grid.points()[70])
+    f = SeriesFunction([1.0, -1.0 / (2.0 * w)])
+    assert _outcome(_full_scan, "cor32", _P, f, None, None, grid) == (DerivativeVanishes, f"f'(z) = 0 at z = {w}", w)
+    _assert_as_full_scan("cor32", _P, f, None, None, grid)
+
+
+def test_g_vanishing_at_a_grid_point():
+    # g = z - 2z^2 is exactly 0 at the grid point 0.5
+    grid = DiskGrid(radii=(0.3, 0.5, 0.9), angles_per_radius=64)
+    g = SeriesFunction([1.0, -2.0])
+    f = catalog_build("quadratic", {"c": 0.25})
+    expected = (HypothesisViolation, "series <unnamed> vanishes at z = (0.5+0j)", 0.5)
+    assert _outcome(_full_scan, "thm31", _P, f, g, None, grid) == expected
+    _assert_as_full_scan("thm31", _P, f, g, None, grid)
+
+
+def test_non_finite_rows_fall_back_to_the_full_scan():
+    # f'' has the coefficient 40 * 39 * 1e306 = inf, while Horner's values
+    # on |z| <= 0.5 stay finite
+    c = np.zeros(40, dtype=np.complex128)
+    c[0], c[39] = 1.0, 1e306
+    f = SeriesFunction(c)
+    grid = DiskGrid(radii=(0.2, 0.35, 0.5), angles_per_radius=64)
+    z = grid.points()
+    assert np.isfinite(criterion_values("thm31", z, _P, f)).all()
+    assert criterion._grid_candidates("thm31", _P, f, IDENTITY, IDENTITY, grid, z) == (None, "nonfinite")
+    _assert_as_full_scan("thm31", _P, f, None, None, grid)
+
+
+def test_fallbacks():
+    grid = DiskGrid()
+    z = grid.points()
+    example31 = catalog_build("quadratic", {"c": 0.25}), catalog_build("quadratic", {"c": 0.5}), IDENTITY
+    assert criterion._grid_candidates("thm31", _P, *example31, grid, z) == (None, "terms")
+    idx, reason = criterion._grid_candidates("cor32", ParameterSet(), KOEBE, IDENTITY, IDENTITY, grid, z)
+    assert reason is None and 0 < idx.size <= z.size // criterion._SCAN_SHARE
+    # every point a candidate
+    with mock.patch.object(criterion, "_BOUND_SAFETY", 1e12):
+        assert criterion._grid_candidates("cor32", ParameterSet(), KOEBE, IDENTITY, IDENTITY, grid, z) == (
+            None,
+            "candidates",
+        )
+
+
+@pytest.mark.parametrize("name", ["koebe_cor32", "example31_thm32"])
+def test_truncation_warnings_at_the_largest_radius(name):
+    from univalence_lab.cli import bundled_configs, parse_config
+
+    spec = parse_config(bundled_configs()[name])
+    _assert_as_full_scan(spec.variant, spec.params, spec.f, spec.g, spec.phi, spec.grid)

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from univalence_lab import DiskGrid, ParameterSet, SeriesFunction, _kernels, catalog_build, criterion_check
-from univalence_lab.errors import DerivativeVanishes, HypothesisViolation
+from univalence_lab.errors import DerivativeVanishes, HypothesisViolation, InconclusiveError
+from univalence_lab.oracle import _MAX_INCREMENT, winding_numbers
 from univalence_lab.series import SMALL_Z, bracket_terms
 from .conftest import random_disk_points
 
@@ -341,6 +342,85 @@ class TestDispatchAgreesWithNumpy:
         assert np.allclose(total, 2.0 * np.pi, rtol=1e-12)  # every target is inside
         assert np.allclose(mindist, np.abs(d).min(axis=1), rtol=1e-12, atol=1e-12)
         assert np.allclose(maxinc, np.abs(inc).max(axis=1), rtol=1e-12, atol=1e-12)
+
+
+class TestBlockedBatchIndependence:
+    """A long series gives a point the same bits alone, in any window of a
+    batch, and in the whole batch (every matrix product has a multiple of
+    4 columns)."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        terms=st.one_of(st.integers(64, 600), st.just(4096)),
+        npts=st.integers(1, 700),
+        rows=st.sampled_from(((0, 1, 2), (1, 2), (0,))),
+        cuts=st.lists(st.integers(0, 700), max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_alone_and_windows_equal_the_batch(self, seed, terms, npts, rows, cuts):
+        rng = np.random.default_rng(seed)
+        if terms == 4096:
+            c = catalog_build("koebe", {"degree": 4096}).coefficients
+        else:
+            c = (rng.normal(size=terms) + 1j * rng.normal(size=terms)) * 0.99 ** np.arange(terms)
+        table = _kernels._derivative_rows(np.asarray(c, dtype=np.complex128))[list(rows)]
+        z = random_disk_points(rng, npts, 0.999)
+        batch = _kernels._blocked_rows(table, z)
+        alone = np.concatenate([_kernels._blocked_rows(table, z[i : i + 1]) for i in range(min(npts, 40))], axis=1)
+        assert np.array_equal(alone.view(np.float64), batch[:, : alone.shape[1]].view(np.float64))
+        edges = sorted({0, npts, *(min(c, npts) for c in cuts)})
+        windows = np.concatenate([_kernels._blocked_rows(table, z[a:b]) for a, b in zip(edges, edges[1:])], axis=1)
+        assert np.array_equal(windows.view(np.float64), batch.view(np.float64))
+
+
+def _winding_loop(curve, targets):
+    """winding_stats as it was computed one target at a time."""
+    m = targets.shape[0]
+    total, mindist, maxinc = np.empty(m), np.empty(m), np.empty(m)
+    for j in range(m):
+        d = curve - targets[j]
+        inc = np.diff(np.angle(d))
+        inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
+        total[j] = inc.sum()
+        mindist[j] = np.abs(d).min()
+        maxinc[j] = np.abs(inc).max() if inc.size else 0.0
+    return total, mindist, maxinc
+
+
+class TestWindingBlocks:
+    """winding_stats in blocks of targets gives the bits of one pass per
+    target, and winding_numbers decides as they do."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        npts=st.integers(3, 3000),
+        ntargets=st.integers(1, 80),
+        near=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_one_pass_per_target(self, seed, npts, ntargets, near):
+        rng = np.random.default_rng(seed)
+        th = np.linspace(0.0, 2.0 * np.pi, npts)
+        curve = 0.7 * np.exp(1j * th) + 0.05 * np.exp(5j * th)
+        curve[-1] = curve[0]
+        targets = random_disk_points(rng, ntargets, 0.9)
+        # a share of the targets sits on or next to the curve: within
+        # min_dist, or where an argument increment approaches pi
+        k = rng.integers(0, npts, ntargets)
+        close = rng.uniform(size=ntargets) < near
+        targets[close] = curve[k[close]] + rng.choice([0.0, 1e-9, 1e-3], size=close.sum())
+        got = _kernels.winding_stats(curve, targets)
+        expected = _winding_loop(curve, targets)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        total, mindist, maxinc = expected
+        try:
+            numbers = winding_numbers(curve, targets)
+        except InconclusiveError as exc:
+            assert (mindist <= 1e-8).any() or (maxinc >= _MAX_INCREMENT).any(), str(exc)
+        else:
+            assert not (mindist <= 1e-8).any() and not (maxinc >= _MAX_INCREMENT).any()
+            assert np.array_equal(numbers, np.rint(total / (2.0 * np.pi)).astype(int))
 
 
 class TestBackendSelection:
