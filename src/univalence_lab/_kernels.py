@@ -34,8 +34,9 @@ _G17_TIE_MARGIN = 1e-9
 _G17_EXPONENTS = 290  # layout tables cover decimal exponents -290..290
 
 
-def _blocked_rows(rows, z):
-    """sum_k rows[j, k] z^k for every row j at every point of the 1-d z.
+def _blocked_rows(rows, z, scale=1.0):
+    """scale sum_k rows[j, k] z^k for every row j at every point of the
+    1-d z, scale a power of two (see _scaled_rows).
 
     Block size B = isqrt(n) for n coefficients per row; returns an
     (m, z.size) array for m rows.  Points are processed in chunks of about
@@ -74,6 +75,8 @@ def _blocked_rows(rows, z):
             acc *= w
             acc += vals[i]
         out[:, s : s + k] = acc[:, :k]
+    if scale != 1.0:
+        out *= scale
     return out
 
 
@@ -87,6 +90,21 @@ def _derivative_rows(c):
     rows[1, : n - 1] = k * c
     rows[2, : n - 2] = (k[1:] * k[:-1]) * c[1:]
     return rows
+
+
+def _scaled_rows(c):
+    """(rows, scale): the _derivative_rows of c / scale for
+    _blocked_rows(rows, z, scale).  scale is 1 when the rows of c are
+    finite, so they keep their bits, and else (a coefficient near the top
+    of the double range, which (k + 1) k c_k overflows) the power of two
+    2^(2 bits(N + 1)) > N (N + 1), which keeps every row finite; dividing
+    by it is exact but for coefficients it takes below the normal range."""
+    with np.errstate(over="ignore"):
+        rows = _derivative_rows(c)
+    if np.isfinite(rows).all():
+        return rows, 1.0
+    scale = 2.0 ** (2 * (c.size + 1).bit_length())
+    return _derivative_rows(c / scale), scale
 
 
 def polyval012(coeffs, z):
@@ -104,7 +122,8 @@ def polyval012(coeffs, z):
     if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1:
         c = np.ascontiguousarray(coeffs, dtype=np.complex128)
         if c.size + 1 >= _BLOCKED_MIN_TERMS:
-            return tuple(_blocked_rows(_derivative_rows(c), z))
+            rows, scale = _scaled_rows(c)
+            return tuple(_blocked_rows(rows, z, scale))
         out = np.empty((3, 1, z.size), dtype=np.complex128)
         _horner012([c], z, out)
         return tuple(out[:, 0])
@@ -224,17 +243,15 @@ def polyval(coeffs, z):
         return _blocked_rows(a[None, :], z)[0]
     if a.size == 1:
         return np.full_like(z, a[0])
-    if z.size == 1 and a.size > 2:
-        # numpy's in-place complex multiply on one element is a slower loop
-        # that rounds differently: two copies of the point take the loop
-        # every batch takes, so a point gets the same bits alone or in one
-        return polyval(a, np.concatenate((z, z)))[:1]
-    # Horner in place: the same operations as q = q * z + a[k] from q = a[-1]
-    q = z * a[-1]
-    q += a[-2]
-    for k in range(a.size - 3, -1, -1):
-        q *= z
-        q += a[k]
+    # Horner, q = q z + a[k] from q = a[-1], the product into t and the sum
+    # back into q: nothing runs in place, since numpy rounds an in-place
+    # complex product on one element differently (and takes a slower loop),
+    # so a point gets the same bits alone as in a batch
+    q = z * a[-1] + a[-2]
+    t = np.empty_like(q)
+    for c in a[-3::-1].tolist():
+        np.multiply(q, z, t)
+        np.add(t, c, q)
     return q
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import DerivativeVanishes, HypothesisViolation, TruncationWarning
-from .series import _IDENTITY, _warn_if_truncated, bracket_terms, nonvanishing_check
+from .errors import ConvergenceError, DerivativeVanishes, HypothesisViolation
+from .series import DERIVATIVE_FLOOR, _IDENTITY, _truncation_message, bracket_terms, nonvanishing_check
 
 VARIANTS = ("thm31", "thm32", "cor31", "cor32", "thm41")
 STRICTNESS_TOL = 1e-12
@@ -222,25 +222,12 @@ def _grid_max(variant, p, f, g, phi, grid, z):
     grid points z, as argmax of one call on all of them would give it, or
     the exception that call would raise.
 
-    The values come from criterion_values at the candidates of
-    _grid_candidates alone, in index order, when it finds few enough; its
-    truncation warnings are dropped and those of the whole grid issued at
-    the grid's largest |z|, in bracket_terms' order."""
+    The values come from one criterion_values call, at the candidates of
+    _grid_candidates alone, in index order, when it finds few enough."""
     idx, _ = _grid_candidates(variant, p, f, g, phi, grid, z)
-    if idx is None:
-        vals = criterion_values(variant, z, p, f, g, phi)
-        best = int(np.argmax(vals))
-        return best, float(vals[best])
-    _, beta, g_eff, phi_eff = _resolve(variant, p, f, g, phi)
-    rmax = float(np.abs(z).max())
-    _warn_if_truncated(f, rmax)
-    with warnings.catch_warnings(record=True):
-        vals = criterion_values(variant, z[idx], p, f, g, phi)
-    if beta != 0:
-        _warn_if_truncated(g_eff, rmax)
-        _warn_if_truncated(phi_eff, rmax)
+    vals = criterion_values(variant, z if idx is None else z[idx], p, f, g, phi)
     best = int(np.argmax(vals))
-    return int(idx[best]), float(vals[best])
+    return best if idx is None else int(idx[best]), float(vals[best])
 
 
 def _grid_candidates(variant, p, f, g, phi, grid, z):
@@ -264,7 +251,8 @@ def _grid_candidates(variant, p, f, g, phi, grid, z):
     |B| exceeds its bound, the bracket with 32 u times the size of its
     terms for the rounding, and the factor fac (see _factor_error).  A
     candidate is a point whose upper bound reaches the largest lower
-    bound, or where the bound admits |f'| < 1e-13, g = 0 or phi = 0.
+    bound, or where the bound admits |f'| < DERIVATIVE_FLOOR, g = 0 or
+    phi = 0.
 
     reason is "terms" when the series the criterion evaluates hold fewer
     than _SCAN_MIN_TERMS terms in all, too few for the FFT to pay,
@@ -273,7 +261,7 @@ def _grid_candidates(variant, p, f, g, phi, grid, z):
     _check_parameters(variant, p)
     alpha, beta, g_eff, phi_eff = _resolve(variant, p, f, g, phi)
     # (series, order of the numerator, weight, least |denominator|)
-    quotients = [(f, 2, alpha, 1e-13)]
+    quotients = [(f, 2, alpha, DERIVATIVE_FLOOR)]
     if beta != 0:
         quotients += [(g_eff, 1, beta, 0.0), (phi_eff, 1, -beta, 0.0)]
     if sum(s.degree + 1 for s in {s for s, *_ in quotients}) < _SCAN_MIN_TERMS:
@@ -378,26 +366,28 @@ def _hops(r, th, dr, dth, rmax, levels):
 
 def _look_ahead(variant, p, f, g, phi, probes):
     """[(probes, largest |z|, values)] per hop of four `probes`, from one
-    criterion_values call with its truncation warnings dropped.
+    criterion_values call.
 
     If that call raises HypothesisViolation (f' vanishes at a probe, say),
     the first hop is evaluated alone: it raises again only if the zero is
     one of its own probes, as its own call would."""
     pz = np.array([rr * cmath.exp(1j * tt) for rr, tt in probes])
-    with warnings.catch_warnings(record=True):
-        try:
-            values = criterion_values(variant, pz, p, f, g, phi).tolist()
-        except HypothesisViolation:
-            pz = pz[:4]
-            values = criterion_values(variant, pz, p, f, g, phi).tolist()
+    try:
+        values = criterion_values(variant, pz, p, f, g, phi).tolist()
+    except HypothesisViolation:
+        pz = pz[:4]
+        values = criterion_values(variant, pz, p, f, g, phi).tolist()
     radius = np.abs(pz).reshape(-1, 4).max(axis=1).tolist()
     return [(probes[4 * j : 4 * j + 4], radius[j], values[4 * j : 4 * j + 4]) for j in range(len(radius))]
 
 
 def _sup_search(variant, p, f, g, phi, grid):
-    """(sup, witness) of the criterion expression: the grid maximum, then a
-    coordinate search in (r, theta) with `refine_steps` halvings, clamped to
-    the outermost grid radius.
+    """(sup, witness, reached) of the criterion expression: the grid
+    maximum, then a coordinate search in (r, theta) with `refine_steps`
+    halvings, clamped to the outermost grid radius.  reached lists the
+    largest |z| of the grid, then that of the four probes of each hop the
+    search takes: the radii where a call on the grid and one per hop would
+    issue their truncation warnings.
 
     Each hop takes its four probes around the centre in order and moves to
     every one that beats the sup so far; a level repeats its hop while it
@@ -413,11 +403,11 @@ def _sup_search(variant, p, f, g, phi, grid):
     bits in a batch of any size (every operation is elementwise, and the
     product of a long series pads its columns to a multiple of four), so
     the grid maximum of _grid_max and the path, sup and witness are those
-    of one call on the grid and one per hop.  Truncation warnings are issued per hop the walk takes, at
-    the largest |z| of its four probes, as its own call would issue them."""
+    of one call on the grid and one per hop."""
     z = grid.points()
     best, sup = _grid_max(variant, p, f, g, phi, grid, z)
     witness = complex(z[best])
+    reached = [float(np.abs(z).max())]
 
     r = abs(witness)
     th = cmath.phase(witness)
@@ -427,8 +417,6 @@ def _sup_search(variant, p, f, g, phi, grid):
     dr = max(gaps[max(i - 1, 0) : i + 1] or gaps) / 2.0
     dth = math.pi / grid.angles_per_radius
     rmax = radii[-1]
-    _, beta, g_eff, phi_eff = _resolve(variant, p, f, g, phi)
-    warned = (f, g_eff, phi_eff) if beta != 0 else (f,)
     ahead = []  # the hops still ahead of the current centre
     for level in range(grid.refine_steps):
         moved = True
@@ -439,8 +427,7 @@ def _sup_search(variant, p, f, g, phi, grid):
                 probes = _hops(r, th, dr, dth, rmax, min(grid.refine_steps - level, _LOOK_AHEAD_HOPS))
                 ahead = _look_ahead(variant, p, f, g, phi, probes)
             probes, radius, pvals = ahead.pop(0)
-            for s in warned:
-                _warn_if_truncated(s, radius)
+            reached.append(radius)
             for (rr, tt), v in zip(probes, pvals):
                 if v > sup:
                     sup, r, th = v, rr, tt
@@ -450,7 +437,7 @@ def _sup_search(variant, p, f, g, phi, grid):
                 ahead = []
         dr /= 2.0
         dth /= 2.0
-    return sup, r * cmath.exp(1j * th)
+    return sup, r * cmath.exp(1j * th), reached
 
 
 def criterion_check(variant, p, f, g=None, phi=None, grid=None):
@@ -458,7 +445,9 @@ def criterion_check(variant, p, f, g=None, phi=None, grid=None):
 
     The grid maximum is refined by a coordinate search in (r, theta) with
     `refine_steps` halvings, clamped to the outermost grid radius.  PASS
-    means "no violation found by sampling".
+    means "no violation found by sampling".  The report warns for f, and g
+    and phi when beta != 0, at each radius the search reached, each text
+    once.  Raises ConvergenceError when the sup is not finite.
     """
     grid = grid or DiskGrid()
     g = g or _IDENTITY
@@ -467,22 +456,18 @@ def criterion_check(variant, p, f, g=None, phi=None, grid=None):
     _check_hypotheses(variant, f, g, phi, grid)
     bound = criterion_bound(variant, p)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TruncationWarning)
+    with warnings.catch_warnings(record=True):  # stated from `reached` below
         try:
-            sup, witness = _sup_search(variant, p, f, g, phi, grid)
+            sup, witness, reached = _sup_search(variant, p, f, g, phi, grid)
         except DerivativeVanishes as exc:
-            report = CriterionReport(
-                variant, False, math.inf, bound, exc.witness, -math.inf, grid
-            )
-            report.warnings.append(str(exc))
-            return report
+            return CriterionReport(variant, False, math.inf, bound, exc.witness, -math.inf, grid, [str(exc)])
+    if not math.isfinite(sup):
+        raise ConvergenceError(f"{variant}: the criterion is not finite at z = {witness}")
 
     passed = sup <= bound + STRICTNESS_TOL
     report = CriterionReport(variant, passed, sup, bound, witness, bound - sup, grid)
-    seen = set()
-    for w in caught:
-        if issubclass(w.category, TruncationWarning) and str(w.message) not in seen:
-            seen.add(str(w.message))
-            report.warnings.append(str(w.message))
+    _, beta, g_eff, phi_eff = _resolve(variant, p, f, g, phi)
+    series = (f, g_eff, phi_eff) if beta != 0 else (f,)
+    messages = (_truncation_message(s, r) for r in reached for s in series)
+    report.warnings.extend(dict.fromkeys(m for m in messages if m))
     return report

@@ -20,6 +20,7 @@ from .errors import DerivativeVanishes, DomainError, HypothesisViolation, Trunca
 
 TRUNCATION_TOL = 1e-12
 SMALL_Z = 1e-8
+DERIVATIVE_FLOOR = 1e-13  # |f'| below this counts as f' = 0
 DEFAULT_DEGREE = 64
 
 
@@ -75,14 +76,21 @@ class SeriesFunction:
         return [[c.real, c.imag] for c in self.coefficients]
 
 
-def _warn_if_truncated(s, radius):
+def _truncation_message(s, radius):
+    """The TruncationWarning text of s at |z| = radius, or None when s is
+    not truncated or its tail bound there is within TRUNCATION_TOL."""
     if s.truncated and s.tail_bound(radius) > TRUNCATION_TOL:
-        warnings.warn(
+        return (
             f"series {s.label or '<unnamed>'}: tail bound "
-            f"{s.tail_bound(radius):.3g} exceeds {TRUNCATION_TOL:g} at |z|={radius:.4g}",
-            TruncationWarning,
-            stacklevel=3,
+            f"{s.tail_bound(radius):.3g} exceeds {TRUNCATION_TOL:g} at |z|={radius:.4g}"
         )
+    return None
+
+
+def _warn_if_truncated(s, radius):
+    message = _truncation_message(s, radius)
+    if message:
+        warnings.warn(message, TruncationWarning, stacklevel=3)
 
 
 def eval_many(s, z):
@@ -145,10 +153,10 @@ class _BracketPlan(NamedTuple):
     """How bracket_terms evaluates its distinct series: the coefficient
     arrays of the short ones (fewer than 64 terms, c_0 = 0 included) as one
     `stack` for polyval012, and for each long one the derivative rows of its
-    own blocked product from order `first`: 1 for an f that is not also g or
-    phi, whose value is never used, else 0.  `slots` gives the index of f,
-    g, phi (those asked for) among the evaluated series: the stack in
-    order, then the long ones."""
+    own blocked product from order `first` (1 for an f that is not also g
+    or phi, whose value is never used, else 0) with their scale.  `slots`
+    gives the index of f, g, phi (those asked for) among the evaluated
+    series: the stack in order, then the long ones."""
 
     stack: tuple
     blocked: tuple
@@ -164,7 +172,8 @@ def _bracket_plan(*bits):
     blocked = []
     for b in long:
         first = 0 if b in bits[1:] else 1
-        blocked.append((_kernels._derivative_rows(coeffs[b])[first:], first))
+        rows, scale = _kernels._scaled_rows(coeffs[b])
+        blocked.append((rows[first:], first, scale))
     index = {b: i for i, b in enumerate(short + long)}
     return _BracketPlan(tuple(coeffs[b] for b in short), tuple(blocked), tuple(index[b] for b in bits))
 
@@ -173,8 +182,8 @@ def _evaluate(plan, z):
     """(p, p', p'') of f, g, phi (those the plan was made for) at the 1-d
     z; p is None for a long f."""
     values = list(zip(*_kernels.polyval012(plan.stack, z))) if plan.stack else []
-    for rows, first in plan.blocked:
-        values.append((None,) * first + tuple(_kernels._blocked_rows(rows, z)))
+    for rows, first, scale in plan.blocked:
+        values.append((None,) * first + tuple(_kernels._blocked_rows(rows, z, scale)))
     return [values[i] for i in plan.slots]
 
 
@@ -184,9 +193,9 @@ def bracket_terms(f, g, phi, z, log_ratio=True):
 
     Both are 0 at z = 0 (removable singularities of the class-A
     normalization).  Raises DerivativeVanishes at the first point where
-    |f'| < 1e-13.  Truncated f, and with log_ratio g and phi, warn at the
-    largest |z|.  With log_ratio=False the second term is returned as
-    zeros and g, phi are not evaluated.
+    |f'| < DERIVATIVE_FLOOR.  Truncated f, and with log_ratio g and phi,
+    warn at the largest |z|.  With log_ratio=False the second term is
+    returned as zeros and g, phi are not evaluated.
 
     The series are evaluated together, with the bits of eval_many and
     log_derivative: those of fewer than 64 terms (c_0 = 0 included) in one
@@ -198,7 +207,7 @@ def bracket_terms(f, g, phi, z, log_ratio=True):
     series = (f, g, phi) if log_ratio else (f,)
     values = _evaluate(_bracket_plan(*(s._bits for s in series)), z.ravel())
     fp, fpp = (v.reshape(z.shape) for v in values[0][1:])
-    bad = np.abs(fp) < 1e-13
+    bad = np.abs(fp) < DERIVATIVE_FLOOR
     if bad.any():
         w = complex(z[bad][0])
         raise DerivativeVanishes(f"f'(z) = 0 at z = {w}", witness=w)

@@ -356,6 +356,15 @@ class TestEndToEnd:
     def test_missing_file_exit_70(self, tmp_path):
         assert main(["check", str(tmp_path / "absent.json")]) == 70
 
+    def test_non_finite_sup_exit_70(self, write_config, capsys):
+        # f' = 1 + 2e308 z overflows, so every criterion value is NaN
+        cfg = {"f": {"coefficients": [1, 1e308]}, "variant": "cor32"}
+        assert main(["check", write_config(cfg)]) == 70
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: cor32: the criterion is not finite")
+        assert "nan" not in (out + err).lower()
+
     def test_eval_zero(self, write_config, capsys):
         assert main(["eval", write_config(REFERENCE_DOC), "--z", "0+0i"]) == 0
         assert capsys.readouterr().out.strip() == "0+0i"

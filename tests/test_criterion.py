@@ -15,7 +15,7 @@ from univalence_lab import (
     criterion_values,
 )
 from univalence_lab.criterion import criterion_bound
-from univalence_lab.errors import HypothesisViolation
+from univalence_lab.errors import ConvergenceError, HypothesisViolation
 from univalence_lab.series import SeriesFunction
 from .conftest import random_disk_points
 
@@ -136,6 +136,12 @@ class TestCheck:
         assert not rep.passed
         assert math.isinf(rep.sup_value)
         assert rep.warnings
+
+    def test_non_finite_sup_raises(self, small_grid):
+        # f' = 1 + 2e308 z overflows on the whole grid: the criterion is NaN
+        f = SeriesFunction(np.array([1.0, 1e308]))
+        with pytest.raises(ConvergenceError, match="cor32: the criterion is not finite at z = "):
+            criterion_check("cor32", ParameterSet(), f, grid=small_grid)
 
     def test_hypothesis_violations(self, f_quarter, identity, small_grid):
         with pytest.raises(HypothesisViolation):

@@ -1,7 +1,8 @@
 """The pruned grid scan of `criterion_check` (FFT on each circle, exact
 evaluation at the certified candidates) returns the index and the bits of
 the first maximum of one `criterion_values` call on every grid point, or
-the exception that call raises, with the same truncation warnings."""
+the exception that call raises.  The scan's own truncation warnings are
+not compared: `criterion_check` states them from the grid's largest |z|."""
 
 import warnings
 from unittest import mock
@@ -11,24 +12,32 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from univalence_lab import DiskGrid, ParameterSet, SeriesFunction, catalog_build, criterion, criterion_values
+from univalence_lab import (
+    DiskGrid,
+    ParameterSet,
+    SeriesFunction,
+    catalog_build,
+    criterion,
+    criterion_check,
+    criterion_values,
+)
 from univalence_lab.criterion import VARIANTS
-from univalence_lab.errors import DerivativeVanishes, HypothesisViolation, UnivalenceLabError
+from univalence_lab.errors import DerivativeVanishes, HypothesisViolation, TruncationWarning, UnivalenceLabError
 
 KOEBE = catalog_build("koebe", {"degree": 4096})
 IDENTITY = catalog_build("identity")
 
 
 def _outcome(scan, variant, p, f, g, phi, grid):
-    """(index, sup bits, warnings) of a grid scan, or the exception's type,
-    message and witness."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    """(index, sup bits) of a grid scan, or the exception's type, message
+    and witness."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
         try:
             best, sup = scan(variant, p, f, g, phi, grid)
         except UnivalenceLabError as exc:
             return type(exc), str(exc), getattr(exc, "witness", None)
-    return best, float(sup).hex(), [str(w.message) for w in caught]
+    return best, float(sup).hex()
 
 
 def _full_scan(variant, p, f, g, phi, grid):
@@ -114,7 +123,7 @@ def test_exact_ties_take_the_first_index():
 def test_constant_values_take_index_zero():
     grid = DiskGrid(radii=(0.3, 0.6, 0.9), angles_per_radius=16)
     p = ParameterSet(alpha=0.5, beta=0.5, gamma=1.0, m=3.0)
-    assert _outcome(_full_scan, "thm31", p, IDENTITY, IDENTITY, IDENTITY, grid)[:2] == (0, (1.0).hex())
+    assert _outcome(_full_scan, "thm31", p, IDENTITY, IDENTITY, IDENTITY, grid) == (0, (1.0).hex())
     _assert_as_full_scan("thm31", p, IDENTITY, IDENTITY, IDENTITY, grid)
 
 
@@ -166,7 +175,18 @@ def test_fallbacks():
 
 @pytest.mark.parametrize("name", ["koebe_cor32", "example31_thm32"])
 def test_truncation_warnings_at_the_largest_radius(name):
+    # the config's f, then a Koebe series short enough to warn on its grid:
+    # whichever points the scan evaluates, the report opens with the
+    # warnings of one criterion_values call on the whole grid
     from univalence_lab.cli import bundled_configs, parse_config
 
     spec = parse_config(bundled_configs()[name])
-    _assert_as_full_scan(spec.variant, spec.params, spec.f, spec.g, spec.phi, spec.grid)
+    for f in (spec.f, catalog_build("koebe", {"degree": 64})):
+        _assert_as_full_scan(spec.variant, spec.params, f, spec.g, spec.phi, spec.grid)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", TruncationWarning)
+            criterion_values(spec.variant, spec.grid.points(), spec.params, f, spec.g, spec.phi)
+        expected = list(dict.fromkeys(str(w.message) for w in caught))
+        assert expected or f is spec.f
+        report = criterion_check(spec.variant, spec.params, f, spec.g, spec.phi, spec.grid)
+        assert report.warnings[: len(expected)] == expected

@@ -1,12 +1,24 @@
 """Kernels: the series evaluators against an independent extended-precision
 Horner reference, and the oracle kernels against brute force."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from univalence_lab import DiskGrid, ParameterSet, SeriesFunction, _kernels, catalog_build, criterion_check
+from univalence_lab import (
+    DiskGrid,
+    ParameterSet,
+    SeriesFunction,
+    _kernels,
+    catalog_build,
+    criterion,
+    criterion_check,
+    criterion_values,
+)
 from univalence_lab.errors import DerivativeVanishes, HypothesisViolation, InconclusiveError
 from univalence_lab.oracle import _MAX_INCREMENT, winding_numbers
 from univalence_lab.series import SMALL_Z, bracket_terms
@@ -161,6 +173,24 @@ class TestPolyvalOnePoint:
         single = np.array([_kernels.polyval(coeffs, z[i : i + 1])[0] for i in range(z.size)])
         assert _kernels.polyval(coeffs, z[:1]).shape == (1,)
         assert np.array_equal(single.view(np.float64), batch.view(np.float64))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        terms=st.integers(1, 69),
+        npts=st.integers(1, 39),
+        negative_zero=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_point_alone_gets_its_batch_bits(self, seed, terms, npts, negative_zero):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+        z = random_disk_points(rng, npts, 0.99)
+        if negative_zero:  # real coefficients and points, -0.0 imaginary parts
+            coeffs.imag = -0.0
+            z.imag = -0.0
+        batch = _kernels.polyval(coeffs, z)
+        alone = np.concatenate([_kernels.polyval(coeffs, z[i : i + 1]) for i in range(npts)])
+        assert np.array_equal(alone.view(np.float64), batch.view(np.float64))
 
 
 def _horner_reference(c, z):
@@ -371,6 +401,71 @@ class TestBlockedBatchIndependence:
         edges = sorted({0, npts, *(min(c, npts) for c in cuts)})
         windows = np.concatenate([_kernels._blocked_rows(table, z[a:b]) for a, b in zip(edges, edges[1:])], axis=1)
         assert np.array_equal(windows.view(np.float64), batch.view(np.float64))
+
+
+class TestOverflowingRows:
+    """A coefficient whose (k + 1) k c_k overflows leaves the blocked
+    product finite: its rows are formed from c scaled by a power of two."""
+
+    def test_finite_and_accurate(self):
+        mp = pytest.importorskip("mpmath")
+        c = np.zeros(70, dtype=np.complex128)
+        c[0], c[69] = 1.0, 1e306  # f = z + 1e306 z^70
+        z = np.array([0.1, 0.2j, -0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = criterion_values("cor32", z, ParameterSet(), SeriesFunction(c))
+            rows = _kernels.polyval012(c, z)
+        assert _kernels._scaled_rows(c)[1] > 1.0
+        with mp.workdps(50):
+            a = mp.mpf(1e306)
+            for i, w in enumerate(z.tolist()):
+                w = mp.mpc(w)
+                ref_rows = (w + a * w**70, 1 + 70 * a * w**69, 70 * 69 * a * w**68)
+                for j in range(3):
+                    assert abs(rows[j][i] - ref_rows[j]) <= 1e-12 * abs(ref_rows[j])
+                ref = (1 - abs(w) ** 2) * abs(w * ref_rows[2] / ref_rows[1])
+                assert abs(got[i] - ref) <= 1e-12 * ref
+
+    def test_finite_rows_keep_their_scale(self):
+        koebe = catalog_build("koebe", {"degree": 4096}).coefficients
+        rows, scale = _kernels._scaled_rows(koebe)
+        assert scale == 1.0
+        assert np.array_equal(rows, _kernels._derivative_rows(koebe))
+
+
+class TestCircleRows:
+    """circle_rows lies within the bound of criterion._grid_candidates of
+    Horner's values at r e^{2 pi i l/n}, and its absolute series match
+    math.fsum, with one fold (k <= n) and several."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 3),
+        terms=st.integers(1, 63),
+        n=st.integers(8, 96),
+        radii=st.lists(st.floats(1e-6, 0.999), min_size=1, max_size=4, unique=True),
+    )
+    @example(seed=0, m=2, terms=40, n=64, radii=[0.5, 0.9])  # one fold
+    @example(seed=1, m=2, terms=63, n=8, radii=[0.5, 0.99])  # eight folds
+    @settings(max_examples=60, deadline=None)
+    def test_values_and_sums(self, seed, m, terms, n, radii):
+        rng = np.random.default_rng(seed)
+        rows = (rng.normal(size=(m, terms)) + 1j * rng.normal(size=(m, terms))) * 0.9 ** np.arange(terms)
+        radii = np.array(sorted(radii))
+        vals, sums, dsums = _kernels.circle_rows(rows, radii, n)
+        assert vals.shape == (m, radii.size, n) and sums.shape == dsums.shape == (m, radii.size)
+        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        k = np.arange(terms)
+        rounding = terms + criterion._FFT_ROUNDING * math.ceil(math.log2(2 * n))
+        for j in range(m):
+            a = np.abs(rows[j])
+            for i, r in enumerate(radii.tolist()):
+                assert sums[j, i] == pytest.approx(math.fsum(a * r**k), rel=1e-12)
+                assert dsums[j, i] == pytest.approx(math.fsum(k[1:] * a[1:] * r ** k[:-1]), rel=1e-12)
+                horner = _kernels.polyval(rows[j], r * np.exp(1j * theta))
+                bound = criterion._UNIT_ROUNDOFF * (rounding * sums[j, i] + criterion._GRID_OFFSET * r * dsums[j, i])
+                assert np.abs(vals[j, i] - horner).max() <= criterion._BOUND_SAFETY * bound
 
 
 def _winding_loop(curve, targets):

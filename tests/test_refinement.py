@@ -5,6 +5,7 @@ bit for bit against a copy of the search with one call per hop."""
 
 import cmath
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from univalence_lab import DiskGrid, ParameterSet, catalog_build, criterion_chec
 from univalence_lab import criterion
 from univalence_lab.cli import bundled_configs, parse_config
 from univalence_lab.criterion import VARIANTS
-from univalence_lab.errors import DerivativeVanishes, UnivalenceLabError
+from univalence_lab.errors import DerivativeVanishes, TruncationWarning, UnivalenceLabError
 from univalence_lab.series import SeriesFunction
 
 # name -> (passed, sup, witness) from the one-probe-at-a-time refinement
@@ -219,8 +220,22 @@ def _outcome(variant, p, f, g, phi, grid):
 
 
 def _assert_as_one_hop(variant, p, f, g, phi, grid):
-    with mock.patch.object(criterion, "_sup_search", _one_hop_sup_search):
+    """criterion_check matches its copy with the one-hop search.  The copy
+    reports no radii, so its expected truncation warnings are the ones the
+    one-hop search's own calls issue, each text once, in first-seen order."""
+    caught = []
+
+    def one_hop(*args):
+        with warnings.catch_warnings(record=True) as issued:
+            warnings.simplefilter("always", TruncationWarning)
+            sup, witness = _one_hop_sup_search(*args)
+        caught.extend(str(w.message) for w in issued if issubclass(w.category, TruncationWarning))
+        return sup, witness, ()
+
+    with mock.patch.object(criterion, "_sup_search", one_hop):
         expected = _outcome(variant, p, f, g, phi, grid)
+    if isinstance(expected[-1], list):  # a report, not an exception
+        expected = (*expected[:-1], expected[-1] + list(dict.fromkeys(caught)))
     assert _outcome(variant, p, f, g, phi, grid) == expected
 
 
