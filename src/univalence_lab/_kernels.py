@@ -7,11 +7,13 @@ against the powers 1, z, ..., z^{B-1} by one matrix product, and the block
 values are combined by Horner in w = z^B.  That turns a degree-N Horner
 loop of N array operations into ~sqrt(N) of them.  Below 64 coefficients
 B = 1: plain Horner needs no more array operations there, and keeps the
-results of the low-degree series bit for bit.  `polyval012` runs that
-Horner loop on a stack of series at once: on few points, where the cost
-of an array operation is its call, a stack costs three array operations
-per coefficient, whatever the number of series.  `circle_rows` takes
-series on whole circles at once instead, one FFT per row and circle.
+results of the low-degree series bit for bit.  `polyval012` makes that
+choice for every series it is given, and runs the Horner loop on a stack
+of short series at once: on few points, where the cost of an array
+operation is its call, a stack costs three array operations per
+coefficient, whatever the number of series.  `circle_rows` takes series
+on whole circles at once instead, one FFT per row and circle, from the
+derivative rows that the blocked product reads (`series_rows`).
 
 `g17_csv` writes CSV text with the bytes of CPython's '%.17g' % x: the
 17 digits come from a double-double product and a 4-digit lookup table,
@@ -36,7 +38,7 @@ _G17_EXPONENTS = 290  # layout tables cover decimal exponents -290..290
 
 def _blocked_rows(rows, z, scale=1.0):
     """scale sum_k rows[j, k] z^k for every row j at every point of the
-    1-d z, scale a power of two (see _scaled_rows).
+    1-d z, scale a power of two (see series_rows).
 
     Block size B = isqrt(n) for n coefficients per row; returns an
     (m, z.size) array for m rows.  Points are processed in chunks of about
@@ -53,10 +55,14 @@ def _blocked_rows(rows, z, scale=1.0):
     m, n = rows.shape
     b = math.isqrt(n)
     nb = -(-n // b)
-    padded = np.zeros((m, nb * b), dtype=np.complex128)
-    padded[:, :n] = rows
-    # block-major: row i*m + j holds coefficients i*b .. i*b + b - 1 of row j
-    blocks = padded.reshape(m, nb, b).transpose(1, 0, 2).reshape(nb * m, b)
+    full = n // b
+    # block-major: row i*m + j holds coefficients i*b .. i*b + b - 1 of row
+    # j, formed in one buffer (a second temporary of a few hundred KiB
+    # costs more in fresh pages than the copy)
+    blocks = np.zeros((nb, m, b), dtype=np.complex128)
+    blocks[:full] = rows[:, : full * b].reshape(m, full, b).transpose(1, 0, 2)
+    blocks[full:, :, : n - full * b] = rows[:, full * b :]
+    blocks = blocks.reshape(nb * m, b)
     out = np.empty((m, z.size), dtype=np.complex128)
     chunk = max(4, _CHUNK_BYTES // (16 * (b + (nb + 2) * m)) // 4 * 4)
     for s in range(0, z.size, chunk):
@@ -92,49 +98,60 @@ def _derivative_rows(c):
     return rows
 
 
-def _scaled_rows(c):
-    """(rows, scale): the _derivative_rows of c / scale for
-    _blocked_rows(rows, z, scale).  scale is 1 when the rows of c are
-    finite, so they keep their bits, and else (a coefficient near the top
-    of the double range, which (k + 1) k c_k overflows) the power of two
-    2^(2 bits(N + 1)) > N (N + 1), which keeps every row finite; dividing
-    by it is exact but for coefficients it takes below the normal range."""
+@functools.lru_cache(maxsize=64)
+def series_rows(bits):
+    """(rows, scale) of the coefficients c whose bytes are `bits`: the
+    _derivative_rows of c / scale, read only, for _blocked_rows(rows, z,
+    scale).  scale is 1 when the rows of c are finite, so they keep their
+    bits, and else (a coefficient near the top of the double range, which
+    (k + 1) k c_k overflows) the power of two 2^(2 bits(N + 1)) > N (N + 1),
+    which keeps every row finite; dividing by it is exact but for
+    coefficients it takes below the normal range.  Formed once per series,
+    for the blocked product of polyval012 and the circle scan of the
+    criterion alike."""
+    c = np.frombuffer(bits, dtype=np.complex128)
+    scale = 1.0
     with np.errstate(over="ignore"):
         rows = _derivative_rows(c)
-    if np.isfinite(rows).all():
-        return rows, 1.0
-    scale = 2.0 ** (2 * (c.size + 1).bit_length())
-    return _derivative_rows(c / scale), scale
+    if not np.isfinite(rows).all():
+        scale = 2.0 ** (2 * (c.size + 1).bit_length())
+        rows = _derivative_rows(c / scale)
+    rows.setflags(write=False)
+    return rows, scale
 
 
 def polyval012(coeffs, z):
     """(p, p', p'') of p(z) = sum c_n z^n with coeffs = [c_1..c_N].
 
-    coeffs may also be a sequence of m such arrays of fewer than 63
-    coefficients each, of any lengths: the values are then (m, z.size)
-    arrays, each row with the bits of its series alone.  On at most
-    _STACK_POINTS points the m series advance together in one Horner pass.
-    On more, they go one at a time: a pass then costs by the element, and
-    the padding of the shorter series and the repeated coefficients cost
-    more than the calls saved (for f, g of degree 32 and phi = z, the
-    crossover lies between 256 and 1024 points)."""
+    coeffs may also be a sequence of m such arrays, of any lengths: the
+    values are then (m, z.size) arrays, each row with the bits of its
+    series alone.  A series of _BLOCKED_MIN_TERMS terms or more (c_0 = 0
+    included) goes through its own blocked product, on the rows of
+    series_rows.  The shorter ones go through Horner: on at most
+    _STACK_POINTS points together in one pass; on more one at a time, since
+    a pass then costs by the element, and the padding of the shorter
+    series and the repeated coefficients cost more than the calls saved
+    (for f, g of degree 32 and phi = z, the crossover lies between 256 and
+    1024 points)."""
     z = np.ascontiguousarray(z, dtype=np.complex128).ravel()
-    if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1:
-        c = np.ascontiguousarray(coeffs, dtype=np.complex128)
-        if c.size + 1 >= _BLOCKED_MIN_TERMS:
-            rows, scale = _scaled_rows(c)
-            return tuple(_blocked_rows(rows, z, scale))
-        out = np.empty((3, 1, z.size), dtype=np.complex128)
-        _horner012([c], z, out)
-        return tuple(out[:, 0])
-    series = [np.asarray(c, dtype=np.complex128) for c in coeffs]
+    one = isinstance(coeffs, np.ndarray) and coeffs.ndim == 1
+    series = [np.ascontiguousarray(c, dtype=np.complex128) for c in ((coeffs,) if one else coeffs)]
     out = np.empty((3, len(series), z.size), dtype=np.complex128)
-    if z.size <= _STACK_POINTS:
-        _horner012(series, z, out)
-    else:
-        for j, c in enumerate(series):
+    short = [j for j, c in enumerate(series) if c.size + 1 < _BLOCKED_MIN_TERMS]
+    stacked = len(short) > 1 and z.size <= _STACK_POINTS
+    if stacked:
+        # one pass, straight into out when every series is short
+        stack = out if len(short) == len(series) else np.empty((3, len(short), z.size), dtype=np.complex128)
+        _horner012([series[j] for j in short], z, stack)
+        if stack is not out:
+            out[:, short] = stack
+    for j, c in enumerate(series):
+        if j not in short:
+            rows, scale = series_rows(c.tobytes())
+            out[:, j] = _blocked_rows(rows, z, scale)
+        elif not stacked:
             _horner012([c], z, out[:, j : j + 1])
-    return tuple(out)
+    return tuple(out[:, 0] if one else out)
 
 
 def _horner012(series, z, out):

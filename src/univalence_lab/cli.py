@@ -25,9 +25,6 @@ from .operator import operator_grid
 from .oracle import SampleCloud, argument_principle_check, injectivity_scan, polar_samples
 from .series import SeriesFunction, catalog_build
 
-COMMANDS = ("check", "eval", "chain", "extend", "constants", "oracle", "plot")
-
-
 @dataclass
 class ProblemSpec:
     f: SeriesFunction
@@ -83,7 +80,7 @@ def _parse_function(obj, path):
             raise ConfigError(f"{path}: give either catalog or coefficients, not both")
         try:
             return catalog_build(obj["catalog"], obj.get("params"))
-        except (ValueError, TypeError, OverflowError) as exc:
+        except (ValueError, TypeError, OverflowError, MemoryError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     if "coefficients" in obj:
         if not isinstance(obj["coefficients"], list):
@@ -317,18 +314,23 @@ def emit_svg(rows, columns, path, size=640):
 # commands
 # ---------------------------------------------------------------------------
 
+def _emit_json(obj, flags):
+    """Print obj as indented JSON and write it to --out when given; returns
+    the files written."""
+    text = json.dumps(obj, indent=2)
+    print(text)
+    if not flags.get("out"):
+        return []
+    with open(flags["out"], "w", encoding="ascii") as fh:
+        fh.write(text + "\n")
+    return [flags["out"]]
+
+
 def _cmd_check(spec, flags):
     report = criterion_check(
         spec.variant, spec.params, spec.f, spec.g, spec.phi, spec.grid
     )
-    text = json.dumps(report.to_json(), indent=2)
-    print(text)
-    files = []
-    if flags.get("out"):
-        with open(flags["out"], "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-        files.append(flags["out"])
-    return (0 if report.passed else 2), files
+    return (0 if report.passed else 2), _emit_json(report.to_json(), flags)
 
 
 def _cmd_eval(spec, flags):
@@ -391,14 +393,7 @@ def _cmd_extend(spec, flags):
 
 def _cmd_constants(spec, flags):
     consts = extension_constants(flags["k"], flags.get("a", 1.0))
-    text = json.dumps(consts.to_json(), indent=2)
-    print(text)
-    files = []
-    if flags.get("out"):
-        with open(flags["out"], "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-        files.append(flags["out"])
-    return 0, files
+    return 0, _emit_json(consts.to_json(), flags)
 
 
 def _cmd_oracle(spec, flags):

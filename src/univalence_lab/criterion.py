@@ -13,7 +13,6 @@ not a proof; reports carry the grid metadata and any truncation warnings.
 """
 
 import cmath
-import functools
 import math
 import numbers
 import warnings
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConvergenceError, DerivativeVanishes, HypothesisViolation
-from .series import DERIVATIVE_FLOOR, _IDENTITY, _truncation_message, bracket_terms, nonvanishing_check
+from .series import DERIVATIVE_FLOOR, _IDENTITY, _truncation_message, as_integer, bracket_terms, nonvanishing_check
 
 VARIANTS = ("thm31", "thm32", "cor31", "cor32", "thm41")
 STRICTNESS_TOL = 1e-12
@@ -94,11 +93,7 @@ class DiskGrid:
         if not (0.0 < r[0] and r[-1] < 1.0):
             raise ValueError("radii must lie in (0, 1)")
         for name in ("angles_per_radius", "refine_steps"):
-            v = getattr(self, name)
-            integral = isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
-            if isinstance(v, bool) or not integral:
-                raise ValueError(f"{name} must be an integer")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.angles_per_radius < 8:
             raise ValueError("angles_per_radius must be >= 8")
         if self.refine_steps < 0:
@@ -307,12 +302,20 @@ def _grid_candidates(variant, p, f, g, phi, grid, z):
 def _circle_rows(quotients, grid):
     """{(coefficient bytes, order): (values (radii, angles), bounds
     (radii, 1))} of the rows the quotients read on the grid's circles, or
-    None when a row's absolute series is not finite."""
+    None when a row's absolute series is not finite or reaches 1e300.  The
+    rows are those of _kernels.series_rows, zero-padded to one width; rows
+    scaled there are rows that overflow, so they give None too."""
     keys = tuple(dict.fromkeys((s._bits, j) for s, top, *_ in quotients if not _unit(s, top) for j in (top, top - 1)))
-    rows, terms = _scan_rows(keys)
+    tables = [_kernels.series_rows(bits) for bits, _ in keys]
+    if any(scale != 1.0 for _, scale in tables):
+        return None
+    terms = np.array([[rows.shape[1]] for rows, _ in tables])
+    padded = np.zeros((len(keys), terms.max()), dtype=np.complex128)
+    for i, ((rows, _), (_, j)) in enumerate(zip(tables, keys)):
+        padded[i, : rows.shape[1]] = rows[j]
     n = grid.angles_per_radius
     radii = np.asarray(grid.radii)
-    vals, sums, dsums = _kernels.circle_rows(rows, radii, n)
+    vals, sums, dsums = _kernels.circle_rows(padded, radii, n)
     terms = terms + _FFT_ROUNDING * math.ceil(math.log2(2 * n))
     errs = _BOUND_SAFETY * _UNIT_ROUNDOFF * (terms * sums + _GRID_OFFSET * radii * dsums)
     # a value on a circle is at most its absolute series, so this also
@@ -320,19 +323,6 @@ def _circle_rows(quotients, grid):
     if not (np.isfinite(errs).all() and sums.max() < 1e300):
         return None
     return {key: (vals[i], errs[i][:, None]) for i, key in enumerate(keys)}
-
-
-@functools.lru_cache(maxsize=64)
-def _scan_rows(keys):
-    """(rows, terms) for the (coefficient bytes, order) keys: the
-    derivative rows of _grid_candidates, zero-padded to one width, and the
-    number of terms of each."""
-    coeffs = [np.frombuffer(b, dtype=np.complex128) for b, _ in keys]
-    rows = np.zeros((len(keys), max(c.size for c in coeffs) + 1), dtype=np.complex128)
-    for i, (c, (_, j)) in enumerate(zip(coeffs, keys)):
-        rows[i, : c.size + 1] = _kernels._derivative_rows(c)[j]
-    rows.setflags(write=False)
-    return rows, np.array([[c.size + 1] for c in coeffs])
 
 
 def _unit(s, top):

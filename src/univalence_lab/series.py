@@ -8,10 +8,9 @@ S(z) = h(z)/z, which removes the forced zero at the origin.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,10 +55,10 @@ class SeriesFunction:
             raise ValueError("c1 must equal 1 (class-A normalization)")
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
-        # the plan caches look a series up on every call; + 0.0 maps -0.0
-        # to 0.0, so series that compare equal hash equal.  Their values can
-        # still differ in the sign of a zero, so bracket_terms caches its
-        # plans on the exact bytes
+        # + 0.0 maps -0.0 to 0.0, so series that compare equal hash equal.
+        # Their values can still differ in the sign of a zero, so
+        # bracket_terms and the circle scan tell series apart by the exact
+        # bytes
         object.__setattr__(self, "_bits", c.tobytes())
         object.__setattr__(self, "_hash", hash((c + 0.0).tobytes()))
 
@@ -149,44 +148,6 @@ def _log_quotient(s, z, p, dp, r):
     return out
 
 
-class _BracketPlan(NamedTuple):
-    """How bracket_terms evaluates its distinct series: the coefficient
-    arrays of the short ones (fewer than 64 terms, c_0 = 0 included) as one
-    `stack` for polyval012, and for each long one the derivative rows of its
-    own blocked product from order `first` (1 for an f that is not also g
-    or phi, whose value is never used, else 0) with their scale.  `slots`
-    gives the index of f, g, phi (those asked for) among the evaluated
-    series: the stack in order, then the long ones."""
-
-    stack: tuple
-    blocked: tuple
-    slots: tuple
-
-
-@lru_cache(maxsize=256)
-def _bracket_plan(*bits):
-    """The plan for the series whose coefficient bytes are `bits`."""
-    coeffs = {b: np.frombuffer(b, dtype=np.complex128) for b in bits}
-    short = [b for b, c in coeffs.items() if c.size + 1 < _kernels._BLOCKED_MIN_TERMS]
-    long = [b for b, c in coeffs.items() if c.size + 1 >= _kernels._BLOCKED_MIN_TERMS]
-    blocked = []
-    for b in long:
-        first = 0 if b in bits[1:] else 1
-        rows, scale = _kernels._scaled_rows(coeffs[b])
-        blocked.append((rows[first:], first, scale))
-    index = {b: i for i, b in enumerate(short + long)}
-    return _BracketPlan(tuple(coeffs[b] for b in short), tuple(blocked), tuple(index[b] for b in bits))
-
-
-def _evaluate(plan, z):
-    """(p, p', p'') of f, g, phi (those the plan was made for) at the 1-d
-    z; p is None for a long f."""
-    values = list(zip(*_kernels.polyval012(plan.stack, z))) if plan.stack else []
-    for rows, first, scale in plan.blocked:
-        values.append((None,) * first + tuple(_kernels._blocked_rows(rows, z, scale)))
-    return [values[i] for i in plan.slots]
-
-
 def bracket_terms(f, g, phi, z, log_ratio=True):
     """Arrays (z f''/f', z g'/g - z phi'/phi) over points with |z| <= 1, the
     two terms of the criterion bracket a zf''/f' + b (zg'/g - zphi'/phi).
@@ -197,16 +158,15 @@ def bracket_terms(f, g, phi, z, log_ratio=True):
     warn at the largest |z|.  With log_ratio=False the second term is
     returned as zeros and g, phi are not evaluated.
 
-    The series are evaluated together, with the bits of eval_many and
-    log_derivative: those of fewer than 64 terms (c_0 = 0 included) in one
-    stacked Horner pass, each longer one by its own blocked product (see
-    `_BracketPlan`)."""
+    The distinct series are evaluated by one polyval012 call, which gives
+    each the bits of eval_many and log_derivative."""
     z = np.asarray(z, dtype=np.complex128)
     r = np.abs(z)
     rmax = _check_disk(f, r)
-    series = (f, g, phi) if log_ratio else (f,)
-    values = _evaluate(_bracket_plan(*(s._bits for s in series)), z.ravel())
-    fp, fpp = (v.reshape(z.shape) for v in values[0][1:])
+    coeffs = {s._bits: s.coefficients for s in ((f, g, phi) if log_ratio else (f,))}
+    slot = {bits: j for j, bits in enumerate(coeffs)}
+    p, dp, ddp = (v.reshape(len(coeffs), *z.shape) for v in _kernels.polyval012(list(coeffs.values()), z.ravel()))
+    fp, fpp = dp[slot[f._bits]], ddp[slot[f._bits]]
     bad = np.abs(fp) < DERIVATIVE_FLOOR
     if bad.any():
         w = complex(z[bad][0])
@@ -217,11 +177,17 @@ def bracket_terms(f, g, phi, z, log_ratio=True):
     if rmax is not None:
         _warn_if_truncated(g, rmax)
         _warn_if_truncated(phi, rmax)
-    (gp, gdp, _), (pp, pdp, _) = values[1:]
-    lr = _log_quotient(g, z, gp.reshape(z.shape), gdp.reshape(z.shape), r) - _log_quotient(
-        phi, z, pp.reshape(z.shape), pdp.reshape(z.shape), r
-    )
-    return pre, lr
+    j, k = slot[g._bits], slot[phi._bits]
+    return pre, _log_quotient(g, z, p[j], dp[j], r) - _log_quotient(phi, z, p[k], dp[k], r)
+
+
+def as_integer(value, name):
+    """value as an int: an integer, or a float with an integral value, and
+    not a bool; else ValueError.  Counts read from a config pass here."""
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer")
+    return int(value)
 
 
 _CATALOG = ("identity", "quadratic", "koebe", "expscaled")
@@ -231,7 +197,7 @@ def catalog_build(name, params=None):
     """Build a catalog series: identity, quadratic z + c z^2, truncated
     Koebe z/(1-z)^2, or scaled exponential (e^{lam z} - 1)/lam."""
     params = dict(params or {})
-    degree = int(params.pop("degree", DEFAULT_DEGREE))
+    degree = as_integer(params.pop("degree", DEFAULT_DEGREE), "degree")
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if name == "identity":

@@ -449,6 +449,11 @@ class TestEndToEnd:
             '{"grid": {"radii": [0.5, NaN, 0.9]}}',
             '{"grid": {"radii": [0.5, "0.7", 0.9]}}',
             '{"grid": {"radii": [true, 0.5]}}',
+            '{"f": {"catalog": "koebe", "params": {"degree": 2.5}}}',
+            '{"f": {"catalog": "koebe", "params": {"degree": true}}}',
+            '{"f": {"catalog": "koebe", "params": {"degree": "64"}}}',
+            # 16 TiB of coefficients: numpy refuses the allocation at once
+            '{"f": {"catalog": "koebe", "params": {"degree": 1000000000000}}}',
         ],
     )
     def test_bad_config_exits_64(self, tmp_path, capsys, text):

@@ -65,7 +65,7 @@ def _series(terms, decay, seed, real):
     with -0.0 imaginary parts."""
     rng = np.random.default_rng(seed)
     c = rng.normal(size=terms) * decay ** np.arange(terms)
-    c = c + 1j * (rng.normal(size=terms) * decay ** np.arange(terms)) if not real else c - 0.0j
+    c = c + 1j * (rng.normal(size=terms) * decay ** np.arange(terms)) if not real else np.conj(c + 0j)
     c[0] = 1.0
     return SeriesFunction(c)
 

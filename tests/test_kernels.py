@@ -19,9 +19,9 @@ from univalence_lab import (
     criterion_check,
     criterion_values,
 )
-from univalence_lab.errors import DerivativeVanishes, HypothesisViolation, InconclusiveError
+from univalence_lab.errors import DerivativeVanishes, HypothesisViolation, InconclusiveError, TruncationWarning
 from univalence_lab.oracle import _MAX_INCREMENT, winding_numbers
-from univalence_lab.series import SMALL_Z, bracket_terms
+from univalence_lab.series import SMALL_Z, bracket_terms, eval_many, log_derivative
 from .conftest import random_disk_points
 
 ACCURACY = 1e-13
@@ -237,6 +237,19 @@ def _bracket_reference(f, g, phi, z, log_ratio=True):
     return z * fpp / fp, _log_derivative_reference(g, z) - _log_derivative_reference(phi, z)
 
 
+def _bracket_per_series(f, g, phi, z, log_ratio=True):
+    """bracket_terms from eval_many and log_derivative, one series at a
+    time."""
+    _, fp, fpp = eval_many(f, z)
+    bad = np.abs(fp) < 1e-13
+    if np.any(bad):
+        w = complex(z[bad][0])
+        raise DerivativeVanishes(f"f'(z) = 0 at z = {w}", witness=w)
+    if not log_ratio:
+        return z * fpp / fp, np.zeros_like(z)
+    return z * fpp / fp, log_derivative(g, z) - log_derivative(phi, z)
+
+
 def _outcome(fn, *args):
     """The bytes of every returned array, or the exception's type, message
     and witness."""
@@ -330,6 +343,36 @@ class TestStackedHornerParity:
         assert _outcome(bracket_terms, f, g, phi, z) == _outcome(_bracket_reference, f, g, phi, z)
 
 
+class TestBracketTermsParity:
+    """bracket_terms gives every series the bits of eval_many and
+    log_derivative: long series (64-600 terms, the degree-4096 Koebe
+    series), stacks that mix short and long ones, and f also g or phi."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(*[st.one_of(st.integers(1, 62), st.integers(64, 600), st.just(4096))] * 3),
+        shared=st.sampled_from(((), ("g",), ("phi",), ("g", "phi"))),
+        npts=st.integers(1, 300),
+        negative_zero=st.booleans(),
+    )
+    @example(seed=1, sizes=(4096, 4096, 1), shared=("g",), npts=80, negative_zero=False)
+    @example(seed=2, sizes=(100, 7, 600), shared=(), npts=300, negative_zero=True)
+    @example(seed=3, sizes=(20, 64, 63), shared=(), npts=1, negative_zero=False)
+    @settings(max_examples=60, deadline=None)
+    def test_bits_equal_eval_many(self, seed, sizes, shared, npts, negative_zero):
+        rng = np.random.default_rng(seed)
+        koebe = catalog_build("koebe", {"degree": 4096})
+        f, g, phi = (koebe if n == 4096 else _random_series(rng, n, name, negative_zero) for n, name in zip(sizes, "fgp"))
+        g = f if "g" in shared else g
+        phi = f if "phi" in shared else phi
+        z = _probe_points(rng, npts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for log_ratio in (True, False):
+                args = (f, g, phi, z, log_ratio)
+                assert _outcome(bracket_terms, *args) == _outcome(_bracket_per_series, *args)
+
+
 class TestDispatchAgreesWithNumpy:
     """The public kernels agree with independent numpy computations."""
 
@@ -416,7 +459,7 @@ class TestOverflowingRows:
             warnings.simplefilter("error")
             got = criterion_values("cor32", z, ParameterSet(), SeriesFunction(c))
             rows = _kernels.polyval012(c, z)
-        assert _kernels._scaled_rows(c)[1] > 1.0
+        assert _kernels.series_rows(c.tobytes())[1] > 1.0
         with mp.workdps(50):
             a = mp.mpf(1e306)
             for i, w in enumerate(z.tolist()):
@@ -429,7 +472,7 @@ class TestOverflowingRows:
 
     def test_finite_rows_keep_their_scale(self):
         koebe = catalog_build("koebe", {"degree": 4096}).coefficients
-        rows, scale = _kernels._scaled_rows(koebe)
+        rows, scale = _kernels.series_rows(koebe.tobytes())
         assert scale == 1.0
         assert np.array_equal(rows, _kernels._derivative_rows(koebe))
 

@@ -173,6 +173,14 @@ class TestCatalog:
         with pytest.raises(ValueError):
             catalog_build("koebe", {"spurious": 1})
 
+    @pytest.mark.parametrize("degree", [2.5, True, "64", None, float("inf")])
+    def test_degree_must_be_an_integer(self, degree):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            catalog_build("koebe", {"degree": degree})
+
+    def test_integral_float_degree(self):
+        assert catalog_build("koebe", {"degree": 64.0}) == catalog_build("koebe", {"degree": 64})
+
     def test_class_a_validation(self):
         with pytest.raises(ValueError):
             SeriesFunction(np.array([2.0]))
