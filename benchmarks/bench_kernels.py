@@ -30,23 +30,24 @@ A fourth table times the criterion search of the `verdict` workload's
 families: example31 (f = z + z^2/4, g = z + z^2/2, phi = z) and the
 degree-32 exponentials f = (e^{lam z} - 1)/lam, g the same at lam/2
 (lam = e^{0.3i}), each under the five variants, and the Koebe degree-4096
-`koebe_cor32` configuration.  `grid` is one `criterion_values` call on
-the default 5120-point disk grid, `probe` one call on the four probes of
-a refinement hop, `lookahead` one call on the 80 probes of a look-ahead
-over all 20 levels, `probes` the number of probe calls `criterion_check`
-makes, and `check` the whole `criterion_check`.  To compare two
-checkouts, run the script in each.
+`koebe_cor32` configuration.  `grid` is one `criterion._values` call
+(the criterion of a statement built once, as `criterion_check` builds
+it) on the default 5120-point disk grid, `probe` one call on the four
+probes of a refinement hop, `lookahead` one call on the 80 probes of a
+look-ahead over all 20 levels, `probes` the number of probe calls
+`criterion_check` makes, and `check` the whole `criterion_check`.  To
+compare two checkouts, run the script in each.
 
 A fifth table times the grid scan of `criterion_check` on the same cases,
 Koebe on its config grid (7 radii x 512 angles): `exact` is one
-`criterion_values` call on every grid point, `pruned` the FFT scan with
+`criterion._values` call on every grid point, `pruned` the FFT scan with
 its cost cutoff off (`criterion._SCAN_MIN_TERMS` = 0), three runs each,
 alternating.  `terms` is the number the cutoff reads (the terms of the
 series the criterion evaluates, summed), `cands` the points the pruned
 scan evaluates exactly, and `fallback` the reason the scan as
-`criterion_check` runs it evaluates the whole grid instead ("-" for
-none).  Rows for the exponential family at lower degrees locate the
-crossover, which sets `criterion._SCAN_MIN_TERMS`.
+`criterion_check` runs it evaluates the whole grid instead ("terms" or
+"nonfinite", "-" for none).  Rows for the exponential family at lower
+degrees locate the crossover, which sets `criterion._SCAN_MIN_TERMS`.
 """
 
 import argparse
@@ -190,9 +191,8 @@ def _scan_row(variant, p, f, g, phi, grid, repeat):
     """exact and pruned ms of the grid scan, three runs each, the terms the
     cutoff reads, the candidate count and the fallback."""
     z = grid.points()
-    scan = criterion._grid_max
-    _, beta, g_eff, phi_eff = criterion._resolve(variant, p, f, g, phi)
-    terms = sum(s.degree + 1 for s in {f, g_eff, phi_eff} if beta != 0 or s is f)
+    st = criterion._statement(variant, p, f, g, phi)
+    terms = sum(s.degree + 1 for s in ({st.f, st.g, st.phi} if st.beta != 0 else {st.f}))
     times = {"exact": [], "pruned": []}
     saved = criterion._SCAN_MIN_TERMS
     with warnings.catch_warnings():
@@ -201,11 +201,11 @@ def _scan_row(variant, p, f, g, phi, grid, repeat):
             for _ in range(3):
                 for side, cutoff in (("exact", math.inf), ("pruned", 0)):
                     criterion._SCAN_MIN_TERMS = cutoff
-                    times[side].append(_best(lambda: scan(variant, p, f, g, phi, grid, z), repeat))
-            idx, _ = criterion._grid_candidates(variant, p, f, g, phi, grid, z)
+                    times[side].append(_best(lambda: criterion._grid_max(st, grid, z), repeat))
+            idx, _ = criterion._grid_candidates(st, grid, z)
         finally:
             criterion._SCAN_MIN_TERMS = saved
-        _, reason = criterion._grid_candidates(variant, p, f, g, phi, grid, z)
+        _, reason = criterion._grid_candidates(st, grid, z)
     ms = {side: "/".join(f"{t * 1e3:.2f}" for t in ts) for side, ts in times.items()}
     cands = "-" if idx is None else idx.size
     return f"{terms:>5}  {ms['exact']:>20}  {ms['pruned']:>20}  {cands:>5}  {reason or '-'}"
@@ -215,7 +215,8 @@ def _criterion_row(variant, p, f, g, phi, repeat):
     """grid ms, probe and look-ahead us, probe calls and criterion_check
     ms of one case."""
     grid = DiskGrid()
-    values = criterion.criterion_values
+    st = criterion._statement(variant, p, f, g, phi)
+    values = criterion._values
     calls = []
 
     def counted(*args):
@@ -224,18 +225,18 @@ def _criterion_row(variant, p, f, g, phi, repeat):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        criterion.criterion_values = counted
+        criterion._values = counted
         try:
             witness = criterion.criterion_check(variant, p, f, g, phi, grid).witness
         finally:
-            criterion.criterion_values = values
+            criterion._values = values
         probes = witness * np.array([0.99, 1.0, np.exp(0.006j), np.exp(-0.006j)])
         steps = 0.006 / 2.0 ** np.arange(grid.refine_steps)
         ahead = witness * np.stack([1.0 - steps, 1.0 - 2.0 * steps, np.exp(1j * steps), np.exp(-1j * steps)], 1)
         points = grid.points()
-        t_grid = _best(lambda: values(variant, points, p, f, g, phi), repeat)
-        t_probe = _best(lambda: values(variant, probes, p, f, g, phi), repeat)
-        t_ahead = _best(lambda: values(variant, ahead.ravel(), p, f, g, phi), repeat)
+        t_grid = _best(lambda: values(st, points), repeat)
+        t_probe = _best(lambda: values(st, probes), repeat)
+        t_ahead = _best(lambda: values(st, ahead.ravel()), repeat)
         t_check = _best(lambda: criterion.criterion_check(variant, p, f, g, phi, grid), repeat)
     # one call scans the grid, the others are probes
     return (

@@ -92,7 +92,7 @@ def transfer_grid(z, t, p, f, g=None, phi=None):
     [(1+a)G + 1 - ma] / [(1-a)G + 1 + ma] and p = (1+w)/(1-w)."""
     zf, tf, shape = _flat(z, t)
     zeta = np.exp(-p.a * tf) * zf
-    pre, lr = bracket_terms(f, g or _IDENTITY, phi or _IDENTITY, zeta)
+    pre, lr = bracket_terms(f, g or _IDENTITY, phi or _IDENTITY, zeta, log_ratio=p.beta != 0)
     bracket = p.alpha * pre + p.beta * lr
     G = bracket / p.gamma * (1.0 - np.exp(-(p.m + 1.0) * p.a * tf * p.gamma))
     return tuple(x.reshape(shape) for x in _transfer_from_G(G, p.m, p.a))

@@ -17,6 +17,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,11 +32,9 @@ STRICTNESS_TOL = 1e-12
 # uncapped calls were 2-5x slower at 300 and 1000 levels
 _LOOK_AHEAD_HOPS = 64
 # the pruned grid scan (_grid_candidates) evaluates the whole grid when
-# the series hold fewer than _SCAN_MIN_TERMS terms in all (the crossover
-# in benchmarks/bench_kernels.py) or more than 1/_SCAN_SHARE of the points
-# are candidates; the constants of its bound are in units of 2^-53
+# the series hold fewer than _SCAN_MIN_TERMS terms in all (the crossover in
+# benchmarks/bench_kernels.py); the constants of its bound are in units of 2^-53
 _SCAN_MIN_TERMS = 24
-_SCAN_SHARE = 4
 _UNIT_ROUNDOFF = 2.0**-53
 _FFT_ROUNDING = 32
 _GRID_OFFSET = 32
@@ -60,8 +59,8 @@ class ParameterSet:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "gamma", complex(self.gamma))
-        for name in ("alpha", "beta", "gamma"):
-            z = getattr(self, name)
+        for name in ("alpha", "beta", "gamma", "m", "a"):
+            z = complex(getattr(self, name))
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise ValueError(f"{name}: must be finite")
         if self.gamma == 0:
@@ -137,42 +136,72 @@ class CriterionReport:
         }
 
 
-def _resolve(variant, p, f, g, phi):
-    """Effective (alpha, beta, g, phi) after the corollary substitutions."""
+class _Statement(NamedTuple):
+    """A variant, corollary substitutions made: |fac B - centre|, or fac |B|
+    with gamma real if centre is None, against bound, for the bracket B of
+    alpha, beta, f, g, phi and fac = (1 - |z|^{(m+1) gamma})/gamma.  The
+    series of hypotheses, (name, series) pairs, must not vanish."""
+
+    f: object
+    g: object
+    phi: object
+    alpha: complex
+    beta: complex
+    gamma: complex
+    m: float
+    centre: object
+    bound: float
+    hypotheses: tuple
+
+
+def _statement(variant, p, f, g=None, phi=None):
+    """The _Statement of variant at p for f, g and phi (the identity when
+    None).  Raises ValueError for an unknown variant and
+    HypothesisViolation for the parameters the statement excludes."""
+    bound = criterion_bound(variant, p)
+    real = variant in ("thm32", "cor32")
+    if real and p.gamma.real <= 0:
+        raise HypothesisViolation(f"{variant} requires Re gamma > 0")
+    if variant == "thm32" and p.m < 1.0:
+        raise HypothesisViolation("thm32 requires m >= 1")
+    if variant == "thm41" and not p.k < 1.0:
+        raise HypothesisViolation("thm41 requires k in [0, 1)")
+    alpha, beta, m = p.alpha, p.beta, p.m
+    g, phi = g or _IDENTITY, phi or _IDENTITY
+    hypotheses = (("g", g), ("phi", phi))
     if variant == "cor31":
-        return p.alpha, p.alpha, _IDENTITY, f
-    if variant == "cor32":
-        return 1.0 + 0.0j, 0.0 + 0.0j, f, f
-    return p.alpha, p.beta, g, phi
+        beta, g, phi, hypotheses = alpha, _IDENTITY, f, (("f", f),)
+    elif variant == "cor32":  # m fixed at 1 by the statement
+        alpha, beta, g, phi, m, hypotheses = 1.0 + 0.0j, 0.0j, f, f, 1.0, ()
+    gamma, centre = (p.gamma.real, None) if real else (p.gamma, (m - 1.0) / 2.0)
+    return _Statement(f, g, phi, alpha, beta, gamma, m, centre, bound, hypotheses)
 
 
 def criterion_values(variant, z, p, f, g=None, phi=None):
     """Vectorized criterion expression over an array of disk points."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    _check_parameters(variant, p)
-    z = np.asarray(z, dtype=np.complex128)
-    alpha, beta, g_eff, phi_eff = _resolve(variant, p, f, g or _IDENTITY, phi or _IDENTITY)
-    pre, lr = bracket_terms(f, g_eff, phi_eff, z, log_ratio=beta != 0)
-    return _expression(variant, p, np.abs(z), alpha * pre + beta * lr)[0]
+    return _values(_statement(variant, p, f, g, phi), np.asarray(z, dtype=np.complex128))
 
 
-def _expression(variant, p, r, bracket):
+def _values(st, z):
+    """The criterion of the statement st at a complex128 array z."""
+    pre, lr = bracket_terms(st.f, st.g, st.phi, z, log_ratio=st.beta != 0)
+    return _expression(st, np.abs(z), st.alpha * pre + st.beta * lr)[0]
+
+
+def _expression(st, r, bracket):
     """(criterion values, factor) from the bracket at points of modulus r:
-    |fac bracket - (m-1)/2| or fac |bracket|, fac depending on r only."""
-    m = 1.0 if variant == "cor32" else p.m  # cor32: m fixed at 1 by the statement
+    |fac bracket - centre| or fac |bracket|, fac depending on r only."""
     # the mask runs only when a point is 0: on the others it selects every
     # element, which gives the same bits
     nz = r > 0
     if nz.all():
         nz = ...
-    if variant in ("thm31", "thm41", "cor31"):
+    if st.centre is not None:
         fac = np.zeros_like(bracket)  # bracket is 0 at z = 0 anyway
-        fac[nz] = (1.0 - np.exp((m + 1.0) * p.gamma * np.log(r[nz]))) / p.gamma
-        return np.abs(fac * bracket - (m - 1.0) / 2.0), fac
-    rg = p.gamma.real
-    fac = np.full(r.shape, 1.0 / rg)
-    fac[nz] = (1.0 - r[nz] ** ((m + 1.0) * rg)) / rg
+        fac[nz] = (1.0 - np.exp((st.m + 1.0) * st.gamma * np.log(r[nz]))) / st.gamma
+        return np.abs(fac * bracket - st.centre), fac
+    fac = np.full(r.shape, 1.0 / st.gamma)
+    fac[nz] = (1.0 - r[nz] ** ((st.m + 1.0) * st.gamma)) / st.gamma
     return fac * np.abs(bracket), fac
 
 
@@ -186,25 +215,9 @@ def criterion_bound(variant, p):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _check_parameters(variant, p):
-    """The conditions the variant's statement puts on the scalar parameters."""
-    if variant in ("thm32", "cor32"):
-        if p.gamma.real <= 0:
-            raise HypothesisViolation(f"{variant} requires Re gamma > 0")
-        if variant == "thm32" and p.m < 1.0:
-            raise HypothesisViolation("thm32 requires m >= 1")
-    if variant == "thm41" and not p.k < 1.0:
-        raise HypothesisViolation("thm41 requires k in [0, 1)")
-
-
-def _check_hypotheses(variant, f, g, phi, grid):
+def _check_hypotheses(st, grid):
     rmax = grid.radii[-1]
-    to_check = ()
-    if variant in ("thm31", "thm32", "thm41"):
-        to_check = (("g", g), ("phi", phi))
-    elif variant == "cor31":
-        to_check = (("f", f),)
-    for name, s in to_check:
+    for name, s in st.hypotheses:
         ok, witness = nonvanishing_check(s, rmax, grid)
         if not ok:
             raise HypothesisViolation(
@@ -212,23 +225,23 @@ def _check_hypotheses(variant, f, g, phi, grid):
             )
 
 
-def _grid_max(variant, p, f, g, phi, grid, z):
-    """(index, value) of the first maximum of criterion_values over the
-    grid points z, as argmax of one call on all of them would give it, or
-    the exception that call would raise.
+def _grid_max(st, grid, z):
+    """(index, value) of the first maximum of the criterion over the grid
+    points z, as argmax of one _values call on all of them would give it,
+    or the exception that call would raise.
 
-    The values come from one criterion_values call, at the candidates of
-    _grid_candidates alone, in index order, when it finds few enough."""
-    idx, _ = _grid_candidates(variant, p, f, g, phi, grid, z)
-    vals = criterion_values(variant, z if idx is None else z[idx], p, f, g, phi)
+    The values come from one _values call, at the candidates of
+    _grid_candidates alone, in index order."""
+    idx, _ = _grid_candidates(st, grid, z)
+    vals = _values(st, z if idx is None else z[idx])
     best = int(np.argmax(vals))
     return best if idx is None else int(idx[best]), float(vals[best])
 
 
-def _grid_candidates(variant, p, f, g, phi, grid, z):
+def _grid_candidates(st, grid, z):
     """(indices, None) of the grid points z that can hold the first maximum
-    of criterion_values or make it raise, or (None, reason) when the whole
-    grid is to be evaluated.
+    of _values or make it raise, or (None, reason) when the whole grid is
+    to be evaluated.
 
     The criterion reads the quotients z f''/f' and, when beta != 0,
     z g'/g and z phi'/phi (1 for the identity).  Each row of such a
@@ -250,15 +263,12 @@ def _grid_candidates(variant, p, f, g, phi, grid, z):
     phi = 0.
 
     reason is "terms" when the series the criterion evaluates hold fewer
-    than _SCAN_MIN_TERMS terms in all, too few for the FFT to pay,
-    "nonfinite" when an approximation or bound is not finite, and
-    "candidates" when they exceed 1/_SCAN_SHARE of the grid."""
-    _check_parameters(variant, p)
-    alpha, beta, g_eff, phi_eff = _resolve(variant, p, f, g, phi)
+    than _SCAN_MIN_TERMS terms in all, too few for the FFT to pay, and
+    "nonfinite" when an approximation or bound is not finite."""
     # (series, order of the numerator, weight, least |denominator|)
-    quotients = [(f, 2, alpha, DERIVATIVE_FLOOR)]
-    if beta != 0:
-        quotients += [(g_eff, 1, beta, 0.0), (phi_eff, 1, -beta, 0.0)]
+    quotients = [(st.f, 2, st.alpha, DERIVATIVE_FLOOR)]
+    if st.beta != 0:
+        quotients += [(st.g, 1, st.beta, 0.0), (st.phi, 1, -st.beta, 0.0)]
     if sum(s.degree + 1 for s in {s for s, *_ in quotients}) < _SCAN_MIN_TERMS:
         return None, "terms"
     with np.errstate(all="ignore"):  # overflow and 0/0 end as non-finite values
@@ -283,20 +293,17 @@ def _grid_candidates(variant, p, f, g, phi, grid, z):
             size = size + size_q
         bracket = z * ratios + shift
         e_bracket = rad * (e_ratios + 32.0 * _UNIT_ROUNDOFF * size) + 32.0 * _UNIT_ROUNDOFF * shift_size
-        approx, fac = _expression(variant, p, rad, bracket)
+        approx, fac = _expression(st, rad, bracket)
         fac = np.abs(fac[:, :1])
-        e_fac = _factor_error(variant, p, rad)
-        d = abs(p.m - 1.0) / 2.0 if variant in ("thm31", "thm41", "cor31") else 0.0
+        e_fac = _factor_error(st, rad)
+        d = 0.0 if st.centre is None else abs(st.centre)
         err = (fac + e_fac) * e_bracket + (e_fac + 16.0 * _UNIT_ROUNDOFF * fac) * np.abs(bracket)
         err += 16.0 * _UNIT_ROUNDOFF * d
     ok = np.isfinite(err)
     if not np.isfinite(approx[ok]).all():
         return None, "nonfinite"
     floor = (approx - err)[ok].max(initial=-math.inf)
-    idx = np.flatnonzero(~ok | (approx + err >= floor))
-    if idx.size * _SCAN_SHARE > z.size:
-        return None, "candidates"
-    return idx, None
+    return np.flatnonzero(~ok | (approx + err >= floor)), None
 
 
 def _circle_rows(quotients, grid):
@@ -330,17 +337,15 @@ def _unit(s, top):
     return top == 1 and s.degree == 1
 
 
-def _factor_error(variant, p, r):
+def _factor_error(st, r):
     """A bound on the distance of fac at the radii r, as _expression
     computes it, from fac at |z| of a grid point on the circle: the
     rounding of (1 - e^{c log r})/gamma, twice, and the change of fac over
     the few ulps by which |z| differs from r."""
-    m = 1.0 if variant == "cor32" else p.m
-    gamma = p.gamma if variant in ("thm31", "thm41", "cor31") else p.gamma.real
-    exponent = (m + 1.0) * gamma * np.log(r)
+    exponent = (st.m + 1.0) * st.gamma * np.log(r)
     power = np.exp(exponent)
-    rounding = (np.abs(power) * (np.abs(exponent) + 1.0) + np.abs(1.0 - power)) / abs(gamma)
-    return 8.0 * _UNIT_ROUNDOFF * (rounding + (m + 1.0) * np.abs(power))
+    rounding = (np.abs(power) * (np.abs(exponent) + 1.0) + np.abs(1.0 - power)) / abs(st.gamma)
+    return 8.0 * _UNIT_ROUNDOFF * (rounding + (st.m + 1.0) * np.abs(power))
 
 
 def _hops(r, th, dr, dth, rmax, levels):
@@ -354,24 +359,24 @@ def _hops(r, th, dr, dth, rmax, levels):
     return probes
 
 
-def _look_ahead(variant, p, f, g, phi, probes):
+def _look_ahead(st, probes):
     """[(probes, largest |z|, values)] per hop of four `probes`, from one
-    criterion_values call.
+    _values call.
 
     If that call raises HypothesisViolation (f' vanishes at a probe, say),
     the first hop is evaluated alone: it raises again only if the zero is
     one of its own probes, as its own call would."""
     pz = np.array([rr * cmath.exp(1j * tt) for rr, tt in probes])
     try:
-        values = criterion_values(variant, pz, p, f, g, phi).tolist()
+        values = _values(st, pz).tolist()
     except HypothesisViolation:
         pz = pz[:4]
-        values = criterion_values(variant, pz, p, f, g, phi).tolist()
+        values = _values(st, pz).tolist()
     radius = np.abs(pz).reshape(-1, 4).max(axis=1).tolist()
     return [(probes[4 * j : 4 * j + 4], radius[j], values[4 * j : 4 * j + 4]) for j in range(len(radius))]
 
 
-def _sup_search(variant, p, f, g, phi, grid):
+def _sup_search(st, grid):
     """(sup, witness, reached) of the criterion expression: the grid
     maximum, then a coordinate search in (r, theta) with `refine_steps`
     halvings, clamped to the outermost grid radius.  reached lists the
@@ -383,7 +388,7 @@ def _sup_search(variant, p, f, g, phi, grid):
     every one that beats the sup so far; a level repeats its hop while it
     moves, up to 8 moves.  The probes of a hop depend only on the centre
     and the level, so on arriving at a centre the search evaluates the hops
-    of this level and of every later one in one criterion_values call
+    of this level and of every later one in one _values call
     (4 * (refine_steps - level) points, 80 at the default grid, at most
     _LOOK_AHEAD_HOPS levels) and walks them in order.  A hop that moves
     discards the rest; a hop that does not costs no call.  So a check
@@ -395,7 +400,7 @@ def _sup_search(variant, p, f, g, phi, grid):
     the grid maximum of _grid_max and the path, sup and witness are those
     of one call on the grid and one per hop."""
     z = grid.points()
-    best, sup = _grid_max(variant, p, f, g, phi, grid, z)
+    best, sup = _grid_max(st, grid, z)
     witness = complex(z[best])
     reached = [float(np.abs(z).max())]
 
@@ -415,7 +420,7 @@ def _sup_search(variant, p, f, g, phi, grid):
             moved = False
             if not ahead:
                 probes = _hops(r, th, dr, dth, rmax, min(grid.refine_steps - level, _LOOK_AHEAD_HOPS))
-                ahead = _look_ahead(variant, p, f, g, phi, probes)
+                ahead = _look_ahead(st, probes)
             probes, radius, pvals = ahead.pop(0)
             reached.append(radius)
             for (rr, tt), v in zip(probes, pvals):
@@ -440,24 +445,20 @@ def criterion_check(variant, p, f, g=None, phi=None, grid=None):
     once.  Raises ConvergenceError when the sup is not finite.
     """
     grid = grid or DiskGrid()
-    g = g or _IDENTITY
-    phi = phi or _IDENTITY
-    _check_parameters(variant, p)
-    _check_hypotheses(variant, f, g, phi, grid)
-    bound = criterion_bound(variant, p)
+    st = _statement(variant, p, f, g, phi)
+    _check_hypotheses(st, grid)
 
     with warnings.catch_warnings(record=True):  # stated from `reached` below
         try:
-            sup, witness, reached = _sup_search(variant, p, f, g, phi, grid)
+            sup, witness, reached = _sup_search(st, grid)
         except DerivativeVanishes as exc:
-            return CriterionReport(variant, False, math.inf, bound, exc.witness, -math.inf, grid, [str(exc)])
+            return CriterionReport(variant, False, math.inf, st.bound, exc.witness, -math.inf, grid, [str(exc)])
     if not math.isfinite(sup):
         raise ConvergenceError(f"{variant}: the criterion is not finite at z = {witness}")
 
-    passed = sup <= bound + STRICTNESS_TOL
-    report = CriterionReport(variant, passed, sup, bound, witness, bound - sup, grid)
-    _, beta, g_eff, phi_eff = _resolve(variant, p, f, g, phi)
-    series = (f, g_eff, phi_eff) if beta != 0 else (f,)
+    passed = sup <= st.bound + STRICTNESS_TOL
+    report = CriterionReport(variant, passed, sup, st.bound, witness, st.bound - sup, grid)
+    series = (st.f, st.g, st.phi) if st.beta != 0 else (st.f,)
     messages = (_truncation_message(s, r) for r in reached for s in series)
     report.warnings.extend(dict.fromkeys(m for m in messages if m))
     return report

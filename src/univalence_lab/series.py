@@ -113,15 +113,17 @@ def _check_disk(s, r):
 
 
 def log_derivative(s, z):
-    """z s'(z) / s(z), with the removable singularity at 0 filled in.
+    """z s'(z) / s(z) at points with |z| <= 1, the removable singularity at 0 filled in.
 
     For |z| > SMALL_Z the direct quotient s'(z) z / s(z) is used; below
     that, the series quotient D(z)/S(z) with D = s' and S = s/z, which
     tends to 1 as z -> 0 for any class-A series.
     """
     z = np.asarray(z, dtype=np.complex128)
+    r = np.abs(z)
+    _check_disk(s, r)
     p, dp, _ = _kernels.polyval012(s.coefficients, z)
-    return _log_quotient(s, z, p.reshape(z.shape), dp.reshape(z.shape), np.abs(z))
+    return _log_quotient(s, z, p.reshape(z.shape), dp.reshape(z.shape), r)
 
 
 def _log_quotient(s, z, p, dp, r):
@@ -209,23 +211,19 @@ def catalog_build(name, params=None):
         coeffs = np.array([1.0, c], dtype=np.complex128)
     elif name == "koebe":
         coeffs = np.arange(1, degree + 1, dtype=np.complex128)
-        if params:
-            raise ValueError(f"unexpected parameters for {name!r}: {sorted(params)}")
-        return SeriesFunction(coeffs, label=name, truncated=True)
     elif name == "expscaled":
         lam = complex(params.pop("lam", 1.0))
         if abs(lam) > 4.0:
             raise ValueError(f"|lam| = {abs(lam)} > 4")
+        if degree > 170:  # 171! overflows a double; at |lam| <= 4, c_170 < 1e-205
+            raise ValueError(f"expscaled degree {degree} > 170")
         n = np.arange(1, degree + 1)
         coeffs = lam ** (n - 1) / np.array([math.factorial(int(k)) for k in n])
-        if params:
-            raise ValueError(f"unexpected parameters for {name!r}: {sorted(params)}")
-        return SeriesFunction(coeffs, label=name, truncated=True)
     else:
         raise ValueError(f"unknown catalog function {name!r}; choose from {_CATALOG}")
     if params:
         raise ValueError(f"unexpected parameters for {name!r}: {sorted(params)}")
-    return SeriesFunction(coeffs, label=name)
+    return SeriesFunction(coeffs, label=name, truncated=name in ("koebe", "expscaled"))
 
 
 _IDENTITY = catalog_build("identity")  # default g and phi

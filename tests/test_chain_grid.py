@@ -308,6 +308,18 @@ class TestErrors:
         with pytest.raises(TransferPoleError, match="w = 1"):
             _transfer_from_G(np.array([0.1, 1.0]), 1.0, 2.0)
 
+    def test_beta_zero_ignores_g_and_phi(self, f_quarter):
+        # g = z + 2z^2 vanishes at -1/2, and a truncated Koebe g warns near
+        # the circle, but at beta = 0 neither enters the chain
+        p = ParameterSet(alpha=0.5, beta=0.0)
+        g = SeriesFunction(np.array([1.0, 2.0]))
+        assert np.isfinite(chain_grid(-0.5, 0.0, p, f_quarter, g)[0])
+        assert np.all(np.isfinite(transfer_grid(-0.5, 0.0, p, f_quarter, g)))
+        assert np.isfinite(beltrami_grid(-2.0, p, f_quarter, g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            transfer_grid(0.999, 0.0, p, f_quarter, catalog_build("koebe", {"degree": 64}))
+
     def test_beltrami_domain(self, identity, params_ref):
         for bad_z in (1.0, -1.0j, 0.5, 0.0):
             with pytest.raises(DomainError, match=r"need \|z\| > 1"):

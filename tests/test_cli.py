@@ -462,6 +462,12 @@ class TestEndToEnd:
         assert main(["check", str(cfg)]) == 64
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_expscaled_degree_limit_exits_64(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"f": {"catalog": "expscaled", "params": {"degree": 171}}}')
+        assert main(["check", str(cfg)]) == 64
+        assert capsys.readouterr().err == "config error: f: expscaled degree 171 > 170\n"
+
     def test_tiny_gamma_identity_is_exact(self, write_config, capsys):
         # the series path: B - 1 = 0 exactly, so F = z at any gamma
         cfg = write_config({"params": {"gamma": 1e-300}})

@@ -202,7 +202,8 @@ class TestParameterValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [{"alpha": float("nan")}, {"beta": complex(0.0, float("inf"))}, {"gamma": float("nan")},
-         {"m": float("nan")}, {"a": float("nan")}, {"k": float("nan")}],
+         {"m": float("nan")}, {"a": float("nan")}, {"k": float("nan")}, {"m": float("inf")},
+         {"a": float("inf")}],
     )
     def test_non_finite_rejected(self, kwargs):
         name = next(iter(kwargs))

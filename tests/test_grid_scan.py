@@ -47,15 +47,14 @@ def _full_scan(variant, p, f, g, phi, grid):
 
 
 def _pruned_scan(variant, p, f, g, phi, grid):
-    # criterion_check passes the identity for a missing g or phi
-    return criterion._grid_max(variant, p, f, g or IDENTITY, phi or IDENTITY, grid, grid.points())
+    return criterion._grid_max(criterion._statement(variant, p, f, g, phi), grid, grid.points())
 
 
 def _assert_as_full_scan(variant, p, f, g, phi, grid):
-    """The pruned scan with its cost and share fallbacks off matches the
-    full scan; so does the scan as criterion_check runs it."""
+    """The pruned scan with its cost fallback off matches the full scan;
+    so does the scan as criterion_check runs it."""
     expected = _outcome(_full_scan, variant, p, f, g, phi, grid)
-    with mock.patch.multiple(criterion, _SCAN_MIN_TERMS=0, _SCAN_SHARE=1):
+    with mock.patch.object(criterion, "_SCAN_MIN_TERMS", 0):
         assert _outcome(_pruned_scan, variant, p, f, g, phi, grid) == expected
     assert _outcome(_pruned_scan, variant, p, f, g, phi, grid) == expected
 
@@ -154,23 +153,25 @@ def test_non_finite_rows_fall_back_to_the_full_scan():
     grid = DiskGrid(radii=(0.2, 0.35, 0.5), angles_per_radius=64)
     z = grid.points()
     assert np.isfinite(criterion_values("thm31", z, _P, f)).all()
-    assert criterion._grid_candidates("thm31", _P, f, IDENTITY, IDENTITY, grid, z) == (None, "nonfinite")
+    assert criterion._grid_candidates(criterion._statement("thm31", _P, f), grid, z) == (None, "nonfinite")
     _assert_as_full_scan("thm31", _P, f, None, None, grid)
 
 
 def test_fallbacks():
     grid = DiskGrid()
     z = grid.points()
-    example31 = catalog_build("quadratic", {"c": 0.25}), catalog_build("quadratic", {"c": 0.5}), IDENTITY
-    assert criterion._grid_candidates("thm31", _P, *example31, grid, z) == (None, "terms")
-    idx, reason = criterion._grid_candidates("cor32", ParameterSet(), KOEBE, IDENTITY, IDENTITY, grid, z)
-    assert reason is None and 0 < idx.size <= z.size // criterion._SCAN_SHARE
-    # every point a candidate
+    f, g = catalog_build("quadratic", {"c": 0.25}), catalog_build("quadratic", {"c": 0.5})
+    example31 = criterion._statement("thm31", _P, f, g)
+    assert criterion._grid_candidates(example31, grid, z) == (None, "terms")
+    koebe = criterion._statement("cor32", ParameterSet(), KOEBE)
+    idx, reason = criterion._grid_candidates(koebe, grid, z)
+    assert reason is None and 0 < idx.size <= z.size // 4
+    # every point a candidate: the scan evaluates them all, as the full scan
     with mock.patch.object(criterion, "_BOUND_SAFETY", 1e12):
-        assert criterion._grid_candidates("cor32", ParameterSet(), KOEBE, IDENTITY, IDENTITY, grid, z) == (
-            None,
-            "candidates",
-        )
+        idx, reason = criterion._grid_candidates(koebe, grid, z)
+        assert reason is None and np.array_equal(idx, np.arange(z.size))
+        expected = _outcome(_full_scan, "cor32", ParameterSet(), KOEBE, None, None, grid)
+        assert _outcome(_pruned_scan, "cor32", ParameterSet(), KOEBE, None, None, grid) == expected
 
 
 @pytest.mark.parametrize("name", ["koebe_cor32", "example31_thm32"])

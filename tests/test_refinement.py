@@ -225,10 +225,10 @@ def _assert_as_one_hop(variant, p, f, g, phi, grid):
     one-hop search's own calls issue, each text once, in first-seen order."""
     caught = []
 
-    def one_hop(*args):
+    def one_hop(st, grid):
         with warnings.catch_warnings(record=True) as issued:
             warnings.simplefilter("always", TruncationWarning)
-            sup, witness = _one_hop_sup_search(*args)
+            sup, witness = _one_hop_sup_search(variant, p, f, g, phi, grid)
         caught.extend(str(w.message) for w in issued if issubclass(w.category, TruncationWarning))
         return sup, witness, ()
 

@@ -144,6 +144,15 @@ class TestLogDerivative:
         expected = (1 + z) * z / (z + z * z / 2)  # g' z / g for g = z + z^2/2
         assert np.allclose(log_derivative(g_half, z), expected, atol=1e-14)
 
+    def test_checks_the_disk(self):
+        # the degree-64 Koebe series gives 42.77 at 0.999, where z k'/k is
+        # (1 + z)/(1 - z) = 1999
+        k = catalog_build("koebe", {"degree": 64})
+        with pytest.warns(TruncationWarning, match="tail bound"):
+            log_derivative(k, np.array([0.999]))
+        with pytest.raises(DomainError):
+            log_derivative(catalog_build("quadratic", {"c": 0.25}), 5.0)
+
 
 class TestCatalog:
     def test_identity(self):
@@ -177,6 +186,12 @@ class TestCatalog:
     def test_degree_must_be_an_integer(self, degree):
         with pytest.raises(ValueError, match="degree must be an integer"):
             catalog_build("koebe", {"degree": degree})
+
+    def test_expscaled_degree_limit(self):
+        assert catalog_build("expscaled", {"lam": 4.0, "degree": 170}).degree == 170
+        for degree in (171, 3000):
+            with pytest.raises(ValueError, match=f"^expscaled degree {degree} > 170$"):
+                catalog_build("expscaled", {"degree": degree})
 
     def test_integral_float_degree(self):
         assert catalog_build("koebe", {"degree": 64.0}) == catalog_build("koebe", {"degree": 64})
