@@ -21,17 +21,13 @@ import numpy as np
 from univalence_lab import ParameterSet, catalog_build
 from univalence_lab.chain import chain_grid
 from univalence_lab.extension import beltrami_grid
+from univalence_lab.series import polar_grid
 
 SIZES = (1, 6, 640, 4097)
 
 
-def _rings(radii, n_theta):
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    return (np.asarray(radii)[:, None] * np.exp(1j * theta)[None, :]).ravel()
-
-
 # the outside points of the default `extend` grid, and the default ring
-BELTRAMI_GRIDS = (_rings(np.linspace(0.5, 2.0, 8)[3:], 16), _rings((1.05, 1.3, 1.6, 2.0), 8))
+BELTRAMI_GRIDS = (polar_grid(np.linspace(0.5, 2.0, 8)[3:], 16), polar_grid((1.05, 1.3, 1.6, 2.0), 8))
 
 
 def _problem():
@@ -53,23 +49,32 @@ def _best(fn, repeat):
     return min(timer.repeat(repeat=repeat, number=number)) / number
 
 
+def _chain_row(z, t, problem, repeat):
+    p, f, g, phi = problem
+    elapsed = _best(lambda: chain_grid(z, t, p, f, g, phi), repeat)
+    return f"{z.size:>6}  {elapsed * 1e3:9.3f} ms  {elapsed / z.size * 1e6:9.3f} us"
+
+
+def _beltrami_row(z, problem, repeat):
+    p, f, g, phi = problem
+    elapsed = _best(lambda: beltrami_grid(z, p, f, g, phi), repeat)
+    return f"{z.size:>6}  {elapsed * 1e3:10.3f} ms  {elapsed / z.size * 1e6:8.3f} us"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    p, f, g, phi = _problem()
+    problem = _problem()
     rng = np.random.default_rng(0)
     print(f"numpy {np.__version__}")
     print(f"{'points':>6}  {'chain_grid':>12}  {'per point':>12}")
     for n in SIZES:
-        z, t = _points(n, rng)
-        t_grid = _best(lambda: chain_grid(z, t, p, f, g, phi), args.repeat)
-        print(f"{n:>6}  {t_grid * 1e3:9.3f} ms  {t_grid / n * 1e6:9.3f} us")
+        print(_chain_row(*_points(n, rng), problem, args.repeat))
     print(f"{'points':>6}  {'beltrami_grid':>13}  {'per point':>11}")
     for z in BELTRAMI_GRIDS:
-        t_mu = _best(lambda: beltrami_grid(z, p, f, g, phi), args.repeat)
-        print(f"{z.size:>6}  {t_mu * 1e3:10.3f} ms  {t_mu / z.size * 1e6:8.3f} us")
+        print(_beltrami_row(z, problem, args.repeat))
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ import numpy as np
 
 from univalence_lab import ParameterSet, catalog_build
 from univalence_lab.operator import _series_plan, operator_grid
+from univalence_lab.oracle import polar_samples
 from univalence_lab.series import SeriesFunction
 
 
@@ -40,10 +41,13 @@ def _best(fn, repeat):
     return min(timer.repeat(repeat=repeat, number=number)) / number
 
 
-def _polar(nr, ntheta, r_max):
-    r = np.linspace(r_max / nr, r_max, nr)
-    th = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
-    return (r[:, None] * np.exp(1j * th)[None, :]).ravel()
+def _operator_row(label, grid, params, f, g, ident, repeat):
+    """One row of the operator_grid table."""
+    _, _, steps, flagged = operator_grid(grid, params, f, g, ident)
+    radius = _series_plan(f, g, ident, params.alpha, params.beta, params.gamma).radius
+    series = int(np.sum(np.abs(grid) <= radius))
+    elapsed = _best(lambda: operator_grid(grid, params, f, g, ident), repeat)
+    return f"{label:>26}  {grid.size:>6}  {series:>6}  {steps:>6}  {int(flagged.sum()):>7}  {elapsed * 1e3:7.2f} ms"
 
 
 def main():
@@ -58,7 +62,7 @@ def main():
     half = ParameterSet(alpha=0.5)
 
     print(f"numpy {np.__version__}")
-    grid = _polar(32, 128, 0.9)
+    grid = polar_samples(32, 128, 0.9)
     cases = (
         ("example31 gamma=1", p, f, g),
         ("example31 gamma=1e-3", ParameterSet(alpha=0.5, beta=0.5, gamma=1e-3), f, g),
@@ -70,11 +74,7 @@ def main():
     )
     print(f"{'operator_grid':>26}  {'points':>6}  {'series':>6}  {'steps':>6}  {'flagged':>7}  {'time':>10}")
     for label, params, ff, gg in cases:
-        _, _, steps, flagged = operator_grid(grid, params, ff, gg, ident)
-        radius = _series_plan(ff, gg, ident, params.alpha, params.beta, params.gamma).radius
-        series = int(np.sum(np.abs(grid) <= radius))
-        elapsed = _best(lambda: operator_grid(grid, params, ff, gg, ident), args.repeat)
-        print(f"{label:>26}  {grid.size:>6}  {series:>6}  {steps:>6}  {int(flagged.sum()):>7}  {elapsed * 1e3:7.2f} ms")
+        print(_operator_row(label, grid, params, ff, gg, ident, args.repeat))
 
     def cold_plan():
         _series_plan.cache_clear()

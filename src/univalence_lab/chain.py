@@ -28,7 +28,7 @@ from .errors import (
     TransferPoleError,
 )
 from .operator import _evaluate, _root, _series_plan
-from .series import _IDENTITY, bracket_terms
+from .series import _IDENTITY, bracket_terms, polar_grid
 
 FD_STEP_Z = 1e-5
 FD_STEP_T = 1e-4
@@ -148,20 +148,14 @@ def subordination_probe(t, s, rho, p, f, g=None, phi=None, samples=64):
         raise DomainError("need 0 <= t <= s")
     if not 0.0 < rho < 1.0:
         raise DomainError("need 0 < rho < 1")
-    angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    pts, flagged = chain_grid(0.5 * rho * np.exp(1j * angles), t, p, f, g, phi)
+    pts, flagged = chain_grid(polar_grid([0.5 * rho], samples), t, p, f, g, phi)
     _reject_flagged(flagged, f"test points at t = {t}")
-    n_curve = 256
-    while True:
-        thetas = np.linspace(0.0, 2.0 * np.pi, n_curve + 1)
-        curve, flagged = chain_grid(rho * np.exp(1j * thetas), s, p, f, g, phi)
+    for n_curve in (256, 512, 1024, 2048, 4096):
+        circle = polar_grid([rho], n_curve)
+        curve, flagged = chain_grid(np.append(circle, circle[0]), s, p, f, g, phi)
         _reject_flagged(flagged, f"curve at s = {s}")
-        curve[-1] = curve[0]
         try:
-            windings = oracle.winding_numbers(curve, pts, min_dist=1e-10)
-            break
+            return oracle.argument_principle_check(curve, pts, min_dist=1e-10)
         except InconclusiveError:
-            if n_curve >= 4096:
+            if n_curve == 4096:
                 raise
-            n_curve *= 2
-    return bool(np.all(windings == 1))

@@ -23,7 +23,7 @@ from .errors import ConfigError, HypothesisViolation, InconclusiveError, Univale
 from .extension import beltrami_grid, extend_grid, extension_constants
 from .operator import operator_grid
 from .oracle import SampleCloud, argument_principle_check, injectivity_scan, polar_samples
-from .series import SeriesFunction, catalog_build
+from .series import SeriesFunction, catalog_build, polar_grid
 
 @dataclass
 class ProblemSpec:
@@ -378,13 +378,12 @@ def _cmd_extend(spec, flags):
     if not flags.get("out"):
         raise ConfigError("extend needs --out")
     r = np.linspace(flags.get("rmin", 0.5), flags.get("rmax", 2.0), flags.get("nr", 8))
-    theta = np.linspace(0.0, 2.0 * np.pi, flags.get("ntheta", 16), endpoint=False)
-    z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    z = polar_grid(r, flags.get("ntheta", 16))
     F, flagged = extend_grid(z, spec.params, spec.f, spec.g, spec.phi)
     _warn_flagged(flagged)
     mu = np.zeros(z.shape)
     # abs_mu is documented for |z| > 1 + 3e-5 and unflagged rows, 0 elsewhere
-    has_mu = np.repeat(r > 1.0 + 3e-5, theta.size) & ~flagged
+    has_mu = np.repeat(r > 1.0 + 3e-5, z.size // r.size) & ~flagged
     mu[has_mu] = np.abs(beltrami_grid(z[has_mu], spec.params, spec.f, spec.g, spec.phi))
     rows = np.column_stack((z.real, z.imag, F.real, F.imag, mu, flagged))
     emit_grid_csv(rows, ("re_z", "im_z", "re_w", "im_w", "abs_mu", "flagged"), flags["out"])
@@ -408,14 +407,13 @@ def _cmd_oracle(spec, flags):
 
     n_targets = flags.get("targets", 50)
     rng = np.random.default_rng(flags.get("seed", 0))
-    circle = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 2049))
-    curve, _, _, curve_flagged = operator_grid(rmax * circle, spec.params, spec.f, spec.g, spec.phi)
+    circle = polar_grid([rmax], 2048)
+    curve, _, _, curve_flagged = operator_grid(np.append(circle, circle[0]), spec.params, spec.f, spec.g, spec.phi)
     if np.any(curve_flagged):
         raise InconclusiveError(
             f"{int(curve_flagged.sum())} of {curve.size} boundary curve points flagged "
             "for a branch crossing; the covering count cannot be taken"
         )
-    curve[-1] = curve[0]
     inner = cloud.values[np.abs(cloud.z) <= 0.5 * rmax]
     if inner.size == 0:
         raise InconclusiveError(

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConvergenceError, DerivativeVanishes, HypothesisViolation
-from .series import DERIVATIVE_FLOOR, _IDENTITY, _truncation_message, as_integer, bracket_terms, nonvanishing_check
+from .series import DERIVATIVE_FLOOR, _IDENTITY, _truncation_message, as_integer, bracket_terms, nonvanishing_check, polar_grid
 
 VARIANTS = ("thm31", "thm32", "cor31", "cor32", "thm41")
 STRICTNESS_TOL = 1e-12
@@ -59,6 +59,9 @@ class ParameterSet:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "gamma", complex(self.gamma))
+        for name in ("m", "a", "k"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name}: must be a real number")
         for name in ("alpha", "beta", "gamma", "m", "a"):
             z = complex(getattr(self, name))
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -100,9 +103,11 @@ class DiskGrid:
         object.__setattr__(self, "radii", r)
 
     def points(self):
-        theta = np.linspace(0.0, 2.0 * np.pi, self.angles_per_radius, endpoint=False)
-        r = np.asarray(self.radii)
-        return (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
+        """polar_grid of the radii, built on the first call and read-only."""
+        if "_points" not in self.__dict__:
+            object.__setattr__(self, "_points", polar_grid(self.radii, self.angles_per_radius))
+            self._points.setflags(write=False)
+        return self._points
 
     def to_json(self):
         return {
@@ -459,6 +464,6 @@ def criterion_check(variant, p, f, g=None, phi=None, grid=None):
     passed = sup <= st.bound + STRICTNESS_TOL
     report = CriterionReport(variant, passed, sup, st.bound, witness, st.bound - sup, grid)
     series = (st.f, st.g, st.phi) if st.beta != 0 else (st.f,)
-    messages = (_truncation_message(s, r) for r in reached for s in series)
+    messages = (_truncation_message(s, r) for r in dict.fromkeys(reached) for s in series)
     report.warnings.extend(dict.fromkeys(m for m in messages if m))
     return report

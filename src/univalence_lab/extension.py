@@ -17,6 +17,7 @@ import numpy as np
 
 from .chain import chain_grid, transfer_grid
 from .errors import DomainError
+from .series import polar_grid
 
 SEAM_CLAMP = 1e-6
 
@@ -147,7 +148,6 @@ def beltrami_grid(z, p, f, g=None, phi=None):
 
 def beltrami_ring(p, f, g=None, phi=None, radii=(1.05, 1.3, 1.6, 2.0), n_theta=8):
     """Beltrami samples on a ring grid outside the unit circle."""
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    z = (np.asarray(radii, dtype=float)[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    z = polar_grid(radii, n_theta)
     mu = beltrami_grid(z, p, f, g, phi)
     return [BeltramiSample(zz, mm) for zz, mm in zip(z.tolist(), mu.tolist())]

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InconclusiveError
+from .series import polar_grid
 
 _MAX_INCREMENT = np.pi * 0.95
 
@@ -40,9 +41,7 @@ class SampleCloud:
 
 def polar_samples(n_r, n_theta, r_max):
     """Polar grid of n_r radii times n_theta angles up to r_max."""
-    r = np.linspace(r_max / n_r, r_max, n_r)
-    th = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    return (r[:, None] * np.exp(1j * th)[None, :]).ravel()
+    return polar_grid(np.linspace(r_max / n_r, r_max, n_r), n_theta)
 
 
 def injectivity_scan(cloud, tol=None):

@@ -229,19 +229,22 @@ def catalog_build(name, params=None):
 _IDENTITY = catalog_build("identity")  # default g and phi
 
 
+def polar_grid(radii, n_angles):
+    """The open circles r e^{2 pi i j / n_angles}, j < n_angles, of radii, radius-major."""
+    theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    return (np.asarray(radii, dtype=float)[:, None] * np.exp(1j * theta)[None, :]).ravel()
+
+
 def nonvanishing_check(s, radius, grid, floor=1e-9):
-    """Sample |s(z)/z| on the grid up to `radius`; evidence, not proof.
+    """Sample |s(z)/z| on the grid circles up to `radius`, else on |z| = radius; evidence, not proof.
 
     Returns (True, None) if all samples stay above `floor`, otherwise
     (False, witness).
     """
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie in (0, 1)")
-    radii = np.asarray([r for r in grid.radii if r <= radius])
-    if radii.size == 0:
-        radii = np.array([radius])
-    theta = np.linspace(0.0, 2.0 * np.pi, grid.angles_per_radius, endpoint=False)
-    z = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    inside = sum(r <= radius for r in grid.radii)  # the radii increase
+    z = grid.points()[: inside * grid.angles_per_radius] if inside else polar_grid([radius], grid.angles_per_radius)
     vals = np.abs(_kernels.polyval(s.coefficients, z))  # |s(z)/z|
     bad = np.nonzero(vals <= floor)[0]
     if bad.size:

@@ -1,6 +1,6 @@
-"""benchmarks/bench_kernels.py keeps working against the criterion
-internals it times: one small case of its verdict and grid-scan tables,
-each timing loop run once instead of timed."""
+"""The scripts under benchmarks/ keep working against the package
+internals they time: one small case of each of their tables, each timing
+loop run once instead of timed."""
 
 import importlib.util
 import pathlib
@@ -8,13 +8,14 @@ from unittest import mock
 
 import numpy as np
 
-from univalence_lab import DiskGrid, ParameterSet, catalog_build
+from univalence_lab import DiskGrid, ParameterSet, SeriesFunction, catalog_build
+from univalence_lab.extension import beltrami_ring
 
-_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+_SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def _bench():
-    spec = importlib.util.spec_from_file_location("bench_kernels", _SCRIPT)
+def _bench(name):
+    spec = importlib.util.spec_from_file_location(name, _SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -26,7 +27,7 @@ def _once(fn, repeat):
 
 
 def test_criterion_and_scan_rows():
-    bench = _bench()
+    bench = _bench("bench_kernels")
     lam = np.exp(0.3j)
     f = catalog_build("expscaled", {"lam": lam, "degree": 32})
     g = catalog_build("expscaled", {"lam": lam / 2.0, "degree": 32})
@@ -38,3 +39,26 @@ def test_criterion_and_scan_rows():
     assert int(row.split()[6]) > 0  # the probe calls of the check were counted
     terms, _, _, cands, fallback = scan.split()
     assert int(terms) == 68 and 0 < int(cands) < 5120 and fallback == "-"
+
+
+def test_operator_row():
+    bench = _bench("bench_operator")
+    f = SeriesFunction(np.array([1.0, 1.5, 0.75]))  # f' = (1 + 1.5 u)^2 vanishes at -2/3
+    ident = catalog_build("identity")
+    grid = bench.polar_samples(4, 8, 0.9)
+    with mock.patch.object(bench, "_best", _once):
+        row = bench._operator_row("cubic", grid, ParameterSet(alpha=0.5), f, ident, ident, 1)
+    points, series, steps, flagged = map(int, row.split()[1:5])
+    assert points == 32 and 0 < series < 32 and steps > 0 and flagged > 0
+
+
+def test_chain_and_beltrami_rows():
+    bench = _bench("bench_chain")
+    problem = bench._problem()
+    with mock.patch.object(bench, "_best", _once):
+        chain = bench._chain_row(*bench._points(6, np.random.default_rng(0)), problem, 1)
+        ring = bench._beltrami_row(bench.BELTRAMI_GRIDS[1], problem, 1)
+    assert chain.split()[0] == "6" and ring.split()[0] == "32"
+    # the second grid is the default ring of beltrami_ring
+    p, f, g, phi = problem
+    assert bench.BELTRAMI_GRIDS[1].tolist() == [s.z for s in beltrami_ring(p, f, g, phi)]

@@ -411,6 +411,37 @@ class TestEndToEnd:
         assert len(rows) == 12
         assert {row[-1] for row in rows} == {0.0}
 
+    @pytest.mark.parametrize("argv", [["check", "{cfg}"], ["constants", "--k", "0.5", "--a", "2"]])
+    def test_out_writes_exactly_stdout(self, write_config, tmp_path, capsys, argv):
+        out = tmp_path / "out.json"
+        argv = [a.replace("{cfg}", write_config(REFERENCE_DOC)) for a in argv]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text(encoding="ascii") == capsys.readouterr().out
+
+    def test_plot_of_chain_draws_the_first_time(self, write_config, tmp_path, capsys):
+        chain_csv = tmp_path / "chain.csv"
+        argv = ["chain", write_config(REFERENCE_DOC), "--out", str(chain_csv), "--nr", "2", "--ntheta", "4"]
+        assert main(argv + ["--tsteps", "3"]) == 0
+        header, rows = read_grid_csv(chain_csv)
+        it = header.index("t")
+        svgs = []
+        for name, keep in (("all", rows), ("first", rows[:8]), ("last", rows[-8:])):
+            assert {row[it] for row in keep} == ({0.0, 0.5, 1.0} if name == "all" else {keep[0][it]})
+            csv, svg = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
+            emit_grid_csv(keep, header, csv)
+            assert main(["plot", "--csv", str(csv), "--out", str(svg)]) == 0
+            svgs.append(svg.read_bytes())
+        assert svgs[0] == svgs[1] != svgs[2]
+
+    def test_oracle_collision_exits_2(self, write_config, capsys):
+        # z + z^3/0.81 takes the same value at 0.9 e^{i pi/4} and 0.9 e^{3i pi/4}
+        cfg = write_config({"f": {"coefficients": [1, 0, 1 / 0.81]}, "params": {"alpha": 1.0}})
+        assert main(["oracle", cfg, "--nr", "20", "--ntheta", "64", "--rmax", "0.9"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        pair = sorted((complex(*z) for z in doc["collision"]), key=lambda z: -z.real)
+        assert np.allclose(pair, 0.9 * np.exp([0.25j * np.pi, 0.75j * np.pi]), rtol=0, atol=1e-15)
+        assert doc["samples"] == 1280 and doc["flagged"] == 0
+
     def test_chain_flagged_column(self, write_config, tmp_path, capsys):
         # (f')^(1/2) with f' = (1 + 1.5 z)^2 leaves the principal branch
         # at the grid points 0.9 exp(+-7i pi/8), t = 0 (see test_chain_grid.py)

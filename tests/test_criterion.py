@@ -1,6 +1,7 @@
 """Criterion engine: point values, variant algebra, disk sup-scan."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from univalence_lab import (
     DiskGrid,
     ParameterSet,
     catalog_build,
+    criterion,
     criterion_check,
     criterion_values,
+    series,
 )
 from univalence_lab.criterion import criterion_bound
 from univalence_lab.errors import ConvergenceError, HypothesisViolation
-from univalence_lab.series import SeriesFunction
+from univalence_lab.series import SeriesFunction, polar_grid
 from .conftest import random_disk_points
 
 
@@ -210,6 +213,11 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match=f"^{name}: "):
             ParameterSet(**kwargs)
 
+    @pytest.mark.parametrize("name", ["m", "a", "k"])
+    def test_complex_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name}: must be a real number"):
+            ParameterSet(**{name: 1j})
+
     def test_disk_grid(self):
         with pytest.raises(ValueError):
             DiskGrid(radii=())
@@ -243,6 +251,31 @@ class TestParameterValidation:
     def test_disk_grid_integers(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             DiskGrid(**kwargs)
+
+    def test_disk_grid_points_are_read_only_polar_grid(self):
+        grid = DiskGrid(radii=(0.25, 0.5), angles_per_radius=8)
+        z = grid.points()
+        assert z.tobytes() == polar_grid([0.25, 0.5], 8).tobytes()
+        assert z[9] == pytest.approx(0.5 * np.exp(0.25j * np.pi), abs=1e-16)
+        assert grid.points() is z
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+
+    def test_a_check_samples_its_grid_once(self, f_quarter, g_half, params_ref):
+        # the hypotheses on g and phi read the grid's points too
+        calls = []
+
+        def counted(radii, n_angles):
+            calls.append(n_angles)
+            return polar_grid(radii, n_angles)
+
+        grid = DiskGrid(radii=(0.3, 0.6, 0.9), angles_per_radius=64, refine_steps=4)
+        with mock.patch.object(criterion, "polar_grid", counted), mock.patch.object(series, "polar_grid", counted):
+            first = criterion_check("thm31", params_ref, f_quarter, g_half, grid=grid)
+            assert calls == [64]
+            second = criterion_check("thm31", params_ref, f_quarter, g_half, grid=grid)
+            assert calls == [64]
+        assert second.to_json() == first.to_json()
 
     def test_disk_grid_integral_values_become_ints(self):
         grid = DiskGrid(angles_per_radius=64.0, refine_steps=np.int64(0))

@@ -230,6 +230,13 @@ class TestNonvanishing:
         assert not ok
         assert abs(witness - 0.5) < 0.05
 
+    @pytest.mark.parametrize("zero,radius,found", [(0.9, 0.9, True), (0.9, 0.89, False), (0.3, 0.3, True)])
+    def test_samples_the_grid_up_to_radius_or_that_circle(self, zero, radius, found):
+        # the grid circles of radius <= `radius`, or else the circle |z| = radius
+        s = SeriesFunction(np.array([1.0, -1.0 / zero]))  # z(1 - z/zero)
+        ok, witness = nonvanishing_check(s, radius, DiskGrid(radii=(0.6, 0.9), angles_per_radius=8))
+        assert (ok, witness) == ((False, zero) if found else (True, None))
+
     def test_radius_validation(self, identity):
         with pytest.raises(ValueError):
             nonvanishing_check(identity, 1.0, DiskGrid())

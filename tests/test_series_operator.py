@@ -3,6 +3,7 @@ that route a point to the series, exact brackets, and an independent
 mpmath reference on and off the certified disc."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from univalence_lab import ParameterSet, catalog_build, operator_grid
+from univalence_lab import ParameterSet, catalog_build, operator, operator_grid
 from univalence_lab.chain import chain_grid
-from univalence_lab.operator import _ARG_LIMIT, _power_coeffs, _series_plan
+from univalence_lab.operator import _ARG_LIMIT, _SHIFT_TERMS, _descend, _power_coeffs, _series_plan
 from univalence_lab.oracle import polar_samples
 from univalence_lab.series import SeriesFunction
 
@@ -268,3 +269,28 @@ def test_continuation_is_accurate_or_flagged(f, g, alpha, beta, re_gamma, im_gam
     if not crossing[0]:
         want = mpmath_operator(f, g, identity, p.alpha, p.beta, p.gamma, z)
         assert abs(values[0] - want) <= 1e-12 * abs(want)
+
+
+def test_continuation_lowers_the_step_for_a_long_factor():
+    """f' of Koebe degree 48 holds more than _SHIFT_TERMS + 1 terms, so the
+    step certificate adds the Lagrange remainder of its majorant; on the
+    ray to 0.7i that remainder lowers the step, and the value stays within
+    1e-12 of the mpmath reference."""
+    f = catalog_build("koebe", {"degree": 48})
+    identity = catalog_build("identity")
+    p = ParameterSet(alpha=0.5)
+    z = np.array([0.7j])
+    assert f.degree > _SHIFT_TERMS + 1
+    assert _series_plan(f, identity, identity, p.alpha, p.beta, p.gamma).radius < 0.7
+    lowered = []
+
+    def counted(rung, bad):
+        before = rung.copy()
+        _descend(rung, bad)
+        lowered.append(int((rung - before).sum()))
+
+    with mock.patch.object(operator, "_descend", counted):
+        values, _, steps, crossing = operator_grid(z, p, f)
+    assert sum(lowered) >= 1 and steps > 0 and not crossing.any()
+    want = mpmath_operator(f, identity, identity, p.alpha, p.beta, p.gamma, z[0])
+    assert abs(values[0] - want) <= 1e-12 * abs(want)
