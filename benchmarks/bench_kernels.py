@@ -16,8 +16,11 @@ A second table times the oracle and output kernels.  `collision_scan`
 runs on n x n polar clouds (radius 0.99) of the example31_thm32 operator
 at the default injectivity tolerance 1e-6 and at 2e-2 of the value
 diameter, where each point's real-part window holds many others;
-`emit_grid_csv` writes a 4096 x 5 grid, the size of a 32 x 128
-`eval --out` CSV.
+`winding_stats` runs at the shape of the `oracle` command: 50 targets, the
+images of a 5 x 10 polar grid within |z| <= 0.475, on the closed
+2049-point image curve of |z| = 0.95; its result is whether every target
+is covered once.  `emit_grid_csv` writes a 4096 x 5 grid, the size of a
+32 x 128 `eval --out` CSV.
 
 A third table times both paths of `emit_grid_csv`, the one `%` format
 operation and the numpy `g17_csv` kernel, at the grid sizes the commands
@@ -62,12 +65,14 @@ import numpy as np
 
 from univalence_lab import DiskGrid, ParameterSet, _kernels, catalog_build, cli, criterion, operator_grid
 from univalence_lab.cli import bundled_configs, emit_grid_csv, parse_config
-from univalence_lab.oracle import polar_samples
+from univalence_lab.oracle import argument_principle_check, polar_samples
+from univalence_lab.series import polar_grid
 
 CASES = ((4096, 1), (4096, 4), (4096, 5120), (32, 5120), (2, 1), (2, 100_000))
 CLOUDS = (64, 100, 200)
 RELATIVE_TOLS = (1e-6, 2e-2)
 CSV_GRIDS = ((48, 7), (128, 6), (640, 7), (4096, 5))
+WINDING_RADIUS = 0.95
 
 
 def _inputs(degree, npts, rng):
@@ -107,6 +112,7 @@ def main():
             t = _best(lambda: _kernels.collision_scan(z, values, rel * diam), args.repeat)
             pair = _kernels.collision_scan(z, values, rel * diam)
             print(f"{'collision_scan':>14} {z.size:>7} {rel:>8.0e}  {t * 1e3:9.4f} ms  {pair}")
+    print(_winding_row(spec, args.repeat))
     rows = rng.normal(size=(4096, 5))
     rows[:, 4] = rng.uniform(size=4096) < 0.5
     with tempfile.TemporaryDirectory() as tmp:
@@ -126,6 +132,18 @@ def main():
     print(f"\n{'family':>12} {'variant':>7} {'terms':>5}  {'exact ms':>20}  {'pruned ms':>20}  {'cands':>5}  fallback")
     for label, variant, p, fgp, grid in _scan_cases():
         print(f"{label:>12} {variant:>7}  " + _scan_row(variant, p, *fgp, grid, args.repeat))
+
+
+def _winding_row(spec, repeat):
+    """ms of one winding_stats call on the image curve of the circle
+    |z| = WINDING_RADIUS, closed by its first point, around the images of
+    50 points within half that radius, and whether they are covered once."""
+    circle = polar_grid([WINDING_RADIUS], 2048)
+    curve = operator_grid(np.append(circle, circle[0]), spec.params, spec.f, spec.g, spec.phi)[0]
+    targets = operator_grid(polar_samples(5, 10, 0.5 * WINDING_RADIUS), spec.params, spec.f, spec.g, spec.phi)[0]
+    t = _best(lambda: _kernels.winding_stats(curve, targets), repeat)
+    once = argument_principle_check(curve, targets)
+    return f"{'winding_stats':>14} {curve.size:>7} {'':>8}  {t * 1e3:9.4f} ms  {targets.size} targets covered once: {once}"
 
 
 def _csv_row(rng, n, c, repeat):

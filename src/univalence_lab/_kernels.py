@@ -29,6 +29,7 @@ import numpy as np
 
 _BLOCKED_MIN_TERMS = 64
 _CHUNK_BYTES = 1 << 20
+_HORNER_BYTES = 1 << 17
 _STACK_POINTS = 256
 _WINDING_CELLS = 8192
 _G17_CELL_BYTES = 256  # working set per g17_csv cell: ~200 bytes under tracemalloc
@@ -120,7 +121,7 @@ def series_rows(bits):
     return rows, scale
 
 
-def polyval012(coeffs, z):
+def polyval012(coeffs, z, bits=None):
     """(p, p', p'') of p(z) = sum c_n z^n with coeffs = [c_1..c_N].
 
     coeffs may also be a sequence of m such arrays, of any lengths: the
@@ -132,10 +133,16 @@ def polyval012(coeffs, z):
     a pass then costs by the element, and the padding of the shorter
     series and the repeated coefficients cost more than the calls saved
     (for f, g of degree 32 and phi = z, the crossover lies between 256 and
-    1024 points)."""
+    1024 points).
+
+    bits, when given, holds the complex128 bytes of each series (of the one
+    series for a 1-d coeffs), as SeriesFunction keeps them: a bytes object
+    caches its hash, so keying series_rows on it costs nothing per call,
+    where a fresh c.tobytes() is hashed whole on every call."""
     z = np.ascontiguousarray(z, dtype=np.complex128).ravel()
     one = isinstance(coeffs, np.ndarray) and coeffs.ndim == 1
     series = [np.ascontiguousarray(c, dtype=np.complex128) for c in ((coeffs,) if one else coeffs)]
+    keys = (bits,) if one else bits
     out = np.empty((3, len(series), z.size), dtype=np.complex128)
     short = [j for j, c in enumerate(series) if c.size + 1 < _BLOCKED_MIN_TERMS]
     stacked = len(short) > 1 and z.size <= _STACK_POINTS
@@ -147,7 +154,7 @@ def polyval012(coeffs, z):
             out[:, short] = stack
     for j, c in enumerate(series):
         if j not in short:
-            rows, scale = series_rows(c.tobytes())
+            rows, scale = series_rows(c.tobytes() if bits is None else keys[j])
             out[:, j] = _blocked_rows(rows, z, scale)
         elif not stacked:
             _horner012([c], z, out[:, j : j + 1])
@@ -167,16 +174,20 @@ def _horner012(series, z, out):
     on contiguous views.  A shorter series waits at 0 and starts with
     p = 0 z + c_N, which is c_N but for the sign of a zero part, so p is
     set to c_N there.  A product never runs in place: numpy rounds an
-    in-place complex product on one element differently.  Points are
-    processed in chunks of about _CHUNK_BYTES of working set (state, next
-    state, tiled z; a stack adds its repeated coefficients, on at most
-    _STACK_POINTS points)."""
+    in-place complex product on one element differently.
+
+    Points are processed in chunks that keep every temporary within
+    _HORNER_BYTES = 128 KiB, glibc's default mmap threshold, above which
+    malloc maps each buffer afresh and its pages are faulted in again on
+    every call.  The state, the next state and the tiled z hold 3 m values
+    per point, and a stack's repeated coefficients (N + 1) m.  The values
+    do not depend on the chunks."""
     m = len(series)
     top = max(c.size for c in series)
     cols = np.zeros((top + 1, m), dtype=np.complex128)  # c_k of series j at [k, j]
     for j, c in enumerate(series):
         cols[1 : c.size + 1, j] = c
-    chunk = max(1, _CHUNK_BYTES // (16 * 9 * m))
+    chunk = max(1, _HORNER_BYTES // (16 * m * (max(3, top + 1) if m > 1 else 3)))
     for s in range(0, z.size, chunk):
         zc = z[s : s + chunk]
         w = zc.size
@@ -329,7 +340,17 @@ def winding_stats(curve, targets):
     around each target in fixed order.  Targets go in blocks of at most
     _WINDING_CELLS curve x target elements, each block one pass of
     elementwise operations and reductions along the curve, which gives
-    the bits of one pass per target."""
+    the bits of one pass per target.
+
+    An increment x is wrapped into [-pi, pi) in place, by one compare and
+    one shift of 2 pi each way, with the bits of (x + pi) % (2 pi) - pi
+    (numpy's floored remainder): both angles lie in [-pi, pi], so y = x +
+    pi lies in [-pi, 3 pi].  On [2 pi, 3 pi] the remainder is fmod(y), which
+    is exact, and so is y - 2 pi (Sterbenz).  Below 0 the remainder is
+    fmod(y) + 2 pi = y + 2 pi, rounded once, the same operation.  At y = 0
+    both give +0, and NaN stays NaN.  complex abs, not hypot, gives the
+    distances: the two differ in the last bit on about a third of the
+    elements."""
     c = np.asarray(curve, dtype=np.complex128)
     targets = np.asarray(targets, dtype=np.complex128)
     m = targets.shape[0]
@@ -337,13 +358,17 @@ def winding_stats(curve, targets):
     mindist = np.empty(m)
     maxinc = np.empty(m)
     step = max(1, _WINDING_CELLS // max(c.size, 1))
+    two_pi = 2.0 * np.pi
     for s in range(0, m, step):
         d = c[None, :] - targets[s : s + step, None]
         inc = np.diff(np.angle(d), axis=1)
-        inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
+        inc += np.pi
+        np.subtract(inc, two_pi, out=inc, where=inc >= two_pi)
+        np.add(inc, two_pi, out=inc, where=inc < 0.0)
+        inc -= np.pi
         total[s : s + step] = inc.sum(axis=1)
         mindist[s : s + step] = np.abs(d).min(axis=1)
-        maxinc[s : s + step] = np.abs(inc).max(axis=1) if inc.shape[1] else 0.0
+        maxinc[s : s + step] = np.abs(inc, out=inc).max(axis=1) if inc.shape[1] else 0.0
     return total, mindist, maxinc
 
 

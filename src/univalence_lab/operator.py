@@ -13,6 +13,9 @@ log B, which would round B - 1 away for small |gamma|.
 Series.  The Taylor coefficients h_n follow from J.C.P. Miller's
 recurrence for powers of a power series (Knuth, TAOCP vol. 2, 4.7), one
 factor at a time, and J = sum_{n>=1} S_n z^n with S_n = h_n / (gamma + n).
+Terms from the first whose modulus overflows on are dropped (h_n depends
+on no later term, so the earlier ones are exact), and the certificates
+read the finite prefix.
 A plan, built once per problem, holds the h_n, the S_n and the largest
 radius r_c <= 1 on which three certificates hold: every factor P^e has
 eps_P(r) = sum |p_k| r^k < 1 with L_P = -log(1 - eps_P) below pi for f'
@@ -194,10 +197,16 @@ def _series_plan(f, g, phi, alpha, beta, gamma):
         return SeriesPlan(multiplier, s, radius, factors, multiplier)
     h = np.zeros(_SERIES_TERMS, dtype=np.complex128)
     h[0] = 1.0
-    for coeffs, expo, _, _ in factors:
-        h = np.convolve(h, _power_coeffs(coeffs, expo, _SERIES_TERMS))[:_SERIES_TERMS]
-    if multiplier.size > 1:
-        h = np.convolve(h, multiplier)[:_SERIES_TERMS]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coeffs, expo, _, _ in factors:
+            h = np.convolve(h, _power_coeffs(coeffs, expo, _SERIES_TERMS))[:_SERIES_TERMS]
+        if multiplier.size > 1:
+            h = np.convolve(h, multiplier)[:_SERIES_TERMS]
+        # h_n is formed from h_0 .. h_n of each factor alone, so the terms
+        # before the first that overflows |h_n| are exact
+        bad = np.flatnonzero(~np.isfinite(np.abs(h)))
+    if bad.size:
+        h = h[: bad[0]]
     absps = [(np.abs(c), abs(e), grp) for c, e, grp, _ in factors]
 
     def r_arg_ok(r):  # L_{f'}(r) < pi and L_{g/z}(r) + L_{phi/z}(r) < pi
@@ -220,14 +229,14 @@ def _series_plan(f, g, phi, alpha, beta, gamma):
     if multiplier.size > 1:
         with np.errstate(over="ignore"):
             log_m = log_m + np.log(_kernels.polyval(np.abs(multiplier), rho).real)
-    n = np.arange(1, _SERIES_TERMS)
+    n = np.arange(1, h.size)
     s = h[1:] / (gamma + n)
-    terms = np.arange(_SERIES_TERMS)[:, None]  # keeping h_0 .. h_N: rows N = 0, 1, ...
+    terms = np.arange(h.size)[:, None]  # keeping h_0 .. h_N: rows N = 0, 1, ...
 
     def certified(r):
         """Per N, whether the tail and the argument certificates hold at r."""
         if r == 0.0:
-            return np.ones(_SERIES_TERMS, dtype=bool)
+            return np.ones(h.size, dtype=bool)
         x = r / rho[rho > r]
         # Cauchy bounds on sum_{n>N} |h_n| r^n, which also bound the tail of S
         tails = np.exp((log_m[rho > r] + (terms + 1.0) * np.log(x) - np.log1p(-x)).min(axis=1, initial=np.inf))

@@ -96,7 +96,7 @@ def eval_many(s, z):
     """Vectorized (s, s', s'') on an array of points with |z| <= 1."""
     z = np.asarray(z, dtype=np.complex128)
     _check_disk(s, np.abs(z))
-    p, dp, ddp = _kernels.polyval012(s.coefficients, z)
+    p, dp, ddp = _kernels.polyval012(s.coefficients, z, s._bits)
     return p.reshape(z.shape), dp.reshape(z.shape), ddp.reshape(z.shape)
 
 
@@ -122,7 +122,7 @@ def log_derivative(s, z):
     z = np.asarray(z, dtype=np.complex128)
     r = np.abs(z)
     _check_disk(s, r)
-    p, dp, _ = _kernels.polyval012(s.coefficients, z)
+    p, dp, _ = _kernels.polyval012(s.coefficients, z, s._bits)
     return _log_quotient(s, z, p.reshape(z.shape), dp.reshape(z.shape), r)
 
 
@@ -167,7 +167,8 @@ def bracket_terms(f, g, phi, z, log_ratio=True):
     rmax = _check_disk(f, r)
     coeffs = {s._bits: s.coefficients for s in ((f, g, phi) if log_ratio else (f,))}
     slot = {bits: j for j, bits in enumerate(coeffs)}
-    p, dp, ddp = (v.reshape(len(coeffs), *z.shape) for v in _kernels.polyval012(list(coeffs.values()), z.ravel()))
+    values = _kernels.polyval012(list(coeffs.values()), z.ravel(), list(coeffs))
+    p, dp, ddp = (v.reshape(len(coeffs), *z.shape) for v in values)
     fp, fpp = dp[slot[f._bits]], ddp[slot[f._bits]]
     bad = np.abs(fp) < DERIVATIVE_FLOOR
     if bad.any():

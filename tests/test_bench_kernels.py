@@ -41,6 +41,14 @@ def test_criterion_and_scan_rows():
     assert int(terms) == 68 and 0 < int(cands) < 5120 and fallback == "-"
 
 
+def test_winding_row():
+    bench = _bench("bench_kernels")
+    spec = bench.parse_config(bench.bundled_configs()["example31_thm32"])
+    with mock.patch.object(bench, "_best", _once):
+        row = bench._winding_row(spec, 1)
+    assert row.split()[:2] == ["winding_stats", "2049"] and row.endswith("50 targets covered once: True")
+
+
 def test_operator_row():
     bench = _bench("bench_operator")
     f = SeriesFunction(np.array([1.0, 1.5, 0.75]))  # f' = (1 + 1.5 u)^2 vanishes at -2/3

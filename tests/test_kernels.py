@@ -321,6 +321,20 @@ class TestStackedHornerParity:
             for got, ref in zip(stacked, _horner_reference(s.coefficients, z)):
                 assert got[j].tobytes() == ref.tobytes()
 
+    def test_grid_equals_its_chunks(self):
+        # on the default 5120-point grid each series runs alone, in chunks
+        # of _HORNER_BYTES per temporary: every chunk-sized piece evaluated
+        # alone has the bits of the whole call
+        rng = np.random.default_rng(7)
+        series = [_random_series(rng, n, name, True).coefficients for n, name in ((32, "f"), (17, "g"), (1, "p"))]
+        z = DiskGrid().points()
+        chunk = _kernels._HORNER_BYTES // (16 * 3)
+        assert z.size == 5120 > chunk
+        whole = _kernels.polyval012(series, z)
+        for s in range(0, z.size, chunk):
+            for a, b in zip(whole, _kernels.polyval012(series, z[s : s + chunk])):
+                assert a[:, s : s + chunk].tobytes() == b.tobytes()
+
     def test_derivative_vanishes_keeps_message_and_witness(self):
         f = SeriesFunction(np.array([1.0, 0.5]), label="f")  # f' = 1 + z
         ident = catalog_build("identity")
@@ -559,6 +573,39 @@ class TestWindingBlocks:
         else:
             assert not (mindist <= 1e-8).any() and not (maxinc >= _MAX_INCREMENT).any()
             assert np.array_equal(numbers, np.rint(total / (2.0 * np.pi)).astype(int))
+
+
+class TestWindingWrap:
+    """The in-place wrap of winding_stats gives the bits of the remainder
+    formula at its edges: increments of exactly +-pi and +-2 pi, 0, and
+    NaN."""
+
+    # angle(-1 + 0j) = pi and angle(-1 - 0j) = -pi: steps between them and
+    # from the positive axis give the increments +-2 pi, +-pi and 0
+    CURVE = np.array(
+        [1.0, -1.0, complex(-1.0, -0.0), -1.0, -1.0, complex(-2.0, -0.0), 2.0, complex(-1.0, -0.0), 1.0, 1.0],
+        dtype=np.complex128,
+    )
+
+    def _assert_bits(self, curve, targets):
+        got = _kernels.winding_stats(curve, targets)
+        for a, b in zip(got, _winding_loop(curve, targets)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        return got
+
+    def test_half_and_full_turns_and_repeats(self):
+        curve = self.CURVE
+        incs = np.diff(np.angle(curve))
+        assert {np.pi, -np.pi, 2.0 * np.pi, -2.0 * np.pi, 0.0} <= set(incs.tolist())
+        targets = np.array([0.0, complex(0.0, -0.0), 0.5, -0.5, 3.0j], dtype=np.complex128)
+        _, mindist, maxinc = self._assert_bits(curve, targets)
+        assert maxinc[0] == np.pi and mindist[0] == 1.0
+
+    def test_nan_point(self):
+        curve = self.CURVE.copy()
+        curve[4] = complex(np.nan, 0.0)
+        total, mindist, maxinc = self._assert_bits(curve, np.array([0.0, 0.5j]))
+        assert np.isnan(total).all() and np.isnan(maxinc).all()
 
 
 class TestBackendSelection:

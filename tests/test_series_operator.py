@@ -78,6 +78,22 @@ class TestPlan:
         # and at gamma = 1, B^(1/gamma) = B has no branch: the whole disk
         assert _series_plan(f, identity, identity, 1.0 + 0j, 0j, 1.0 + 0j).radius == 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_terms_are_dropped(self):
+        # f' = sum_{n<19} (n + 1)^5 u^n, whose nearest zero lies at |u| = 0.043:
+        # the Taylor terms of sqrt(f') grow like 23^n and overflow before the
+        # 256th, so the plan keeps the finite ones and certifies from them
+        f = SeriesFunction(np.arange(1, 20, dtype=float) ** 4)
+        identity = catalog_build("identity")
+        p = ParameterSet(alpha=0.5)
+        plan = _series_plan(f, identity, identity, p.alpha, p.beta, p.gamma)
+        assert 100 < plan.h.size < 256 and np.isfinite(plan.h).all() and plan.radius > 0.02
+        z = np.array([0.001, 0.01, 0.02, -0.02, 0.02j])
+        values, _, steps, crossing = operator_grid(z, p, f)
+        assert steps == 0 and not crossing.any()
+        want = np.array([mpmath_operator(f, identity, identity, p.alpha, p.beta, p.gamma, zz) for zz in z])
+        assert np.all(np.abs(values - want) <= 1e-12 * np.abs(want))
+
 
 class TestRayThroughZero:
     def test_operator_flags_the_ray(self):
