@@ -210,7 +210,7 @@ def _scan_row(variant, p, f, g, phi, grid, repeat):
     cutoff reads, the candidate count and the fallback."""
     z = grid.points()
     st = criterion._statement(variant, p, f, g, phi)
-    terms = sum(s.degree + 1 for s in ({st.f, st.g, st.phi} if st.beta != 0 else {st.f}))
+    terms = sum(s.degree + 1 for s in {s for s, *_ in st.quotients})
     times = {"exact": [], "pruned": []}
     saved = criterion._SCAN_MIN_TERMS
     with warnings.catch_warnings():

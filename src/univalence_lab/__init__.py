@@ -39,8 +39,8 @@ from .oracle import (
 )
 from .series import (
     SeriesFunction,
-    bracket_terms,
     catalog_build,
+    criterion_bracket,
     eval_many,
     log_derivative,
     nonvanishing_check,
@@ -59,9 +59,9 @@ __all__ = [
     "argument_principle_check",
     "beltrami_grid",
     "beltrami_ring",
-    "bracket_terms",
     "catalog_build",
     "chain_grid",
+    "criterion_bracket",
     "criterion_check",
     "criterion_values",
     "disk_containment_check",

@@ -28,7 +28,7 @@ from .errors import (
     TransferPoleError,
 )
 from .operator import _evaluate, _root, _series_plan
-from .series import _IDENTITY, bracket_terms, polar_grid
+from .series import _IDENTITY, criterion_bracket, polar_grid
 
 FD_STEP_Z = 1e-5
 FD_STEP_T = 1e-4
@@ -48,8 +48,7 @@ def chain_grid(z, t, p, f, g=None, phi=None):
     so the value is invalid.  Raises HypothesisViolation unless Re gamma > 0,
     and ConvergenceError where an unflagged value is not a finite nonzero
     number, as operator_grid does."""
-    g = g or _IDENTITY
-    phi = phi or _IDENTITY
+    g, phi = g or _IDENTITY, phi or _IDENTITY
     zf, tf, shape = _flat(z, t)
     if np.any(tf < 0):
         raise DomainError("t must be >= 0")
@@ -92,8 +91,7 @@ def transfer_grid(z, t, p, f, g=None, phi=None):
     [(1+a)G + 1 - ma] / [(1-a)G + 1 + ma] and p = (1+w)/(1-w)."""
     zf, tf, shape = _flat(z, t)
     zeta = np.exp(-p.a * tf) * zf
-    pre, lr = bracket_terms(f, g or _IDENTITY, phi or _IDENTITY, zeta, log_ratio=p.beta != 0)
-    bracket = p.alpha * pre + p.beta * lr
+    bracket = criterion_bracket(f, g, phi, p.alpha, p.beta, zeta)
     G = bracket / p.gamma * (1.0 - np.exp(-(p.m + 1.0) * p.a * tf * p.gamma))
     return tuple(x.reshape(shape) for x in _transfer_from_G(G, p.m, p.a))
 

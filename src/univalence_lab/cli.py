@@ -9,6 +9,7 @@ import functools
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -319,7 +320,7 @@ def _emit_json(obj, flags):
     the files written."""
     text = json.dumps(obj, indent=2)
     print(text)
-    if not flags.get("out"):
+    if "out" not in flags:
         return []
     with open(flags["out"], "w", encoding="ascii") as fh:
         fh.write(text + "\n")
@@ -340,7 +341,7 @@ def _cmd_eval(spec, flags):
         print(format_complex(values[0]))
         _warn_flagged(flagged)
         return 0, []
-    if not flags.get("out"):
+    if "out" not in flags:
         raise ConfigError("eval needs --z or --out")
     zs = polar_samples(flags.get("nr", 16), flags.get("ntheta", 64), flags.get("rmax", 0.9))
     values, _, _, flagged = operator_grid(zs, spec.params, spec.f, spec.g, spec.phi)
@@ -360,8 +361,6 @@ def _warn_flagged(flagged):
 
 
 def _cmd_chain(spec, flags):
-    if not flags.get("out"):
-        raise ConfigError("chain needs --out")
     zs = polar_samples(flags.get("nr", 8), flags.get("ntheta", 16), flags.get("rmax", 0.9))
     ts = np.linspace(0.0, flags.get("tmax", 1.0), flags.get("tsteps", 5))
     z = np.tile(zs, ts.size)
@@ -375,8 +374,6 @@ def _cmd_chain(spec, flags):
 
 
 def _cmd_extend(spec, flags):
-    if not flags.get("out"):
-        raise ConfigError("extend needs --out")
     r = np.linspace(flags.get("rmin", 0.5), flags.get("rmax", 2.0), flags.get("nr", 8))
     z = polar_grid(r, flags.get("ntheta", 16))
     F, flagged = extend_grid(z, spec.params, spec.f, spec.g, spec.phi)
@@ -435,8 +432,6 @@ def _cmd_oracle(spec, flags):
 
 
 def _cmd_plot(spec, flags):
-    if not flags.get("csv") or not flags.get("out"):
-        raise ConfigError("plot needs --csv and --out")
     header, rows = read_grid_csv(flags["csv"])
     emit_svg(rows, header, flags["out"])
     return 0, [flags["out"]]
@@ -459,8 +454,9 @@ def run_command(command, spec, flags=None):
     flags maps the command's flag names to values: each either its
     command-line text or the value the command-line parser makes of it
     (counts int, radii and times float, z complex).  Every value passes the
-    same checks as on the command line (see _FLAGS), so an unknown flag, a
-    missing required one or a value out of range raises ConfigError."""
+    same checks as on the command line (see _FLAGS): an unknown flag, a
+    missing required one, a value out of range and a MemoryError (a size
+    too large to allocate) raise ConfigError."""
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}")
     flags = dict(flags or {})
@@ -470,13 +466,14 @@ def run_command(command, spec, flags=None):
     for name, value in flags.items():
         if name not in _FLAGS[command]:
             raise ConfigError(f"{command}: unknown flag --{name}")
-        if _FLAGS[command][name] is not None:
-            try:
-                flags[name] = _convert(_FLAGS[command][name], value)
-            except argparse.ArgumentTypeError as exc:
-                raise ConfigError(f"argument --{name}: {exc}") from None
+        try:
+            flags[name] = _convert(_FLAGS[command][name], value)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"argument --{name}: {exc}") from None
     try:
         return _DISPATCH[command](spec, flags)
+    except MemoryError as exc:
+        raise ConfigError(f"{command}: {str(exc) or 'out of memory'}") from None
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3, []
@@ -523,7 +520,7 @@ def _convert(rule, value):
 _COUNT = _Rule(int, numbers.Integral, lambda n: n >= 1, "must be >= 1")
 _RADIUS = _Rule(float, numbers.Real, lambda r: 0.0 < r < 1.0, "must lie in (0, 1)")
 _FINITE = _Rule(float, numbers.Real, math.isfinite, "must be finite")
-_PATH = None  # a file name, kept as given
+_PATH = _Rule(str, os.PathLike, lambda path: path != "", "must not be empty")  # a file name
 
 # every flag of every command and the rule of its value: the command line
 # and run_command check values here alone, so a bad value is a flag error
@@ -560,7 +557,7 @@ _FLAGS = {
     },
     "plot": {"csv": _PATH, "out": _PATH},
 }
-_REQUIRED = {"constants": ("k",), "plot": ("csv", "out")}
+_REQUIRED = {"chain": ("out",), "extend": ("out",), "constants": ("k",), "plot": ("csv", "out")}
 _NO_CONFIG = ("constants", "plot")
 
 
@@ -573,7 +570,7 @@ def _build_parser():
         if command not in _NO_CONFIG:
             sp.add_argument("config", nargs="?", help="JSON problem configuration file")
         for name, rule in rules.items():
-            kind = str if rule is None else (lambda text, rule=rule: _convert(rule, text))
+            kind = functools.partial(_convert, rule)
             sp.add_argument(f"--{name}", type=kind, required=name in _REQUIRED.get(command, ()))
     return parser
 

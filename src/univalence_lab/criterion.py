@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConvergenceError, DerivativeVanishes, HypothesisViolation
-from .series import DERIVATIVE_FLOOR, _IDENTITY, _truncation_message, as_integer, bracket_terms, nonvanishing_check, polar_grid
+from .series import _IDENTITY, _truncation_message, as_integer, bracket_quotients, criterion_bracket, nonvanishing_check, polar_grid
 
 VARIANTS = ("thm31", "thm32", "cor31", "cor32", "thm41")
 STRICTNESS_TOL = 1e-12
@@ -144,8 +144,9 @@ class CriterionReport:
 class _Statement(NamedTuple):
     """A variant, corollary substitutions made: |fac B - centre|, or fac |B|
     with gamma real if centre is None, against bound, for the bracket B of
-    alpha, beta, f, g, phi and fac = (1 - |z|^{(m+1) gamma})/gamma.  The
-    series of hypotheses, (name, series) pairs, must not vanish."""
+    alpha, beta, f, g, phi (its bracket_quotients are quotients) and fac =
+    (1 - |z|^{(m+1) gamma})/gamma.  hypotheses name series that must not
+    vanish."""
 
     f: object
     g: object
@@ -157,6 +158,7 @@ class _Statement(NamedTuple):
     centre: object
     bound: float
     hypotheses: tuple
+    quotients: tuple
 
 
 def _statement(variant, p, f, g=None, phi=None):
@@ -179,7 +181,8 @@ def _statement(variant, p, f, g=None, phi=None):
     elif variant == "cor32":  # m fixed at 1 by the statement
         alpha, beta, g, phi, m, hypotheses = 1.0 + 0.0j, 0.0j, f, f, 1.0, ()
     gamma, centre = (p.gamma.real, None) if real else (p.gamma, (m - 1.0) / 2.0)
-    return _Statement(f, g, phi, alpha, beta, gamma, m, centre, bound, hypotheses)
+    quotients = bracket_quotients(f, g, phi, alpha, beta)
+    return _Statement(f, g, phi, alpha, beta, gamma, m, centre, bound, hypotheses, quotients)
 
 
 def criterion_values(variant, z, p, f, g=None, phi=None):
@@ -189,8 +192,7 @@ def criterion_values(variant, z, p, f, g=None, phi=None):
 
 def _values(st, z):
     """The criterion of the statement st at a complex128 array z."""
-    pre, lr = bracket_terms(st.f, st.g, st.phi, z, log_ratio=st.beta != 0)
-    return _expression(st, np.abs(z), st.alpha * pre + st.beta * lr)[0]
+    return _expression(st, np.abs(z), criterion_bracket(st.f, st.g, st.phi, st.alpha, st.beta, z))[0]
 
 
 def _expression(st, r, bracket):
@@ -270,21 +272,17 @@ def _grid_candidates(st, grid, z):
     reason is "terms" when the series the criterion evaluates hold fewer
     than _SCAN_MIN_TERMS terms in all, too few for the FFT to pay, and
     "nonfinite" when an approximation or bound is not finite."""
-    # (series, order of the numerator, weight, least |denominator|)
-    quotients = [(st.f, 2, st.alpha, DERIVATIVE_FLOOR)]
-    if st.beta != 0:
-        quotients += [(st.g, 1, st.beta, 0.0), (st.phi, 1, -st.beta, 0.0)]
-    if sum(s.degree + 1 for s in {s for s, *_ in quotients}) < _SCAN_MIN_TERMS:
+    if sum(s.degree + 1 for s in {s for s, *_ in st.quotients}) < _SCAN_MIN_TERMS:
         return None, "terms"
     with np.errstate(all="ignore"):  # overflow and 0/0 end as non-finite values
-        row = _circle_rows(quotients, grid)
+        row = _circle_rows(st.quotients, grid)
         if row is None:
             return None, "nonfinite"
         rad = np.asarray(grid.radii)[:, None]
         z = z.reshape(rad.size, -1)
         ratios = e_ratios = size = 0.0  # sums of w a/b, of their bounds and of |w a/b|
         shift = shift_size = 0.0  # sums of w and |w| over the quotients that are 1
-        for s, top, w, least in quotients:
+        for s, top, w, least in st.quotients:
             if _unit(s, top):
                 shift += w
                 shift_size += abs(w)
@@ -384,10 +382,11 @@ def _look_ahead(st, probes):
 def _sup_search(st, grid):
     """(sup, witness, reached) of the criterion expression: the grid
     maximum, then a coordinate search in (r, theta) with `refine_steps`
-    halvings, clamped to the outermost grid radius.  reached lists the
-    largest |z| of the grid, then that of the four probes of each hop the
-    search takes: the radii where a call on the grid and one per hop would
-    issue their truncation warnings.
+    halvings, clamped to the outermost grid radius, which stops at the
+    first hop whose four probes all equal the centre: no later one can
+    move.  reached lists the largest |z| of the grid, then that of the four
+    probes of each hop the search takes: the radii where a call on the
+    grid and one per hop would issue their truncation warnings.
 
     Each hop takes its four probes around the centre in order and moves to
     every one that beats the sup so far; a level repeats its hop while it
@@ -433,6 +432,8 @@ def _sup_search(st, grid):
                     sup, r, th = v, rr, tt
                     moved = True
                     hops += 1
+            if probes == [(r, th)] * 4:  # each probe rounded, or clamped, to the centre
+                return sup, r * cmath.exp(1j * th), reached
             if moved:
                 ahead = []
         dr /= 2.0
@@ -463,7 +464,6 @@ def criterion_check(variant, p, f, g=None, phi=None, grid=None):
 
     passed = sup <= st.bound + STRICTNESS_TOL
     report = CriterionReport(variant, passed, sup, st.bound, witness, st.bound - sup, grid)
-    series = (st.f, st.g, st.phi) if st.beta != 0 else (st.f,)
-    messages = (_truncation_message(s, r) for r in dict.fromkeys(reached) for s in series)
+    messages = (_truncation_message(s, r) for r in dict.fromkeys(reached) for s, *_ in st.quotients)
     report.warnings.extend(dict.fromkeys(m for m in messages if m))
     return report

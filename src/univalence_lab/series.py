@@ -57,7 +57,7 @@ class SeriesFunction:
         object.__setattr__(self, "coefficients", c)
         # + 0.0 maps -0.0 to 0.0, so series that compare equal hash equal.
         # Their values can still differ in the sign of a zero, so
-        # bracket_terms and the circle scan tell series apart by the exact
+        # criterion_bracket and the circle scan tell series apart by the exact
         # bytes
         object.__setattr__(self, "_bits", c.tobytes())
         object.__setattr__(self, "_hash", hash((c + 0.0).tobytes()))
@@ -86,30 +86,26 @@ def _truncation_message(s, radius):
     return None
 
 
-def _warn_if_truncated(s, radius):
-    message = _truncation_message(s, radius)
-    if message:
-        warnings.warn(message, TruncationWarning, stacklevel=3)
-
-
 def eval_many(s, z):
     """Vectorized (s, s', s'') on an array of points with |z| <= 1."""
     z = np.asarray(z, dtype=np.complex128)
-    _check_disk(s, np.abs(z))
+    _check_disk(np.abs(z), s)
     p, dp, ddp = _kernels.polyval012(s.coefficients, z, s._bits)
     return p.reshape(z.shape), dp.reshape(z.shape), ddp.reshape(z.shape)
 
 
-def _check_disk(s, r):
-    """The largest |z| = r, or None for no point: DomainError past 1, and a
-    truncated s warns there."""
+def _check_disk(r, *series):
+    """DomainError when the largest |z| = r passes 1; each truncated series
+    warns there, in order."""
     if not r.size:
-        return None
+        return
     rmax = float(r.max())
     if rmax > 1.0 + 1e-15:
         raise DomainError(f"max |z| = {rmax:.6g} > 1")
-    _warn_if_truncated(s, rmax)
-    return rmax
+    for s in series:
+        message = _truncation_message(s, rmax)
+        if message:
+            warnings.warn(message, TruncationWarning, stacklevel=2)
 
 
 def log_derivative(s, z):
@@ -121,7 +117,7 @@ def log_derivative(s, z):
     """
     z = np.asarray(z, dtype=np.complex128)
     r = np.abs(z)
-    _check_disk(s, r)
+    _check_disk(r, s)
     p, dp, _ = _kernels.polyval012(s.coefficients, z, s._bits)
     return _log_quotient(s, z, p.reshape(z.shape), dp.reshape(z.shape), r)
 
@@ -150,22 +146,31 @@ def _log_quotient(s, z, p, dp, r):
     return out
 
 
-def bracket_terms(f, g, phi, z, log_ratio=True):
-    """Arrays (z f''/f', z g'/g - z phi'/phi) over points with |z| <= 1, the
-    two terms of the criterion bracket a zf''/f' + b (zg'/g - zphi'/phi).
+def bracket_quotients(f, g, phi, alpha, beta):
+    """The quotients z s^(top)/s^(top-1) of criterion_bracket as (series,
+    top, weight, least |denominator|): f, then g and phi (the identity when
+    None) when beta != 0, the one place that decides whether they enter."""
+    quotients = ((f, 2, alpha, DERIVATIVE_FLOOR),)
+    if beta != 0:
+        quotients += ((g or _IDENTITY, 1, beta, 0.0), (phi or _IDENTITY, 1, -beta, 0.0))
+    return quotients
 
-    Both are 0 at z = 0 (removable singularities of the class-A
+
+def criterion_bracket(f, g, phi, alpha, beta, z):
+    """The criterion bracket B = alpha z f''/f' + beta (z g'/g - z phi'/phi)
+    over points with |z| <= 1, g and phi entering as bracket_quotients says.
+
+    B is 0 at z = 0 (removable singularities of the class-A
     normalization).  Raises DerivativeVanishes at the first point where
-    |f'| < DERIVATIVE_FLOOR.  Truncated f, and with log_ratio g and phi,
-    warn at the largest |z|.  With log_ratio=False the second term is
-    returned as zeros and g, phi are not evaluated.
-
-    The distinct series are evaluated by one polyval012 call, which gives
-    each the bits of eval_many and log_derivative."""
+    |f'| < DERIVATIVE_FLOOR.  Truncated series warn at the largest |z|: f
+    first, g and phi once f' passes.  The distinct series are evaluated by
+    one polyval012 call, which gives each the bits of eval_many and
+    log_derivative."""
     z = np.asarray(z, dtype=np.complex128)
     r = np.abs(z)
-    rmax = _check_disk(f, r)
-    coeffs = {s._bits: s.coefficients for s in ((f, g, phi) if log_ratio else (f,))}
+    _check_disk(r, f)
+    quotients = bracket_quotients(f, g, phi, alpha, beta)
+    coeffs = {s._bits: s.coefficients for s, *_ in quotients}
     slot = {bits: j for j, bits in enumerate(coeffs)}
     values = _kernels.polyval012(list(coeffs.values()), z.ravel(), list(coeffs))
     p, dp, ddp = (v.reshape(len(coeffs), *z.shape) for v in values)
@@ -175,13 +180,13 @@ def bracket_terms(f, g, phi, z, log_ratio=True):
         w = complex(z[bad][0])
         raise DerivativeVanishes(f"f'(z) = 0 at z = {w}", witness=w)
     pre = z * fpp / fp
-    if not log_ratio:
-        return pre, np.zeros_like(z)
-    if rmax is not None:
-        _warn_if_truncated(g, rmax)
-        _warn_if_truncated(phi, rmax)
-    j, k = slot[g._bits], slot[phi._bits]
-    return pre, _log_quotient(g, z, p[j], dp[j], r) - _log_quotient(phi, z, p[k], dp[k], r)
+    lr = np.zeros_like(z)
+    if len(quotients) > 1:
+        (g, *_), (phi, *_) = quotients[1:]
+        _check_disk(r, g, phi)  # for their truncation warnings
+        j, k = slot[g._bits], slot[phi._bits]
+        lr = _log_quotient(g, z, p[j], dp[j], r) - _log_quotient(phi, z, p[k], dp[k], r)
+    return alpha * pre + beta * lr
 
 
 def as_integer(value, name):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from univalence_lab import (
     ParameterSet,
     chain_grid,
     operator_grid,
+    oracle,
     pde_residual,
     subordination_probe,
     transfer_grid,
 )
 from univalence_lab.chain import _transfer_from_G
-from univalence_lab.errors import DomainError, HypothesisViolation, TransferPoleError
+from univalence_lab.errors import DomainError, HypothesisViolation, InconclusiveError, TransferPoleError
 
 
 def _chain(z, t, p, f, g=None, phi=None):
@@ -155,3 +157,17 @@ class TestSubordination:
             subordination_probe(0.5, 0.1, 0.8, params_ref, identity)
         with pytest.raises(DomainError):
             subordination_probe(0.1, 0.5, 1.2, params_ref, identity)
+
+    def test_gives_up_after_the_finest_curve(self, identity, params_ref):
+        # every count inconclusive: each curve size is tried once, and the
+        # error of the 4096-point curve propagates
+        sizes = []
+
+        def inconclusive(curve, pts, min_dist):
+            sizes.append(curve.size - 1)
+            raise InconclusiveError(f"curve of {curve.size - 1} points too close")
+
+        with mock.patch.object(oracle, "argument_principle_check", inconclusive):
+            with pytest.raises(InconclusiveError, match="^curve of 4096 points too close$"):
+                subordination_probe(0.1, 0.5, 0.8, params_ref, identity, samples=16)
+        assert sizes == [256, 512, 1024, 2048, 4096]

@@ -318,7 +318,17 @@ BAD_FLAGS = [
     ["constants", "--k", "0.5", "--a", "-1"],
     ["eval", "--z", "nan"],
     ["eval", "--z", "zebra"],
+    ["check", "--out", ""],
+    ["eval", "--out", ""],
+    ["chain", "--out", ""],
+    ["extend", "--out", ""],
+    ["constants", "--k", "0.5", "--out", ""],
+    ["plot", "--csv", "", "--out", "{tmp}/x.csv"],
 ]
+
+# a size of 10^17 needs more bytes than a 48-bit address space holds, so
+# the allocation fails at once
+HUGE = 10**17
 
 
 class TestEndToEnd:
@@ -625,6 +635,49 @@ class TestEndToEnd:
             with pytest.raises(ConfigError) as exc:
                 run_command(command, spec, flags)
             assert str(exc.value) == message
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command,message",
+        [
+            ("chain", "chain: argument --out is required"),
+            ("extend", "extend: argument --out is required"),
+            ("plot", "plot: argument --csv is required"),
+            ("eval", "eval needs --z or --out"),
+        ],
+    )
+    def test_missing_output_flag_exits_64(self, capsys, command, message):
+        assert main([command]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error:" if command == "eval" else "argument error:")
+        with pytest.raises(ConfigError) as exc:
+            run_command(command, parse_config({}), {})
+        assert str(exc.value) == message
+
+    def test_run_command_takes_path_objects(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run_command("constants", parse_config({}), {"k": 0.5, "out": out}) == (0, [out])
+        assert out.read_text(encoding="ascii") == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv,doc",
+        [
+            (["check", "--out", "{tmp}/x.csv"], {"grid": {"angles_per_radius": HUGE}}),
+            (["eval", "--out", "{tmp}/x.csv", "--nr", str(HUGE)], {}),
+            (["chain", "--out", "{tmp}/x.csv", "--tsteps", str(HUGE)], {}),
+        ],
+    )
+    def test_impossible_size_exits_64(self, write_config, tmp_path, capsys, argv, doc):
+        # numpy's MemoryError becomes a config error naming the command
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert main([argv[0], write_config(doc), *argv[1:]]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {argv[0]}: ") and captured.err.count("\n") == 1
+        flags = {argv[i][2:]: argv[i + 1] for i in range(1, len(argv), 2)}
+        with pytest.raises(ConfigError, match=f"^{argv[0]}: "):
+            run_command(argv[0], parse_config(doc), flags)
         assert not (tmp_path / "x.csv").exists()
 
     def test_run_command_eval_z_text_or_number(self, capsys):

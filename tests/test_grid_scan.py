@@ -16,6 +16,7 @@ from univalence_lab import (
     DiskGrid,
     ParameterSet,
     SeriesFunction,
+    _kernels,
     catalog_build,
     criterion,
     criterion_check,
@@ -155,6 +156,24 @@ def test_non_finite_rows_fall_back_to_the_full_scan():
     assert np.isfinite(criterion_values("thm31", z, _P, f)).all()
     assert criterion._grid_candidates(criterion._statement("thm31", _P, f), grid, z) == (None, "nonfinite")
     _assert_as_full_scan("thm31", _P, f, None, None, grid)
+
+
+@pytest.mark.parametrize("variant", ["cor32", "thm31"])
+def test_huge_absolute_series_falls_back_to_the_full_scan(variant):
+    # f = z + 1e299 (z^2 + ... + z^30): its rows are finite, but the
+    # absolute series of f'' passes 1e300 on the outer circles, so the
+    # circle scan gives up and the full scan finds a finite sup
+    c = np.full(30, 1e299, dtype=np.complex128)
+    c[0] = 1.0
+    f = SeriesFunction(c)
+    p = ParameterSet(alpha=1.0, beta=0.0)
+    grid = DiskGrid()
+    rows, scale = _kernels.series_rows(f._bits)
+    assert scale == 1.0 and np.isfinite(rows).all()
+    z = grid.points()
+    assert criterion._grid_candidates(criterion._statement(variant, p, f), grid, z) == (None, "nonfinite")
+    _assert_as_full_scan(variant, p, f, None, None, grid)
+    assert criterion_check(variant, p, f, grid=grid).sup_value == pytest.approx(9.85e6, rel=1e-3)
 
 
 def test_fallbacks():

@@ -21,7 +21,7 @@ from univalence_lab import (
 )
 from univalence_lab.errors import DerivativeVanishes, HypothesisViolation, InconclusiveError, TruncationWarning
 from univalence_lab.oracle import _MAX_INCREMENT, winding_numbers
-from univalence_lab.series import SMALL_Z, bracket_terms, eval_many, log_derivative
+from univalence_lab.series import SMALL_Z, criterion_bracket, eval_many, log_derivative
 from .conftest import random_disk_points
 
 ACCURACY = 1e-13
@@ -225,36 +225,38 @@ def _log_derivative_reference(s, z):
     return out
 
 
-def _bracket_reference(f, g, phi, z, log_ratio=True):
-    """bracket_terms as it was computed one series at a time."""
+def _bracket_reference(f, g, phi, alpha, beta, z):
+    """criterion_bracket as it was computed one series at a time."""
     _, fp, fpp = _horner_reference(f.coefficients, z)
     bad = np.abs(fp) < 1e-13
     if np.any(bad):
         w = complex(z[bad][0])
         raise DerivativeVanishes(f"f'(z) = 0 at z = {w}", witness=w)
-    if not log_ratio:
-        return z * fpp / fp, np.zeros_like(z)
-    return z * fpp / fp, _log_derivative_reference(g, z) - _log_derivative_reference(phi, z)
+    lr = np.zeros_like(z) if beta == 0 else _log_derivative_reference(g, z) - _log_derivative_reference(phi, z)
+    return alpha * (z * fpp / fp) + beta * lr
 
 
-def _bracket_per_series(f, g, phi, z, log_ratio=True):
-    """bracket_terms from eval_many and log_derivative, one series at a
+def _bracket_per_series(f, g, phi, alpha, beta, z):
+    """criterion_bracket from eval_many and log_derivative, one series at a
     time."""
     _, fp, fpp = eval_many(f, z)
     bad = np.abs(fp) < 1e-13
     if np.any(bad):
         w = complex(z[bad][0])
         raise DerivativeVanishes(f"f'(z) = 0 at z = {w}", witness=w)
-    if not log_ratio:
-        return z * fpp / fp, np.zeros_like(z)
-    return z * fpp / fp, log_derivative(g, z) - log_derivative(phi, z)
+    lr = np.zeros_like(z) if beta == 0 else log_derivative(g, z) - log_derivative(phi, z)
+    return alpha * (z * fpp / fp) + beta * lr
+
+
+# (alpha, beta): z f''/f' alone, z g'/g - z phi'/phi alone, and both
+_WEIGHTS = ((1 + 0j, 0j), (0j, 1 + 0j), (0.5 - 0.25j, 1.5 + 0.5j))
 
 
 def _outcome(fn, *args):
-    """The bytes of every returned array, or the exception's type, message
+    """The bytes of the returned array, or the exception's type, message
     and witness."""
     try:
-        return [np.ascontiguousarray(a).tobytes() for a in fn(*args)]
+        return np.ascontiguousarray(fn(*args)).tobytes()
     except HypothesisViolation as exc:
         return type(exc), str(exc), exc.witness
 
@@ -284,7 +286,7 @@ def _probe_points(rng, n):
 
 
 class TestStackedHornerParity:
-    """polyval012 on a stack of series, and bracket_terms, give the bits of
+    """polyval012 on a stack of series, and criterion_bracket, give the bits of
     the per-series Horner reference."""
 
     @given(
@@ -305,9 +307,9 @@ class TestStackedHornerParity:
         for j, s in enumerate((f, g, phi)):
             for got, ref in zip(stacked, _horner_reference(s.coefficients, z)):
                 assert got[j].tobytes() == ref.tobytes()
-        for log_ratio in (True, False):
-            args = (f, g, phi, z, log_ratio)
-            assert _outcome(bracket_terms, *args) == _outcome(_bracket_reference, *args)
+        for alpha, beta in _WEIGHTS:
+            args = (f, g, phi, alpha, beta, z)
+            assert _outcome(criterion_bracket, *args) == _outcome(_bracket_reference, *args)
 
     def test_shorter_series_starts_at_its_top_coefficient(self):
         # real coefficients with imaginary part -0.0 and a negative top one:
@@ -340,25 +342,29 @@ class TestStackedHornerParity:
         ident = catalog_build("identity")
         z = np.array([0.5, -1.0, 0.25j, -1.0])
         with pytest.raises(DerivativeVanishes) as exc:
-            bracket_terms(f, ident, ident, z)
+            criterion_bracket(f, ident, ident, 1.0, 1.0, z)
         assert str(exc.value) == "f'(z) = 0 at z = (-1+0j)" and exc.value.witness == -1.0
-        assert _outcome(bracket_terms, f, ident, ident, z) == _outcome(_bracket_reference, f, ident, ident, z)
+        for alpha, beta in _WEIGHTS:
+            args = (f, ident, ident, alpha, beta, z)
+            assert _outcome(criterion_bracket, *args) == _outcome(_bracket_reference, *args)
 
     @pytest.mark.parametrize("vanishing", ["g", "phi"])
-    def test_log_ratio_vanishing_keeps_message_and_witness(self, vanishing):
+    def test_g_or_phi_vanishing_keeps_message_and_witness(self, vanishing):
         f = catalog_build("quadratic", {"c": 0.25})
         zero_at_minus_one = SeriesFunction(np.array([1.0, 1.0]), label=vanishing)  # z (1 + z)
         fine = SeriesFunction(np.array([1.0, 0.1, 0.01]), label="other")
         g, phi = (zero_at_minus_one, fine) if vanishing == "g" else (fine, zero_at_minus_one)
         z = np.array([0.0, 0.5j, -1.0, 0.3, -1.0])
         with pytest.raises(HypothesisViolation) as exc:
-            bracket_terms(f, g, phi, z)
+            criterion_bracket(f, g, phi, 1.0, 1.0, z)
         assert str(exc.value) == f"series {vanishing} vanishes at z = (-1+0j)" and exc.value.witness == -1.0
-        assert _outcome(bracket_terms, f, g, phi, z) == _outcome(_bracket_reference, f, g, phi, z)
+        args = (f, g, phi, 1.0, 1.0, z)
+        assert _outcome(criterion_bracket, *args) == _outcome(_bracket_reference, *args)
+        assert criterion_bracket(f, g, phi, 1.0, 0.0, z).shape == z.shape  # beta = 0: g and phi do not enter
 
 
 class TestBracketTermsParity:
-    """bracket_terms gives every series the bits of eval_many and
+    """criterion_bracket gives every series the bits of eval_many and
     log_derivative: long series (64-600 terms, the degree-4096 Koebe
     series), stacks that mix short and long ones, and f also g or phi."""
 
@@ -382,9 +388,9 @@ class TestBracketTermsParity:
         z = _probe_points(rng, npts)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            for log_ratio in (True, False):
-                args = (f, g, phi, z, log_ratio)
-                assert _outcome(bracket_terms, *args) == _outcome(_bracket_per_series, *args)
+            for alpha, beta in _WEIGHTS:
+                args = (f, g, phi, alpha, beta, z)
+                assert _outcome(criterion_bracket, *args) == _outcome(_bracket_per_series, *args)
 
 
 class TestDispatchAgreesWithNumpy:

@@ -4,6 +4,7 @@ values the one-probe search produced, and the look-ahead search is checked
 bit for bit against a copy of the search with one call per hop."""
 
 import cmath
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -51,13 +52,23 @@ def _family(name):
     return p, f, g
 
 
-def _report(case):
+def _case(case, refine_steps=None):
+    """(variant, p, f, g, phi, grid) of a GOLDEN case, its grid taking
+    refine_steps levels when given."""
     if "/" in case:
         family, variant = case.split("/")
         p, f, g = _family(family)
-        return criterion_check(variant, p, f, g, catalog_build("identity"), DiskGrid())
-    spec = parse_config(bundled_configs()[case])
-    return criterion_check(spec.variant, spec.params, spec.f, spec.g, spec.phi, spec.grid)
+        args = (variant, p, f, g, catalog_build("identity"), DiskGrid())
+    else:
+        spec = parse_config(bundled_configs()[case])
+        args = (spec.variant, spec.params, spec.f, spec.g, spec.phi, spec.grid)
+    if refine_steps is None:
+        return args
+    return (*args[:-1], dataclasses.replace(args[-1], refine_steps=refine_steps))
+
+
+def _report(case):
+    return criterion_check(*_case(case))
 
 
 def test_cases_cover_configs_and_variants():
@@ -317,3 +328,26 @@ def test_planted_zero_matches_one_call_per_hop(variant, level, index, g, grid):
     rr, tt = ((min(r + dr, radii[-1]), th), (max(r - dr, 1e-6), th), (r, th + dth), (r, th - dth))[index]
     f = SeriesFunction([1.0, -1.0 / (2.0 * rr * cmath.exp(1j * tt))])
     _assert_as_one_hop(variant, p, f, g, None, grid)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_search_ends_once_no_probe_can_move(case):
+    # past some level every probe rounds, or is clamped, to the centre, so
+    # no later hop can move or reach a new radius: the search ends there,
+    # and 10^9 levels report what 3000 levels do, from the same calls
+    _assert_as_one_hop(*_case(case, 1100))
+    look_ahead = criterion._look_ahead
+    calls = []
+
+    def counted(st, probes):
+        calls.append(len(probes))
+        if len(calls) > 2000:
+            raise AssertionError("the search did not end")
+        return look_ahead(st, probes)
+
+    runs = []
+    with mock.patch.object(criterion, "_look_ahead", counted):
+        for steps in (3000, 10**9):
+            calls.clear()
+            runs.append((_outcome(*_case(case, steps)), list(calls)))
+    assert runs[0] == runs[1]

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from univalence_lab import (
     SeriesFunction,
-    bracket_terms,
     catalog_build,
+    criterion_bracket,
     criterion_check,
     eval_many,
     log_derivative,
@@ -95,19 +95,22 @@ class TestEvalWithDerivatives:
 class TestCriterionTerms:
     def test_pre_schwarzian_quadratic(self, f_quarter, identity):
         # f = z + z^2/4 gives z f''/f' = z/(z + 2); at z = 1 that is 1/3
-        pre, _ = bracket_terms(f_quarter, identity, identity, 1.0)
+        pre = criterion_bracket(f_quarter, identity, identity, 1.0, 0.0, 1.0)
         assert pre == pytest.approx(1.0 / 3.0, abs=1e-14)
         for z in (0.5, 0.3 + 0.4j):
-            pre, _ = bracket_terms(f_quarter, identity, identity, z)
+            pre = criterion_bracket(f_quarter, None, None, 1.0, 0.0, z)
             assert pre == pytest.approx(z / (z + 2), abs=1e-14)
 
-    def test_log_ratio(self, f_quarter, g_half, identity):
+    def test_ratio_term(self, f_quarter, g_half, identity):
+        # z g'/g - z phi'/phi at alpha = 0, beta = 1; phi = None is the identity
         z = 0.5
-        _, lr = bracket_terms(f_quarter, g_half, identity, z)
-        assert lr == pytest.approx(z / (z + 2), abs=1e-14)
+        for phi in (identity, None):
+            lr = criterion_bracket(f_quarter, g_half, phi, 0.0, 1.0, z)
+            assert lr == pytest.approx(z / (z + 2), abs=1e-14)
 
     def test_origin_removable(self, f_quarter, g_half, identity):
-        assert bracket_terms(f_quarter, g_half, identity, 0.0) == (0.0, 0.0)
+        assert criterion_bracket(f_quarter, g_half, identity, 1.0, 0.0, 0.0) == 0.0
+        assert criterion_bracket(f_quarter, g_half, identity, 0.0, 1.0, 0.0) == 0.0
 
     def test_continuity_at_origin(self):
         cat = [
@@ -118,20 +121,21 @@ class TestCriterionTerms:
         ]
         z = 1e-6 * cmath.exp(0.7j)
         for s in cat:
-            pre, lr = bracket_terms(s, s, s, z)
+            pre = criterion_bracket(s, s, s, 1.0, 0.0, z)
+            lr = criterion_bracket(s, s, s, 0.0, 1.0, z)
             assert abs(pre) < 1e-5
             assert abs(lr) < 1e-5
 
     def test_derivative_vanishes(self, identity):
         f = SeriesFunction(np.array([1.0, 1.0]))  # f' = 1 + 2z, zero at -1/2
         with pytest.raises(DerivativeVanishes) as exc:
-            bracket_terms(f, identity, identity, -0.5)
+            criterion_bracket(f, identity, identity, 1.0, 0.0, -0.5)
         assert exc.value.witness == -0.5
 
     def test_g_vanishing(self, f_quarter, identity):
         g = SeriesFunction(np.array([1.0, -2.0]))  # zero at z = 1/2
         with pytest.raises(HypothesisViolation):
-            bracket_terms(f_quarter, g, identity, 0.5)
+            criterion_bracket(f_quarter, g, identity, 1.0, 1.0, 0.5)
 
 
 class TestLogDerivative:

@@ -181,6 +181,10 @@ def mpmath_operator(f, g, phi, alpha, beta, gamma, z):
     factor P = prod (1 - u / w_k) over its zeros w_k has the continuous
     log P(tz) = sum Log(1 - tz / w_k) on t in [0, 1], since each 1 - tz / w_k
     runs on a line from 1 that misses 0; F takes the principal root of B.
+    Where g and phi nearly agree, the logs of their zeros cancel below 40
+    digits, so when |(g - phi)/phi| <= 1/2 on the whole ray the factor
+    (g/phi)^beta is formed instead as exp(beta log1p((g - phi)/phi)), from
+    the exact coefficient difference; log1p is continuous there.
     The integrand is nearly singular where the ray passes closest to a zero,
     at t0 = Re(w_k / z), so the quadrature is split at every t0 in (0, 1).
     mp.quad stops at an absolute error of 10^-40, so the integrand is
@@ -191,6 +195,18 @@ def mpmath_operator(f, g, phi, alpha, beta, gamma, z):
     if g != phi:
         parts += [(g.coefficients, beta), (phi.coefficients, -beta)]
     with mp.workdps(40):
+        z, gamma = mp.mpc(complex(z)), mp.mpc(complex(gamma))
+        ratio = None
+        if g != phi and beta != 0:
+            n = max(g.degree, phi.degree)
+            gc, pc = ([mp.mpc(complex(x)) for x in h.coefficients] + [0] * (n - h.degree) for h in (g, phi))
+            diff = [a - b for a, b in zip(gc, pc)]
+            # bounds of |(g - phi)(u) / u| and |phi(u) / u| on |u| <= |z|,
+            # so on the whole ray
+            upper = sum(abs(d) * abs(z) ** k for k, d in enumerate(diff))
+            lower = 1 - sum(abs(c) * abs(z) ** k for k, c in enumerate(pc) if k)
+            if 2 * upper < lower:
+                ratio, parts = (diff[::-1], pc[::-1], mp.mpc(complex(beta))), parts[:1]
         logs = []
         for coeffs, expo in parts:
             # terms below 1e-20 change P by less than 4e-20 on the disk, but
@@ -199,11 +215,14 @@ def mpmath_operator(f, g, phi, alpha, beta, gamma, z):
             if c.size > 1 and expo != 0:
                 roots = mp.polyroots([mp.mpc(complex(x)) for x in c[::-1]], maxsteps=200, extraprec=200)
                 logs.append((roots, mp.mpc(expo)))
-        z, gamma = mp.mpc(complex(z)), mp.mpc(complex(gamma))
         splits = {mp.re(w / z) for roots, _ in logs for w in roots} if z != 0 else set()
 
         def integrand(t):
-            return t ** (gamma - 1) * mp.expm1(sum(e * mp.log(1 - t * z / w) for roots, e in logs for w in roots))
+            s = sum(e * mp.log(1 - t * z / w) for roots, e in logs for w in roots)
+            if ratio:
+                num, den, b = ratio
+                s += b * mp.log1p(mp.polyval(num, t * z) / mp.polyval(den, t * z))
+            return t ** (gamma - 1) * mp.expm1(s)
 
         scale = max(abs(integrand(mp.mpf(k) / 4)) for k in range(1, 5)) or 1
         nodes = [0, *sorted(t0 for t0 in splits if 0 < t0 < 1), 1]
@@ -236,6 +255,16 @@ exponent = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity
     alpha=0.5 + 0j,
     beta=0j,
     re_gamma=1.0,
+    im_gamma=0.0,
+    seed=0,
+)
+@example(  # g and phi differ by 2e-263: the logs of their zeros cancelled below 40 digits
+    f=SeriesFunction(np.array([1.0, -0.4393 + 0.4645j, -1.48e-8 + 1j, -1.48e-8 + 1j])),
+    g=SeriesFunction(np.array([1.0, 0j, 0.7])),
+    phi=SeriesFunction(np.array([1.0, 0j, 0.7 + 2e-263j])),
+    alpha=0j,
+    beta=-7.82e-67j,
+    re_gamma=0.5,
     im_gamma=0.0,
     seed=0,
 )
