@@ -50,10 +50,10 @@ def chain_grid(z, t, p, f, g=None, phi=None):
     number, as operator_grid does."""
     g, phi = g or _IDENTITY, phi or _IDENTITY
     zf, tf, shape = _flat(z, t)
-    if np.any(tf < 0):
-        raise DomainError("t must be >= 0")
+    if not np.all((tf >= 0) & (tf < np.inf)):  # NaN fails it too
+        raise DomainError("t must be >= 0 and finite")
     r = np.abs(zf)
-    if np.any((r > 1.0) | ((r >= 1.0) & (tf <= 0))):
+    if np.any(~(r <= 1.0) | ((r >= 1.0) & (tf <= 0))):
         raise DomainError("need |z| < 1, or |z| <= 1 with t > 0")
     values = np.zeros_like(zf)
     flagged = np.zeros(zf.shape, dtype=bool)

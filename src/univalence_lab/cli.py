@@ -335,14 +335,14 @@ def _cmd_check(spec, flags):
 
 
 def _cmd_eval(spec, flags):
-    if flags.get("z") is not None:
+    if ("z" in flags) == ("out" in flags):
+        raise ConfigError("eval takes --z or --out, not both" if "z" in flags else "eval needs --z or --out")
+    if "z" in flags:
         z = np.array([flags["z"]], dtype=np.complex128)
         values, _, _, flagged = operator_grid(z, spec.params, spec.f, spec.g, spec.phi)
         print(format_complex(values[0]))
         _warn_flagged(flagged)
         return 0, []
-    if "out" not in flags:
-        raise ConfigError("eval needs --z or --out")
     zs = polar_samples(flags.get("nr", 16), flags.get("ntheta", 64), flags.get("rmax", 0.9))
     values, _, _, flagged = operator_grid(zs, spec.params, spec.f, spec.g, spec.phi)
     _warn_flagged(flagged)

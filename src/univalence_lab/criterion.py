@@ -9,7 +9,8 @@ Five variants are supported:
   thm41  the thm31 expression against the strengthened bound k (m+1)/2
 
 A PASS is sampling-based evidence (sup over a grid plus local refinement),
-not a proof; reports carry the grid metadata and any truncation warnings.
+not a proof; reports carry the grid metadata and, for each truncated
+series of the bracket, its truncation warning at the grid's largest |z|.
 """
 
 import cmath
@@ -145,8 +146,7 @@ class _Statement(NamedTuple):
     """A variant, corollary substitutions made: |fac B - centre|, or fac |B|
     with gamma real if centre is None, against bound, for the bracket B of
     alpha, beta, f, g, phi (its bracket_quotients are quotients) and fac =
-    (1 - |z|^{(m+1) gamma})/gamma.  hypotheses name series that must not
-    vanish."""
+    (1 - |z|^{(m+1) gamma})/gamma."""
 
     f: object
     g: object
@@ -157,7 +157,6 @@ class _Statement(NamedTuple):
     m: float
     centre: object
     bound: float
-    hypotheses: tuple
     quotients: tuple
 
 
@@ -175,14 +174,13 @@ def _statement(variant, p, f, g=None, phi=None):
         raise HypothesisViolation("thm41 requires k in [0, 1)")
     alpha, beta, m = p.alpha, p.beta, p.m
     g, phi = g or _IDENTITY, phi or _IDENTITY
-    hypotheses = (("g", g), ("phi", phi))
     if variant == "cor31":
-        beta, g, phi, hypotheses = alpha, _IDENTITY, f, (("f", f),)
+        beta, g, phi = alpha, _IDENTITY, f
     elif variant == "cor32":  # m fixed at 1 by the statement
-        alpha, beta, g, phi, m, hypotheses = 1.0 + 0.0j, 0.0j, f, f, 1.0, ()
+        alpha, beta, g, phi, m = 1.0 + 0.0j, 0.0j, f, f, 1.0
     gamma, centre = (p.gamma.real, None) if real else (p.gamma, (m - 1.0) / 2.0)
     quotients = bracket_quotients(f, g, phi, alpha, beta)
-    return _Statement(f, g, phi, alpha, beta, gamma, m, centre, bound, hypotheses, quotients)
+    return _Statement(f, g, phi, alpha, beta, gamma, m, centre, bound, quotients)
 
 
 def criterion_values(variant, z, p, f, g=None, phi=None):
@@ -222,14 +220,14 @@ def criterion_bound(variant, p):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _check_hypotheses(st, grid):
-    rmax = grid.radii[-1]
-    for name, s in st.hypotheses:
-        ok, witness = nonvanishing_check(s, rmax, grid)
+def _check_hypotheses(variant, st, grid):
+    """Raise HypothesisViolation where a series whose z s'/s enters the
+    bracket vanishes on the grid: g and phi (f for cor31) as
+    bracket_quotients lets them in, so none at beta = 0."""
+    for name, (s, *_) in zip(("g", "f" if variant == "cor31" else "phi"), st.quotients[1:]):
+        ok, witness = nonvanishing_check(s, grid.radii[-1], grid)
         if not ok:
-            raise HypothesisViolation(
-                f"{name} vanishes inside the scanned disk near z = {witness}", witness=witness
-            )
+            raise HypothesisViolation(f"{name} vanishes inside the scanned disk near z = {witness}", witness=witness)
 
 
 def _grid_max(st, grid, z):
@@ -250,10 +248,10 @@ def _grid_candidates(st, grid, z):
     of _values or make it raise, or (None, reason) when the whole grid is
     to be evaluated.
 
-    The criterion reads the quotients z f''/f' and, when beta != 0,
-    z g'/g and z phi'/phi (1 for the identity).  Each row of such a
-    quotient is taken on every circle |z| = r of the grid from one inverse
-    FFT, by _kernels.circle_rows.  A row value there differs from the
+    The criterion reads the quotients z f''/f' and, when bracket_quotients
+    lets them in, z g'/g and z phi'/phi (1 for the identity).  Each row of
+    such a quotient is taken on every circle |z| = r of the grid from one
+    inverse FFT, by _kernels.circle_rows.  A row value there differs from the
     Horner value at the grid point by at most _BOUND_SAFETY times the sum of
       - Horner's a-priori bound gamma_2n sum |a_k| r^k (Higham, Accuracy
         and Stability, 2nd ed., sections 5.1 and 24.1) for a row of n
@@ -363,8 +361,7 @@ def _hops(r, th, dr, dth, rmax, levels):
 
 
 def _look_ahead(st, probes):
-    """[(probes, largest |z|, values)] per hop of four `probes`, from one
-    _values call.
+    """[(probes, values)] per hop of four `probes`, from one _values call.
 
     If that call raises HypothesisViolation (f' vanishes at a probe, say),
     the first hop is evaluated alone: it raises again only if the zero is
@@ -373,20 +370,15 @@ def _look_ahead(st, probes):
     try:
         values = _values(st, pz).tolist()
     except HypothesisViolation:
-        pz = pz[:4]
-        values = _values(st, pz).tolist()
-    radius = np.abs(pz).reshape(-1, 4).max(axis=1).tolist()
-    return [(probes[4 * j : 4 * j + 4], radius[j], values[4 * j : 4 * j + 4]) for j in range(len(radius))]
+        values = _values(st, pz[:4]).tolist()
+    return [(probes[j : j + 4], values[j : j + 4]) for j in range(0, len(values), 4)]
 
 
 def _sup_search(st, grid):
-    """(sup, witness, reached) of the criterion expression: the grid
-    maximum, then a coordinate search in (r, theta) with `refine_steps`
-    halvings, clamped to the outermost grid radius, which stops at the
-    first hop whose four probes all equal the centre: no later one can
-    move.  reached lists the largest |z| of the grid, then that of the four
-    probes of each hop the search takes: the radii where a call on the
-    grid and one per hop would issue their truncation warnings.
+    """(sup, witness) of the criterion expression: the grid maximum, then
+    a coordinate search in (r, theta) with `refine_steps` halvings,
+    clamped to the outermost grid radius, which stops at the first hop
+    whose four probes all equal the centre: no later one can move.
 
     Each hop takes its four probes around the centre in order and moves to
     every one that beats the sup so far; a level repeats its hop while it
@@ -406,7 +398,6 @@ def _sup_search(st, grid):
     z = grid.points()
     best, sup = _grid_max(st, grid, z)
     witness = complex(z[best])
-    reached = [float(np.abs(z).max())]
 
     r = abs(witness)
     th = cmath.phase(witness)
@@ -425,20 +416,19 @@ def _sup_search(st, grid):
             if not ahead:
                 probes = _hops(r, th, dr, dth, rmax, min(grid.refine_steps - level, _LOOK_AHEAD_HOPS))
                 ahead = _look_ahead(st, probes)
-            probes, radius, pvals = ahead.pop(0)
-            reached.append(radius)
+            probes, pvals = ahead.pop(0)
             for (rr, tt), v in zip(probes, pvals):
                 if v > sup:
                     sup, r, th = v, rr, tt
                     moved = True
                     hops += 1
             if probes == [(r, th)] * 4:  # each probe rounded, or clamped, to the centre
-                return sup, r * cmath.exp(1j * th), reached
+                return sup, r * cmath.exp(1j * th)
             if moved:
                 ahead = []
         dr /= 2.0
         dth /= 2.0
-    return sup, r * cmath.exp(1j * th), reached
+    return sup, r * cmath.exp(1j * th)
 
 
 def criterion_check(variant, p, f, g=None, phi=None, grid=None):
@@ -446,17 +436,20 @@ def criterion_check(variant, p, f, g=None, phi=None, grid=None):
 
     The grid maximum is refined by a coordinate search in (r, theta) with
     `refine_steps` halvings, clamped to the outermost grid radius.  PASS
-    means "no violation found by sampling".  The report warns for f, and g
-    and phi when beta != 0, at each radius the search reached, each text
-    once.  Raises ConvergenceError when the sup is not finite.
+    means "no violation found by sampling".  The report warns once for
+    each truncated series of the bracket (f, then g and phi as
+    bracket_quotients lets them in), at the grid's largest |z|: a tail
+    bound |c_N| r^N grows with r and every probe lies inside that circle,
+    so a probe's text would say less.  Raises ConvergenceError when the
+    sup is not finite.
     """
     grid = grid or DiskGrid()
     st = _statement(variant, p, f, g, phi)
-    _check_hypotheses(st, grid)
+    _check_hypotheses(variant, st, grid)
 
-    with warnings.catch_warnings(record=True):  # stated from `reached` below
+    with warnings.catch_warnings(record=True):  # stated once, below
         try:
-            sup, witness, reached = _sup_search(st, grid)
+            sup, witness = _sup_search(st, grid)
         except DerivativeVanishes as exc:
             return CriterionReport(variant, False, math.inf, st.bound, exc.witness, -math.inf, grid, [str(exc)])
     if not math.isfinite(sup):
@@ -464,6 +457,7 @@ def criterion_check(variant, p, f, g=None, phi=None, grid=None):
 
     passed = sup <= st.bound + STRICTNESS_TOL
     report = CriterionReport(variant, passed, sup, st.bound, witness, st.bound - sup, grid)
-    messages = (_truncation_message(s, r) for r in dict.fromkeys(reached) for s, *_ in st.quotients)
+    radius = float(np.abs(grid.points()).max())
+    messages = (_truncation_message(s, radius) for s, *_ in st.quotients)
     report.warnings.extend(dict.fromkeys(m for m in messages if m))
     return report

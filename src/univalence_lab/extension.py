@@ -66,8 +66,8 @@ def extension_constants(k, a):
     a = float(a)
     if not 0.0 <= k < 1.0:
         raise DomainError("k must lie in [0, 1)")
-    if not a > 0.0:
-        raise DomainError("a must be > 0")
+    if not 0.0 < a < math.inf:
+        raise DomainError("a must be finite and > 0")
     if a == 1.0:
         return ExtensionConstants(k, a, k, -math.inf, k, -math.inf, k)
     A = abs(1.0 - a * a)
@@ -90,6 +90,8 @@ def disk_containment_check(k, a, l, m=1.0, tol=1e-12):
     transfer disk (in the same bracket variable) has center
     [a(1+l^2)(m-1) + (1-l^2)(m a^2 - 1)] / D and radius 2 a l (1+m) / D
     with D = 2a(1+l^2) + (1-l^2)(1+a^2).  Returns (contained, slack)."""
+    if not (0.0 < a < math.inf and 0.0 <= m < math.inf):
+        raise DomainError("a must be finite and > 0, m finite and >= 0")
     if not 0.0 <= l < 1.0:
         raise DomainError("l must lie in [0, 1)")
     D = 2.0 * a * (1.0 + l * l) + (1.0 - l * l) * (1.0 + a * a)
@@ -140,8 +142,8 @@ def beltrami_grid(z, p, f, g=None, phi=None):
     bracket, so a branch crossing of the extension's value leaves it valid."""
     z = np.asarray(z, dtype=np.complex128)
     r = np.abs(z)
-    if np.any(r <= 1.0):
-        raise DomainError("need |z| > 1")
+    if not np.all((r > 1.0) & (r < np.inf)):  # NaN fails it too
+        raise DomainError("need |z| > 1 and finite")
     _, w, _ = transfer_grid(z / r, np.log(r), p, f, g, phi)
     return -(z / np.conj(z)) * w
 

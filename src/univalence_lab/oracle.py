@@ -41,6 +41,8 @@ class SampleCloud:
 
 def polar_samples(n_r, n_theta, r_max):
     """Polar grid of n_r radii times n_theta angles up to r_max."""
+    if n_r < 1:
+        raise ValueError("n_r must be >= 1")
     return polar_grid(np.linspace(r_max / n_r, r_max, n_r), n_theta)
 
 
@@ -72,6 +74,8 @@ def winding_numbers(curve, targets, min_dist=1e-8):
     targets = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
     if curve.size < 3 or abs(curve[0] - curve[-1]) > 1e-10:
         raise ValueError("curve must be closed (first ~ last within 1e-10)")
+    if not (np.isfinite(curve).all() and np.isfinite(targets).all()):
+        raise ValueError("curve and targets must be finite")
     total, mind, maxinc = _kernels.winding_stats(curve, targets)
     if np.any(mind <= min_dist):
         k = int(np.argmin(mind))

@@ -95,12 +95,12 @@ def eval_many(s, z):
 
 
 def _check_disk(r, *series):
-    """DomainError when the largest |z| = r passes 1; each truncated series
-    warns there, in order."""
+    """DomainError when the largest |z| = r passes 1 or a point is not
+    finite; each truncated series warns there, in order."""
     if not r.size:
         return
     rmax = float(r.max())
-    if rmax > 1.0 + 1e-15:
+    if not rmax <= 1.0 + 1e-15:  # NaN fails it too
         raise DomainError(f"max |z| = {rmax:.6g} > 1")
     for s in series:
         message = _truncation_message(s, rmax)

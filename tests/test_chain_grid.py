@@ -14,11 +14,13 @@ from univalence_lab import (
     ParameterSet,
     beltrami_ring,
     catalog_build,
+    criterion_values,
     hyp2f1,
     operator_grid,
     pde_residual,
     polar_samples,
     principal_power,
+    series,
     subordination_probe,
 )
 from univalence_lab.chain import _transfer_from_G, chain_grid, transfer_grid
@@ -53,6 +55,23 @@ def _points():
     pairs += [(z, t) for z in BOUNDARY for t in TIMES if t > 0]
     z, t = zip(*pairs)
     return np.array(z, dtype=complex), np.array(t)
+
+
+# one call per entry point with the bad value x at one point, or as t (a
+# complex x gives its imaginary part)
+NON_FINITE_CALLS = {
+    "eval_many": lambda x, p, f, g: series.eval_many(f, [0.3, x]),
+    "log_derivative": lambda x, p, f, g: series.log_derivative(f, [0.3, x]),
+    "criterion_bracket": lambda x, p, f, g: series.criterion_bracket(f, g, None, p.alpha, p.beta, [0.3, x]),
+    "criterion_values": lambda x, p, f, g: criterion_values("thm31", np.array([0.3, x]), p, f, g),
+    "transfer_grid": lambda x, p, f, g: transfer_grid([0.3, x], 0.2, p, f, g),
+    "beltrami_grid": lambda x, p, f, g: beltrami_grid([1.5, x], p, f, g),
+    "operator_grid": lambda x, p, f, g: operator_grid([0.3, x], p, f, g),
+    "extend_grid": lambda x, p, f, g: extend_grid([0.3, x], p, f, g),
+    "chain_grid": lambda x, p, f, g: chain_grid([0.3, x], 0.2, p, f, g),
+    "chain_grid[t]": lambda x, p, f, g: chain_grid(0.3, [0.2, x if isinstance(x, float) else x.imag], p, f, g),
+    "hyp2f1": lambda x, p, f, g: hyp2f1(1.0, 1.0, 2.0, x),
+}
 
 
 def _params(gamma, m, a):
@@ -324,6 +343,16 @@ class TestErrors:
         for bad_z in (1.0, -1.0j, 0.5, 0.0):
             with pytest.raises(DomainError, match=r"need \|z\| > 1"):
                 beltrami_grid([1.5, bad_z], params_ref, identity)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(0.0, -math.inf)])
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+    def test_non_finite_point_raises(self, name, bad, f_quarter, g_half, params_ref):
+        # a bound written "not (x <= bound)" fails at NaN too, so no NaN
+        # comes back, flagged or not
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf / inf on the way in
+            with pytest.raises(DomainError):
+                NON_FINITE_CALLS[name](bad, params_ref, f_quarter, g_half)
 
 
 class TestExtendGrid:

@@ -356,6 +356,25 @@ class TestEndToEnd:
         }
         assert main(["check", write_config(cfg)]) == 3
 
+    @pytest.mark.parametrize("variant", ["thm31", "thm32", "thm41"])
+    def test_hypotheses_follow_the_bracket(self, write_config, capsys, variant):
+        # g = z + 2z^2 vanishes at -1/2, a point of the default grid; z g'/g
+        # enters the bracket only when beta != 0, and so does the hypothesis
+        cfg = {"f": {"catalog": "quadratic", "params": {"c": 0.25}}, "params": {"alpha": 0.5, "k": 0.5}}
+        cfg["variant"] = variant
+        assert main(["check", write_config(cfg)]) == 0
+        without_g = capsys.readouterr()
+        cfg["g"] = {"coefficients": [1, 2]}
+        assert main(["check", write_config(cfg)]) == 0
+        assert capsys.readouterr() == without_g
+        cfg["params"]["beta"] = 0.5
+        assert main(["check", write_config(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "hypothesis violation: g vanishes inside the scanned disk near z = (-0.5+6.123233995736766e-17j)\n"
+        )
+
     def test_flag_error_exit_64(self, capsys):
         assert main(["constants"]) == 64  # --k is required
         assert main(["frobnicate"]) == 64
@@ -654,6 +673,19 @@ class TestEndToEnd:
         with pytest.raises(ConfigError) as exc:
             run_command(command, parse_config({}), {})
         assert str(exc.value) == message
+
+    def test_eval_takes_z_or_out_not_both(self, tmp_path, capsys):
+        # with both, the value went to stdout and no file was written
+        out = tmp_path / "ev.csv"
+        assert main(["eval", "--z", "0.3", "--out", str(out)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: eval takes --z or --out, not both\n"
+        with pytest.raises(ConfigError) as exc:
+            run_command("eval", parse_config({}), {"z": 0.3, "out": out})
+        assert str(exc.value) == "eval takes --z or --out, not both"
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
     def test_run_command_takes_path_objects(self, tmp_path, capsys):
         out = tmp_path / "c.json"

@@ -160,6 +160,28 @@ class TestCheck:
         with pytest.raises(HypothesisViolation):  # cor31 checks f itself
             criterion_check("cor31", ParameterSet(), g)
 
+    def test_hypotheses_sample_what_the_bracket_reads(self, f_quarter, g_half, small_grid):
+        # g and phi are sampled exactly when bracket_quotients lets them in:
+        # none at beta = 0 or for cor32, and phi = f for cor31
+        sampled = []
+
+        def counted(s, radius, grid, floor=1e-9):
+            sampled.append(s)
+            return series.nonvanishing_check(s, radius, grid, floor)
+
+        with mock.patch.object(criterion, "nonvanishing_check", counted):
+            for variant, beta, expected in [
+                ("thm31", 0.0, []),
+                ("thm32", 0.0, []),
+                ("cor32", 0.5, []),
+                ("thm41", 0.5, [g_half, f_quarter]),
+                ("cor31", 0.5, [catalog_build("identity"), f_quarter]),
+            ]:
+                sampled.clear()
+                p = ParameterSet(alpha=0.5, beta=beta, k=0.5)
+                criterion_check(variant, p, f_quarter, g_half, f_quarter, small_grid)
+                assert sampled == expected
+
     def test_report_json_shape(self, identity, small_grid):
         rep = criterion_check("thm31", ParameterSet(), identity, grid=small_grid)
         doc = rep.to_json()

@@ -79,6 +79,12 @@ class TestConstants:
         with pytest.raises(DomainError):
             extension_constants(0.5, 0.0)
 
+    @pytest.mark.parametrize("a", [math.inf, math.nan, -math.inf])
+    def test_non_finite_a_rejected(self, a):
+        # a = inf gave l = NaN, which to_json wrote as invalid JSON
+        with pytest.raises(DomainError, match="a must be finite and > 0"):
+            extension_constants(0.5, a)
+
 
 class TestContainment:
     def test_equality_root_on_grid(self):
@@ -108,6 +114,14 @@ class TestContainment:
     def test_domain(self):
         with pytest.raises(DomainError):
             disk_containment_check(0.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "a,m", [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, -0.5), (1.0, math.inf)]
+    )
+    def test_bad_a_or_m_rejected(self, a, m):
+        # these gave (False, -1.5) or (False, nan) instead of an error
+        with pytest.raises(DomainError, match="a must be finite and > 0, m finite and >= 0"):
+            disk_containment_check(0.5, a, 0.5, m)
 
 
 class TestBeckerExtend:

@@ -196,8 +196,8 @@ def test_fallbacks():
 @pytest.mark.parametrize("name", ["koebe_cor32", "example31_thm32"])
 def test_truncation_warnings_at_the_largest_radius(name):
     # the config's f, then a Koebe series short enough to warn on its grid:
-    # whichever points the scan evaluates, the report opens with the
-    # warnings of one criterion_values call on the whole grid
+    # whichever points the scan evaluates, the report's warnings are those
+    # of one criterion_values call on the whole grid
     from univalence_lab.cli import bundled_configs, parse_config
 
     spec = parse_config(bundled_configs()[name])
@@ -209,4 +209,4 @@ def test_truncation_warnings_at_the_largest_radius(name):
         expected = list(dict.fromkeys(str(w.message) for w in caught))
         assert expected or f is spec.f
         report = criterion_check(spec.variant, spec.params, f, spec.g, spec.phi, spec.grid)
-        assert report.warnings[: len(expected)] == expected
+        assert report.warnings == expected

@@ -21,6 +21,11 @@ def _circle(radius, n=513):
 
 
 class TestSampling:
+    def test_polar_samples_needs_a_radius(self):
+        for n_r in (0, -2):
+            with pytest.raises(ValueError, match="n_r must be >= 1"):
+                polar_samples(n_r, 4, 0.5)
+
     def test_polar_samples(self):
         zs = polar_samples(10, 16, 0.8)
         assert zs.size == 160
@@ -102,3 +107,15 @@ class TestWinding:
         th = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
         with pytest.raises(ValueError):
             winding_numbers(0.5 * np.exp(1j * th), [0.1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_curve_or_target_rejected(self, bad):
+        # rint(NaN) cast to int would give a garbage count, and False from
+        # argument_principle_check with no error
+        curve = _circle(0.5)
+        curve[100] = bad
+        for args in ((curve, [0.1]), (_circle(0.5), [0.1, bad])):
+            with pytest.raises(ValueError, match="must be finite"):
+                winding_numbers(*args)
+            with pytest.raises(ValueError, match="must be finite"):
+                argument_principle_check(*args)

@@ -124,31 +124,20 @@ def test_truncation_warning_survives_batching():
     assert not rep.passed
     assert rep.witness == complex(-0.8375, 1.0256416942859083e-16)
     assert "series koebe: tail bound 33.6 exceeds 1e-12 at |z|=0.99" in rep.warnings
-    # the refinement probes past the tail tolerance warn too
-    assert any("at |z|=0.8" in w for w in rep.warnings)
+    # the refinement probes past the tail tolerance add no text of their own
+    assert not any("at |z|=0.8" in w for w in rep.warnings)
 
 
 def test_truncation_warnings_match_one_call_per_hop():
     # the witness is interior, so the hops of different levels reach
-    # different largest radii; each radius is reported once, in walk order
+    # smaller radii than the grid, where the tail bound |c_N| r^N is
+    # smaller: a call per hop would warn at each of them, and the report
+    # states the truncation gap once, at the grid's largest |z|
     k = catalog_build("koebe", {"degree": 64})
     grid = DiskGrid(radii=(0.5, 0.9, 0.99), angles_per_radius=64, refine_steps=8)
     rep = criterion_check("cor32", ParameterSet(gamma=1.0), k, grid=grid)
     assert rep.sup_value == 1100.6982787515117
-    assert rep.warnings == [
-        f"series koebe: tail bound {bound} exceeds 1e-12 at |z|={radius}"
-        for bound, radius in (
-            ("33.6", "0.99"),
-            ("2.4", "0.95"),
-            ("0.0755", "0.9"),
-            ("0.0124", "0.875"),
-            ("0.00495", "0.8625"),
-            ("0.00195", "0.85"),
-            ("0.00121", "0.8438"),
-            ("0.000957", "0.8406"),
-            ("0.000849", "0.8391"),
-        )
-    ]
+    assert rep.warnings == ["series koebe: tail bound 33.6 exceeds 1e-12 at |z|=0.99"]
 
 
 # g shapes the landscape; at alpha = 0, f enters only through the check
@@ -232,18 +221,21 @@ def _outcome(variant, p, f, g, phi, grid):
 
 def _assert_as_one_hop(variant, p, f, g, phi, grid):
     """criterion_check matches its copy with the one-hop search.  The copy
-    reports no radii, so its expected truncation warnings are the ones the
-    one-hop search's own calls issue, each text once, in first-seen order."""
+    states no truncation warnings of its own; the expected ones are those a
+    criterion_values call on the whole grid issues, each text once: the
+    first text of each series, at the grid's largest |z|."""
     caught = []
 
     def one_hop(st, grid):
+        sup, witness = _one_hop_sup_search(variant, p, f, g, phi, grid)
         with warnings.catch_warnings(record=True) as issued:
             warnings.simplefilter("always", TruncationWarning)
-            sup, witness = _one_hop_sup_search(variant, p, f, g, phi, grid)
+            criterion_values(variant, grid.points(), p, f, g, phi)
         caught.extend(str(w.message) for w in issued if issubclass(w.category, TruncationWarning))
-        return sup, witness, ()
+        return sup, witness
 
-    with mock.patch.object(criterion, "_sup_search", one_hop):
+    silent = mock.patch.object(criterion, "_truncation_message", lambda s, radius: None)
+    with mock.patch.object(criterion, "_sup_search", one_hop), silent:
         expected = _outcome(variant, p, f, g, phi, grid)
     if isinstance(expected[-1], list):  # a report, not an exception
         expected = (*expected[:-1], expected[-1] + list(dict.fromkeys(caught)))
