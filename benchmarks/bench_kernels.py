@@ -36,10 +36,11 @@ degree-32 exponentials f = (e^{lam z} - 1)/lam, g the same at lam/2
 `koebe_cor32` configuration.  `grid` is one `criterion._values` call
 (the criterion of a statement built once, as `criterion_check` builds
 it) on the default 5120-point disk grid, `probe` one call on the four
-probes of a refinement hop, `lookahead` one call on the 80 probes of a
-look-ahead over all 20 levels, `probes` the number of probe calls
-`criterion_check` makes, and `check` the whole `criterion_check`.  To
-compare two checkouts, run the script in each.
+probes of a refinement hop, `lookahead` one call on the 16 probes of the
+first look-ahead call (4 hops, `criterion._FIRST_HOPS`), `probes` the
+number of probe calls `criterion_check` makes, `points` the probe points
+they evaluate, and `check` the whole `criterion_check`.  To compare two
+checkouts, run the script in each.
 
 A fifth table times the grid scan of `criterion_check` on the same cases,
 Koebe on its config grid (7 radii x 512 angles): `exact` is one
@@ -125,7 +126,10 @@ def main():
     for n, c in CSV_GRIDS:
         print(f"{f'{n} x {c}':>10}  " + _csv_row(rng, n, c, args.repeat))
 
-    print(f"\n{'family':>10} {'variant':>7}  {'grid':>9}  {'probe':>9}  {'lookahead':>9}  {'probes':>6}  {'check':>9}")
+    print(
+        f"\n{'family':>10} {'variant':>7}  {'grid':>9}  {'probe':>9}  {'lookahead':>9}  {'probes':>6}  {'points':>6}"
+        f"  {'check':>9}"
+    )
     for label, variant, p, fgp in _verdict_cases():
         print(f"{label:>10} {variant:>7}  " + _criterion_row(variant, p, *fgp, args.repeat))
 
@@ -230,16 +234,16 @@ def _scan_row(variant, p, f, g, phi, grid, repeat):
 
 
 def _criterion_row(variant, p, f, g, phi, repeat):
-    """grid ms, probe and look-ahead us, probe calls and criterion_check
-    ms of one case."""
+    """grid ms, probe and look-ahead us, probe calls, probe points and
+    criterion_check ms of one case."""
     grid = DiskGrid()
     st = criterion._statement(variant, p, f, g, phi)
     values = criterion._values
     calls = []
 
-    def counted(*args):
-        calls.append(None)
-        return values(*args)
+    def counted(st, z):
+        calls.append(z.size)
+        return values(st, z)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -249,7 +253,7 @@ def _criterion_row(variant, p, f, g, phi, repeat):
         finally:
             criterion._values = values
         probes = witness * np.array([0.99, 1.0, np.exp(0.006j), np.exp(-0.006j)])
-        steps = 0.006 / 2.0 ** np.arange(grid.refine_steps)
+        steps = 0.006 / 2.0 ** np.arange(criterion._FIRST_HOPS)
         ahead = witness * np.stack([1.0 - steps, 1.0 - 2.0 * steps, np.exp(1j * steps), np.exp(-1j * steps)], 1)
         points = grid.points()
         t_grid = _best(lambda: values(st, points), repeat)
@@ -259,7 +263,7 @@ def _criterion_row(variant, p, f, g, phi, repeat):
     # one call scans the grid, the others are probes
     return (
         f"{t_grid * 1e3:6.2f} ms  {t_probe * 1e6:6.1f} us  {t_ahead * 1e6:6.1f} us  "
-        f"{len(calls) - 1:>6}  {t_check * 1e3:6.2f} ms"
+        f"{len(calls) - 1:>6}  {sum(calls[1:]):>6}  {t_check * 1e3:6.2f} ms"
     )
 
 

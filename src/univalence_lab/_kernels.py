@@ -193,7 +193,7 @@ def _horner012(series, z, out):
         w = zc.size
         # the coefficient operand of each step: one value broadcast for one
         # series, each series' value repeated along its points for a stack
-        steps = list(np.repeat(cols, w, axis=1) if m > 1 else cols)
+        steps = np.repeat(cols, w, axis=1) if m > 1 else cols
         starts = {}
         for j, c in enumerate(series):
             if c.size < top:

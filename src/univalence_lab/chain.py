@@ -36,8 +36,11 @@ T_CLAMP = 1e-3
 
 
 def _flat(z, t):
-    """Broadcast z (complex) and t (real) and flatten; returns (z, t, shape)."""
+    """Broadcast z (complex) and t (real) and flatten; returns (z, t, shape).
+    Raises DomainError unless every t is finite and >= 0."""
     z, t = np.broadcast_arrays(np.asarray(z, dtype=np.complex128), np.asarray(t, dtype=float))
+    if not ((t >= 0) & (t < np.inf)).all():  # NaN fails it too
+        raise DomainError("t must be >= 0 and finite")
     return z.ravel(), t.ravel(), z.shape
 
 
@@ -50,8 +53,6 @@ def chain_grid(z, t, p, f, g=None, phi=None):
     number, as operator_grid does."""
     g, phi = g or _IDENTITY, phi or _IDENTITY
     zf, tf, shape = _flat(z, t)
-    if not np.all((tf >= 0) & (tf < np.inf)):  # NaN fails it too
-        raise DomainError("t must be >= 0 and finite")
     r = np.abs(zf)
     if np.any(~(r <= 1.0) | ((r >= 1.0) & (tf <= 0))):
         raise DomainError("need |z| < 1, or |z| <= 1 with t > 0")
@@ -84,7 +85,7 @@ def _reject_flagged(flagged, where):
 
 
 def transfer_grid(z, t, p, f, g=None, phi=None):
-    """(G, w, p) of the chain on broadcastable arrays of z and t.
+    """(G, w, p) of the chain on broadcastable arrays of z and t >= 0.
 
     G collects the criterion bracket at zeta = e^{-a t} z scaled by
     (1 - e^{-(m+1) a t gamma}) / gamma; w is the Moebius transfer

@@ -24,13 +24,25 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConvergenceError, DerivativeVanishes, HypothesisViolation
-from .series import _IDENTITY, _truncation_message, as_integer, bracket_quotients, criterion_bracket, nonvanishing_check, polar_grid
+from .series import (
+    _IDENTITY,
+    _bracket,
+    _bracket_series,
+    _truncation_message,
+    as_integer,
+    bracket_quotients,
+    nonvanishing_check,
+    polar_grid,
+)
 
 VARIANTS = ("thm31", "thm32", "cor31", "cor32", "thm41")
 STRICTNESS_TOL = 1e-12
-# most levels per look-ahead call: 256 points, the stacked Horner path
-# (_kernels._STACK_POINTS).  It binds only past 64 refine_steps, where
-# uncapped calls were 2-5x slower at 300 and 1000 levels
+# hops of a look-ahead call of _sup_search: _FIRST_HOPS after the grid
+# maximum and after a move, doubling while the walk runs out of its calls
+# without moving, up to _LOOK_AHEAD_HOPS = 256 points, the stacked Horner
+# path (_kernels._STACK_POINTS); calls of 300 and 1000 levels at once were
+# 2-5x slower
+_FIRST_HOPS = 4
 _LOOK_AHEAD_HOPS = 64
 # the pruned grid scan (_grid_candidates) evaluates the whole grid when
 # the series hold fewer than _SCAN_MIN_TERMS terms in all (the crossover in
@@ -145,8 +157,8 @@ class CriterionReport:
 class _Statement(NamedTuple):
     """A variant, corollary substitutions made: |fac B - centre|, or fac |B|
     with gamma real if centre is None, against bound, for the bracket B of
-    alpha, beta, f, g, phi (its bracket_quotients are quotients) and fac =
-    (1 - |z|^{(m+1) gamma})/gamma."""
+    alpha, beta, f, g, phi (its bracket_quotients are quotients, their
+    _bracket_series series) and fac = (1 - |z|^{(m+1) gamma})/gamma."""
 
     f: object
     g: object
@@ -158,6 +170,7 @@ class _Statement(NamedTuple):
     centre: object
     bound: float
     quotients: tuple
+    series: tuple
 
 
 def _statement(variant, p, f, g=None, phi=None):
@@ -180,7 +193,7 @@ def _statement(variant, p, f, g=None, phi=None):
         alpha, beta, g, phi, m = 1.0 + 0.0j, 0.0j, f, f, 1.0
     gamma, centre = (p.gamma.real, None) if real else (p.gamma, (m - 1.0) / 2.0)
     quotients = bracket_quotients(f, g, phi, alpha, beta)
-    return _Statement(f, g, phi, alpha, beta, gamma, m, centre, bound, quotients)
+    return _Statement(f, g, phi, alpha, beta, gamma, m, centre, bound, quotients, _bracket_series(quotients))
 
 
 def criterion_values(variant, z, p, f, g=None, phi=None):
@@ -190,7 +203,8 @@ def criterion_values(variant, z, p, f, g=None, phi=None):
 
 def _values(st, z):
     """The criterion of the statement st at a complex128 array z."""
-    return _expression(st, np.abs(z), criterion_bracket(st.f, st.g, st.phi, st.alpha, st.beta, z))[0]
+    r = np.abs(z)
+    return _expression(st, r, _bracket(st.quotients, st.series, st.beta, z, r))[0]
 
 
 def _expression(st, r, bracket):
@@ -361,12 +375,19 @@ def _hops(r, th, dr, dth, rmax, levels):
 
 
 def _look_ahead(st, probes):
-    """[(probes, values)] per hop of four `probes`, from one _values call.
+    """[(probes, values)] per hop of four `probes` of _hops, from one
+    _values call.  Its points take one cmath.exp per distinct angle: the
+    centre's, which every hop's two radial probes share, and each hop's
+    two angular ones.
 
     If that call raises HypothesisViolation (f' vanishes at a probe, say),
     the first hop is evaluated alone: it raises again only if the zero is
     one of its own probes, as its own call would."""
-    pz = np.array([rr * cmath.exp(1j * tt) for rr, tt in probes])
+    unit = cmath.exp(1j * probes[0][1])
+    points = []
+    for (out, _), (inward, _), (r, plus), (_, minus) in zip(*[iter(probes)] * 4):
+        points += (out * unit, inward * unit, r * cmath.exp(1j * plus), r * cmath.exp(1j * minus))
+    pz = np.array(points)
     try:
         values = _values(st, pz).tolist()
     except HypothesisViolation:
@@ -383,18 +404,21 @@ def _sup_search(st, grid):
     Each hop takes its four probes around the centre in order and moves to
     every one that beats the sup so far; a level repeats its hop while it
     moves, up to 8 moves.  The probes of a hop depend only on the centre
-    and the level, so on arriving at a centre the search evaluates the hops
-    of this level and of every later one in one _values call
-    (4 * (refine_steps - level) points, 80 at the default grid, at most
-    _LOOK_AHEAD_HOPS levels) and walks them in order.  A hop that moves
-    discards the rest; a hop that does not costs no call.  So a check
-    makes one call per move plus one, instead of one per hop: 176 instead
-    of 442 on the bundled configs and the example31 and expscaled variant
-    families of tests/test_refinement.py.  A point takes the same
-    bits in a batch of any size (every operation is elementwise, and the
-    product of a long series pads its columns to a multiple of four), so
-    the grid maximum of _grid_max and the path, sup and witness are those
-    of one call on the grid and one per hop."""
+    and the level, so on arriving at a centre the search evaluates the
+    hops of this level and of the next ones in one _values call and walks
+    them in order.  A hop that moves discards the rest; a hop that does
+    not costs no call.  Most walks move within a few hops, so a call
+    covers 4 hops after the grid maximum and after every move, and twice
+    the hops of the last call when the walk ran out of that one without
+    moving, at most _LOOK_AHEAD_HOPS and the levels left.  On the bundled
+    configs and the example31 and expscaled variant families of
+    tests/test_refinement.py that is 191 calls on 2928 points, where one
+    call on every remaining level made 176 calls on 8468 points and one
+    call per hop makes 442 calls.  A point takes the same bits in a batch
+    of any size (every operation is elementwise, and the product of a long
+    series pads its columns to a multiple of four), so the grid maximum of
+    _grid_max and the path, sup and witness are those of one call on the
+    grid and one per hop."""
     z = grid.points()
     best, sup = _grid_max(st, grid, z)
     witness = complex(z[best])
@@ -408,14 +432,16 @@ def _sup_search(st, grid):
     dth = math.pi / grid.angles_per_radius
     rmax = radii[-1]
     ahead = []  # the hops still ahead of the current centre
+    window = _FIRST_HOPS  # hops of the next look-ahead call
     for level in range(grid.refine_steps):
         moved = True
         hops = 0
         while moved and hops < 8:
             moved = False
             if not ahead:
-                probes = _hops(r, th, dr, dth, rmax, min(grid.refine_steps - level, _LOOK_AHEAD_HOPS))
+                probes = _hops(r, th, dr, dth, rmax, min(window, grid.refine_steps - level))
                 ahead = _look_ahead(st, probes)
+                window = min(2 * window, _LOOK_AHEAD_HOPS)  # if the walk runs out of this one
             probes, pvals = ahead.pop(0)
             for (rr, tt), v in zip(probes, pvals):
                 if v > sup:
@@ -426,6 +452,7 @@ def _sup_search(st, grid):
                 return sup, r * cmath.exp(1j * th)
             if moved:
                 ahead = []
+                window = _FIRST_HOPS
         dr /= 2.0
         dth /= 2.0
     return sup, r * cmath.exp(1j * th)

@@ -457,6 +457,9 @@ def hyp2f1(a, b, c, w, max_terms=100_000):
     """Gauss series 2F1(a, b; c; w) on |w| < 1, terminating when a or b is
     a non-positive integer."""
     a, b, c, w = complex(a), complex(b), complex(c), complex(w)
+    for name, v in (("a", a), ("b", b), ("c", c)):
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise DomainError(f"2F1 parameter {name} = {v} is not finite")
     if c.imag == 0 and c.real <= 0 and c.real == int(c.real):
         raise DomainError(f"2F1 pole: c = {c} is a non-positive integer")
     if not abs(w) < 1.0:

@@ -167,24 +167,39 @@ def criterion_bracket(f, g, phi, alpha, beta, z):
     one polyval012 call, which gives each the bits of eval_many and
     log_derivative."""
     z = np.asarray(z, dtype=np.complex128)
-    r = np.abs(z)
-    _check_disk(r, f)
     quotients = bracket_quotients(f, g, phi, alpha, beta)
+    return _bracket(quotients, _bracket_series(quotients), beta, z, np.abs(z))
+
+
+def _bracket_series(quotients):
+    """(coefficient arrays, bytes, slots) of the distinct series of the
+    quotients, told apart by their bytes, in order; slots holds the index
+    of each quotient's series among them."""
     coeffs = {s._bits: s.coefficients for s, *_ in quotients}
-    slot = {bits: j for j, bits in enumerate(coeffs)}
-    values = _kernels.polyval012(list(coeffs.values()), z.ravel(), list(coeffs))
+    slots = tuple(list(coeffs).index(s._bits) for s, *_ in quotients)
+    return list(coeffs.values()), list(coeffs), slots
+
+
+def _bracket(quotients, series, beta, z, r):
+    """criterion_bracket at the complex128 array z of moduli r, from its
+    bracket_quotients, their _bracket_series and beta.  beta weights lr =
+    0 too when g and phi do not enter, so the signs of zero parts stay."""
+    (f, _, alpha, _), *logs = quotients
+    coeffs, bits, slots = series
+    _check_disk(r, f)
+    values = _kernels.polyval012(coeffs, z.ravel(), bits)
     p, dp, ddp = (v.reshape(len(coeffs), *z.shape) for v in values)
-    fp, fpp = dp[slot[f._bits]], ddp[slot[f._bits]]
+    fp, fpp = dp[slots[0]], ddp[slots[0]]
     bad = np.abs(fp) < DERIVATIVE_FLOOR
     if bad.any():
         w = complex(z[bad][0])
         raise DerivativeVanishes(f"f'(z) = 0 at z = {w}", witness=w)
     pre = z * fpp / fp
     lr = np.zeros_like(z)
-    if len(quotients) > 1:
-        (g, *_), (phi, *_) = quotients[1:]
+    if logs:
+        (g, *_), (phi, *_) = logs
         _check_disk(r, g, phi)  # for their truncation warnings
-        j, k = slot[g._bits], slot[phi._bits]
+        j, k = slots[1:]
         lr = _log_quotient(g, z, p[j], dp[j], r) - _log_quotient(phi, z, p[k], dp[k], r)
     return alpha * pre + beta * lr
 

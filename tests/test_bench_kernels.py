@@ -37,6 +37,8 @@ def test_criterion_and_scan_rows():
         row = bench._criterion_row("thm31", p, f, g, phi, 1)
         scan = bench._scan_row("thm31", p, f, g, phi, DiskGrid(), 1)
     assert int(row.split()[6]) > 0  # the probe calls of the check were counted
+    probes, points = map(int, row.split()[6:8])
+    assert 0 < points <= 4 * DiskGrid().refine_steps * probes
     terms, _, _, cands, fallback = scan.split()
     assert int(terms) == 68 and 0 < int(cands) < 5120 and fallback == "-"
 

@@ -321,6 +321,18 @@ class TestErrors:
         with pytest.raises(DomainError):
             transfer_grid([0.3, 1.5], 0.0, params_ref, f_quarter)
 
+    @pytest.mark.parametrize("bad_t", [-0.1, math.inf, math.nan])
+    def test_transfer_t_as_chain(self, bad_t, f_quarter):
+        # a negative t is a point of no chain and t = inf its limit: both
+        # are rejected with chain_grid's text, before any point is read
+        with pytest.raises(DomainError) as chain:
+            chain_grid(0.5, bad_t, ParameterSet(), f_quarter)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as transfer:
+                transfer_grid([0.3, 0.5], [0.2, bad_t], ParameterSet(), f_quarter)
+        assert str(transfer.value) == str(chain.value) == "t must be >= 0 and finite"
+
     def test_transfer_poles(self):
         with pytest.raises(TransferPoleError, match="denominator"):
             _transfer_from_G(np.array([0.1, 3.0]), 1.0, 2.0)

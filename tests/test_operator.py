@@ -173,6 +173,16 @@ class TestHyp2f1:
         with pytest.raises(DomainError):
             hyp2f1(1.0, 1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_non_finite_parameter_rejected(self, slot, bad):
+        # a NaN term never falls below the tolerance, so the series would
+        # spend its whole budget before failing
+        args = [1.0, 1.0, 2.0]
+        args[slot] = bad
+        with pytest.raises(DomainError, match=f"parameter {'abc'[slot]} = .* is not finite"):
+            hyp2f1(*args, 0.5)
+
 
 class TestClosedForm:
     def test_zero(self):

@@ -85,6 +85,49 @@ def test_matches_golden(case):
     assert rep.sup_value == pytest.approx(sup, rel=1e-13, abs=1e-300)
 
 
+@pytest.mark.parametrize("refine_steps", [None, 1100])
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_look_ahead_window(case, refine_steps):
+    # a call covers 4 hops after the grid maximum and after a move, and
+    # twice the hops of the last call when the walk ran out of that one
+    # without moving, at most _LOOK_AHEAD_HOPS and the levels left: the
+    # walk is replayed from the values each call returned
+    args = _case(case, refine_steps)
+    steps = args[-1].refine_steps
+    look_ahead, grid_max = criterion._look_ahead, criterion._grid_max
+    calls, start = [], []
+
+    def recorded(st, probes):
+        hops = look_ahead(st, probes)
+        calls.append((len(probes) // 4, list(hops)))  # the search pops hops off its list
+        return hops
+
+    def first(st, grid, z):
+        start.append(grid_max(st, grid, z))
+        return start[-1]
+
+    with mock.patch.object(criterion, "_look_ahead", recorded), mock.patch.object(criterion, "_grid_max", first):
+        criterion_check(*args)
+    (_, sup), = start
+    level = moves = 0
+    window = 4
+    for n, hops in calls:
+        assert n == min(window, criterion._LOOK_AHEAD_HOPS, steps - level)
+        for _, values in hops:
+            moved = False
+            for v in values:
+                if v > sup:
+                    sup, moved, moves = v, True, moves + 1
+            if not moved or moves >= 8:
+                level, moves = level + 1, 0
+            if moved:
+                window = 4
+                break
+        else:
+            window = 2 * n
+    assert calls
+
+
 def _one_radius_case(second_zero):
     """(grid, f, the zero of f' that the refinement reports).
 
