@@ -8,7 +8,7 @@ callers ask for: 1 a single point, 6 the `pde_residual` stencil, 640 the
 default `chain` command grid (8 x 16 points x 5 times) and 4097 the
 finest `subordination_probe` curve.  `beltrami_grid` runs on the grids
 its callers use: 80 points, those of the default `extend` grid with
-|z| > 1 + 3e-5, and 32 points, the default `beltrami_ring`.  Each row is
+|z| > 1, and 32 points, the default `beltrami_ring`.  Each row is
 the best of N repeats of a loop long enough to take at least 0.2 s.  To
 compare two checkouts, run the script in each.
 """

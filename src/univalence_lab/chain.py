@@ -28,7 +28,7 @@ from .errors import (
     TransferPoleError,
 )
 from .operator import _evaluate, _root, _series_plan
-from .series import _IDENTITY, criterion_bracket, polar_grid
+from .series import _IDENTITY, DISK_SLACK, criterion_bracket, polar_grid
 
 FD_STEP_Z = 1e-5
 FD_STEP_T = 1e-4
@@ -45,16 +45,16 @@ def _flat(z, t):
 
 
 def chain_grid(z, t, p, f, g=None, phi=None):
-    """L(z, t) on broadcastable arrays of z and t; the integral operator at
-    t = 0.  Returns (values, flagged): flagged marks points where the
-    operator path or the ray 0 -> e^{-a t} z carrying h crossed a branch,
-    so the value is invalid.  Raises HypothesisViolation unless Re gamma > 0,
-    and ConvergenceError where an unflagged value is not a finite nonzero
-    number, as operator_grid does."""
+    """L(z, t) on broadcastable arrays of z and t, |z| < 1 at t = 0 and
+    |z| <= 1 + DISK_SLACK at t > 0; the integral operator at t = 0.  Returns
+    (values, flagged): flagged marks points where the operator path or the
+    ray 0 -> e^{-a t} z carrying h crossed a branch, so the value is invalid.
+    Raises HypothesisViolation unless Re gamma > 0, and ConvergenceError where
+    an unflagged value is not a finite nonzero number, as operator_grid does."""
     g, phi = g or _IDENTITY, phi or _IDENTITY
     zf, tf, shape = _flat(z, t)
     r = np.abs(zf)
-    if np.any(~(r <= 1.0) | ((r >= 1.0) & (tf <= 0))):
+    if np.any(~(r <= 1.0 + DISK_SLACK) | ((r >= 1.0) & (tf <= 0))):
         raise DomainError("need |z| < 1, or |z| <= 1 with t > 0")
     values = np.zeros_like(zf)
     flagged = np.zeros(zf.shape, dtype=bool)
@@ -73,7 +73,8 @@ def _chain_values(z, t, p, f, g, phi):
     h[near] = _kernels.polyval(plan.h, zeta[near])
     atg = p.a * t * p.gamma
     decay1 = np.expm1(-atg)  # e^{-a t gamma} - 1
-    inner1 = (1.0 + decay1) * b1 + decay1 + (np.expm1(p.m * atg) - decay1) * h
+    with np.errstate(over="ignore", invalid="ignore"):  # _root raises on what overflows
+        inner1 = (1.0 + decay1) * b1 + decay1 + (np.expm1(p.m * atg) - decay1) * h
     return _root(z, inner1, p.gamma, crossing), crossing
 
 

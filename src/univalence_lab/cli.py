@@ -379,9 +379,9 @@ def _cmd_extend(spec, flags):
     F, flagged = extend_grid(z, spec.params, spec.f, spec.g, spec.phi)
     _warn_flagged(flagged)
     mu = np.zeros(z.shape)
-    # abs_mu is documented for |z| > 1 + 3e-5 and unflagged rows, 0 elsewhere
-    has_mu = np.repeat(r > 1.0 + 3e-5, z.size // r.size) & ~flagged
-    mu[has_mu] = np.abs(beltrami_grid(z[has_mu], spec.params, spec.f, spec.g, spec.phi))
+    # mu reads only the branch-free bracket, so flagged rows have it too
+    outside = np.abs(z) > 1.0
+    mu[outside] = np.abs(beltrami_grid(z[outside], spec.params, spec.f, spec.g, spec.phi))
     rows = np.column_stack((z.real, z.imag, F.real, F.imag, mu, flagged))
     emit_grid_csv(rows, ("re_z", "im_z", "re_w", "im_w", "abs_mu", "flagged"), flags["out"])
     return 0, [flags["out"]]

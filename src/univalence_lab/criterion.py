@@ -39,11 +39,11 @@ VARIANTS = ("thm31", "thm32", "cor31", "cor32", "thm41")
 STRICTNESS_TOL = 1e-12
 # hops of a look-ahead call of _sup_search: _FIRST_HOPS after the grid
 # maximum and after a move, doubling while the walk runs out of its calls
-# without moving, up to _LOOK_AHEAD_HOPS = 256 points, the stacked Horner
-# path (_kernels._STACK_POINTS); calls of 300 and 1000 levels at once were
-# 2-5x slower
+# without moving, up to _LOOK_AHEAD_HOPS hops of 4 probes, as many points
+# as the stacked Horner path takes (_kernels._STACK_POINTS); calls of 300
+# and 1000 levels at once were 2-5x slower
 _FIRST_HOPS = 4
-_LOOK_AHEAD_HOPS = 64
+_LOOK_AHEAD_HOPS = _kernels._STACK_POINTS // 4
 # the pruned grid scan (_grid_candidates) evaluates the whole grid when
 # the series hold fewer than _SCAN_MIN_TERMS terms in all (the crossover in
 # benchmarks/bench_kernels.py); the constants of its bound are in units of 2^-53

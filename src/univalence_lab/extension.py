@@ -19,8 +19,6 @@ from .chain import chain_grid, transfer_grid
 from .errors import DomainError
 from .series import polar_grid
 
-SEAM_CLAMP = 1e-6
-
 
 @dataclass(frozen=True)
 class ExtensionConstants:
@@ -61,15 +59,17 @@ def extension_constants(k, a):
     """Roots of the two containment inequalities and the final l.
 
     At a = 1 the quadratics degenerate and l = k directly; at k = 0 the
-    curly pair divides by k, so (0, -inf) sentinels are returned."""
+    curly pair divides by k, so (0, -inf) sentinels are returned.  The
+    roots are invariant under a -> 1/a: taken at min(a, 1/a), none overflows."""
     k = float(k)
-    a = float(a)
+    a_in = float(a)
     if not 0.0 <= k < 1.0:
         raise DomainError("k must lie in [0, 1)")
-    if not 0.0 < a < math.inf:
+    if not 0.0 < a_in < math.inf:
         raise DomainError("a must be finite and > 0")
-    if a == 1.0:
-        return ExtensionConstants(k, a, k, -math.inf, k, -math.inf, k)
+    if a_in == 1.0:
+        return ExtensionConstants(k, a_in, k, -math.inf, k, -math.inf, k)
+    a = min(a_in, 1.0 / a_in)
     A = abs(1.0 - a * a)
     denom = A + k * (1.0 - a) ** 2
     L1 = ((1.0 - a) ** 2 + k * A) / denom
@@ -80,7 +80,7 @@ def extension_constants(k, a):
         root = math.sqrt(4.0 * a * a + (1.0 - a * a) ** 2 * k * k)
         cl1 = (-2.0 * a + root) / (k * (1.0 - a) ** 2)
         cl2 = (-2.0 * a - root) / (k * (1.0 - a) ** 2)
-    return ExtensionConstants(k, a, L1, L2, cl1, cl2, L1)
+    return ExtensionConstants(k, a_in, L1, L2, cl1, cl2, L1)
 
 
 def disk_containment_check(k, a, l, m=1.0, tol=1e-12):
@@ -89,46 +89,43 @@ def disk_containment_check(k, a, l, m=1.0, tol=1e-12):
     The criterion disk has center (m-1)/2 and radius k(m+1)/2; the
     transfer disk (in the same bracket variable) has center
     [a(1+l^2)(m-1) + (1-l^2)(m a^2 - 1)] / D and radius 2 a l (1+m) / D
-    with D = 2a(1+l^2) + (1-l^2)(1+a^2).  Returns (contained, slack)."""
+    with D = 2a(1+l^2) + (1-l^2)(1+a^2), taken in a = p/q with q = 1/a for
+    a > 1 so that none overflows.  Returns (contained, slack)."""
     if not (0.0 < a < math.inf and 0.0 <= m < math.inf):
         raise DomainError("a must be finite and > 0, m finite and >= 0")
     if not 0.0 <= l < 1.0:
         raise DomainError("l must lie in [0, 1)")
-    D = 2.0 * a * (1.0 + l * l) + (1.0 - l * l) * (1.0 + a * a)
+    p, q = (a, 1.0) if a <= 1.0 else (1.0, 1.0 / a)
+    D = 2.0 * p * q * (1.0 + l * l) + (1.0 - l * l) * (q * q + p * p)
     if D <= 0.0:
         raise DomainError("degenerate denominator in the transfer disk")
-    center = (a * (1.0 + l * l) * (m - 1.0) + (1.0 - l * l) * (m * a * a - 1.0)) / D
-    radius = 2.0 * a * l * (1.0 + m) / D
+    center = (p * q * (1.0 + l * l) * (m - 1.0) + (1.0 - l * l) * (m * p * p - q * q)) / D
+    radius = 2.0 * p * q * l * (1.0 + m) / D
     dist = abs(center - (m - 1.0) / 2.0)
     slack = radius - dist - k * (m + 1.0) / 2.0
     return slack >= -tol, slack
 
 
-def _unit(z, r):
-    """z/r for r = |z| > 0, with |u| <= 1 as the chain tests it.
+def _exterior(z, r, a):
+    """The chain's (u, t) = (z/|z|, log|z|) at points z with |z| = r >= 1.
 
-    A rounded z/|z| can have modulus 1 + 2.2e-16, which the chain rejects;
-    such points are scaled by 1 - 2^-51 until none is outside."""
+    u is divided componentwise, so |u| may pass 1 by a few ulps, within the
+    chain's DISK_SLACK.  The chain reads t only through a t, floored here to
+    2^-49, which keeps e^{-a t} u strictly inside the disk."""
     u = (z.real / r) + 1j * (z.imag / r)
-    out = np.abs(u) > 1.0
-    while np.any(out):
-        u[out] *= 1.0 - 2.0**-51
-        out = np.abs(u) > 1.0
-    return u
+    return u, np.maximum(np.log(r), 2.0**-49 / a)
 
 
 def extend_grid(z, p, f, g=None, phi=None):
     """Piecewise extension on an array, all of it the chain: L(z, 0), the
-    operator, inside the disk, and L(z/|z|, log|z|) outside, with t clamped
-    just above 0 at the seam.  Returns (values, flagged) like chain_grid:
-    flagged marks points whose value crossed a branch and is invalid."""
+    operator, inside the disk, and L(z/|z|, log|z|) outside (see _exterior).
+    Returns (values, flagged) like chain_grid: flagged marks points whose
+    value crossed a branch and is invalid."""
     z = np.asarray(z, dtype=np.complex128)
     r = np.abs(z)
     outside = r >= 1.0
-    u = z.copy()
-    u[outside] = _unit(z[outside], r[outside])
-    t = np.zeros(r.shape)
-    t[outside] = np.maximum(np.log(r[outside]), SEAM_CLAMP)
+    u, t = z.copy(), np.zeros(r.shape)
+    u[outside], t[outside] = _exterior(z[outside], r[outside], p.a)
     return chain_grid(u, t, p, f, g, phi)
 
 
@@ -144,7 +141,7 @@ def beltrami_grid(z, p, f, g=None, phi=None):
     r = np.abs(z)
     if not np.all((r > 1.0) & (r < np.inf)):  # NaN fails it too
         raise DomainError("need |z| > 1 and finite")
-    _, w, _ = transfer_grid(z / r, np.log(r), p, f, g, phi)
+    _, w, _ = transfer_grid(*_exterior(z, r, p.a), p, f, g, phi)
     return -(z / np.conj(z)) * w
 
 

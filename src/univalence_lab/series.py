@@ -21,6 +21,7 @@ TRUNCATION_TOL = 1e-12
 SMALL_Z = 1e-8
 DERIVATIVE_FLOOR = 1e-13  # |f'| below this counts as f' = 0
 DEFAULT_DEGREE = 64
+DISK_SLACK = 1e-15  # |z| <= 1 + DISK_SLACK counts as in the closed disk
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +96,12 @@ def eval_many(s, z):
 
 
 def _check_disk(r, *series):
-    """DomainError when the largest |z| = r passes 1 or a point is not
-    finite; each truncated series warns there, in order."""
+    """DomainError when the largest |z| = r passes 1 + DISK_SLACK or a
+    point is not finite; each truncated series warns there, in order."""
     if not r.size:
         return
     rmax = float(r.max())
-    if not rmax <= 1.0 + 1e-15:  # NaN fails it too
+    if not rmax <= 1.0 + DISK_SLACK:  # NaN fails it too
         raise DomainError(f"max |z| = {rmax:.6g} > 1")
     for s in series:
         message = _truncation_message(s, rmax)

@@ -295,7 +295,12 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "bad_z,bad_t,message",
-        [(0.5, -0.1, "t must be >= 0"), (1.0, 0.0, "need |z| < 1"), (1.5, 1.0, "need |z| < 1")],
+        [
+            (0.5, -0.1, "t must be >= 0"),
+            (1.0, 0.0, "need |z| < 1"),
+            (1.5, 1.0, "need |z| < 1"),
+            ((1.0 + 1e-14) * cmath.exp(0.7j), 0.1, "need |z| < 1"),  # past series.DISK_SLACK
+        ],
     )
     def test_chain_bad_point(self, bad_z, bad_t, message, f_quarter, params_ref):
         with pytest.raises(DomainError) as single:
@@ -306,6 +311,13 @@ class TestErrors:
             chain_grid(z, t, params_ref, f_quarter)
         assert str(batch.value) == str(single.value)
         assert str(single.value).startswith(message)
+
+    def test_chain_rounding_slack(self, f_quarter, params_ref):
+        # where t > 0, |z| may pass 1 by series.DISK_SLACK, as a rounded z/|z| does
+        z = (1.0 + 5e-16) * cmath.exp(0.7j)
+        assert abs(z) > 1.0
+        L, flagged = chain_grid(z, 0.1, params_ref, f_quarter)
+        assert np.isfinite(L) and not flagged
 
     def test_chain_gamma(self, f_quarter):
         with pytest.raises(HypothesisViolation):

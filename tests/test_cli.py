@@ -24,6 +24,7 @@ from univalence_lab.cli import (
     serialize,
 )
 from univalence_lab.errors import ConfigError
+from univalence_lab.extension import beltrami_grid
 
 
 class TestParseConfig:
@@ -408,6 +409,14 @@ class TestEndToEnd:
         doc = json.loads(capsys.readouterr().out)
         assert doc["l"] == 0.5
 
+    @pytest.mark.parametrize("a", ["1e200", "1e78", "1e-200"])
+    def test_constants_extreme_a(self, capsys, a):
+        # (1 - a^2)^2 raised a bare OverflowError for a past 1.16e77
+        assert main(["constants", "--k", "0.5", "--a", a]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["a"] == float(a)
+        assert all(isinstance(v, float) and np.isfinite(v) for v in doc.values())
+
     def test_eval_chain_extend_plot_files(self, write_config, tmp_path, capsys):
         cfg = write_config(REFERENCE_DOC)
         csv = tmp_path / "grid.csv"
@@ -484,6 +493,31 @@ class TestEndToEnd:
         header, rows = read_grid_csv(out)
         flags = {row[header.index("flagged")] for row in rows}
         assert flags == {0.0, 1.0}
+
+    def test_extend_mu_on_every_outside_row(self, write_config, tmp_path, capsys):
+        # mu reads only the branch-free bracket, so every row with |z| > 1
+        # has it, flagged or not and however close to the circle
+        doc = {"f": {"coefficients": [1, 1.5, 0.75]}, "params": {"alpha": 0.5}}
+        out = tmp_path / "ext.csv"
+        assert main(["extend", write_config(doc), "--out", str(out), "--rmin", "1.00001", "--rmax", "2"]) == 0
+        assert "branch crossing" in capsys.readouterr().err
+        _, rows = read_grid_csv(out)
+        rows = np.array(rows)
+        z = rows[:, 0] + 1j * rows[:, 1]
+        outside = np.abs(z) > 1.0
+        assert outside.all() and rows[:, 5].any() and (np.abs(z) <= 1.0 + 3e-5).any()
+        spec = parse_config(json.dumps(doc))
+        mu = np.abs(beltrami_grid(z, spec.params, spec.f, spec.g, spec.phi))
+        assert rows[:, 4].tobytes() == mu.tobytes()
+
+    def test_chain_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        # e^{m a t gamma} overflows at t = 1000: exit 70 with no numpy warning
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(bundled_configs()["example31_thm41"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["chain", str(cfg), "--out", str(tmp_path / "x.csv"), "--tmax", "1000"]) == 70
+        assert "numerical failure:" in capsys.readouterr().err
 
     def test_extend_default_flags(self, write_config, tmp_path):
         # the default ring has points whose z/|z| rounds to modulus

@@ -3,7 +3,9 @@ its Beltrami coefficients."""
 
 import cmath
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -13,11 +15,13 @@ from univalence_lab import (
     beltrami_grid,
     beltrami_ring,
     catalog_build,
+    chain_grid,
     disk_containment_check,
     extend_grid,
     extension_constants,
     operator_grid,
 )
+from univalence_lab.cli import bundled_configs, parse_config
 from univalence_lab.errors import DomainError
 
 
@@ -79,6 +83,22 @@ class TestConstants:
         with pytest.raises(DomainError):
             extension_constants(0.5, 0.0)
 
+    @pytest.mark.parametrize("a", [1e78, 1e200, 1e-200])
+    def test_extreme_a_is_finite(self, a):
+        # (1 - a^2)^2 overflowed to an OverflowError for a past 1.16e77
+        for k in (0.0, 0.5):
+            c = extension_constants(k, a)
+            assert c.a == a
+            assert (c.L1, c.L2, c.l) == (1.0, -1.0, 1.0)  # the limit a -> 0 or inf
+            assert (c.curlyL1, c.curlyL2) == ((0.0, -math.inf) if k == 0.0 else (1.0, -1.0))
+
+    @pytest.mark.parametrize("a", [1.0000001, 1.25, 2.0, 3.0, 7.5, 1e10, 1e78, 1e200])
+    def test_reciprocal_a_is_bit_identical(self, a):
+        # every root is invariant under a -> 1/a
+        for k in (0.0, 0.3, 0.9):
+            c, r = extension_constants(k, a), extension_constants(k, 1.0 / a)
+            assert (c.L1, c.L2, c.curlyL1, c.curlyL2, c.l) == (r.L1, r.L2, r.curlyL1, r.curlyL2, r.l)
+
     @pytest.mark.parametrize("a", [math.inf, math.nan, -math.inf])
     def test_non_finite_a_rejected(self, a):
         # a = inf gave l = NaN, which to_json wrote as invalid JSON
@@ -114,6 +134,21 @@ class TestContainment:
     def test_domain(self):
         with pytest.raises(DomainError):
             disk_containment_check(0.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("a", [1e78, 1e160, 1e200, 1e-200])
+    def test_extreme_a_is_the_limit(self, a):
+        # the transfer disk shrinks to the point m (a -> inf) or -1 (a -> 0),
+        # a distance 1 from the criterion disk's centre; a > 1e154 gave NaN
+        assert disk_containment_check(0.5, a, 0.9) == (False, -1.5)
+
+    @pytest.mark.parametrize("a", [0.3, 1.25, 3.0, 1e10, 1e150])
+    def test_slack_matches_exact_arithmetic(self, a):
+        k, l, m = Fraction(1, 2), Fraction(0.9), Fraction(2)
+        aq = Fraction(a)
+        D = 2 * aq * (1 + l * l) + (1 - l * l) * (1 + aq * aq)
+        center = (aq * (1 + l * l) * (m - 1) + (1 - l * l) * (m * aq * aq - 1)) / D
+        slack = 2 * aq * l * (1 + m) / D - abs(center - (m - 1) / 2) - k * (m + 1) / 2
+        assert disk_containment_check(0.5, a, 0.9, m=2.0)[1] == pytest.approx(float(slack), rel=0, abs=1e-15)
 
     @pytest.mark.parametrize(
         "a,m", [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, -0.5), (1.0, math.inf)]
@@ -154,7 +189,7 @@ class TestBeckerExtend:
     @example(theta=2.557013752954216, r=1.3)  # z/|z| has modulus 1 + 2.2e-16
     @example(theta=3.35270895707058, r=1.3)
     def test_accepts_every_outside_point(self, theta, r):
-        # z/|z| can round to modulus 1 + 2.2e-16; the chain must never see it
+        # z/|z| can round to modulus 1 + 2.2e-16; the chain must take it
         z = r * complex(math.cos(theta), math.sin(theta))
         assume(abs(z) >= 1.0)
         f = catalog_build("quadratic", {"c": 0.25})
@@ -162,6 +197,37 @@ class TestBeckerExtend:
         p = ParameterSet(alpha=0.5, beta=0.5, gamma=1.0, m=1.0, a=1.0)
         F = _extend(z, p, f, g)
         assert cmath.isfinite(F)
+
+
+def _example31_thm41():
+    spec = parse_config(bundled_configs()["example31_thm41"])
+    return spec.params, spec.f, spec.g, spec.phi
+
+
+class TestSeam:
+    """Outside the disk the extension is the chain at (z/|z|, log|z|) with
+    no clamp: t is floored only where a t < 2^-49, for |z| < 1 + 1.8e-15/a."""
+
+    @pytest.mark.parametrize("r", [1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-7, 1.0 + 5e-7])
+    def test_extension_is_the_chain_at_log_r(self, r):
+        # t clamped to 1e-6 put these 1.42e-6 off on example31_thm41
+        p, f, g, phi = _example31_thm41()
+        z = r * cmath.exp(0.7j)
+        rr = abs(z)
+        u = complex(z.real / rr, z.imag / rr)
+        F, flagged = extend_grid(z, p, f, g, phi)
+        L, _ = chain_grid(u, math.log(rr), p, f, g, phi)
+        assert not flagged
+        assert F.tobytes() == L.tobytes()
+
+    @pytest.mark.parametrize("r", [1.0, 1.0 + 2.0**-52])
+    def test_unit_circle_and_next_float(self, r):
+        p, f, g, phi = _example31_thm41()
+        z = r * np.append(np.exp(2j * np.pi * np.arange(64) / 64), [1j, -1.0, -1j])
+        F, flagged = extend_grid(z, p, f, g, phi)
+        assert not flagged.any()
+        assert np.all(np.isfinite(F))
+        assert np.allclose(F, extend_grid(z * (1.0 + 1e-9), p, f, g, phi)[0], rtol=1e-8, atol=0.0)
 
 
 class TestBeltrami:
