@@ -37,10 +37,12 @@ degree-32 exponentials f = (e^{lam z} - 1)/lam, g the same at lam/2
 (the criterion of a statement built once, as `criterion_check` builds
 it) on the default 5120-point disk grid, `probe` one call on the four
 probes of a refinement hop, `lookahead` one call on the 16 probes of the
-first look-ahead call (4 hops, `criterion._FIRST_HOPS`), `probes` the
-number of probe calls `criterion_check` makes, `points` the probe points
-they evaluate, and `check` the whole `criterion_check`.  To compare two
-checkouts, run the script in each.
+first look-ahead call (4 hops, `criterion._FIRST_HOPS`), `first` that
+call on a freshly built statement, which pays for whatever the statement
+prepares on its first call (the Horner coefficient table of each width),
+`probes` the number of probe calls `criterion_check` makes, `points` the
+probe points they evaluate, and `check` the whole `criterion_check`.  To
+compare two checkouts, run the script in each.
 
 A fifth table times the grid scan of `criterion_check` on the same cases,
 Koebe on its config grid (7 radii x 512 angles): `exact` is one
@@ -58,6 +60,7 @@ import argparse
 import math
 import os
 import tempfile
+import time
 import timeit
 import tracemalloc
 import warnings
@@ -127,8 +130,8 @@ def main():
         print(f"{f'{n} x {c}':>10}  " + _csv_row(rng, n, c, args.repeat))
 
     print(
-        f"\n{'family':>10} {'variant':>7}  {'grid':>9}  {'probe':>9}  {'lookahead':>9}  {'probes':>6}  {'points':>6}"
-        f"  {'check':>9}"
+        f"\n{'family':>10} {'variant':>7}  {'grid':>9}  {'probe':>9}  {'lookahead':>9}  {'first':>9}  {'probes':>6}"
+        f"  {'points':>6}  {'check':>9}"
     )
     for label, variant, p, fgp in _verdict_cases():
         print(f"{label:>10} {variant:>7}  " + _criterion_row(variant, p, *fgp, args.repeat))
@@ -233,9 +236,22 @@ def _scan_row(variant, p, f, g, phi, grid, repeat):
     return f"{terms:>5}  {ms['exact']:>20}  {ms['pruned']:>20}  {cands:>5}  {reason or '-'}"
 
 
+def _first_call(variant, p, f, g, phi, z, repeat):
+    """Seconds of the first criterion._values call at z on a statement
+    built just before it, the best of `repeat` batches of 50 statements."""
+    best = math.inf
+    for _ in range(repeat):
+        statements = [criterion._statement(variant, p, f, g, phi) for _ in range(50)]
+        start = time.perf_counter()
+        for st in statements:
+            criterion._values(st, z)
+        best = min(best, (time.perf_counter() - start) / len(statements))
+    return best
+
+
 def _criterion_row(variant, p, f, g, phi, repeat):
-    """grid ms, probe and look-ahead us, probe calls, probe points and
-    criterion_check ms of one case."""
+    """grid ms, probe, look-ahead and first look-ahead us, probe calls,
+    probe points and criterion_check ms of one case."""
     grid = DiskGrid()
     st = criterion._statement(variant, p, f, g, phi)
     values = criterion._values
@@ -259,10 +275,11 @@ def _criterion_row(variant, p, f, g, phi, repeat):
         t_grid = _best(lambda: values(st, points), repeat)
         t_probe = _best(lambda: values(st, probes), repeat)
         t_ahead = _best(lambda: values(st, ahead.ravel()), repeat)
+        t_first = _first_call(variant, p, f, g, phi, ahead.ravel(), repeat)
         t_check = _best(lambda: criterion.criterion_check(variant, p, f, g, phi, grid), repeat)
     # one call scans the grid, the others are probes
     return (
-        f"{t_grid * 1e3:6.2f} ms  {t_probe * 1e6:6.1f} us  {t_ahead * 1e6:6.1f} us  "
+        f"{t_grid * 1e3:6.2f} ms  {t_probe * 1e6:6.1f} us  {t_ahead * 1e6:6.1f} us  {t_first * 1e6:6.1f} us  "
         f"{len(calls) - 1:>6}  {sum(calls[1:]):>6}  {t_check * 1e3:6.2f} ms"
     )
 

@@ -11,9 +11,13 @@ results of the low-degree series bit for bit.  `polyval012` makes that
 choice for every series it is given, and runs the Horner loop on a stack
 of short series at once: on few points, where the cost of an array
 operation is its call, a stack costs three array operations per
-coefficient, whatever the number of series.  `circle_rows` takes series
-on whole circles at once instead, one FFT per row and circle, from the
-derivative rows that the blocked product reads (`series_rows`).
+coefficient, whatever the number of series.  A `SeriesStack` holds that
+choice and the coefficient tables of the loop, so a caller that evaluates
+the same series many times (a criterion statement) prepares them once;
+`polyval012` prepares one for each call on bare arrays.  `circle_rows`
+takes series on whole circles at once instead, one FFT per row and
+circle, from the derivative rows that the blocked product reads
+(`series_rows`).
 
 `g17_csv` writes CSV text with the bytes of CPython's '%.17g' % x: the
 17 digits come from a double-double product and a 4-digit lookup table,
@@ -121,102 +125,151 @@ def series_rows(bits):
     return rows, scale
 
 
+class SeriesStack:
+    """Series prepared for polyval012, for evaluation at many sets of points.
+
+    A series of _BLOCKED_MIN_TERMS terms or more (c_0 = 0 included) is long
+    and keeps its series_rows for the blocked product.  The short ones
+    stand in the columns of one table, cols[k, i] = c_k of short series i,
+    zero-padded at the high end to the largest degree among them.  The
+    repeated coefficient table of a Horner pass on w points (see
+    _horner012) is built on the first pass of that width and kept while the
+    tables kept stay within _HORNER_BYTES, so a stack evaluated many times
+    pays for each table once.  Nothing is shared between stacks.
+
+    bits, when given, holds the complex128 bytes of each series, as
+    SeriesFunction keeps them: a bytes object caches its hash, so keying
+    series_rows on it costs nothing, where a fresh c.tobytes() is hashed
+    whole."""
+
+    def __init__(self, coeffs, bits=None):
+        series = [np.ascontiguousarray(c, dtype=np.complex128) for c in coeffs]
+        self.count = len(series)
+        self.short = [j for j, c in enumerate(series) if c.size + 1 < _BLOCKED_MIN_TERMS]
+        self.long = [
+            (j, series_rows(c.tobytes() if bits is None else bits[j]))
+            for j, c in enumerate(series)
+            if c.size + 1 >= _BLOCKED_MIN_TERMS
+        ]
+        self.sizes = [series[j].size for j in self.short]
+        self.top = max(self.sizes, default=0)
+        self.cols = np.zeros((self.top + 1, len(self.short)), dtype=np.complex128)
+        for i, j in enumerate(self.short):
+            self.cols[1 : self.sizes[i] + 1, i] = series[j]
+        self._tables = {}
+        self._kept = 0
+
+    def _table(self, w):
+        """(steps, starts) of a Horner pass of every short series on w
+        points: steps[k] holds c_k of each series repeated along its points,
+        and starts {k: [(points of series i, c_k)]} the shorter series i of
+        degree k."""
+        if w in self._tables:
+            return self._tables[w]
+        table = np.repeat(self.cols, w, axis=1)
+        starts = {}
+        for i, n in enumerate(self.sizes):
+            if n < self.top:
+                starts.setdefault(n, []).append((slice(i * w, (i + 1) * w), self.cols[n, i]))
+        steps = list(table)  # a list indexes faster than the array
+        if self._kept + table.nbytes <= _HORNER_BYTES:
+            self._tables[w] = steps, starts
+            self._kept += table.nbytes
+        return steps, starts
+
+
 def polyval012(coeffs, z, bits=None):
     """(p, p', p'') of p(z) = sum c_n z^n with coeffs = [c_1..c_N].
 
-    coeffs may also be a sequence of m such arrays, of any lengths: the
-    values are then (m, z.size) arrays, each row with the bits of its
-    series alone.  A series of _BLOCKED_MIN_TERMS terms or more (c_0 = 0
-    included) goes through its own blocked product, on the rows of
-    series_rows.  The shorter ones go through Horner: on at most
-    _STACK_POINTS points together in one pass; on more one at a time, since
-    a pass then costs by the element, and the padding of the shorter
-    series and the repeated coefficients cost more than the calls saved
-    (for f, g of degree 32 and phi = z, the crossover lies between 256 and
-    1024 points).
-
-    bits, when given, holds the complex128 bytes of each series (of the one
-    series for a 1-d coeffs), as SeriesFunction keeps them: a bytes object
-    caches its hash, so keying series_rows on it costs nothing per call,
-    where a fresh c.tobytes() is hashed whole on every call."""
+    coeffs may also be a sequence of m such arrays, of any lengths, or a
+    SeriesStack of them, prepared once for many calls: the values are then
+    (m, z.size) arrays, each row with the bits of its series alone.  bits
+    holds the bytes of each series as SeriesStack takes them (of the one
+    series for a 1-d coeffs).  A long series goes through its own blocked
+    product.  The short ones go through Horner: on at most _STACK_POINTS
+    points together in one pass; on more one at a time, since a pass then
+    costs by the element, and the padding of the shorter series and the
+    repeated coefficients cost more than the calls saved (for f, g of
+    degree 32 and phi = z, the crossover lies between 256 and 1024
+    points)."""
     z = np.ascontiguousarray(z, dtype=np.complex128).ravel()
     one = isinstance(coeffs, np.ndarray) and coeffs.ndim == 1
-    series = [np.ascontiguousarray(c, dtype=np.complex128) for c in ((coeffs,) if one else coeffs)]
-    keys = (bits,) if one else bits
-    out = np.empty((3, len(series), z.size), dtype=np.complex128)
-    short = [j for j, c in enumerate(series) if c.size + 1 < _BLOCKED_MIN_TERMS]
-    stacked = len(short) > 1 and z.size <= _STACK_POINTS
-    if stacked:
+    stack = coeffs
+    if not isinstance(coeffs, SeriesStack):
+        stack = SeriesStack((coeffs,), None if bits is None else (bits,)) if one else SeriesStack(coeffs, bits)
+    out = np.empty((3, stack.count, z.size), dtype=np.complex128)
+    short = stack.short
+    if short and z.size <= _STACK_POINTS:
         # one pass, straight into out when every series is short
-        stack = out if len(short) == len(series) else np.empty((3, len(short), z.size), dtype=np.complex128)
-        _horner012([series[j] for j in short], z, stack)
-        if stack is not out:
-            out[:, short] = stack
-    for j, c in enumerate(series):
-        if j not in short:
-            rows, scale = series_rows(c.tobytes() if bits is None else keys[j])
-            out[:, j] = _blocked_rows(rows, z, scale)
-        elif not stacked:
-            _horner012([c], z, out[:, j : j + 1])
+        part = out if len(short) == stack.count else np.empty((3, len(short), z.size), dtype=np.complex128)
+        _horner012(stack, z, part)
+        if part is not out:
+            out[:, short] = part
+    else:
+        for i, j in enumerate(short):
+            _horner012(stack, z, out[:, j : j + 1], i)
+    for j, (rows, scale) in stack.long:
+        out[:, j] = _blocked_rows(rows, z, scale)
     return tuple(out[:, 0] if one else out)
 
 
-def _horner012(series, z, out):
-    """Fill out (3, m, z.size) with p, p', p'' of the m series by Horner,
-    carrying the derivatives along: from (p''/2, p', p) = (0, 0, c_N),
-    each lower coefficient c_k takes every point through
+def _horner012(stack, z, out, i=None):
+    """Fill out (3, m, z.size) with p, p', p'' of the short series of the
+    stack by Horner, carrying the derivatives along: from (p, p', p''/2) =
+    (c_N, 0, 0), each lower coefficient c_k takes every point through
     p''/2 <- p''/2 z + p', p' <- p' z + p and p <- p z + c_k, down to
     c_0 = 0.
 
-    The series, zero-padded at the high end, and the points advance
-    together in one flat buffer of the rows [p''/2; p'; p] with z tiled
-    to the same length, so a coefficient step is three array operations
-    on contiguous views.  A shorter series waits at 0 and starts with
-    p = 0 z + c_N, which is c_N but for the sign of a zero part, so p is
-    set to c_N there.  A product never runs in place: numpy rounds an
-    in-place complex product on one element differently.
+    The series and the points advance together in one flat buffer of the
+    rows [p; p'; p''/2] with z tiled to the same length, so a coefficient
+    step is three array operations on contiguous views.  The coefficient
+    operand of a step is the stack's repeated table for the width of the
+    chunk (SeriesStack._table).  A shorter series waits at 0 and starts
+    with p = 0 z + c_N, which is c_N but for the sign of a zero part, so p
+    is set to c_N there.  With i given, short series i runs alone (m = 1)
+    against its coefficients broadcast, which on many points costs less
+    than a table.  A product never runs in place: numpy rounds an in-place
+    complex product on one element differently.
 
     Points are processed in chunks that keep every temporary within
     _HORNER_BYTES = 128 KiB, glibc's default mmap threshold, above which
     malloc maps each buffer afresh and its pages are faulted in again on
     every call.  The state, the next state and the tiled z hold 3 m values
-    per point, and a stack's repeated coefficients (N + 1) m.  The values
-    do not depend on the chunks."""
-    m = len(series)
-    top = max(c.size for c in series)
-    cols = np.zeros((top + 1, m), dtype=np.complex128)  # c_k of series j at [k, j]
-    for j, c in enumerate(series):
-        cols[1 : c.size + 1, j] = c
-    chunk = max(1, _HORNER_BYTES // (16 * m * (max(3, top + 1) if m > 1 else 3)))
+    per point, and a table (N + 1) m.  The values do not depend on the
+    chunks."""
+    if i is None:
+        m, top = len(stack.sizes), stack.top
+        chunk = max(1, _HORNER_BYTES // (16 * m * max(3, top + 1)))
+    else:
+        m, top = 1, stack.sizes[i]
+        chunk = _HORNER_BYTES // (16 * 3)
+        steps, starts = stack.cols[: top + 1, i : i + 1], {}
     for s in range(0, z.size, chunk):
         zc = z[s : s + chunk]
         w = zc.size
-        # the coefficient operand of each step: one value broadcast for one
-        # series, each series' value repeated along its points for a stack
-        steps = np.repeat(cols, w, axis=1) if m > 1 else cols
-        starts = {}
-        for j, c in enumerate(series):
-            if c.size < top:
-                starts.setdefault(c.size, []).append((slice(j * w, (j + 1) * w), cols[c.size, j]))
-        tiled = np.empty(3 * m * w, dtype=np.complex128)
+        if i is None:
+            steps, starts = stack._table(w)
+        mw = m * w
+        tiled = np.empty(3 * mw, dtype=np.complex128)
         tiled.reshape(3 * m, w)[...] = zc
-        a = np.zeros(3 * m * w, dtype=np.complex128)
-        a[2 * m * w :] = steps[top]
+        a = np.zeros(3 * mw, dtype=np.complex128)
+        a[:mw] = steps[top]
         b = np.empty_like(a)
-        # (whole, [p''/2; p'], [p'; p], p) of the current and the next state
-        cur = (a, a[: 2 * m * w], a[m * w :], a[2 * m * w :])
-        nxt = (b, b[: 2 * m * w], b[m * w :], b[2 * m * w :])
+        # (whole, p, [p; p'], [p'; p''/2]) of the current and the next state
+        cur = (a, a[:mw], a[: 2 * mw], a[mw:])
+        nxt = (b, b[:mw], b[: 2 * mw], b[mw:])
+        multiply, add = np.multiply, np.add
         for k in range(top - 1, -1, -1):
-            np.multiply(cur[0], tiled, nxt[0])
-            np.add(nxt[1], cur[2], nxt[1])
-            np.add(nxt[3], steps[k], nxt[3])
+            multiply(cur[0], tiled, nxt[0])
+            add(nxt[3], cur[2], nxt[3])
+            add(nxt[1], steps[k], nxt[1])
             if k in starts:
                 for row, value in starts[k]:
-                    nxt[3][row] = value
+                    nxt[1][row] = value
             cur, nxt = nxt, cur
         state = cur[0].reshape(3, m, w)
-        out[:2, :, s : s + w] = state[:0:-1]
-        np.multiply(2.0, state[0], out=out[2, :, s : s + w])
+        out[:2, :, s : s + w] = state[:2]
+        np.multiply(2.0, state[2], out=out[2, :, s : s + w])
 
 
 def circle_rows(rows, radii, n):

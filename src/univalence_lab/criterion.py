@@ -41,7 +41,9 @@ STRICTNESS_TOL = 1e-12
 # maximum and after a move, doubling while the walk runs out of its calls
 # without moving, up to _LOOK_AHEAD_HOPS hops of 4 probes, as many points
 # as the stacked Horner path takes (_kernels._STACK_POINTS); calls of 300
-# and 1000 levels at once were 2-5x slower
+# and 1000 levels at once were 2-5x slower.  Each width a call takes gets
+# its Horner coefficient table once per statement (_kernels.SeriesStack),
+# so a call costs its arithmetic and a few fixed array steps
 _FIRST_HOPS = 4
 _LOOK_AHEAD_HOPS = _kernels._STACK_POINTS // 4
 # the pruned grid scan (_grid_candidates) evaluates the whole grid when
@@ -158,7 +160,9 @@ class _Statement(NamedTuple):
     """A variant, corollary substitutions made: |fac B - centre|, or fac |B|
     with gamma real if centre is None, against bound, for the bracket B of
     alpha, beta, f, g, phi (its bracket_quotients are quotients, their
-    _bracket_series series) and fac = (1 - |z|^{(m+1) gamma})/gamma."""
+    _bracket_series series: the prepared stack of their distinct series,
+    which keeps its Horner tables for every call of the check) and fac =
+    (1 - |z|^{(m+1) gamma})/gamma."""
 
     f: object
     g: object
@@ -210,17 +214,21 @@ def _values(st, z):
 def _expression(st, r, bracket):
     """(criterion values, factor) from the bracket at points of modulus r:
     |fac bracket - centre| or fac |bracket|, fac depending on r only."""
-    # the mask runs only when a point is 0: on the others it selects every
-    # element, which gives the same bits
-    nz = r > 0
-    if nz.all():
-        nz = ...
+    # the mask runs only when a point is 0, where fac is 0 with a centre
+    # (the bracket is 0 there anyway) and 1/gamma without; on the other
+    # points it would select every element, which gives the same bits
+    nz = ... if np.count_nonzero(r) == r.size else r > 0
+    c = (st.m + 1.0) * st.gamma
     if st.centre is not None:
-        fac = np.zeros_like(bracket)  # bracket is 0 at z = 0 anyway
-        fac[nz] = (1.0 - np.exp((st.m + 1.0) * st.gamma * np.log(r[nz]))) / st.gamma
+        fac, at_zero = (1.0 - np.exp(c * np.log(r[nz]))) / st.gamma, 0.0
+    else:
+        fac, at_zero = (1.0 - r[nz] ** c) / st.gamma, 1.0 / st.gamma
+    if nz is not ...:
+        full = np.full(r.shape, at_zero, dtype=fac.dtype)
+        full[nz] = fac
+        fac = full
+    if st.centre is not None:
         return np.abs(fac * bracket - st.centre), fac
-    fac = np.full(r.shape, 1.0 / st.gamma)
-    fac[nz] = (1.0 - r[nz] ** ((st.m + 1.0) * st.gamma)) / st.gamma
     return fac * np.abs(bracket), fac
 
 

@@ -70,15 +70,16 @@ def extension_constants(k, a):
     if a_in == 1.0:
         return ExtensionConstants(k, a_in, k, -math.inf, k, -math.inf, k)
     a = min(a_in, 1.0 / a_in)
-    A = abs(1.0 - a * a)
+    A = (1.0 - a) * (1.0 + a)  # 1 - a^2, which 1 - a*a loses to cancellation near a = 1
     denom = A + k * (1.0 - a) ** 2
     L1 = ((1.0 - a) ** 2 + k * A) / denom
     L2 = -((1.0 + a) ** 2 + k * A) / denom
     if k == 0.0:
         cl1, cl2 = 0.0, -math.inf
     else:
-        root = math.sqrt(4.0 * a * a + (1.0 - a * a) ** 2 * k * k)
-        cl1 = (-2.0 * a + root) / (k * (1.0 - a) ** 2)
+        root = math.sqrt(4.0 * a * a + (A * k) ** 2)
+        # (root - 2a) / (k (1 - a)^2) by its conjugate, as root^2 - 4a^2 = (A k)^2
+        cl1 = k * (1.0 + a) ** 2 / (2.0 * a + root)
         cl2 = (-2.0 * a - root) / (k * (1.0 - a) ** 2)
     return ExtensionConstants(k, a_in, L1, L2, cl1, cl2, L1)
 

@@ -97,16 +97,26 @@ def eval_many(s, z):
 
 def _check_disk(r, *series):
     """DomainError when the largest |z| = r passes 1 + DISK_SLACK or a
-    point is not finite; each truncated series warns there, in order."""
+    point is not finite; each truncated series warns there, in order (see
+    _warn_truncated).  Returns that largest |z|, None for no points."""
     if not r.size:
-        return
+        return None
     rmax = float(r.max())
     if not rmax <= 1.0 + DISK_SLACK:  # NaN fails it too
         raise DomainError(f"max |z| = {rmax:.6g} > 1")
+    _warn_truncated(rmax, *series)
+    return rmax
+
+
+def _warn_truncated(rmax, *series):
+    """The TruncationWarning of each series at |z| = rmax, in order, as
+    _check_disk returns rmax: none for no points."""
+    if rmax is None:
+        return
     for s in series:
         message = _truncation_message(s, rmax)
         if message:
-            warnings.warn(message, TruncationWarning, stacklevel=2)
+            warnings.warn(message, TruncationWarning, stacklevel=3)
 
 
 def log_derivative(s, z):
@@ -120,25 +130,30 @@ def log_derivative(s, z):
     r = np.abs(z)
     _check_disk(r, s)
     p, dp, _ = _kernels.polyval012(s.coefficients, z, s._bits)
-    return _log_quotient(s, z, p.reshape(z.shape), dp.reshape(z.shape), r)
+    return _log_quotient(s, z, p.reshape(z.shape), dp.reshape(z.shape), _small(r))
 
 
-def _log_quotient(s, z, p, dp, r):
-    """log_derivative from p = s(z) and dp = s'(z) at the points z, |z| = r.
-    The masks run only when a point has |z| <= SMALL_Z: on the other
-    points they select every element, which gives the same bits."""
+def _small(r):
+    """The mask of the points with |z| = r <= SMALL_Z, or None when there
+    is none."""
     small = r <= SMALL_Z
-    masked = bool(small.any())
-    big = ~small if masked else ...
+    return small if np.count_nonzero(small) else None
+
+
+def _log_quotient(s, z, p, dp, small):
+    """log_derivative from p = s(z) and dp = s'(z) at the points z, small
+    their _small mask.  The masks run only when a point has |z| <=
+    SMALL_Z: on the other points they select every element, which gives
+    the same bits."""
+    big = ... if small is None else ~small
     denom = p[big]
-    zero = denom == 0
-    if zero.any():
-        bad = z[big][zero][0]
+    if np.count_nonzero(denom) < denom.size:
+        bad = z[big][denom == 0][0]
         raise HypothesisViolation(
             f"series {s.label or '<unnamed>'} vanishes at z = {bad}", witness=complex(bad)
         )
     quotient = dp[big] * z[big] / denom
-    if not masked:
+    if small is None:
         return quotient
     out = np.empty_like(p)
     out[big] = quotient
@@ -173,36 +188,39 @@ def criterion_bracket(f, g, phi, alpha, beta, z):
 
 
 def _bracket_series(quotients):
-    """(coefficient arrays, bytes, slots) of the distinct series of the
-    quotients, told apart by their bytes, in order; slots holds the index
-    of each quotient's series among them."""
+    """(stack, slots) of the distinct series of the quotients, told apart by
+    their bytes, in order: their _kernels.SeriesStack and the index of
+    each quotient's series in it."""
     coeffs = {s._bits: s.coefficients for s, *_ in quotients}
     slots = tuple(list(coeffs).index(s._bits) for s, *_ in quotients)
-    return list(coeffs.values()), list(coeffs), slots
+    return _kernels.SeriesStack(list(coeffs.values()), list(coeffs)), slots
 
 
 def _bracket(quotients, series, beta, z, r):
     """criterion_bracket at the complex128 array z of moduli r, from its
     bracket_quotients, their _bracket_series and beta.  beta weights lr =
-    0 too when g and phi do not enter, so the signs of zero parts stay."""
+    0 too when g and phi do not enter, so the signs of zero parts stay.
+    The points are taken in order, flat."""
     (f, _, alpha, _), *logs = quotients
-    coeffs, bits, slots = series
-    _check_disk(r, f)
-    values = _kernels.polyval012(coeffs, z.ravel(), bits)
-    p, dp, ddp = (v.reshape(len(coeffs), *z.shape) for v in values)
+    stack, slots = series
+    rmax = _check_disk(r, f)
+    shape, z, r = z.shape, z.ravel(), r.ravel()
+    p, dp, ddp = _kernels.polyval012(stack, z)
     fp, fpp = dp[slots[0]], ddp[slots[0]]
     bad = np.abs(fp) < DERIVATIVE_FLOOR
-    if bad.any():
+    if np.count_nonzero(bad):  # a fraction of the cost of bad.any() on few points
         w = complex(z[bad][0])
         raise DerivativeVanishes(f"f'(z) = 0 at z = {w}", witness=w)
     pre = z * fpp / fp
-    lr = np.zeros_like(z)
     if logs:
         (g, *_), (phi, *_) = logs
-        _check_disk(r, g, phi)  # for their truncation warnings
+        _warn_truncated(rmax, g, phi)
         j, k = slots[1:]
-        lr = _log_quotient(g, z, p[j], dp[j], r) - _log_quotient(phi, z, p[k], dp[k], r)
-    return alpha * pre + beta * lr
+        small = _small(r)
+        lr = _log_quotient(g, z, p[j], dp[j], small) - _log_quotient(phi, z, p[k], dp[k], small)
+    else:
+        lr = np.zeros_like(z)
+    return (alpha * pre + beta * lr).reshape(shape)
 
 
 def as_integer(value, name):

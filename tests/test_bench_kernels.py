@@ -36,9 +36,15 @@ def test_criterion_and_scan_rows():
     with mock.patch.object(bench, "_best", _once):
         row = bench._criterion_row("thm31", p, f, g, phi, 1)
         scan = bench._scan_row("thm31", p, f, g, phi, DiskGrid(), 1)
-    assert int(row.split()[6]) > 0  # the probe calls of the check were counted
-    probes, points = map(int, row.split()[6:8])
+    cells = row.split()
+    assert cells[1::2][:4] == ["ms", "us", "us", "us"]  # grid, probe, lookahead, first
+    assert float(cells[6]) > 0.0  # first: timed, not the mocked loop
+    probes, points = map(int, cells[8:10])
+    assert probes > 0  # the probe calls of the check were counted
     assert 0 < points <= 4 * DiskGrid().refine_steps * probes
+    with mock.patch.object(np, "repeat", wraps=np.repeat) as repeat:
+        bench._first_call("thm31", p, f, g, phi, np.full(16, 0.5 + 0.1j), 1)
+    assert repeat.call_count == 50  # each timed call built its statement's table
     terms, _, _, cands, fallback = scan.split()
     assert int(terms) == 68 and 0 < int(cands) < 5120 and fallback == "-"
 

@@ -99,6 +99,40 @@ class TestConstants:
             c, r = extension_constants(k, a), extension_constants(k, 1.0 / a)
             assert (c.L1, c.L2, c.curlyL1, c.curlyL2, c.l) == (r.L1, r.L2, r.curlyL1, r.curlyL2, r.l)
 
+    @pytest.mark.parametrize("k", [0.1, 0.3, 0.5, 0.9])
+    def test_near_one_against_mpmath(self, k):
+        # 1 - a^2 and -2a + root cancel near a = 1: curlyL1 read 0.0 at
+        # k = 0.3, a = 1.000000001, where it is 0.3
+        mp = pytest.importorskip("mpmath")
+
+        def exact(a):
+            with mp.workprec(200):
+                kk, aa = mp.mpf(k), mp.mpf(a)
+                big_a = abs(1 - aa * aa)
+                denom = big_a + kk * (1 - aa) ** 2
+                root = mp.sqrt(4 * aa * aa + (big_a * kk) ** 2)
+                return (
+                    ((1 - aa) ** 2 + kk * big_a) / denom,
+                    -((1 + aa) ** 2 + kk * big_a) / denom,
+                    (-2 * aa + root) / (kk * (1 - aa) ** 2),
+                    (-2 * aa - root) / (kk * (1 - aa) ** 2),
+                )
+
+        def close(got, want):
+            return all(abs(g - w) <= 1e-14 * abs(w) for g, w in zip(got, want))
+
+        for j in range(1, 51):
+            for a in (1.0 + 2.0**-j, 1.0 - 2.0**-j):
+                c = extension_constants(k, a)
+                roots = (c.L1, c.L2, c.curlyL1, c.curlyL2)
+                # the roots are taken at min(a, 1/a), 1/a rounded, as
+                # test_reciprocal_a_is_bit_identical pins them; L1 and
+                # curlyL1 are smooth at a = 1, so that rounding does not
+                # show in them
+                assert close(roots, exact(min(a, 1.0 / a))), (j, a)
+                assert close(roots[::2], exact(a)[::2]), (j, a)
+        assert extension_constants(0.3, 1.000000001).curlyL1 == pytest.approx(0.3, rel=1e-9)
+
     @pytest.mark.parametrize("a", [math.inf, math.nan, -math.inf])
     def test_non_finite_a_rejected(self, a):
         # a = inf gave l = NaN, which to_json wrote as invalid JSON

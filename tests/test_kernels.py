@@ -3,6 +3,7 @@ Horner reference, and the oracle kernels against brute force."""
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,15 @@ from univalence_lab import (
 )
 from univalence_lab.errors import DerivativeVanishes, HypothesisViolation, InconclusiveError, TruncationWarning
 from univalence_lab.oracle import _MAX_INCREMENT, winding_numbers
-from univalence_lab.series import SMALL_Z, criterion_bracket, eval_many, log_derivative
+from univalence_lab.series import (
+    SMALL_Z,
+    _bracket,
+    _bracket_series,
+    bracket_quotients,
+    criterion_bracket,
+    eval_many,
+    log_derivative,
+)
 from .conftest import random_disk_points
 
 ACCURACY = 1e-13
@@ -391,6 +400,144 @@ class TestBracketTermsParity:
             for alpha, beta in _WEIGHTS:
                 args = (f, g, phi, alpha, beta, z)
                 assert _outcome(criterion_bracket, *args) == _outcome(_bracket_per_series, *args)
+
+
+class TestPreparedStack:
+    """A SeriesStack prepared once, as a criterion statement holds it, and
+    evaluated again and again on point sets of any size gives the bits and
+    the errors of the per-call path, which prepares a stack for each call."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 62), min_size=1, max_size=3, unique=True),
+        npts=st.lists(st.integers(1, 256), min_size=1, max_size=4),
+        negative_zero=st.booleans(),
+    )
+    @example(seed=1, sizes=[32, 2, 1], npts=[16, 16, 32, 256], negative_zero=False)
+    @example(seed=2, sizes=[62, 7, 40], npts=[256, 43, 1, 44], negative_zero=True)
+    @example(seed=3, sizes=[5], npts=[1, 2, 256], negative_zero=True)
+    @settings(max_examples=100, deadline=None)
+    def test_polyval012_bits(self, seed, sizes, npts, negative_zero):
+        rng = np.random.default_rng(seed)
+        series = [_random_series(rng, n, f"s{j}", negative_zero) for j, n in enumerate(sizes)]
+        coeffs = [s.coefficients for s in series]
+        stack = _kernels.SeriesStack(coeffs, [s._bits for s in series])
+        for n in npts:  # one stack, several widths, some of them again
+            z = _probe_points(rng, n)
+            got = _kernels.polyval012(stack, z)
+            assert np.array(got).tobytes() == np.array(_kernels.polyval012(coeffs, z)).tobytes()
+            for j, s in enumerate(series):
+                for a, ref in zip(got, _horner_reference(s.coefficients, z)):
+                    assert a[j].tobytes() == ref.tobytes()
+        assert stack._kept <= _kernels._HORNER_BYTES
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(st.integers(1, 62), st.integers(1, 62), st.integers(1, 62)),
+        npts=st.lists(st.integers(1, 256), min_size=1, max_size=3),
+        negative_zero=st.booleans(),
+    )
+    @example(seed=1, sizes=(32, 32, 1), npts=[16, 256, 16], negative_zero=False)
+    @example(seed=2, sizes=(3, 62, 1), npts=[1, 7], negative_zero=True)
+    @settings(max_examples=60, deadline=None)
+    def test_bracket_bits(self, seed, sizes, npts, negative_zero):
+        # every point set holds 0 and points of modulus at most SMALL_Z
+        rng = np.random.default_rng(seed)
+        f, g, phi = (_random_series(rng, n, name, negative_zero) for n, name in zip(sizes, "fgp"))
+        for alpha, beta in _WEIGHTS:
+            quotients = bracket_quotients(f, g, phi, alpha, beta)
+            prepared = _bracket_series(quotients)
+            for n in npts:
+                z = _probe_points(rng, n)
+                got = _outcome(lambda z: _bracket(quotients, prepared, beta, z, np.abs(z)), z)
+                assert got == _outcome(criterion_bracket, f, g, phi, alpha, beta, z)
+
+    @pytest.mark.parametrize("vanishing", ["f", "g", "phi"])
+    def test_errors_after_the_tables_are_kept(self, vanishing):
+        # f' = 1 + z, g = z (1 + z) or phi = z (1 + z) vanishes at z = -1
+        f = SeriesFunction(np.array([1.0, 0.5]), label="f") if vanishing == "f" else catalog_build("quadratic", {"c": 0.25})
+        zero = SeriesFunction(np.array([1.0, 1.0]), label=vanishing)
+        fine = SeriesFunction(np.array([1.0, 0.1, 0.01]), label="other")
+        g, phi = (zero, fine) if vanishing == "g" else (fine, zero)
+        p = ParameterSet(alpha=0.5, beta=0.5)
+        st_ = criterion._statement("thm31", p, f, g, phi)
+        good = np.array([0.5, 0.25j, -0.3, 0.0])
+        bad = np.array([0.5, -1.0, 0.25j, -1.0])
+        for z in (good, bad, good, bad):
+            expected = _outcome(criterion_values, "thm31", z, p, f, g, phi)
+            assert _outcome(criterion._values, st_, z) == expected
+        kind = DerivativeVanishes if vanishing == "f" else HypothesisViolation
+        with pytest.raises(kind) as exc:
+            criterion._values(st_, bad)
+        text = "f'(z) = 0 at z = (-1+0j)" if vanishing == "f" else f"series {vanishing} vanishes at z = (-1+0j)"
+        assert str(exc.value) == text and exc.value.witness == -1.0
+
+    def test_series_told_apart_by_their_bits(self):
+        # equal series whose imaginary parts are +0.0 and -0.0: at real z
+        # with imaginary part -0.0 the values keep the signs, so each
+        # statement, and each series within one, must keep its own bits
+        plus = SeriesFunction(np.array([1.0, 0.3, -0.2, 0.1, 0.05 + 0j]), label="plus")
+        minus = SeriesFunction(np.conj(plus.coefficients), label="minus")
+        assert plus == minus and plus._bits != minus._bits
+        z = np.conj(np.array([-0.5, -0.9, 0.5, -0.2, 0.0, -0.7], dtype=np.complex128))
+        p = ParameterSet(alpha=0.5, beta=0.5)
+        ident = catalog_build("identity")
+        values = {}
+        for s in (plus, minus):
+            stack = criterion._statement("thm31", p, s, s, ident).series[0]
+            for _ in range(2):  # the second call reads the kept table
+                got = _kernels.polyval012(stack, z)
+                for a, ref in zip(got, _horner_reference(s.coefficients, z)):
+                    assert a[0].tobytes() == ref.tobytes()
+            values[s.label] = np.array(got).tobytes()
+        assert values["plus"] != values["minus"]
+        both = criterion._statement("thm31", p, catalog_build("quadratic", {"c": 0.25}), plus, minus)
+        stack, slots = both.series
+        assert stack.count == 3 and slots == (0, 1, 2)
+        for _ in range(2):
+            got = _kernels.polyval012(stack, z)
+            for j, s in ((1, plus), (2, minus)):
+                for a, ref in zip(got, _horner_reference(s.coefficients, z)):
+                    assert a[j].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("family", ["example31", "expscaled"])
+    def test_each_table_is_built_once_per_check(self, family):
+        # the coefficient table of a width is built on the first pass of
+        # that width and read by every later one of the check
+        ident = catalog_build("identity")
+        if family == "example31":
+            f, g = catalog_build("quadratic", {"c": 0.25}), catalog_build("quadratic", {"c": 0.5})
+        else:
+            lam = np.exp(0.3j)
+            f = catalog_build("expscaled", {"lam": lam, "degree": 32})
+            g = catalog_build("expscaled", {"lam": lam / 2.0, "degree": 32})
+        p = ParameterSet(alpha=0.5, beta=0.5, gamma=1.0, m=1.0, k=0.3)
+        for variant in criterion.VARIANTS:
+            statements = []
+
+            def statement(*args, _make=criterion._statement):
+                statements.append(_make(*args))
+                return statements[-1]
+
+            passes = []
+
+            def horner(stack, z, out, i=None, _run=_kernels._horner012):
+                passes.append(z.size)
+                return _run(stack, z, out, i)
+
+            with (
+                mock.patch.object(criterion, "_statement", statement),
+                mock.patch.object(_kernels, "_horner012", horner),
+                mock.patch.object(np, "repeat", wraps=np.repeat) as repeat,
+                warnings.catch_warnings(),
+            ):
+                warnings.simplefilter("ignore", TruncationWarning)
+                criterion_check(variant, p, f, g, ident, DiskGrid())
+            (st_,) = statements
+            stack = st_.series[0]
+            widths = [c.args[1] for c in repeat.call_args_list if c.args and c.args[0] is stack.cols]
+            assert widths and len(widths) == len(set(widths)) == len(stack._tables)
+            assert len(passes) > 2 * len(widths)  # tables are read far more often than built
 
 
 class TestDispatchAgreesWithNumpy:
