@@ -159,6 +159,10 @@ class SeriesStack:
         self._tables = {}
         self._kept = 0
 
+    def __len__(self):
+        """The number of series, short and long, as a sequence of them."""
+        return self.count
+
     def _table(self, w):
         """(steps, starts) of a Horner pass of every short series on w
         points: steps[k] holds c_k of each series repeated along its points,
@@ -185,7 +189,7 @@ def polyval012(coeffs, z, bits=None):
     SeriesStack of them, prepared once for many calls: the values are then
     (m, z.size) arrays, each row with the bits of its series alone.  bits
     holds the bytes of each series as SeriesStack takes them (of the one
-    series for a 1-d coeffs).  A long series goes through its own blocked
+    series for a 1-d coeffs); a SeriesStack has its own, and takes none.  A long series goes through its own blocked
     product.  The short ones go through Horner: on at most _STACK_POINTS
     points together in one pass; on more one at a time, since a pass then
     costs by the element, and the padding of the shorter series and the
@@ -195,7 +199,10 @@ def polyval012(coeffs, z, bits=None):
     z = np.ascontiguousarray(z, dtype=np.complex128).ravel()
     one = isinstance(coeffs, np.ndarray) and coeffs.ndim == 1
     stack = coeffs
-    if not isinstance(coeffs, SeriesStack):
+    if isinstance(coeffs, SeriesStack):
+        if bits is not None:
+            raise TypeError("a SeriesStack takes its bits when it is built")
+    else:
         stack = SeriesStack((coeffs,), None if bits is None else (bits,)) if one else SeriesStack(coeffs, bits)
     out = np.empty((3, stack.count, z.size), dtype=np.complex128)
     short = stack.short

@@ -97,26 +97,16 @@ def eval_many(s, z):
 
 def _check_disk(r, *series):
     """DomainError when the largest |z| = r passes 1 + DISK_SLACK or a
-    point is not finite; each truncated series warns there, in order (see
-    _warn_truncated).  Returns that largest |z|, None for no points."""
+    point is not finite; each truncated series warns there, in order."""
     if not r.size:
-        return None
+        return
     rmax = float(r.max())
     if not rmax <= 1.0 + DISK_SLACK:  # NaN fails it too
         raise DomainError(f"max |z| = {rmax:.6g} > 1")
-    _warn_truncated(rmax, *series)
-    return rmax
-
-
-def _warn_truncated(rmax, *series):
-    """The TruncationWarning of each series at |z| = rmax, in order, as
-    _check_disk returns rmax: none for no points."""
-    if rmax is None:
-        return
     for s in series:
         message = _truncation_message(s, rmax)
         if message:
-            warnings.warn(message, TruncationWarning, stacklevel=3)
+            warnings.warn(message, TruncationWarning, stacklevel=2)
 
 
 def log_derivative(s, z):
@@ -203,7 +193,7 @@ def _bracket(quotients, series, beta, z, r):
     The points are taken in order, flat."""
     (f, _, alpha, _), *logs = quotients
     stack, slots = series
-    rmax = _check_disk(r, f)
+    _check_disk(r, f)
     shape, z, r = z.shape, z.ravel(), r.ravel()
     p, dp, ddp = _kernels.polyval012(stack, z)
     fp, fpp = dp[slots[0]], ddp[slots[0]]
@@ -214,7 +204,7 @@ def _bracket(quotients, series, beta, z, r):
     pre = z * fpp / fp
     if logs:
         (g, *_), (phi, *_) = logs
-        _warn_truncated(rmax, g, phi)
+        _check_disk(r, g, phi)  # for their truncation warnings
         j, k = slots[1:]
         small = _small(r)
         lr = _log_quotient(g, z, p[j], dp[j], small) - _log_quotient(phi, z, p[k], dp[k], small)

@@ -539,6 +539,36 @@ class TestPreparedStack:
             assert widths and len(widths) == len(set(widths)) == len(stack._tables)
             assert len(passes) > 2 * len(widths)  # tables are read far more often than built
 
+    def test_stack_counts_as_its_series(self):
+        # a caller at the polyval012 boundary may count the series of its
+        # first argument, whatever form it takes: a stack, long series
+        # included, has the length of the sequence it was built from, and
+        # carries its own bits
+        rng = np.random.default_rng(4)
+        coeffs = [_random_series(rng, n, f"s{j}", False).coefficients for j, n in enumerate((3, 80, 12))]
+        stack = _kernels.SeriesStack(coeffs)
+        assert len(stack) == len(coeffs) == 3 and len(stack.long) == 1
+        z = _probe_points(rng, 8)
+        with pytest.raises(TypeError, match="SeriesStack"):
+            _kernels.polyval012(stack, z, [c.tobytes() for c in coeffs])
+
+    def test_criterion_calls_have_countable_series(self):
+        # every polyval012 call of a check hands over series that len()
+        # counts, as a work counter wrapped around the kernel reads them
+        f, g = catalog_build("quadratic", {"c": 0.25}), catalog_build("quadratic", {"c": 0.5})
+        p = ParameterSet(alpha=0.5, beta=0.5, gamma=1.0, m=1.0, k=0.3)
+        counted = []
+
+        def polyval012(coeffs, z, *args, _run=_kernels.polyval012):
+            out = _run(coeffs, z, *args)
+            counted.append(len(coeffs) * np.size(z))
+            return out
+
+        with mock.patch.object(_kernels, "polyval012", polyval012):
+            for variant in criterion.VARIANTS:
+                criterion_check(variant, p, f, g, catalog_build("identity"), DiskGrid())
+        assert counted and all(n > 0 for n in counted)
+
 
 class TestDispatchAgreesWithNumpy:
     """The public kernels agree with independent numpy computations."""
