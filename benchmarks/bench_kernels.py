@@ -4,8 +4,12 @@ point count.
 Run:  PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat N]
 
 Each row is the best of N repeats of a loop long enough to take at least
-0.2 s.  The (4096, *) rows are the truncated Koebe series of the
-`koebe_cor32` check: one point is a refinement probe, four are one
+0.2 s.  `polyval012` times the evaluation of a `SeriesStack` prepared
+before the loop, and `prepare` the preparation of one such stack (the
+derivative rows of a series of 64 or more coefficients, the coefficient
+columns of a shorter one), which each criterion statement, `eval_many`
+and `log_derivative` call pays.  The (4096, *) rows are the truncated
+Koebe series of the `koebe_cor32` check: one point is a refinement probe, four are one
 batched hop, 5120 are the default disk grid.  (32, 5120) is the scan of a
 degree-32 exponential series.  The two degree-2 rows are the quadratic
 series that the operator and chain paths evaluate one point at a time or
@@ -99,12 +103,9 @@ def main():
 
     rng = np.random.default_rng(0)
     print(f"numpy {np.__version__}")
-    print(f"{'degree':>6} {'points':>7}  {'polyval012':>12}  {'polyval':>12}")
+    print(f"{'degree':>6} {'points':>7}  {'polyval012':>12}  {'prepare':>12}  {'polyval':>12}")
     for degree, npts in CASES:
-        coeffs, z = _inputs(degree, npts, rng)
-        t012 = _best(lambda: _kernels.polyval012(coeffs, z), args.repeat)
-        t1 = _best(lambda: _kernels.polyval(coeffs, z), args.repeat)
-        print(f"{degree:>6} {npts:>7}  {t012 * 1e3:9.4f} ms  {t1 * 1e3:9.4f} ms")
+        print(_kernel_row(degree, npts, rng, args.repeat))
 
     spec = parse_config(bundled_configs()["example31_thm32"])
     print(f"\n{'kernel':>14} {'points':>7} {'tol/diam':>8}  {'time':>12}  result")
@@ -139,6 +140,17 @@ def main():
     print(f"\n{'family':>12} {'variant':>7} {'terms':>5}  {'exact ms':>20}  {'pruned ms':>20}  {'cands':>5}  fallback")
     for label, variant, p, fgp, grid in _scan_cases():
         print(f"{label:>12} {variant:>7}  " + _scan_row(variant, p, *fgp, grid, args.repeat))
+
+
+def _kernel_row(degree, npts, rng, repeat):
+    """ms of polyval012 on a stack prepared once, of preparing the stack
+    and of polyval, for a random series of the degree on npts points."""
+    coeffs, z = _inputs(degree, npts, rng)
+    stack = _kernels.SeriesStack((coeffs,))
+    t012 = _best(lambda: _kernels.polyval012(stack, z), repeat)
+    t_prep = _best(lambda: _kernels.SeriesStack((coeffs,)), repeat)
+    t1 = _best(lambda: _kernels.polyval(coeffs, z), repeat)
+    return f"{degree:>6} {npts:>7}  {t012 * 1e3:9.4f} ms  {t_prep * 1e3:9.4f} ms  {t1 * 1e3:9.4f} ms"
 
 
 def _winding_row(spec, repeat):

@@ -8,16 +8,15 @@ values are combined by Horner in w = z^B.  That turns a degree-N Horner
 loop of N array operations into ~sqrt(N) of them.  Below 64 coefficients
 B = 1: plain Horner needs no more array operations there, and keeps the
 results of the low-degree series bit for bit.  `polyval012` makes that
-choice for every series it is given, and runs the Horner loop on a stack
-of short series at once: on few points, where the cost of an array
-operation is its call, a stack costs three array operations per
-coefficient, whatever the number of series.  A `SeriesStack` holds that
-choice and the coefficient tables of the loop, so a caller that evaluates
-the same series many times (a criterion statement) prepares them once;
-`polyval012` prepares one for each call on bare arrays.  `circle_rows`
-takes series on whole circles at once instead, one FFT per row and
-circle, from the derivative rows that the blocked product reads
-(`series_rows`).
+choice for every series of the `SeriesStack` it is given, and runs the
+Horner loop on the stack's short series at once: on few points, where the
+cost of an array operation is its call, a stack costs three array
+operations per coefficient, whatever the number of series.  A stack holds
+that choice, the derivative rows of its long series and the coefficient
+tables of the loop, so a caller that evaluates the same series many times
+(a criterion statement) prepares them once.  `circle_rows` takes series on
+whole circles at once instead, one FFT per row and circle, from the
+derivative rows that the blocked product reads (`series_rows`).
 
 `g17_csv` writes CSV text with the bytes of CPython's '%.17g' % x: the
 17 digits come from a double-double product and a 4-digit lookup table,
@@ -103,25 +102,21 @@ def _derivative_rows(c):
     return rows
 
 
-@functools.lru_cache(maxsize=64)
-def series_rows(bits):
-    """(rows, scale) of the coefficients c whose bytes are `bits`: the
-    _derivative_rows of c / scale, read only, for _blocked_rows(rows, z,
-    scale).  scale is 1 when the rows of c are finite, so they keep their
-    bits, and else (a coefficient near the top of the double range, which
-    (k + 1) k c_k overflows) the power of two 2^(2 bits(N + 1)) > N (N + 1),
-    which keeps every row finite; dividing by it is exact but for
-    coefficients it takes below the normal range.  Formed once per series,
-    for the blocked product of polyval012 and the circle scan of the
-    criterion alike."""
-    c = np.frombuffer(bits, dtype=np.complex128)
+def series_rows(c):
+    """(rows, scale) of the coefficients c: the _derivative_rows of
+    c / scale, for _blocked_rows(rows, z, scale).  scale is 1 when the rows
+    of c are finite, so they keep their bits, and else (a coefficient near
+    the top of the double range, which (k + 1) k c_k overflows) the power
+    of two 2^(2 bits(N + 1)) > N (N + 1), which keeps every row finite;
+    dividing by it is exact but for coefficients it takes below the normal
+    range.  The blocked product of polyval012 and the circle scan of the
+    criterion read the same rows."""
     scale = 1.0
     with np.errstate(over="ignore"):
         rows = _derivative_rows(c)
     if not np.isfinite(rows).all():
         scale = 2.0 ** (2 * (c.size + 1).bit_length())
         rows = _derivative_rows(c / scale)
-    rows.setflags(write=False)
     return rows, scale
 
 
@@ -129,28 +124,19 @@ class SeriesStack:
     """Series prepared for polyval012, for evaluation at many sets of points.
 
     A series of _BLOCKED_MIN_TERMS terms or more (c_0 = 0 included) is long
-    and keeps its series_rows for the blocked product.  The short ones
-    stand in the columns of one table, cols[k, i] = c_k of short series i,
-    zero-padded at the high end to the largest degree among them.  The
-    repeated coefficient table of a Horner pass on w points (see
+    and keeps its series_rows, formed here, for the blocked product.  The
+    short ones stand in the columns of one table, cols[k, i] = c_k of short
+    series i, zero-padded at the high end to the largest degree among them.
+    The repeated coefficient table of a Horner pass on w points (see
     _horner012) is built on the first pass of that width and kept while the
     tables kept stay within _HORNER_BYTES, so a stack evaluated many times
-    pays for each table once.  Nothing is shared between stacks.
+    pays for each table once.  Nothing is shared between stacks."""
 
-    bits, when given, holds the complex128 bytes of each series, as
-    SeriesFunction keeps them: a bytes object caches its hash, so keying
-    series_rows on it costs nothing, where a fresh c.tobytes() is hashed
-    whole."""
-
-    def __init__(self, coeffs, bits=None):
+    def __init__(self, coeffs):
         series = [np.ascontiguousarray(c, dtype=np.complex128) for c in coeffs]
         self.count = len(series)
         self.short = [j for j, c in enumerate(series) if c.size + 1 < _BLOCKED_MIN_TERMS]
-        self.long = [
-            (j, series_rows(c.tobytes() if bits is None else bits[j]))
-            for j, c in enumerate(series)
-            if c.size + 1 >= _BLOCKED_MIN_TERMS
-        ]
+        self.long = [(j, series_rows(c)) for j, c in enumerate(series) if c.size + 1 >= _BLOCKED_MIN_TERMS]
         self.sizes = [series[j].size for j in self.short]
         self.top = max(self.sizes, default=0)
         self.cols = np.zeros((self.top + 1, len(self.short)), dtype=np.complex128)
@@ -182,28 +168,19 @@ class SeriesStack:
         return steps, starts
 
 
-def polyval012(coeffs, z, bits=None):
-    """(p, p', p'') of p(z) = sum c_n z^n with coeffs = [c_1..c_N].
-
-    coeffs may also be a sequence of m such arrays, of any lengths, or a
-    SeriesStack of them, prepared once for many calls: the values are then
-    (m, z.size) arrays, each row with the bits of its series alone.  bits
-    holds the bytes of each series as SeriesStack takes them (of the one
-    series for a 1-d coeffs); a SeriesStack has its own, and takes none.  A long series goes through its own blocked
-    product.  The short ones go through Horner: on at most _STACK_POINTS
-    points together in one pass; on more one at a time, since a pass then
-    costs by the element, and the padding of the shorter series and the
-    repeated coefficients cost more than the calls saved (for f, g of
-    degree 32 and phi = z, the crossover lies between 256 and 1024
-    points)."""
+def polyval012(stack, z):
+    """(p, p', p'') of every series p(z) = sum c_n z^n, coeffs = [c_1..c_N],
+    of the SeriesStack stack: a (3, m, z.size) array for its m series, each
+    row with the bits of its series alone.  A long series goes through its
+    own blocked product.  The short ones go through Horner: on at most
+    _STACK_POINTS points together in one pass; on more one at a time, since
+    a pass then costs by the element, and the padding of the shorter series
+    and the repeated coefficients cost more than the calls saved (for f, g
+    of degree 32 and phi = z, the crossover lies between 256 and 1024
+    points).  Raises TypeError for anything but a SeriesStack."""
+    if not isinstance(stack, SeriesStack):
+        raise TypeError(f"polyval012 takes a SeriesStack, not {type(stack).__name__}")
     z = np.ascontiguousarray(z, dtype=np.complex128).ravel()
-    one = isinstance(coeffs, np.ndarray) and coeffs.ndim == 1
-    stack = coeffs
-    if isinstance(coeffs, SeriesStack):
-        if bits is not None:
-            raise TypeError("a SeriesStack takes its bits when it is built")
-    else:
-        stack = SeriesStack((coeffs,), None if bits is None else (bits,)) if one else SeriesStack(coeffs, bits)
     out = np.empty((3, stack.count, z.size), dtype=np.complex128)
     short = stack.short
     if short and z.size <= _STACK_POINTS:
@@ -217,7 +194,7 @@ def polyval012(coeffs, z, bits=None):
             _horner012(stack, z, out[:, j : j + 1], i)
     for j, (rows, scale) in stack.long:
         out[:, j] = _blocked_rows(rows, z, scale)
-    return tuple(out[:, 0] if one else out)
+    return out
 
 
 def _horner012(stack, z, out, i=None):

@@ -17,6 +17,8 @@ too: the bracket enters as inner - 1 = e^{-a t g}(B - 1) + expm1(-a t g)
 small g loses no digits; it is exactly B - 1 at t = 0, so L(z, 0) = F(z)
 to the last bit."""
 
+import numbers
+
 import numpy as np
 
 from . import _kernels, oracle
@@ -143,7 +145,11 @@ def subordination_probe(t, s, rho, p, f, g=None, phi=None, samples=64):
 
     Sampling-based: each test point must have winding number exactly 1
     with respect to the image curve at time s; curves too close to a test
-    point raise InconclusiveError rather than guessing."""
+    point raise InconclusiveError rather than guessing.  samples, the
+    number of test points, must be an integer >= 1 (not a bool): with none
+    the check would hold vacuously."""
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise DomainError("samples must be an integer >= 1")
     if not 0.0 <= t <= s:
         raise DomainError("need 0 <= t <= s")
     if not 0.0 < rho < 1.0:

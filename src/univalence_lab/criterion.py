@@ -158,16 +158,13 @@ class CriterionReport:
 
 class _Statement(NamedTuple):
     """A variant, corollary substitutions made: |fac B - centre|, or fac |B|
-    with gamma real if centre is None, against bound, for the bracket B of
-    alpha, beta, f, g, phi (its bracket_quotients are quotients, their
-    _bracket_series series: the prepared stack of their distinct series,
-    which keeps its Horner tables for every call of the check) and fac =
-    (1 - |z|^{(m+1) gamma})/gamma."""
+    with gamma real if centre is None, against bound, for the bracket B
+    whose bracket_quotients are quotients (weighted by alpha and beta; beta
+    also weights the zero of a bracket without g and phi) and fac =
+    (1 - |z|^{(m+1) gamma})/gamma.  series is their _bracket_series: the
+    prepared stack of their distinct series, which keeps its Horner tables
+    for every call of the check."""
 
-    f: object
-    g: object
-    phi: object
-    alpha: complex
     beta: complex
     gamma: complex
     m: float
@@ -197,7 +194,7 @@ def _statement(variant, p, f, g=None, phi=None):
         alpha, beta, g, phi, m = 1.0 + 0.0j, 0.0j, f, f, 1.0
     gamma, centre = (p.gamma.real, None) if real else (p.gamma, (m - 1.0) / 2.0)
     quotients = bracket_quotients(f, g, phi, alpha, beta)
-    return _Statement(f, g, phi, alpha, beta, gamma, m, centre, bound, quotients, _bracket_series(quotients))
+    return _Statement(beta, gamma, m, centre, bound, quotients, _bracket_series(quotients))
 
 
 def criterion_values(variant, z, p, f, g=None, phi=None):
@@ -307,7 +304,7 @@ def _grid_candidates(st, grid, z):
                 shift += w
                 shift_size += abs(w)
                 continue
-            (a, e_a), (b, e_b) = row[s._bits, top], row[s._bits, top - 1]
+            (a, e_a), (b, e_b) = row[id(s), top], row[id(s), top - 1]
             ratio = a / b
             size_q = abs(w) * np.abs(ratio)
             gap = np.maximum(np.abs(b) - (e_b + least), 0.0)  # 0 where B may be too small
@@ -330,19 +327,23 @@ def _grid_candidates(st, grid, z):
 
 
 def _circle_rows(quotients, grid):
-    """{(coefficient bytes, order): (values (radii, angles), bounds
+    """{(id of the series, order): (values (radii, angles), bounds
     (radii, 1))} of the rows the quotients read on the grid's circles, or
-    None when a row's absolute series is not finite or reaches 1e300.  The
-    rows are those of _kernels.series_rows, zero-padded to one width; rows
-    scaled there are rows that overflow, so they give None too."""
-    keys = tuple(dict.fromkeys((s._bits, j) for s, top, *_ in quotients if not _unit(s, top) for j in (top, top - 1)))
-    tables = [_kernels.series_rows(bits) for bits, _ in keys]
-    if any(scale != 1.0 for _, scale in tables):
+    None when a row's absolute series is not finite or reaches 1e300.
+    Series are told apart by identity, as _bracket_series tells them.  The
+    rows are those of _kernels.series_rows, formed once for each distinct
+    series and zero-padded to one width; rows scaled there are rows that
+    overflow, so they give None too."""
+    series = {id(s): s for s, top, *_ in quotients if not _unit(s, top)}
+    tables = {key: _kernels.series_rows(s.coefficients) for key, s in series.items()}
+    if any(scale != 1.0 for _, scale in tables.values()):
         return None
-    terms = np.array([[rows.shape[1]] for rows, _ in tables])
+    keys = tuple(dict.fromkeys((id(s), j) for s, top, *_ in quotients if not _unit(s, top) for j in (top, top - 1)))
+    rows = [tables[key][0][j] for key, j in keys]
+    terms = np.array([[row.size] for row in rows])
     padded = np.zeros((len(keys), terms.max()), dtype=np.complex128)
-    for i, ((rows, _), (_, j)) in enumerate(zip(tables, keys)):
-        padded[i, : rows.shape[1]] = rows[j]
+    for i, row in enumerate(rows):
+        padded[i, : row.size] = row
     n = grid.angles_per_radius
     radii = np.asarray(grid.radii)
     vals, sums, dsums = _kernels.circle_rows(padded, radii, n)

@@ -91,7 +91,13 @@ def disk_containment_check(k, a, l, m=1.0, tol=1e-12):
     transfer disk (in the same bracket variable) has center
     [a(1+l^2)(m-1) + (1-l^2)(m a^2 - 1)] / D and radius 2 a l (1+m) / D
     with D = 2a(1+l^2) + (1-l^2)(1+a^2), taken in a = p/q with q = 1/a for
-    a > 1 so that none overflows.  Returns (contained, slack)."""
+    a > 1 so that none overflows.  Returns (contained, slack): contained
+    when slack >= -tol.  k must lie in [0, 1), as for extension_constants,
+    and tol be finite and >= 0."""
+    if not 0.0 <= k < 1.0:  # NaN fails it too
+        raise DomainError("k must lie in [0, 1)")
+    if not 0.0 <= tol < math.inf:
+        raise DomainError("tol must be finite and >= 0")
     if not (0.0 < a < math.inf and 0.0 <= m < math.inf):
         raise DomainError("a must be finite and > 0, m finite and >= 0")
     if not 0.0 <= l < 1.0:

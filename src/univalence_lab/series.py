@@ -56,11 +56,7 @@ class SeriesFunction:
             raise ValueError("c1 must equal 1 (class-A normalization)")
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
-        # + 0.0 maps -0.0 to 0.0, so series that compare equal hash equal.
-        # Their values can still differ in the sign of a zero, so
-        # criterion_bracket and the circle scan tell series apart by the exact
-        # bytes
-        object.__setattr__(self, "_bits", c.tobytes())
+        # + 0.0 maps -0.0 to 0.0, so series that compare equal hash equal
         object.__setattr__(self, "_hash", hash((c + 0.0).tobytes()))
 
     @property
@@ -91,7 +87,7 @@ def eval_many(s, z):
     """Vectorized (s, s', s'') on an array of points with |z| <= 1."""
     z = np.asarray(z, dtype=np.complex128)
     _check_disk(np.abs(z), s)
-    p, dp, ddp = _kernels.polyval012(s.coefficients, z, s._bits)
+    p, dp, ddp = _kernels.polyval012(_kernels.SeriesStack((s.coefficients,)), z)[:, 0]
     return p.reshape(z.shape), dp.reshape(z.shape), ddp.reshape(z.shape)
 
 
@@ -119,7 +115,7 @@ def log_derivative(s, z):
     z = np.asarray(z, dtype=np.complex128)
     r = np.abs(z)
     _check_disk(r, s)
-    p, dp, _ = _kernels.polyval012(s.coefficients, z, s._bits)
+    p, dp, _ = _kernels.polyval012(_kernels.SeriesStack((s.coefficients,)), z)[:, 0]
     return _log_quotient(s, z, p.reshape(z.shape), dp.reshape(z.shape), _small(r))
 
 
@@ -178,12 +174,13 @@ def criterion_bracket(f, g, phi, alpha, beta, z):
 
 
 def _bracket_series(quotients):
-    """(stack, slots) of the distinct series of the quotients, told apart by
-    their bytes, in order: their _kernels.SeriesStack and the index of
-    each quotient's series in it."""
-    coeffs = {s._bits: s.coefficients for s, *_ in quotients}
-    slots = tuple(list(coeffs).index(s._bits) for s, *_ in quotients)
-    return _kernels.SeriesStack(list(coeffs.values()), list(coeffs)), slots
+    """(stack, slots) of the distinct series of the quotients, in order:
+    their _kernels.SeriesStack and the index of each quotient's series in
+    it.  Series are told apart by identity, not by value: two that compare
+    equal can still differ in the sign of a zero, which their values keep."""
+    series = {id(s): s.coefficients for s, *_ in quotients}
+    slots = tuple(list(series).index(id(s)) for s, *_ in quotients)
+    return _kernels.SeriesStack(series.values()), slots
 
 
 def _bracket(quotients, series, beta, z, r):

@@ -26,6 +26,27 @@ def _once(fn, repeat):
     return 1e-3
 
 
+def test_kernel_rows():
+    # polyval012 is timed on a stack prepared outside its loop, and the
+    # preparation in a column of its own
+    bench = _bench("bench_kernels")
+    stack = bench._kernels.SeriesStack
+    timed = []
+
+    def best(fn, repeat):
+        with mock.patch.object(stack, "__init__", autospec=True, side_effect=stack.__init__) as prepare:
+            fn()
+        timed.append(prepare.call_count)
+        return 1e-3
+
+    with mock.patch.object(bench, "_best", best):
+        for degree in (4096, 2):
+            row = bench._kernel_row(degree, 4, np.random.default_rng(0), 1)
+            cells = row.split()
+            assert cells[:2] == [str(degree), "4"] and cells[3::2] == ["ms", "ms", "ms"]
+    assert timed == [0, 1, 0] * 2  # polyval012, prepare, polyval
+
+
 def test_criterion_and_scan_rows():
     bench = _bench("bench_kernels")
     lam = np.exp(0.3j)

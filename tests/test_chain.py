@@ -158,6 +158,17 @@ class TestSubordination:
         with pytest.raises(DomainError):
             subordination_probe(0.1, 0.5, 1.2, params_ref, identity)
 
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, 16.0, True, False, None, "16"])
+    def test_samples_must_be_a_positive_integer(self, identity, params_ref, samples):
+        # samples = 0 checked no test point and returned True; -3 and 2.5
+        # raised numpy's ValueError and a TypeError
+        with pytest.raises(DomainError, match="samples must be an integer >= 1"):
+            subordination_probe(0.1, 0.5, 0.8, params_ref, identity, samples=samples)
+
+    def test_one_sample_and_numpy_integers(self, identity, params_ref):
+        assert subordination_probe(0.1, 0.5, 0.8, params_ref, identity, samples=1) is True
+        assert subordination_probe(0.1, 0.5, 0.8, params_ref, identity, samples=np.int64(8)) is True
+
     def test_gives_up_after_the_finest_curve(self, identity, params_ref):
         # every count inconclusive: each curve size is tried once, and the
         # error of the 4096-point curve propagates

@@ -192,6 +192,22 @@ class TestContainment:
         with pytest.raises(DomainError, match="a must be finite and > 0, m finite and >= 0"):
             disk_containment_check(0.5, a, 0.5, m)
 
+    @pytest.mark.parametrize("k", [math.nan, -3.0, -1e-300, 1.0, 2.0, math.inf])
+    def test_bad_k_rejected(self, k):
+        # k = nan gave (False, nan) and k = -3 (True, 3.5): k lies in
+        # [0, 1), as for extension_constants
+        with pytest.raises(DomainError, match=r"k must lie in \[0, 1\)"):
+            disk_containment_check(k, 0.5, 0.5)
+        with pytest.raises(DomainError, match=r"k must lie in \[0, 1\)"):
+            extension_constants(k, 0.5)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, math.inf, -math.inf])
+    def test_bad_tol_rejected(self, tol):
+        # tol = nan gave (False, 0.2) for a slack of +0.2
+        assert disk_containment_check(0.0, 1.0, 0.2) == (True, pytest.approx(0.2))
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            disk_containment_check(0.0, 1.0, 0.2, tol=tol)
+
 
 class TestBeckerExtend:
     def test_inside_is_operator(self, f_quarter, g_half, identity, params_ref):

@@ -168,7 +168,7 @@ def test_huge_absolute_series_falls_back_to_the_full_scan(variant):
     f = SeriesFunction(c)
     p = ParameterSet(alpha=1.0, beta=0.0)
     grid = DiskGrid()
-    rows, scale = _kernels.series_rows(f._bits)
+    rows, scale = _kernels.series_rows(f.coefficients)
     assert scale == 1.0 and np.isfinite(rows).all()
     z = grid.points()
     assert criterion._grid_candidates(criterion._statement(variant, p, f), grid, z) == (None, "nonfinite")

@@ -74,6 +74,11 @@ def _points(rng, n, r_max):
     return z
 
 
+def _polyval012(coeffs, z):
+    """polyval012 on a SeriesStack prepared for this one call."""
+    return _kernels.polyval012(_kernels.SeriesStack(coeffs), z)
+
+
 SERIES = {
     "koebe4096": (lambda: catalog_build("koebe", {"degree": 4096}), 0.999),
     "expscaled32": (lambda: catalog_build("expscaled", {"lam": 2.5 * np.exp(0.9j), "degree": 32}), 0.999),
@@ -91,7 +96,7 @@ class TestSeriesAccuracy:
         s = build()
         z = _points(rng, npts, r_max)
         ref, scale = _reference_rows(_derivative_rows(s.coefficients), z)
-        got = _kernels.polyval012(s.coefficients, z)
+        got = _polyval012([s.coefficients], z)[:, 0]
         for j in range(3):
             assert got[j].shape == (npts,)
             _assert_accurate(got[j], ref[j], scale[j])
@@ -110,10 +115,10 @@ class TestSeriesAccuracy:
 
     def test_origin_and_empty(self):
         s = catalog_build("koebe", {"degree": 4096})
-        p, dp, ddp = _kernels.polyval012(s.coefficients, np.zeros(3))
+        p, dp, ddp = _polyval012([s.coefficients], np.zeros(3))[:, 0]
         assert np.all(p == 0) and np.all(dp == 1) and np.all(ddp == 4)
         assert _kernels.polyval(s.coefficients, np.zeros(0)).shape == (0,)
-        assert all(a.shape == (0,) for a in _kernels.polyval012(s.coefficients, np.zeros(0)))
+        assert _polyval012([s.coefficients], np.zeros(0)).shape == (3, 1, 0)
 
 
 def _brute_force_scan(z, values, tol):
@@ -312,7 +317,7 @@ class TestStackedHornerParity:
         rng = np.random.default_rng(seed)
         f, g, phi = (_random_series(rng, n, name, negative_zero) for n, name in zip(sizes, "fgp"))
         z = _probe_points(rng, npts)
-        stacked = _kernels.polyval012([s.coefficients for s in (f, g, phi)], z)
+        stacked = _polyval012([s.coefficients for s in (f, g, phi)], z)
         for j, s in enumerate((f, g, phi)):
             for got, ref in zip(stacked, _horner_reference(s.coefficients, z)):
                 assert got[j].tobytes() == ref.tobytes()
@@ -327,7 +332,7 @@ class TestStackedHornerParity:
         f = SeriesFunction(np.conj([1.0, 0.3, -0.2, 0.1, 0.05 + 0j]))
         g = SeriesFunction(np.conj([1.0, -0.3 + 0j]))
         z = np.array([-0.5, -0.9, 0.5, -0.2, 0.0], dtype=np.complex128)
-        stacked = _kernels.polyval012([f.coefficients, g.coefficients], z)
+        stacked = _polyval012([f.coefficients, g.coefficients], z)
         for j, s in enumerate((f, g)):
             for got, ref in zip(stacked, _horner_reference(s.coefficients, z)):
                 assert got[j].tobytes() == ref.tobytes()
@@ -341,9 +346,9 @@ class TestStackedHornerParity:
         z = DiskGrid().points()
         chunk = _kernels._HORNER_BYTES // (16 * 3)
         assert z.size == 5120 > chunk
-        whole = _kernels.polyval012(series, z)
+        whole = _polyval012(series, z)
         for s in range(0, z.size, chunk):
-            for a, b in zip(whole, _kernels.polyval012(series, z[s : s + chunk])):
+            for a, b in zip(whole, _polyval012(series, z[s : s + chunk])):
                 assert a[:, s : s + chunk].tobytes() == b.tobytes()
 
     def test_derivative_vanishes_keeps_message_and_witness(self):
@@ -421,11 +426,11 @@ class TestPreparedStack:
         rng = np.random.default_rng(seed)
         series = [_random_series(rng, n, f"s{j}", negative_zero) for j, n in enumerate(sizes)]
         coeffs = [s.coefficients for s in series]
-        stack = _kernels.SeriesStack(coeffs, [s._bits for s in series])
+        stack = _kernels.SeriesStack(coeffs)
         for n in npts:  # one stack, several widths, some of them again
             z = _probe_points(rng, n)
             got = _kernels.polyval012(stack, z)
-            assert np.array(got).tobytes() == np.array(_kernels.polyval012(coeffs, z)).tobytes()
+            assert got.tobytes() == _polyval012(coeffs, z).tobytes()
             for j, s in enumerate(series):
                 for a, ref in zip(got, _horner_reference(s.coefficients, z)):
                     assert a[j].tobytes() == ref.tobytes()
@@ -478,7 +483,7 @@ class TestPreparedStack:
         # statement, and each series within one, must keep its own bits
         plus = SeriesFunction(np.array([1.0, 0.3, -0.2, 0.1, 0.05 + 0j]), label="plus")
         minus = SeriesFunction(np.conj(plus.coefficients), label="minus")
-        assert plus == minus and plus._bits != minus._bits
+        assert plus == minus and plus.coefficients.tobytes() != minus.coefficients.tobytes()
         z = np.conj(np.array([-0.5, -0.9, 0.5, -0.2, 0.0, -0.7], dtype=np.complex128))
         p = ParameterSet(alpha=0.5, beta=0.5)
         ident = catalog_build("identity")
@@ -489,16 +494,22 @@ class TestPreparedStack:
                 got = _kernels.polyval012(stack, z)
                 for a, ref in zip(got, _horner_reference(s.coefficients, z)):
                     assert a[0].tobytes() == ref.tobytes()
-            values[s.label] = np.array(got).tobytes()
+            values[s.label] = got.tobytes()
         assert values["plus"] != values["minus"]
-        both = criterion._statement("thm31", p, catalog_build("quadratic", {"c": 0.25}), plus, minus)
-        stack, slots = both.series
-        assert stack.count == 3 and slots == (0, 1, 2)
-        for _ in range(2):
-            got = _kernels.polyval012(stack, z)
-            for j, s in ((1, plus), (2, minus)):
-                for a, ref in zip(got, _horner_reference(s.coefficients, z)):
-                    assert a[j].tobytes() == ref.tobytes()
+        # within one statement too: the bracket reads g and phi from slots
+        # of their own, whichever comes first
+        f = catalog_build("quadratic", {"c": 0.25})
+        for g, phi in ((plus, minus), (minus, plus)):
+            both = criterion._statement("thm31", p, f, g, phi)
+            stack, slots = both.series
+            assert stack.count == 3 and slots == (0, 1, 2)
+            for _ in range(2):
+                got = _kernels.polyval012(stack, z)
+                for j, s in ((1, g), (2, phi)):
+                    for a, ref in zip(got, _horner_reference(s.coefficients, z)):
+                        assert a[j].tobytes() == ref.tobytes()
+                bracket = _bracket(both.quotients, both.series, both.beta, z, np.abs(z))
+                assert bracket.tobytes() == _bracket_reference(f, g, phi, p.alpha, p.beta, z).tobytes()
 
     @pytest.mark.parametrize("family", ["example31", "expscaled"])
     def test_each_table_is_built_once_per_check(self, family):
@@ -541,16 +552,22 @@ class TestPreparedStack:
 
     def test_stack_counts_as_its_series(self):
         # a caller at the polyval012 boundary may count the series of its
-        # first argument, whatever form it takes: a stack, long series
-        # included, has the length of the sequence it was built from, and
-        # carries its own bits
+        # first argument: a stack, long series included, has the length of
+        # the sequence it was built from
         rng = np.random.default_rng(4)
         coeffs = [_random_series(rng, n, f"s{j}", False).coefficients for j, n in enumerate((3, 80, 12))]
         stack = _kernels.SeriesStack(coeffs)
         assert len(stack) == len(coeffs) == 3 and len(stack.long) == 1
-        z = _probe_points(rng, 8)
-        with pytest.raises(TypeError, match="SeriesStack"):
-            _kernels.polyval012(stack, z, [c.tobytes() for c in coeffs])
+        assert _kernels.polyval012(stack, _probe_points(rng, 8)).shape == (3, 3, 8)
+
+    def test_bare_arrays_are_refused(self):
+        # polyval012 takes a prepared SeriesStack only: neither one series
+        # nor a sequence of them
+        c = np.array([1.0, 0.5j])
+        z = np.array([0.25, -0.5j])
+        for bare in (c, [c], (c, c[:1])):
+            with pytest.raises(TypeError, match="SeriesStack"):
+                _kernels.polyval012(bare, z)
 
     def test_criterion_calls_have_countable_series(self):
         # every polyval012 call of a check hands over series that len()
@@ -578,7 +595,7 @@ class TestDispatchAgreesWithNumpy:
         coeffs[0] = 1.0
         z = random_disk_points(rng, 200, 0.95)
         ref, scale = _reference_rows(_derivative_rows(coeffs), z)
-        for j, got in enumerate(_kernels.polyval012(coeffs, z)):
+        for j, got in enumerate(_polyval012([coeffs], z)[:, 0]):
             _assert_accurate(got, ref[j], scale[j])
 
     def test_polyval(self, rng):
@@ -655,8 +672,8 @@ class TestOverflowingRows:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = criterion_values("cor32", z, ParameterSet(), SeriesFunction(c))
-            rows = _kernels.polyval012(c, z)
-        assert _kernels.series_rows(c.tobytes())[1] > 1.0
+            rows = _polyval012([c], z)[:, 0]
+        assert _kernels.series_rows(c)[1] > 1.0
         with mp.workdps(50):
             a = mp.mpf(1e306)
             for i, w in enumerate(z.tolist()):
@@ -669,7 +686,7 @@ class TestOverflowingRows:
 
     def test_finite_rows_keep_their_scale(self):
         koebe = catalog_build("koebe", {"degree": 4096}).coefficients
-        rows, scale = _kernels.series_rows(koebe.tobytes())
+        rows, scale = _kernels.series_rows(koebe)
         assert scale == 1.0
         assert np.array_equal(rows, _kernels._derivative_rows(koebe))
 
