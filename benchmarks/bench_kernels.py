@@ -53,10 +53,11 @@ Koebe on its config grid (7 radii x 512 angles): `exact` is one
 `criterion._values` call on every grid point, `pruned` the FFT scan with
 its cost cutoff off (`criterion._SCAN_MIN_TERMS` = 0), three runs each,
 alternating.  `terms` is the number the cutoff reads (the terms of the
-series the criterion evaluates, summed), `cands` the points the pruned
+series of the statement's stack, summed), `cands` the points the pruned
 scan evaluates exactly, and `fallback` the reason the scan as
-`criterion_check` runs it evaluates the whole grid instead ("terms" or
-"nonfinite", "-" for none).  Rows for the exponential family at lower
+`criterion_check` runs it evaluates the whole grid instead: "terms" below
+the cutoff, "nonfinite" where `criterion._circle_enclosure` gives None,
+"-" for none.  Rows for the exponential family at lower
 degrees locate the crossover, which sets `criterion._SCAN_MIN_TERMS`.
 """
 
@@ -229,9 +230,10 @@ def _scan_row(variant, p, f, g, phi, grid, repeat):
     cutoff reads, the candidate count and the fallback."""
     z = grid.points()
     st = criterion._statement(variant, p, f, g, phi)
-    terms = sum(s.degree + 1 for s in {s for s, *_ in st.quotients})
+    terms = st.series[0].terms
     times = {"exact": [], "pruned": []}
-    saved = criterion._SCAN_MIN_TERMS
+    saved, values = criterion._SCAN_MIN_TERMS, criterion._values
+    evaluated = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -239,13 +241,15 @@ def _scan_row(variant, p, f, g, phi, grid, repeat):
                 for side, cutoff in (("exact", math.inf), ("pruned", 0)):
                     criterion._SCAN_MIN_TERMS = cutoff
                     times[side].append(_best(lambda: criterion._grid_max(st, grid, z), repeat))
-            idx, _ = criterion._grid_candidates(st, grid, z)
+            criterion._values = lambda st, z: evaluated.append(z.size) or values(st, z)
+            criterion._grid_max(st, grid, z)
         finally:
-            criterion._SCAN_MIN_TERMS = saved
-        _, reason = criterion._grid_candidates(st, grid, z)
+            criterion._SCAN_MIN_TERMS, criterion._values = saved, values
+        enclosure = criterion._circle_enclosure(st, grid.radii, z)
     ms = {side: "/".join(f"{t * 1e3:.2f}" for t in ts) for side, ts in times.items()}
-    cands = "-" if idx is None else idx.size
-    return f"{terms:>5}  {ms['exact']:>20}  {ms['pruned']:>20}  {cands:>5}  {reason or '-'}"
+    cands = "-" if enclosure is None else evaluated[0]
+    fallback = "terms" if terms < saved else "nonfinite" if enclosure is None else "-"
+    return f"{terms:>5}  {ms['exact']:>20}  {ms['pruned']:>20}  {cands:>5}  {fallback}"
 
 
 def _first_call(variant, p, f, g, phi, z, repeat):

@@ -16,7 +16,7 @@ that choice, the derivative rows of its long series and the coefficient
 tables of the loop, so a caller that evaluates the same series many times
 (a criterion statement) prepares them once.  `circle_rows` takes series on
 whole circles at once instead, one FFT per row and circle, from the
-derivative rows that the blocked product reads (`series_rows`).
+derivative rows that a stack gives out (`SeriesStack.rows`).
 
 `g17_csv` writes CSV text with the bytes of CPython's '%.17g' % x: the
 17 digits come from a double-double product and a 4-digit lookup table,
@@ -109,8 +109,8 @@ def series_rows(c):
     the top of the double range, which (k + 1) k c_k overflows) the power
     of two 2^(2 bits(N + 1)) > N (N + 1), which keeps every row finite;
     dividing by it is exact but for coefficients it takes below the normal
-    range.  The blocked product of polyval012 and the circle scan of the
-    criterion read the same rows."""
+    range.  The package calls it from SeriesStack alone: the blocked product
+    of polyval012 and the circle scan of the criterion read the same rows."""
     scale = 1.0
     with np.errstate(over="ignore"):
         rows = _derivative_rows(c)
@@ -130,13 +130,15 @@ class SeriesStack:
     The repeated coefficient table of a Horner pass on w points (see
     _horner012) is built on the first pass of that width and kept while the
     tables kept stay within _HORNER_BYTES, so a stack evaluated many times
-    pays for each table once.  Nothing is shared between stacks."""
+    pays for each table once.  A stack is the one owner of its series'
+    derivative rows (rows).  Nothing is shared between stacks."""
 
     def __init__(self, coeffs):
-        series = [np.ascontiguousarray(c, dtype=np.complex128) for c in coeffs]
+        self.series = series = [np.ascontiguousarray(c, dtype=np.complex128) for c in coeffs]
         self.count = len(series)
+        self.terms = sum(c.size + 1 for c in series)  # c_0 included
         self.short = [j for j, c in enumerate(series) if c.size + 1 < _BLOCKED_MIN_TERMS]
-        self.long = [(j, series_rows(c)) for j, c in enumerate(series) if c.size + 1 >= _BLOCKED_MIN_TERMS]
+        self.long = {j: series_rows(c) for j, c in enumerate(series) if c.size + 1 >= _BLOCKED_MIN_TERMS}
         self.sizes = [series[j].size for j in self.short]
         self.top = max(self.sizes, default=0)
         self.cols = np.zeros((self.top + 1, len(self.short)), dtype=np.complex128)
@@ -148,6 +150,10 @@ class SeriesStack:
     def __len__(self):
         """The number of series, short and long, as a sequence of them."""
         return self.count
+
+    def rows(self, j):
+        """series_rows of series j: a long one's kept, a short one's formed anew."""
+        return self.long[j] if j in self.long else series_rows(self.series[j])
 
     def _table(self, w):
         """(steps, starts) of a Horner pass of every short series on w
@@ -192,7 +198,7 @@ def polyval012(stack, z):
     else:
         for i, j in enumerate(short):
             _horner012(stack, z, out[:, j : j + 1], i)
-    for j, (rows, scale) in stack.long:
+    for j, (rows, scale) in stack.long.items():
         out[:, j] = _blocked_rows(rows, z, scale)
     return out
 

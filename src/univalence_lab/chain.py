@@ -115,10 +115,10 @@ def _transfer_from_G(G, m, a):
 def pde_residual(z, t, p, f, g=None, phi=None):
     """Relative residual of z dL/dz = p(z,t) dL/dt by central differences.
 
-    t below T_CLAMP is evaluated at T_CLAMP (one-sided guard at the t = 0
-    boundary)."""
+    t in [0, T_CLAMP) is evaluated at T_CLAMP (one-sided guard at the t = 0
+    boundary); any other t raises DomainError, as in transfer_grid."""
     z = complex(z)
-    t = max(float(t), T_CLAMP)
+    t = max(float(_flat(z, t)[1][0]), T_CLAMP)
     if not 0.0 < abs(z) < 1.0:
         raise DomainError("need 0 < |z| < 1")
     hz = FD_STEP_Z

@@ -46,9 +46,9 @@ STRICTNESS_TOL = 1e-12
 # so a call costs its arithmetic and a few fixed array steps
 _FIRST_HOPS = 4
 _LOOK_AHEAD_HOPS = _kernels._STACK_POINTS // 4
-# the pruned grid scan (_grid_candidates) evaluates the whole grid when
-# the series hold fewer than _SCAN_MIN_TERMS terms in all (the crossover in
-# benchmarks/bench_kernels.py); the constants of its bound are in units of 2^-53
+# the pruned grid scan (_grid_max) evaluates the whole grid when the series of
+# the statement's stack hold fewer than _SCAN_MIN_TERMS terms in all (the crossover
+# in benchmarks/bench_kernels.py); _circle_enclosure's constants are in units of 2^-53
 _SCAN_MIN_TERMS = 24
 _UNIT_ROUNDOFF = 2.0**-53
 _FFT_ROUNDING = 32
@@ -162,8 +162,8 @@ class _Statement(NamedTuple):
     whose bracket_quotients are quotients (weighted by alpha and beta; beta
     also weights the zero of a bracket without g and phi) and fac =
     (1 - |z|^{(m+1) gamma})/gamma.  series is their _bracket_series: the
-    prepared stack of their distinct series, which keeps its Horner tables
-    for every call of the check."""
+    prepared stack of their distinct series (its Horner tables and rows
+    kept for every call of the check) and each quotient's slot in it."""
 
     beta: complex
     gamma: complex
@@ -254,23 +254,38 @@ def _grid_max(st, grid, z):
     points z, as argmax of one _values call on all of them would give it,
     or the exception that call would raise.
 
-    The values come from one _values call, at the candidates of
-    _grid_candidates alone, in index order."""
-    idx, _ = _grid_candidates(st, grid, z)
+    The values come from one _values call, in index order, at the points
+    whose upper bound by the _circle_enclosure (approx, err) reaches the
+    largest lower bound, or whose bound is not finite (it admits |f'| <
+    DERIVATIVE_FLOOR, g = 0 or phi = 0).  The whole grid is evaluated when
+    the enclosure is None, or when the statement's series hold fewer than
+    _SCAN_MIN_TERMS terms in all, too few for the FFT to pay."""
+    idx = None
+    if st.series[0].terms >= _SCAN_MIN_TERMS and (enclosure := _circle_enclosure(st, grid.radii, z)) is not None:
+        approx, err = enclosure
+        ok = np.isfinite(err)
+        floor = (approx - err)[ok].max(initial=-math.inf)
+        idx = np.flatnonzero(~ok | (approx + err >= floor))
     vals = _values(st, z if idx is None else z[idx])
     best = int(np.argmax(vals))
     return best if idx is None else int(idx[best]), float(vals[best])
 
 
-def _grid_candidates(st, grid, z):
-    """(indices, None) of the grid points z that can hold the first maximum
-    of _values or make it raise, or (None, reason) when the whole grid is
-    to be evaluated.
+def _circle_enclosure(st, radii, z):
+    """(approx, err) of the criterion of the statement st at the grid
+    points z on the circles |z| = r of radii (radius-major, the same number
+    on each): approx an approximation of _values at each point and err a
+    bound on its distance from it, infinite where the bound admits a zero
+    denominator.  None when a row the criterion reads was scaled (its rows
+    overflow, see SeriesStack.rows), when a row's absolute series is not
+    finite or reaches 1e300, or when a bound of a row or an approximation
+    whose bound is finite is not finite.
 
     The criterion reads the quotients z f''/f' and, when bracket_quotients
-    lets them in, z g'/g and z phi'/phi (1 for the identity).  Each row of
-    such a quotient is taken on every circle |z| = r of the grid from one
-    inverse FFT, by _kernels.circle_rows.  A row value there differs from the
+    lets them in, z g'/g and z phi'/phi (1 for the identity).  Their rows
+    are those the statement's stack gives out (SeriesStack.rows), by slot,
+    each once, and each is taken on every circle from one inverse FFT, all
+    in one _kernels.circle_rows call.  A row value there differs from the
     Horner value at the grid point by at most _BOUND_SAFETY times the sum of
       - Horner's a-priori bound gamma_2n sum |a_k| r^k (Higham, Accuracy
         and Stability, 2nd ed., sections 5.1 and 24.1) for a row of n
@@ -281,30 +296,37 @@ def _grid_candidates(st, grid, z):
         row's derivative.
     The bound is carried through each quotient z A/B, where it holds while
     |B| exceeds its bound, the bracket with 32 u times the size of its
-    terms for the rounding, and the factor fac (see _factor_error).  A
-    candidate is a point whose upper bound reaches the largest lower
-    bound, or where the bound admits |f'| < DERIVATIVE_FLOOR, g = 0 or
-    phi = 0.
-
-    reason is "terms" when the series the criterion evaluates hold fewer
-    than _SCAN_MIN_TERMS terms in all, too few for the FFT to pay, and
-    "nonfinite" when an approximation or bound is not finite."""
-    if sum(s.degree + 1 for s in {s for s, *_ in st.quotients}) < _SCAN_MIN_TERMS:
-        return None, "terms"
+    terms for the rounding, and the factor fac (see _factor_error)."""
+    stack, slots = st.series
+    rad = np.asarray(radii)[:, None]
+    z = z.reshape(rad.size, -1)
+    # the rows top and top - 1 of each quotient's series, zero-padded to one width
+    reads = [(j, top) for (s, top, *_), j in zip(st.quotients, slots) if not _unit(s, top)]
+    keys = tuple(dict.fromkeys((j, k) for j, top in reads for k in (top, top - 1)))
+    tables = {j: stack.rows(j) for j in dict.fromkeys(j for j, _ in keys)}
+    if any(scale != 1.0 for _, scale in tables.values()):
+        return None
+    terms = np.array([[tables[j][0].shape[1]] for j, _ in keys])
+    padded = np.zeros((len(keys), terms.max()), dtype=np.complex128)
+    for i, (j, k) in enumerate(keys):
+        padded[i, : terms[i, 0]] = tables[j][0][k]
     with np.errstate(all="ignore"):  # overflow and 0/0 end as non-finite values
-        row = _circle_rows(st.quotients, grid)
-        if row is None:
-            return None, "nonfinite"
-        rad = np.asarray(grid.radii)[:, None]
-        z = z.reshape(rad.size, -1)
+        vals, sums, dsums = _kernels.circle_rows(padded, rad[:, 0], z.shape[1])
+        terms = terms + _FFT_ROUNDING * math.ceil(math.log2(2 * z.shape[1]))
+        errs = _BOUND_SAFETY * _UNIT_ROUNDOFF * (terms * sums + _GRID_OFFSET * rad[:, 0] * dsums)
+        # a value on a circle is at most its absolute series, so this also
+        # keeps every value finite
+        if not (np.isfinite(errs).all() and sums.max() < 1e300):
+            return None
+        row = {key: (vals[i], errs[i][:, None]) for i, key in enumerate(keys)}
         ratios = e_ratios = size = 0.0  # sums of w a/b, of their bounds and of |w a/b|
         shift = shift_size = 0.0  # sums of w and |w| over the quotients that are 1
-        for s, top, w, least in st.quotients:
+        for (s, top, w, least), j in zip(st.quotients, slots):
             if _unit(s, top):
                 shift += w
                 shift_size += abs(w)
                 continue
-            (a, e_a), (b, e_b) = row[id(s), top], row[id(s), top - 1]
+            (a, e_a), (b, e_b) = row[j, top], row[j, top - 1]
             ratio = a / b
             size_q = abs(w) * np.abs(ratio)
             gap = np.maximum(np.abs(b) - (e_b + least), 0.0)  # 0 where B may be too small
@@ -319,41 +341,7 @@ def _grid_candidates(st, grid, z):
         d = 0.0 if st.centre is None else abs(st.centre)
         err = (fac + e_fac) * e_bracket + (e_fac + 16.0 * _UNIT_ROUNDOFF * fac) * np.abs(bracket)
         err += 16.0 * _UNIT_ROUNDOFF * d
-    ok = np.isfinite(err)
-    if not np.isfinite(approx[ok]).all():
-        return None, "nonfinite"
-    floor = (approx - err)[ok].max(initial=-math.inf)
-    return np.flatnonzero(~ok | (approx + err >= floor)), None
-
-
-def _circle_rows(quotients, grid):
-    """{(id of the series, order): (values (radii, angles), bounds
-    (radii, 1))} of the rows the quotients read on the grid's circles, or
-    None when a row's absolute series is not finite or reaches 1e300.
-    Series are told apart by identity, as _bracket_series tells them.  The
-    rows are those of _kernels.series_rows, formed once for each distinct
-    series and zero-padded to one width; rows scaled there are rows that
-    overflow, so they give None too."""
-    series = {id(s): s for s, top, *_ in quotients if not _unit(s, top)}
-    tables = {key: _kernels.series_rows(s.coefficients) for key, s in series.items()}
-    if any(scale != 1.0 for _, scale in tables.values()):
-        return None
-    keys = tuple(dict.fromkeys((id(s), j) for s, top, *_ in quotients if not _unit(s, top) for j in (top, top - 1)))
-    rows = [tables[key][0][j] for key, j in keys]
-    terms = np.array([[row.size] for row in rows])
-    padded = np.zeros((len(keys), terms.max()), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        padded[i, : row.size] = row
-    n = grid.angles_per_radius
-    radii = np.asarray(grid.radii)
-    vals, sums, dsums = _kernels.circle_rows(padded, radii, n)
-    terms = terms + _FFT_ROUNDING * math.ceil(math.log2(2 * n))
-    errs = _BOUND_SAFETY * _UNIT_ROUNDOFF * (terms * sums + _GRID_OFFSET * radii * dsums)
-    # a value on a circle is at most its absolute series, so this also
-    # keeps every value finite
-    if not (np.isfinite(errs).all() and sums.max() < 1e300):
-        return None
-    return {key: (vals[i], errs[i][:, None]) for i, key in enumerate(keys)}
+    return (approx, err) if np.isfinite(approx[np.isfinite(err)]).all() else None
 
 
 def _unit(s, top):

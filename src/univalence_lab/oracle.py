@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InconclusiveError
+from .errors import DomainError, InconclusiveError
 from .series import polar_grid
 
 _MAX_INCREMENT = np.pi * 0.95
@@ -69,7 +69,10 @@ def winding_numbers(curve, targets, min_dist=1e-8):
 
     Raises InconclusiveError when a target sits within min_dist of the
     curve or when an argument increment comes too close to pi (the sheet
-    would be a guess; refine the curve instead)."""
+    would be a guess; refine the curve instead), DomainError for
+    a min_dist that is NaN or below 0."""
+    if not min_dist >= 0:
+        raise DomainError("min_dist must be >= 0")
     curve = np.asarray(curve, dtype=np.complex128)
     targets = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
     if curve.size < 3 or abs(curve[0] - curve[-1]) > 1e-10:

@@ -70,6 +70,22 @@ def test_criterion_and_scan_rows():
     assert int(terms) == 68 and 0 < int(cands) < 5120 and fallback == "-"
 
 
+def test_scan_row_fallbacks():
+    # the terms count comes from the statement's stack, which tells series
+    # apart by identity; the fallback from the gate, then from a None
+    # enclosure
+    bench = _bench("bench_kernels")
+    p = ParameterSet(alpha=1.0, beta=0.0)
+    grid = DiskGrid(radii=(0.5, 0.9), angles_per_radius=64)
+    quadratic = catalog_build("quadratic", {"c": 0.25})
+    huge = SeriesFunction(np.concatenate(([1.0], np.full(29, 1e299))))  # see test_grid_scan
+    with mock.patch.object(bench, "_best", _once):
+        rows = [bench._scan_row("cor32", p, f, None, None, grid, 1).split() for f in (quadratic, huge)]
+    (terms, _, _, cands, fallback), (terms_huge, _, _, cands_huge, fallback_huge) = rows
+    assert (int(terms), fallback) == (3, "terms") and 0 < int(cands) <= 128
+    assert (int(terms_huge), cands_huge, fallback_huge) == (31, "-", "nonfinite")
+
+
 def test_winding_row():
     bench = _bench("bench_kernels")
     spec = bench.parse_config(bench.bundled_configs()["example31_thm32"])

@@ -16,7 +16,7 @@ from univalence_lab import (
     subordination_probe,
     transfer_grid,
 )
-from univalence_lab.chain import _transfer_from_G
+from univalence_lab.chain import T_CLAMP, _transfer_from_G
 from univalence_lab.errors import DomainError, HypothesisViolation, InconclusiveError, TransferPoleError
 
 
@@ -136,6 +136,19 @@ class TestPdeResidual:
     def test_domain(self, identity, params_ref):
         with pytest.raises(DomainError):
             pde_residual(0.0, 0.5, params_ref, identity)
+
+    @pytest.mark.parametrize("t", [-5.0, -1e-300, math.nan, math.inf])
+    def test_t_outside_the_chain_is_refused(self, f_quarter, g_half, params_ref, t):
+        # as transfer_grid refuses it, instead of clamping it to T_CLAMP
+        with pytest.raises(DomainError, match="t must be"):
+            transfer_grid(0.3 + 0.1j, t, params_ref, f_quarter, g_half)
+        with pytest.raises(DomainError, match="t must be"):
+            pde_residual(0.3 + 0.1j, t, params_ref, f_quarter, g_half)
+
+    def test_small_t_is_clamped(self, f_quarter, g_half, params_ref):
+        r = pde_residual(0.3 + 0.1j, T_CLAMP, params_ref, f_quarter, g_half)
+        for t in (0.0, 0.5 * T_CLAMP):
+            assert pde_residual(0.3 + 0.1j, t, params_ref, f_quarter, g_half) == r
 
 
 class TestSubordination:

@@ -24,6 +24,7 @@ from univalence_lab import (
 )
 from univalence_lab.criterion import VARIANTS
 from univalence_lab.errors import DerivativeVanishes, HypothesisViolation, TruncationWarning, UnivalenceLabError
+from univalence_lab.series import criterion_bracket, eval_many, log_derivative
 
 KOEBE = catalog_build("koebe", {"degree": 4096})
 IDENTITY = catalog_build("identity")
@@ -154,7 +155,7 @@ def test_non_finite_rows_fall_back_to_the_full_scan():
     grid = DiskGrid(radii=(0.2, 0.35, 0.5), angles_per_radius=64)
     z = grid.points()
     assert np.isfinite(criterion_values("thm31", z, _P, f)).all()
-    assert criterion._grid_candidates(criterion._statement("thm31", _P, f), grid, z) == (None, "nonfinite")
+    assert criterion._circle_enclosure(criterion._statement("thm31", _P, f), grid.radii, z) is None
     _assert_as_full_scan("thm31", _P, f, None, None, grid)
 
 
@@ -171,26 +172,71 @@ def test_huge_absolute_series_falls_back_to_the_full_scan(variant):
     rows, scale = _kernels.series_rows(f.coefficients)
     assert scale == 1.0 and np.isfinite(rows).all()
     z = grid.points()
-    assert criterion._grid_candidates(criterion._statement(variant, p, f), grid, z) == (None, "nonfinite")
+    assert criterion._circle_enclosure(criterion._statement(variant, p, f), grid.radii, z) is None
     _assert_as_full_scan(variant, p, f, None, None, grid)
     assert criterion_check(variant, p, f, grid=grid).sup_value == pytest.approx(9.85e6, rel=1e-3)
+
+
+_VALUES = criterion._values
+
+
+def _evaluated(st, grid):
+    """The grid points that _grid_max evaluates exactly for st."""
+    calls = []
+    with mock.patch.object(criterion, "_values", side_effect=lambda st, z: calls.append(z) or _VALUES(st, z)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            criterion._grid_max(st, grid, grid.points())
+    (points,) = calls
+    return points
 
 
 def test_fallbacks():
     grid = DiskGrid()
     z = grid.points()
     f, g = catalog_build("quadratic", {"c": 0.25}), catalog_build("quadratic", {"c": 0.5})
+    # example31 holds 3 + 3 + 2 terms: the gate sends it to the whole grid
+    # and never calls the enclosure, from _grid_max or from criterion_check
     example31 = criterion._statement("thm31", _P, f, g)
-    assert criterion._grid_candidates(example31, grid, z) == (None, "terms")
+    assert example31.series[0].terms == 8 < criterion._SCAN_MIN_TERMS
+    with mock.patch.object(criterion, "_circle_enclosure") as enclosure:
+        assert np.array_equal(_evaluated(example31, grid), z)
+        criterion_check("thm31", _P, f, g, grid=grid)
+    enclosure.assert_not_called()
     koebe = criterion._statement("cor32", ParameterSet(), KOEBE)
-    idx, reason = criterion._grid_candidates(koebe, grid, z)
-    assert reason is None and 0 < idx.size <= z.size // 4
+    assert 0 < _evaluated(koebe, grid).size <= z.size // 4
     # every point a candidate: the scan evaluates them all, as the full scan
     with mock.patch.object(criterion, "_BOUND_SAFETY", 1e12):
-        idx, reason = criterion._grid_candidates(koebe, grid, z)
-        assert reason is None and np.array_equal(idx, np.arange(z.size))
+        assert np.array_equal(_evaluated(koebe, grid), z)
         expected = _outcome(_full_scan, "cor32", ParameterSet(), KOEBE, None, None, grid)
         assert _outcome(_pruned_scan, "cor32", ParameterSet(), KOEBE, None, None, grid) == expected
+
+
+@pytest.mark.parametrize("name", ["koebe_cor32", "expscaled"])
+def test_a_check_forms_each_series_rows_once(name):
+    # the statement's stack forms the rows of the long Koebe series once
+    # and the scan reads them; the short exponential's rows are formed when
+    # the scan asks for them, and nowhere else
+    from univalence_lab.cli import bundled_configs, parse_config
+
+    spec = parse_config(bundled_configs()["koebe_cor32"])
+    f = spec.f if name == "koebe_cor32" else catalog_build("expscaled", {"lam": np.exp(0.3j), "degree": 32})
+    with mock.patch.object(_kernels, "series_rows", wraps=_kernels.series_rows) as rows:
+        with mock.patch.object(criterion, "_circle_enclosure", wraps=criterion._circle_enclosure) as enclosure:
+            criterion_check("cor32", spec.params, f, grid=spec.grid)
+    assert enclosure.call_count == 1 and rows.call_count == 1
+
+
+def test_evaluation_forms_no_rows_for_short_series():
+    # eval_many, log_derivative and criterion_bracket prepare a stack per
+    # call; a short series' rows are left to the scan that asks for them
+    f = catalog_build("expscaled", {"lam": np.exp(0.3j), "degree": 32})
+    z = np.array([0.3, 0.5j])
+    with mock.patch.object(_kernels, "series_rows", wraps=_kernels.series_rows) as rows:
+        eval_many(f, z)
+        log_derivative(f, z)
+        criterion_bracket(f, f, IDENTITY, 0.5, 0.5, z)
+    rows.assert_not_called()
 
 
 @pytest.mark.parametrize("name", ["koebe_cor32", "example31_thm32"])

@@ -692,7 +692,7 @@ class TestOverflowingRows:
 
 
 class TestCircleRows:
-    """circle_rows lies within the bound of criterion._grid_candidates of
+    """circle_rows lies within the bound of criterion._circle_enclosure of
     Horner's values at r e^{2 pi i l/n}, and its absolute series match
     math.fsum, with one fold (k <= n) and several."""
 

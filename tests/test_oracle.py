@@ -10,7 +10,7 @@ from univalence_lab import (
     polar_samples,
     winding_numbers,
 )
-from univalence_lab.errors import InconclusiveError
+from univalence_lab.errors import DomainError, InconclusiveError
 
 
 def _circle(radius, n=513):
@@ -97,6 +97,17 @@ class TestWinding:
     def test_target_on_curve_inconclusive(self):
         with pytest.raises(InconclusiveError):
             winding_numbers(_circle(0.5), [0.5])
+
+    @pytest.mark.parametrize("min_dist", [-1.0, np.nan])
+    def test_min_dist_must_be_a_distance(self, min_dist):
+        # the target 1 lies on the curve: the default min_dist finds it, and
+        # a min_dist that no distance can fall below must not hide it
+        curve, target = _circle(1.0), [1.0]
+        with pytest.raises(InconclusiveError):
+            argument_principle_check(curve, target)
+        for check in (winding_numbers, argument_principle_check):
+            with pytest.raises(DomainError, match="min_dist"):
+                check(curve, target, min_dist=min_dist)
 
     def test_undersampled_inconclusive(self):
         curve = np.array([1.0, -1.0 + 1e-13j, 1.0])

@@ -245,6 +245,14 @@ class TestNonvanishing:
         with pytest.raises(ValueError):
             nonvanishing_check(identity, 1.0, DiskGrid())
 
+    @pytest.mark.parametrize("floor", [np.nan, -1.0, np.inf])
+    def test_floor_validation(self, floor):
+        # g = z - 2z^2 vanishes at 0.5: a NaN floor would pass it
+        g = SeriesFunction(np.array([1.0, -2.0]))
+        assert nonvanishing_check(g, 0.9, DiskGrid())[0] is False
+        with pytest.raises(DomainError, match="floor"):
+            nonvanishing_check(g, 0.9, DiskGrid(), floor=floor)
+
 
 class TestTruncationWarning:
     def test_truncated_series_warns(self):
