@@ -1,12 +1,14 @@
-"""Time `chain_grid` and `beltrami_grid` by point count.
+"""Time `chain_grid`, `transfer_grid` and `beltrami_grid` by point count.
 
 Run:  PYTHONPATH=src python3 benchmarks/bench_chain.py [--repeat N]
 
 The problem is example31 (f = z + z^2/4, g = z + z^2/2, phi = z,
 alpha = beta = 1/2, gamma = 1).  The point counts are the sizes the
-callers ask for: 1 a single point, 6 the `pde_residual` stencil, 640 the
-default `chain` command grid (8 x 16 points x 5 times) and 4097 the
-finest `subordination_probe` curve.  `beltrami_grid` runs on the grids
+callers ask for: 1 a single point, 6 the `pde_residual` stencil, 257 the
+first `subordination_probe` curve (256 points and the closing one), 640
+the default `chain` command grid (8 x 16 points x 5 times) and 4097 the
+finest `subordination_probe` curve.  `transfer_grid` runs on 1 point (the
+transfer of `pde_residual`), 6 and 640.  `beltrami_grid` runs on the grids
 its callers use: 80 points, those of the default `extend` grid with
 |z| > 1, and 32 points, the default `beltrami_ring`.  Each row is
 the best of N repeats of a loop long enough to take at least 0.2 s.  To
@@ -19,11 +21,12 @@ import timeit
 import numpy as np
 
 from univalence_lab import ParameterSet, catalog_build
-from univalence_lab.chain import chain_grid
+from univalence_lab.chain import chain_grid, transfer_grid
 from univalence_lab.extension import beltrami_grid
 from univalence_lab.series import polar_grid
 
-SIZES = (1, 6, 640, 4097)
+SIZES = (1, 6, 257, 640, 4097)
+TRANSFER_SIZES = (1, 6, 640)
 
 
 # the outside points of the default `extend` grid, and the default ring
@@ -49,9 +52,9 @@ def _best(fn, repeat):
     return min(timer.repeat(repeat=repeat, number=number)) / number
 
 
-def _chain_row(z, t, problem, repeat):
+def _chain_row(z, t, problem, repeat, grid=chain_grid):
     p, f, g, phi = problem
-    elapsed = _best(lambda: chain_grid(z, t, p, f, g, phi), repeat)
+    elapsed = _best(lambda: grid(z, t, p, f, g, phi), repeat)
     return f"{z.size:>6}  {elapsed * 1e3:9.3f} ms  {elapsed / z.size * 1e6:9.3f} us"
 
 
@@ -72,6 +75,9 @@ def main():
     print(f"{'points':>6}  {'chain_grid':>12}  {'per point':>12}")
     for n in SIZES:
         print(_chain_row(*_points(n, rng), problem, args.repeat))
+    print(f"{'points':>6}  {'transfer_grid':>12}  {'per point':>12}")
+    for n in TRANSFER_SIZES:
+        print(_chain_row(*_points(n, rng), problem, args.repeat, transfer_grid))
     print(f"{'points':>6}  {'beltrami_grid':>13}  {'per point':>11}")
     for z in BELTRAMI_GRIDS:
         print(_beltrami_row(z, problem, args.repeat))

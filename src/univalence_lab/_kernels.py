@@ -14,7 +14,10 @@ cost of an array operation is its call, a stack costs three array
 operations per coefficient, whatever the number of series.  A stack holds
 that choice, the derivative rows of its long series and the coefficient
 tables of the loop, so a caller that evaluates the same series many times
-(a criterion statement) prepares them once.  `circle_rows` takes series on
+(a criterion statement) prepares them once.  `polyvals` does the same for
+the values alone of the polynomials of a `ValueStack` (an operator plan's S
+and h), one product and one sum per coefficient, each polynomial with the
+bits of `polyval`.  `circle_rows` takes series on
 whole circles at once instead, one FFT per row and circle, from the
 derivative rows that a stack gives out (`SeriesStack.rows`).
 
@@ -120,18 +123,50 @@ def series_rows(c):
     return rows, scale
 
 
-class SeriesStack:
+class _Columns:
+    """The short series of a stack in the columns of one table, for a
+    stacked Horner pass: cols[k, i] = a_k of short series i, zero-padded at
+    the high end to the largest degree among them (top).  The repeated
+    coefficient table of a pass on w points is built on the first pass of
+    that width and kept while the tables kept stay within _HORNER_BYTES,
+    so a stack evaluated many times pays for each table once."""
+
+    def __init__(self, full):
+        """full: the coefficients [a_0..a_n] of each short series."""
+        self.sizes = [a.size - 1 for a in full]
+        self.top = max(self.sizes, default=0)
+        self.cols = np.zeros((self.top + 1, len(full)), dtype=np.complex128)
+        for i, a in enumerate(full):
+            self.cols[: a.size, i] = a
+        self._tables = {}
+        self._kept = 0
+
+    def _table(self, w):
+        """(steps, starts) of a Horner pass of every short series on w
+        points: steps[k] holds a_k of each series repeated along its points,
+        and starts {n: [(points of series i, a_n, a_(n-1))]} the series i of
+        degree n."""
+        if w in self._tables:
+            return self._tables[w]
+        table = np.repeat(self.cols, w, axis=1)
+        starts = {}
+        for i, n in enumerate(self.sizes):
+            starts.setdefault(n, []).append((slice(i * w, (i + 1) * w), self.cols[n, i], self.cols[n - 1, i]))
+        steps = list(table)  # a list indexes faster than the array
+        if self._kept + table.nbytes <= _HORNER_BYTES:
+            self._tables[w] = steps, starts
+            self._kept += table.nbytes
+        return steps, starts
+
+
+class SeriesStack(_Columns):
     """Series prepared for polyval012, for evaluation at many sets of points.
 
     A series of _BLOCKED_MIN_TERMS terms or more (c_0 = 0 included) is long
     and keeps its series_rows, formed here, for the blocked product.  The
-    short ones stand in the columns of one table, cols[k, i] = c_k of short
-    series i, zero-padded at the high end to the largest degree among them.
-    The repeated coefficient table of a Horner pass on w points (see
-    _horner012) is built on the first pass of that width and kept while the
-    tables kept stay within _HORNER_BYTES, so a stack evaluated many times
-    pays for each table once.  A stack is the one owner of its series'
-    derivative rows (rows).  Nothing is shared between stacks."""
+    short ones stand in the columns of the table (see _Columns), c_0 = 0
+    included.  A stack is the one owner of its series' derivative rows
+    (rows).  Nothing is shared between stacks."""
 
     def __init__(self, coeffs):
         self.series = series = [np.ascontiguousarray(c, dtype=np.complex128) for c in coeffs]
@@ -139,13 +174,7 @@ class SeriesStack:
         self.terms = sum(c.size + 1 for c in series)  # c_0 included
         self.short = [j for j, c in enumerate(series) if c.size + 1 < _BLOCKED_MIN_TERMS]
         self.long = {j: series_rows(c) for j, c in enumerate(series) if c.size + 1 >= _BLOCKED_MIN_TERMS}
-        self.sizes = [series[j].size for j in self.short]
-        self.top = max(self.sizes, default=0)
-        self.cols = np.zeros((self.top + 1, len(self.short)), dtype=np.complex128)
-        for i, j in enumerate(self.short):
-            self.cols[1 : self.sizes[i] + 1, i] = series[j]
-        self._tables = {}
-        self._kept = 0
+        super().__init__([np.concatenate(([0.0], series[j])) for j in self.short])
 
     def __len__(self):
         """The number of series, short and long, as a sequence of them."""
@@ -155,23 +184,17 @@ class SeriesStack:
         """series_rows of series j: a long one's kept, a short one's formed anew."""
         return self.long[j] if j in self.long else series_rows(self.series[j])
 
-    def _table(self, w):
-        """(steps, starts) of a Horner pass of every short series on w
-        points: steps[k] holds c_k of each series repeated along its points,
-        and starts {k: [(points of series i, c_k)]} the shorter series i of
-        degree k."""
-        if w in self._tables:
-            return self._tables[w]
-        table = np.repeat(self.cols, w, axis=1)
-        starts = {}
-        for i, n in enumerate(self.sizes):
-            if n < self.top:
-                starts.setdefault(n, []).append((slice(i * w, (i + 1) * w), self.cols[n, i]))
-        steps = list(table)  # a list indexes faster than the array
-        if self._kept + table.nbytes <= _HORNER_BYTES:
-            self._tables[w] = steps, starts
-            self._kept += table.nbytes
-        return steps, starts
+
+class ValueStack(_Columns):
+    """Polynomials q(z) = sum a_n z^n, coeffs = [a_0..a_M], prepared for
+    polyvals: those of 2 to _BLOCKED_MIN_TERMS - 1 terms are short and stand
+    in the columns of the table (see _Columns); the others go through
+    polyval alone."""
+
+    def __init__(self, coeffs):
+        self.series = [np.ascontiguousarray(a, dtype=np.complex128) for a in coeffs]
+        self.short = [j for j, a in enumerate(self.series) if 1 < a.size < _BLOCKED_MIN_TERMS]
+        super().__init__([self.series[j] for j in self.short])
 
 
 def polyval012(stack, z):
@@ -214,7 +237,7 @@ def _horner012(stack, z, out, i=None):
     rows [p; p'; p''/2] with z tiled to the same length, so a coefficient
     step is three array operations on contiguous views.  The coefficient
     operand of a step is the stack's repeated table for the width of the
-    chunk (SeriesStack._table).  A shorter series waits at 0 and starts
+    chunk (_Columns._table).  A shorter series waits at 0 and starts
     with p = 0 z + c_N, which is c_N but for the sign of a zero part, so p
     is set to c_N there.  With i given, short series i runs alone (m = 1)
     against its coefficients broadcast, which on many points costs less
@@ -254,12 +277,64 @@ def _horner012(stack, z, out, i=None):
             add(nxt[3], cur[2], nxt[3])
             add(nxt[1], steps[k], nxt[1])
             if k in starts:
-                for row, value in starts[k]:
+                for row, value, _ in starts[k]:
                     nxt[1][row] = value
             cur, nxt = nxt, cur
         state = cur[0].reshape(3, m, w)
         out[:2, :, s : s + w] = state[:2]
         np.multiply(2.0, state[2], out=out[2, :, s : s + w])
+
+
+def polyvals(stack, z):
+    """q(z) = sum a_n z^n of every polynomial of the ValueStack stack, as a
+    list of m arrays of z.size values, each with the bits of polyval
+    alone.  On at most _STACK_POINTS points the short ones, when there are
+    several, go through one Horner pass together (see polyval012); the
+    others, and all of them on more points, through polyval, into arrays of
+    their own (a stacked output on many points would pass glibc's mmap
+    threshold, see _horner012).  An empty polynomial is 0."""
+    z = np.ascontiguousarray(z, dtype=np.complex128).ravel()
+    out = [None] * len(stack.series)
+    if len(stack.short) > 1 and z.size <= _STACK_POINTS:
+        part = np.empty((len(stack.short), z.size), dtype=np.complex128)
+        _horner0(stack, z, part)
+        for j, row in zip(stack.short, part):
+            out[j] = row
+    for j, a in enumerate(stack.series):
+        if out[j] is None:
+            out[j] = polyval(a, z) if a.size else np.zeros_like(z)
+    return out
+
+
+def _horner0(stack, z, out):
+    """Fill out (m, z.size) with the values of the m short polynomials of
+    the ValueStack stack by Horner, each with the bits of polyval alone.
+
+    As in _horner012 the series advance together in one flat buffer, with z
+    tiled to its length, against the stack's table for the width of the
+    chunk: p <- p z + a_k is one product and one sum per coefficient.  A
+    series of degree n waits at 0 and starts one step below its top with p =
+    z a_n + a_(n-1), formed from the chunk's points as polyval forms it:
+    numpy's complex product is not bitwise commutative, and polyval takes z
+    first there and p first in every later step.  The table of a chunk
+    stays within _HORNER_BYTES, as in _horner012."""
+    m, top = len(stack.sizes), stack.top
+    chunk = max(1, _HORNER_BYTES // (16 * m * (top + 1)))
+    multiply, add = np.multiply, np.add
+    for s in range(0, z.size, chunk):
+        zc = z[s : s + chunk]
+        w = zc.size
+        steps, starts = stack._table(w)
+        tiled = np.empty(m * w, dtype=np.complex128)
+        tiled.reshape(m, w)[...] = zc
+        a = np.zeros(m * w, dtype=np.complex128)
+        b = np.empty_like(a)
+        for k in range(top - 1, -1, -1):
+            multiply(a, tiled, b)
+            add(b, steps[k], a)
+            for row, high, low in starts.get(k + 1, ()):
+                a[row] = zc * high + low
+        out[:, s : s + w] = a.reshape(m, w)
 
 
 def circle_rows(rows, radii, n):

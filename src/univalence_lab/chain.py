@@ -21,7 +21,7 @@ import numbers
 
 import numpy as np
 
-from . import _kernels, oracle
+from . import oracle
 from .errors import (
     BranchCrossingError,
     DegeneratePointError,
@@ -29,18 +29,25 @@ from .errors import (
     InconclusiveError,
     TransferPoleError,
 )
-from .operator import _evaluate, _root, _series_plan
-from .series import _IDENTITY, DISK_SLACK, criterion_bracket, polar_grid
+from .operator import _evaluate, _root
+from .series import _IDENTITY, DISK_SLACK, _bracket, _bracket_series, bracket_quotients, polar_grid
 
 FD_STEP_Z = 1e-5
 FD_STEP_T = 1e-4
 T_CLAMP = 1e-3
+_BRACKET_PROBLEMS = 16  # prepared brackets _transfer_bracket keeps
+
+_brackets = {}  # ids of a problem -> (the problem, its quotients, its _bracket_series)
 
 
 def _flat(z, t):
     """Broadcast z (complex) and t (real) and flatten; returns (z, t, shape).
-    Raises DomainError unless every t is finite and >= 0."""
-    z, t = np.broadcast_arrays(np.asarray(z, dtype=np.complex128), np.asarray(t, dtype=float))
+    Raises DomainError unless every t is real, finite and >= 0; a complex
+    dtype counts as not real, even with zero imaginary parts."""
+    t = np.asarray(t)
+    if t.dtype.kind == "c":
+        raise DomainError("t must be real")
+    z, t = np.broadcast_arrays(np.asarray(z, dtype=np.complex128), t.astype(float, copy=False))
     if not ((t >= 0) & (t < np.inf)).all():  # NaN fails it too
         raise DomainError("t must be >= 0 and finite")
     return z.ravel(), t.ravel(), z.shape
@@ -67,12 +74,7 @@ def chain_grid(z, t, p, f, g=None, phi=None):
 
 def _chain_values(z, t, p, f, g, phi):
     zeta = np.exp(-p.a * t) * z
-    b1, h, _, crossing = _evaluate(zeta, p, f, g, phi)
-    # h(zeta) comes from the continuation past the plan's radius, and from
-    # the plan's Taylor series inside it
-    plan = _series_plan(f, g, phi, p.alpha, p.beta, p.gamma)
-    near = np.abs(zeta) <= plan.radius
-    h[near] = _kernels.polyval(plan.h, zeta[near])
+    b1, h, _, crossing = _evaluate(zeta, p, f, g, phi, inner_h=True)
     atg = p.a * t * p.gamma
     decay1 = np.expm1(-atg)  # e^{-a t gamma} - 1
     with np.errstate(over="ignore", invalid="ignore"):  # _root raises on what overflows
@@ -95,9 +97,30 @@ def transfer_grid(z, t, p, f, g=None, phi=None):
     [(1+a)G + 1 - ma] / [(1-a)G + 1 + ma] and p = (1+w)/(1-w)."""
     zf, tf, shape = _flat(z, t)
     zeta = np.exp(-p.a * tf) * zf
-    bracket = criterion_bracket(f, g, phi, p.alpha, p.beta, zeta)
+    quotients, series = _transfer_bracket(f, g, phi, p.alpha, p.beta)
+    bracket = _bracket(quotients, series, p.beta, zeta, np.abs(zeta))
     G = bracket / p.gamma * (1.0 - np.exp(-(p.m + 1.0) * p.a * tf * p.gamma))
     return tuple(x.reshape(shape) for x in _transfer_from_G(G, p.m, p.a))
+
+
+def _transfer_bracket(f, g, phi, alpha, beta):
+    """(quotients, series) of criterion_bracket for the problem (f, g, phi,
+    alpha, beta): its bracket_quotients and their _bracket_series, prepared
+    on the problem's first call and kept for the _BRACKET_PROBLEMS problems
+    used last, so repeated transfer calls on one problem prepare its
+    SeriesStack once.  A problem is told apart by the identity of its five
+    members, never by value, as _bracket_series tells series apart; an
+    entry holds them, so no id of a kept problem is reused."""
+    problem = (f, g or _IDENTITY, phi or _IDENTITY, alpha, beta)
+    key = tuple(map(id, problem))
+    entry = _brackets.pop(key, None)
+    if entry is None:
+        quotients = bracket_quotients(*problem)
+        entry = problem, quotients, _bracket_series(quotients)
+        if len(_brackets) >= _BRACKET_PROBLEMS:
+            del _brackets[next(iter(_brackets))]  # the one used longest ago
+    _brackets[key] = entry
+    return entry[1:]
 
 
 def _transfer_from_G(G, m, a):

@@ -159,15 +159,18 @@ class SeriesPlan(NamedTuple):
     h_0 .. h_N, S_n = h_n / (gamma + n) for n = 1 .. N, the radius r_c up
     to which both are certified, the factors with an exponent that is not
     a natural number as (coefficients, exponent, group, sign) with group 0
-    for f' and 1 for g/phi, and the polynomial M, the product of the other
-    factors (see the module docstring).  A NamedTuple, since defining a
-    frozen dataclass costs about 1.7 ms of import time."""
+    for f' and 1 for g/phi, the polynomial M, the product of the other
+    factors (see the module docstring), and values, the polynomials S_1 +
+    S_2 u + ... and h prepared for one Horner pass of both
+    (_kernels.ValueStack).  A NamedTuple, since defining a frozen dataclass
+    costs about 1.7 ms of import time."""
 
     h: np.ndarray
     s: np.ndarray
     radius: float
     factors: tuple
     multiplier: np.ndarray
+    values: _kernels.ValueStack
 
 
 @lru_cache(maxsize=256)
@@ -194,7 +197,7 @@ def _series_plan(f, g, phi, alpha, beta, gamma):
         radius = 1.0
         if s.size and not _natural(1.0 / gamma):
             radius = _sup(lambda r: abs(gamma) * (np.abs(s) @ r**n) < _ARG_LIMIT, 1.0)
-        return SeriesPlan(multiplier, s, radius, factors, multiplier)
+        return SeriesPlan(multiplier, s, radius, factors, multiplier, _kernels.ValueStack((s, multiplier)))
     h = np.zeros(_SERIES_TERMS, dtype=np.complex128)
     h[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -245,7 +248,8 @@ def _series_plan(f, g, phi, alpha, beta, gamma):
 
     radius = _sup(lambda r: certified(r)[-1], _sup(r_arg_ok, 1.0))
     keep = int(np.argmax(certified(radius))) + 1
-    return SeriesPlan(h[:keep], s[: keep - 1], radius, factors, multiplier)
+    h, s = h[:keep], s[: keep - 1]
+    return SeriesPlan(h, s, radius, factors, multiplier, _kernels.ValueStack((s, h)))
 
 
 def _log1p(w):
@@ -394,9 +398,11 @@ def _walk(plan, z, gamma):
     return J, h, steps, flagged
 
 
-def _evaluate(z, p, f, g, phi):
+def _evaluate(z, p, f, g, phi, inner_h=False):
     """B - 1, h, the continuation step counts and the crossing flags at a
-    1-d array of points; h is set only at the points past the plan's r_c."""
+    1-d array of points.  h is set at the points past the plan's r_c, and
+    with inner_h at those within it too, from the plan's series: S and h in
+    one pass (_kernels.polyvals)."""
     if p.gamma.real <= 0:
         raise HypothesisViolation("operator evaluation requires Re gamma > 0")
     if z.size and not np.abs(z).max() < 1.0:  # NaN fails it too
@@ -408,7 +414,11 @@ def _evaluate(z, p, f, g, phi):
     steps = np.zeros(z.shape, dtype=int)
     crossing = np.zeros(z.shape, dtype=bool)
     zn = z[near]
-    b1[near] = p.gamma * zn * _kernels.polyval(plan.s, zn) if plan.s.size else 0.0
+    if inner_h:
+        sn, h[near] = _kernels.polyvals(plan.values, zn)
+    elif plan.s.size:
+        sn = _kernels.polyval(plan.s, zn)
+    b1[near] = p.gamma * zn * sn if plan.s.size else 0.0
     if not near.all():
         far = ~near
         J, h[far], steps[far], crossing[far] = _walk(plan, z[far], p.gamma)

@@ -266,10 +266,11 @@ def nonvanishing_check(s, radius, grid, floor=1e-9):
     """Sample |s(z)/z| on the grid circles up to `radius`, else on |z| = radius; evidence, not proof.
 
     Returns (True, None) if all samples stay above `floor`, otherwise
-    (False, witness); raises DomainError for a floor below 0 or not finite.
+    (False, witness); raises DomainError for a radius outside (0, 1) and
+    for a floor below 0 or not finite (NaN fails both).
     """
     if not 0.0 < radius < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
+        raise DomainError("radius must lie in (0, 1)")
     if not 0.0 <= floor < math.inf:
         raise DomainError("floor must be finite and >= 0")
     inside = sum(r <= radius for r in grid.radii)  # the radii increase

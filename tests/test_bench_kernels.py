@@ -108,10 +108,17 @@ def test_operator_row():
 def test_chain_and_beltrami_rows():
     bench = _bench("bench_chain")
     problem = bench._problem()
+    rng = np.random.default_rng(0)
     with mock.patch.object(bench, "_best", _once):
-        chain = bench._chain_row(*bench._points(6, np.random.default_rng(0)), problem, 1)
+        chain = bench._chain_row(*bench._points(6, rng), problem, 1)
         ring = bench._beltrami_row(bench.BELTRAMI_GRIDS[1], problem, 1)
-    assert chain.split()[0] == "6" and ring.split()[0] == "32"
+        # the first probe curve, and each transfer size, by transfer_grid
+        curve = bench._chain_row(*bench._points(257, rng), problem, 1)
+        with mock.patch.object(bench, "transfer_grid", wraps=bench.transfer_grid) as transfer:
+            rows = [bench._chain_row(*bench._points(n, rng), problem, 1, transfer) for n in bench.TRANSFER_SIZES]
+    assert chain.split()[0] == "6" and ring.split()[0] == "32" and curve.split()[0] == "257"
+    assert 257 in bench.SIZES and bench.TRANSFER_SIZES == (1, 6, 640)
+    assert [row.split()[0] for row in rows] == ["1", "6", "640"] and transfer.call_count == 3
     # the second grid is the default ring of beltrami_ring
     p, f, g, phi = problem
     assert bench.BELTRAMI_GRIDS[1].tolist() == [s.z for s in beltrami_ring(p, f, g, phi)]

@@ -6,6 +6,7 @@ import cmath
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from univalence_lab import (
     series,
     subordination_probe,
 )
+from univalence_lab import _kernels, operator
 from univalence_lab.chain import _transfer_from_G, chain_grid, transfer_grid
 from univalence_lab.cli import bundled_configs, parse_config
 from univalence_lab.errors import (
@@ -35,6 +37,8 @@ from univalence_lab.errors import (
 )
 from univalence_lab.extension import beltrami_grid, extend_grid
 from univalence_lab.series import SeriesFunction
+
+from .conftest import random_disk_points
 
 GAMMAS = (1.0, 0.3, 0.5 + 0.5j, 2.0 + 1.0j)
 SPEEDS = ((1.0, 1.0), (2.0, 0.7))  # (m, a)
@@ -183,11 +187,15 @@ class TestOperatorRoot:
 
     @pytest.mark.parametrize("gamma", [1.0, 1e-8, 1e-11, 1e-14])
     def test_t_zero_is_the_operator(self, gamma, f_quarter, g_half, identity):
+        # on the point counts of the stacked pass of S and h (up to 256) and
+        # past it, where S and h go one at a time
         p = ParameterSet(alpha=0.5, beta=0.5, gamma=gamma)
-        z = np.concatenate([polar_samples(8, 16, 0.9), [0.5, -0.7 + 0.3j, 0.9j]])
-        values, flagged = chain_grid(z, 0.0, p, f_quarter, g_half, identity)
-        want, _, _, crossing = operator_grid(z, p, f_quarter, g_half, identity)
-        assert np.array_equal(values, want) and np.array_equal(flagged, crossing)
+        ring = np.concatenate([polar_samples(8, 16, 0.9), [0.5, -0.7 + 0.3j, 0.9j]])
+        disk = random_disk_points(np.random.default_rng(7), 4097, 0.95)
+        for z in (ring, ring[-1:], ring[-6:], disk[:256], disk[:257], disk):
+            values, flagged = chain_grid(z, 0.0, p, f_quarter, g_half, identity)
+            want, _, _, crossing = operator_grid(z, p, f_quarter, g_half, identity)
+            assert values.tobytes() == want.tobytes() and np.array_equal(flagged, crossing)
 
     @pytest.mark.parametrize("name", sorted(bundled_configs()))
     def test_t_zero_is_the_operator_on_bundled_configs(self, name):
@@ -344,6 +352,14 @@ class TestErrors:
             with pytest.raises(DomainError) as transfer:
                 transfer_grid([0.3, 0.5], [0.2, bad_t], ParameterSet(), f_quarter)
         assert str(transfer.value) == str(chain.value) == "t must be >= 0 and finite"
+
+    @pytest.mark.parametrize("t", [0.5j, 0.5 + 0j, np.array([0.2, 0.5 + 0j])])
+    @pytest.mark.parametrize("entry", ["chain_grid", "transfer_grid", "pde_residual"])
+    def test_complex_t(self, entry, t, f_quarter, g_half, params_ref):
+        # a complex dtype is refused even where every imaginary part is 0
+        call = {"chain_grid": chain_grid, "transfer_grid": transfer_grid, "pde_residual": pde_residual}[entry]
+        with pytest.raises(DomainError, match="t must be real"):
+            call(0.3 + 0.1j, t, params_ref, f_quarter, g_half)
 
     def test_transfer_poles(self):
         with pytest.raises(TransferPoleError, match="denominator"):
@@ -513,3 +529,76 @@ class TestBeltramiOracle:
         want, flagged = _stencil_mu(z, p, f)
         assert flagged.all()
         assert np.allclose(beltrami_grid(z, p, f), want, rtol=0.0, atol=5e-10)
+
+
+class TestPreparedOnce:
+    """A chain call pays for arithmetic, not set-up: S and h of the plan go
+    through one Horner pass, and transfer calls on one problem reuse one
+    prepared bracket stack."""
+
+    def test_chain_grid_makes_one_pass_and_one_plan_lookup(self, f_quarter, g_half, identity):
+        p = ParameterSet(alpha=0.5, beta=0.5, gamma=1.0)
+        z = 0.3 * np.exp(2j * np.pi * np.arange(6) / 6)  # the size of the pde_residual stencil
+        t = 0.4
+        assert np.abs(z).max() <= operator._series_plan(f_quarter, g_half, identity, p.alpha, p.beta, p.gamma).radius
+        before = operator._series_plan.cache_info()
+        with (
+            mock.patch.object(_kernels, "_horner0", wraps=_kernels._horner0) as passes,
+            mock.patch.object(_kernels, "polyval", wraps=_kernels.polyval) as alone,
+        ):
+            values, _ = chain_grid(z, t, p, f_quarter, g_half, identity)
+        after = operator._series_plan.cache_info()
+        assert passes.call_count == 1 and alone.call_count == 0
+        assert after.hits + after.misses == before.hits + before.misses + 1
+        # the pass keeps the bits of S and h one at a time
+        for zz, L in zip(z, values):
+            assert chain_grid(zz, t, p, f_quarter, g_half, identity)[0].tobytes() == L.tobytes()
+
+    def test_transfer_prepares_its_stack_once(self, params_ref):
+        # a problem of its own, so its first call prepares the stack
+        f = SeriesFunction(np.array([1.0, 0.25, 0.01j]), label="f")
+        g = SeriesFunction(np.array([1.0, 0.5]), label="g")
+        z = np.array([0.3, -0.2 + 0.4j, 0.5j])
+        stack = _kernels.SeriesStack
+        with mock.patch.object(stack, "__init__", autospec=True, side_effect=stack.__init__) as prepare:
+            results = [transfer_grid(z, t, params_ref, f, g) for t in (0.1, 0.5, 0.1)]
+            pde_residual(0.3 + 0.1j, 0.5, params_ref, f, g)
+        assert prepare.call_count == 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(results[0], results[2]))
+
+    def test_transfer_builds_no_plan(self, f_quarter, g_half):
+        # the transfer reads the criterion bracket only: at gamma = -1, where
+        # the operator plan is not certified, it still works, and no plan is
+        # looked up
+        p = ParameterSet(alpha=0.5, beta=0.5, gamma=-1.0)
+        before = operator._series_plan.cache_info()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                G, w, pv = transfer_grid([0.3, 0.5j], [0.2, 0.7], p, f_quarter, g_half)
+        assert operator._series_plan.cache_info() == before
+        assert np.all(np.isfinite(G)) and np.all(np.isfinite(w)) and np.all(np.isfinite(pv))
+
+    def test_equal_series_keep_their_own_stacks(self):
+        # the pair of TestPreparedStack.test_series_told_apart_by_their_bits:
+        # equal series whose imaginary parts are +0.0 and -0.0
+        plus = SeriesFunction(np.array([1.0, 0.3, -0.2, 0.1, 0.05 + 0j]), label="plus")
+        minus = SeriesFunction(np.conj(plus.coefficients), label="minus")
+        assert plus == minus and hash(plus) == hash(minus)
+        p = ParameterSet(alpha=0.5, beta=0.5)
+        ident = catalog_build("identity")
+        z = np.conj(np.array([-0.5, -0.9, 0.5, -0.2, 0.0, -0.7], dtype=np.complex128))
+        stacks = []
+
+        def polyval012(stack, points, _run=_kernels.polyval012):
+            stacks.append(stack)
+            return _run(stack, points)
+
+        with mock.patch.object(_kernels, "polyval012", polyval012):
+            for s in (plus, minus, minus):
+                G = transfer_grid(z, 0.0, p, s, s, ident)[0]
+                assert G.tobytes() == transfer_grid(z, 0.0, p, s, s, ident)[0].tobytes()
+        first_plus, _, first_minus, _, again_minus, _ = stacks
+        assert first_minus is again_minus and first_minus is not first_plus
+        assert first_minus.series[0].tobytes() == minus.coefficients.tobytes()
+        assert first_plus.series[0].tobytes() == plus.coefficients.tobytes()

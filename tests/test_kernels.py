@@ -587,6 +587,55 @@ class TestPreparedStack:
         assert counted and all(n > 0 for n in counted)
 
 
+def _signed_zeros(rng, x):
+    """x with about half its entries set to +0.0 or -0.0, at random."""
+    x = x.copy()
+    hit = rng.uniform(size=x.size) < 0.5
+    x[hit] = np.where(rng.uniform(size=int(hit.sum())) < 0.5, 0.0, -0.0)
+    return x
+
+
+def _random_polynomial(rng, n, zero_parts):
+    """a_0 .. a_(n-1) shrinking like 0.6^k; with zero_parts about half of
+    the real and half of the imaginary parts are zeros of either sign."""
+    re, im = (rng.normal(size=n) * 0.6 ** np.arange(n) for _ in range(2))
+    a = np.empty(n, dtype=np.complex128)
+    a.real, a.imag = (_signed_zeros(rng, re), _signed_zeros(rng, im)) if zero_parts else (re, im)
+    return a
+
+
+class TestValueStack:
+    """Every polynomial of a ValueStack, the prepared S and h of an operator
+    plan, gets the bits of polyval alone, on the stacked pass (several
+    short polynomials on at most _STACK_POINTS points) and off it."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(0, 80), min_size=1, max_size=4),
+        npts=st.lists(st.sampled_from([1, 6, 256, 257, 4097]) | st.integers(1, 300), min_size=1, max_size=3),
+        zero_parts=st.booleans(),
+    )
+    @example(seed=1, sizes=[61, 62], npts=[6, 1, 256, 6, 257], zero_parts=False)  # example31's S and h
+    @example(seed=2, sizes=[5, 62, 64, 2], npts=[1, 6, 4097], zero_parts=True)
+    @example(seed=3, sizes=[2, 1, 0, 40], npts=[256, 257, 6], zero_parts=True)
+    @example(seed=4, sizes=[3, 3], npts=[1, 6], zero_parts=True)
+    @settings(max_examples=60, deadline=None)
+    def test_each_polynomial_has_the_bits_of_polyval(self, seed, sizes, npts, zero_parts):
+        rng = np.random.default_rng(seed)
+        coeffs = [_random_polynomial(rng, n, zero_parts) for n in sizes]
+        stack = _kernels.ValueStack(coeffs)
+        for n in npts:  # one stack, several widths, some of them again
+            z = random_disk_points(rng, n, 1.0)
+            real = rng.uniform(size=n) < 0.3  # real points, imaginary part +0.0 or -0.0
+            z.imag[real] = _signed_zeros(rng, np.ones(int(real.sum())))
+            got = _kernels.polyvals(stack, z)
+            assert len(got) == len(coeffs)
+            for a, row in zip(coeffs, got):
+                want = _kernels.polyval(a, z) if a.size else np.zeros(n, dtype=np.complex128)
+                assert row.tobytes() == want.tobytes()
+        assert stack._kept <= _kernels._HORNER_BYTES
+
+
 class TestDispatchAgreesWithNumpy:
     """The public kernels agree with independent numpy computations."""
 

@@ -242,8 +242,9 @@ class TestNonvanishing:
         assert (ok, witness) == ((False, zero) if found else (True, None))
 
     def test_radius_validation(self, identity):
-        with pytest.raises(ValueError):
-            nonvanishing_check(identity, 1.0, DiskGrid())
+        for radius in (1.0, 0.0, -0.5, np.nan):  # NaN fails the range test too
+            with pytest.raises(DomainError, match="radius"):
+                nonvanishing_check(identity, radius, DiskGrid())
 
     @pytest.mark.parametrize("floor", [np.nan, -1.0, np.inf])
     def test_floor_validation(self, floor):
