@@ -16,7 +16,15 @@ series that the operator and chain paths evaluate one point at a time or
 on large grids, where the blocked scheme falls back to plain Horner and
 must cost no more.
 
-A second table times the oracle and output kernels.  `collision_scan`
+A second table times one stacked `_horner012` pass, the Horner loop of
+`polyval012` on at most `_kernels._STACK_POINTS` points, on the stack of the
+expscaled statement of the `verdict` workload (f and g of degree 32, phi =
+z, the family below) at 16 points, the most common look-ahead call, 80
+points, which the pass splits into two chunks, and 256 points, the most
+the pass takes.  The stack and the buffer of each width are prepared
+before the loop, as a criterion statement keeps them.
+
+A third table times the oracle and output kernels.  `collision_scan`
 runs on n x n polar clouds (radius 0.99) of the example31_thm32 operator
 at the default injectivity tolerance 1e-6 and at 2e-2 of the value
 diameter, where each point's real-part window holds many others;
@@ -26,14 +34,14 @@ images of a 5 x 10 polar grid within |z| <= 0.475, on the closed
 is covered once.  `emit_grid_csv` writes a 4096 x 5 grid, the size of a
 32 x 128 `eval --out` CSV.
 
-A third table times both paths of `emit_grid_csv`, the one `%` format
+A fourth table times both paths of `emit_grid_csv`, the one `%` format
 operation and the numpy `g17_csv` kernel, at the grid sizes the commands
 write: 48 x 7 (identity `chain`), 128 x 6 (`extend`), 640 x 7 (example31
 `chain`) and 4096 x 5 (32 x 128 `eval`), on normal random values with a
 0/1 flag column, and gives the tracemalloc peak of one call on each
 path.  Its crossover sets `cli._CSV_VECTOR_CELLS`.
 
-A fourth table times the criterion search of the `verdict` workload's
+A fifth table times the criterion search of the `verdict` workload's
 families: example31 (f = z + z^2/4, g = z + z^2/2, phi = z) and the
 degree-32 exponentials f = (e^{lam z} - 1)/lam, g the same at lam/2
 (lam = e^{0.3i}), each under the five variants, and the Koebe degree-4096
@@ -41,14 +49,15 @@ degree-32 exponentials f = (e^{lam z} - 1)/lam, g the same at lam/2
 (the criterion of a statement built once, as `criterion_check` builds
 it) on the default 5120-point disk grid, `probe` one call on the four
 probes of a refinement hop, `lookahead` one call on the 16 probes of the
-first look-ahead call (4 hops, `criterion._FIRST_HOPS`), `first` that
-call on a freshly built statement, which pays for whatever the statement
-prepares on its first call (the Horner coefficient table of each width),
+first look-ahead call (4 hops, `criterion._FIRST_HOPS`), both without
+the disk check, as the search makes them, `first` that call on a freshly
+built statement, which pays for whatever the statement prepares on its
+first call (the Horner buffer of each width),
 `probes` the number of probe calls `criterion_check` makes, `points` the
 probe points they evaluate, and `check` the whole `criterion_check`.  To
 compare two checkouts, run the script in each.
 
-A fifth table times the grid scan of `criterion_check` on the same cases,
+A sixth table times the grid scan of `criterion_check` on the same cases,
 Koebe on its config grid (7 radii x 512 angles): `exact` is one
 `criterion._values` call on every grid point, `pruned` the FFT scan with
 its cost cutoff off (`criterion._SCAN_MIN_TERMS` = 0), three runs each,
@@ -81,6 +90,7 @@ CASES = ((4096, 1), (4096, 4), (4096, 5120), (32, 5120), (2, 1), (2, 100_000))
 CLOUDS = (64, 100, 200)
 RELATIVE_TOLS = (1e-6, 2e-2)
 CSV_GRIDS = ((48, 7), (128, 6), (640, 7), (4096, 5))
+HORNER_POINTS = (16, 80, 256)
 WINDING_RADIUS = 0.95
 
 
@@ -107,6 +117,10 @@ def main():
     print(f"{'degree':>6} {'points':>7}  {'polyval012':>12}  {'prepare':>12}  {'polyval':>12}")
     for degree, npts in CASES:
         print(_kernel_row(degree, npts, rng, args.repeat))
+
+    print(f"\n{'_horner012':>10} {'points':>7}  {'time':>12}")
+    for npts in HORNER_POINTS:
+        print(f"{'expscaled':>10} " + _horner_row(npts, rng, args.repeat))
 
     spec = parse_config(bundled_configs()["example31_thm32"])
     print(f"\n{'kernel':>14} {'points':>7} {'tol/diam':>8}  {'time':>12}  result")
@@ -152,6 +166,19 @@ def _kernel_row(degree, npts, rng, repeat):
     t_prep = _best(lambda: _kernels.SeriesStack((coeffs,)), repeat)
     t1 = _best(lambda: _kernels.polyval(coeffs, z), repeat)
     return f"{degree:>6} {npts:>7}  {t012 * 1e3:9.4f} ms  {t_prep * 1e3:9.4f} ms  {t1 * 1e3:9.4f} ms"
+
+
+def _horner_row(npts, rng, repeat):
+    """us of one stacked _horner012 pass on npts points of the disk, on the
+    stack of the expscaled thm31 statement, whose buffer for the width is
+    built before the loop."""
+    _, _, p, fgp = next(case for case in _verdict_cases() if case[0] == "expscaled")
+    stack = criterion._statement("thm31", p, *fgp).series[0]
+    z = _inputs(1, npts, rng)[1]
+    out = np.empty((3, len(stack), npts), dtype=np.complex128)
+    _kernels._horner012(stack, z, out)
+    t = _best(lambda: _kernels._horner012(stack, z, out), repeat)
+    return f"{npts:>7}  {t * 1e6:9.1f} us"
 
 
 def _winding_row(spec, repeat):
@@ -260,7 +287,7 @@ def _first_call(variant, p, f, g, phi, z, repeat):
         statements = [criterion._statement(variant, p, f, g, phi) for _ in range(50)]
         start = time.perf_counter()
         for st in statements:
-            criterion._values(st, z)
+            criterion._values(st, z, check_disk=False)
         best = min(best, (time.perf_counter() - start) / len(statements))
     return best
 
@@ -273,9 +300,9 @@ def _criterion_row(variant, p, f, g, phi, repeat):
     values = criterion._values
     calls = []
 
-    def counted(st, z):
+    def counted(st, z, **kwargs):
         calls.append(z.size)
-        return values(st, z)
+        return values(st, z, **kwargs)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -289,8 +316,8 @@ def _criterion_row(variant, p, f, g, phi, repeat):
         ahead = witness * np.stack([1.0 - steps, 1.0 - 2.0 * steps, np.exp(1j * steps), np.exp(-1j * steps)], 1)
         points = grid.points()
         t_grid = _best(lambda: values(st, points), repeat)
-        t_probe = _best(lambda: values(st, probes), repeat)
-        t_ahead = _best(lambda: values(st, ahead.ravel()), repeat)
+        t_probe = _best(lambda: values(st, probes, check_disk=False), repeat)
+        t_ahead = _best(lambda: values(st, ahead.ravel(), check_disk=False), repeat)
         t_first = _first_call(variant, p, f, g, phi, ahead.ravel(), repeat)
         t_check = _best(lambda: criterion.criterion_check(variant, p, f, g, phi, grid), repeat)
     # one call scans the grid, the others are probes

@@ -10,11 +10,11 @@ B = 1: plain Horner needs no more array operations there, and keeps the
 results of the low-degree series bit for bit.  `polyval012` makes that
 choice for every series of the `SeriesStack` it is given, and runs the
 Horner loop on the stack's short series at once: on few points, where the
-cost of an array operation is its call, a stack costs three array
+cost of an array operation is its call, a stack costs two array
 operations per coefficient, whatever the number of series.  A stack holds
-that choice, the derivative rows of its long series and the coefficient
-tables of the loop, so a caller that evaluates the same series many times
-(a criterion statement) prepares them once.  `polyvals` does the same for
+that choice, the derivative rows of its long series and the buffers of
+the loop, so a caller that evaluates the same series many times (a
+criterion statement) prepares them once.  `polyvals` does the same for
 the values alone of the polynomials of a `ValueStack` (an operator plan's S
 and h), one product and one sum per coefficient, each polynomial with the
 bits of `polyval`.  `circle_rows` takes series on
@@ -30,6 +30,7 @@ the `%` operator itself.
 import functools
 import math
 import types
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,40 +124,73 @@ def series_rows(c):
     return rows, scale
 
 
+class _Pass(NamedTuple):
+    """The buffers of a stacked Horner pass on w points of a stack of m
+    short series of largest degree top, whose state has depth rows (see
+    _horner012): rows, (top + depth, m, w) over one flat buffer; steps, its
+    top + 1 overlapping views of depth rows, steps[k] from row k; tiled and
+    product, depth m w values each, the points repeated along every row of
+    the state and the products of a step; starts {n: [(points of series i
+    within a row, a_n, a_(n-1))]} the series i of degree n."""
+
+    rows: np.ndarray
+    steps: list
+    tiled: np.ndarray
+    product: np.ndarray
+    starts: dict
+
+
 class _Columns:
     """The short series of a stack in the columns of one table, for a
     stacked Horner pass: cols[k, i] = a_k of short series i, zero-padded at
-    the high end to the largest degree among them (top).  The repeated
-    coefficient table of a pass on w points is built on the first pass of
-    that width and kept while the tables kept stay within _HORNER_BYTES,
-    so a stack evaluated many times pays for each table once."""
+    the high end to the largest degree among them (top), with depth - 1 rows
+    of zeros above it, for a pass whose state has depth rows.  The _Pass of
+    a width is built on the first pass of that width and kept while the
+    passes kept stay within _HORNER_BYTES, so a stack evaluated many times
+    pays for each once.  Its buffers are scratch, so a stack is not to be
+    evaluated from two threads at once."""
+
+    depth = 1
 
     def __init__(self, full):
         """full: the coefficients [a_0..a_n] of each short series."""
         self.sizes = [a.size - 1 for a in full]
         self.top = max(self.sizes, default=0)
-        self.cols = np.zeros((self.top + 1, len(full)), dtype=np.complex128)
+        self.cols = np.zeros((self.top + self.depth, len(full)), dtype=np.complex128)
         for i, a in enumerate(full):
             self.cols[: a.size, i] = a
-        self._tables = {}
+        self._passes = {}
         self._kept = 0
 
-    def _table(self, w):
-        """(steps, starts) of a Horner pass of every short series on w
-        points: steps[k] holds a_k of each series repeated along its points,
-        and starts {n: [(points of series i, a_n, a_(n-1))]} the series i of
-        degree n."""
-        if w in self._tables:
-            return self._tables[w]
-        table = np.repeat(self.cols, w, axis=1)
+    def _chunk(self, n):
+        """The chunk width of a pass on n points: as few chunks as keep
+        the buffers of each (its _Pass, (top + 3 depth) m values per point)
+        within _HORNER_BYTES, of even widths, so that no short chunk pays a
+        whole pass for a few points (for the expscaled statement, 128 points
+        go as two chunks of 64)."""
+        most = max(1, _HORNER_BYTES // (16 * len(self.sizes) * (self.top + 3 * self.depth)))
+        return max(1, -(-n // max(1, -(-n // most))))
+
+    def _pass(self, w):
+        """The _Pass of a pass of every short series on w points."""
+        if w in self._passes:
+            return self._passes[w]
+        m, top, d = len(self.sizes), self.top, self.depth
+        mw = m * w
+        flat = np.empty((top + d) * mw, dtype=np.complex128)
+        # a list indexes faster than the array, and a view made once costs
+        # no slicing per step
+        steps = list(np.ndarray((top + 1, d * mw), np.complex128, flat, 0, (16 * mw, 16)))
         starts = {}
         for i, n in enumerate(self.sizes):
             starts.setdefault(n, []).append((slice(i * w, (i + 1) * w), self.cols[n, i], self.cols[n - 1, i]))
-        steps = list(table)  # a list indexes faster than the array
-        if self._kept + table.nbytes <= _HORNER_BYTES:
-            self._tables[w] = steps, starts
-            self._kept += table.nbytes
-        return steps, starts
+        tiled, product = np.empty((2, d * mw), dtype=np.complex128)
+        kept = _Pass(flat.reshape(top + d, m, w), steps, tiled, product, starts)
+        nbytes = flat.nbytes + tiled.nbytes + product.nbytes
+        if self._kept + nbytes <= _HORNER_BYTES:
+            self._passes[w] = kept
+            self._kept += nbytes
+        return kept
 
 
 class SeriesStack(_Columns):
@@ -165,8 +199,11 @@ class SeriesStack(_Columns):
     A series of _BLOCKED_MIN_TERMS terms or more (c_0 = 0 included) is long
     and keeps its series_rows, formed here, for the blocked product.  The
     short ones stand in the columns of the table (see _Columns), c_0 = 0
-    included.  A stack is the one owner of its series' derivative rows
-    (rows).  Nothing is shared between stacks."""
+    included, for a state of three rows, p, p' and p''/2.  A stack is the
+    one owner of its series' derivative rows (rows).  Nothing is shared
+    between stacks."""
+
+    depth = 3
 
     def __init__(self, coeffs):
         self.series = series = [np.ascontiguousarray(c, dtype=np.complex128) for c in coeffs]
@@ -233,56 +270,70 @@ def _horner012(stack, z, out, i=None):
     p''/2 <- p''/2 z + p', p' <- p' z + p and p <- p z + c_k, down to
     c_0 = 0.
 
-    The series and the points advance together in one flat buffer of the
-    rows [p; p'; p''/2] with z tiled to the same length, so a coefficient
-    step is three array operations on contiguous views.  The coefficient
-    operand of a step is the stack's repeated table for the width of the
-    chunk (_Columns._table).  A shorter series waits at 0 and starts
-    with p = 0 z + c_N, which is c_N but for the sign of a zero part, so p
-    is set to c_N there.  With i given, short series i runs alone (m = 1)
-    against its coefficients broadcast, which on many points costs less
-    than a table.  A product never runs in place: numpy rounds an in-place
+    The series and the points advance together in the flat buffer of the
+    width's _Pass (_Columns._pass): rows 0..N hold each c_k repeated along
+    its series' points, and the rows above them zeros.  The state
+    [p; p'; p''/2] after the step of c_k stands in rows k..k+2, so a step
+    is two array operations on the kept views of three rows: the state in
+    rows k+1..k+3 times the tiled points, then that product plus rows
+    k..k+2, back into them; row k still holds c_k, and rows k+1 and k+2
+    the old p and p'.  A shorter series waits at 0 and starts with p =
+    0 z + c_N, which is c_N but for the sign of a zero part, so p is set
+    to c_N there.  A product never runs in place: numpy rounds an in-place
     complex product on one element differently.
 
-    Points are processed in chunks that keep every temporary within
+    With i given, short series i runs alone (m = 1) against its
+    coefficients broadcast, three array operations per coefficient: on
+    many points a step costs by the element, and the buffer of the layout
+    would only add to them.
+
+    Points are processed in chunks that keep every buffer within
     _HORNER_BYTES = 128 KiB, glibc's default mmap threshold, above which
     malloc maps each buffer afresh and its pages are faulted in again on
-    every call.  The state, the next state and the tiled z hold 3 m values
-    per point, and a table (N + 1) m.  The values do not depend on the
-    chunks."""
-    if i is None:
-        m, top = len(stack.sizes), stack.top
-        chunk = max(1, _HORNER_BYTES // (16 * m * max(3, top + 1)))
-    else:
-        m, top = 1, stack.sizes[i]
+    every call: (N + 9) m values per point for the buffers of a pass, in
+    chunks of even width (_Columns._chunk), and 3 for the state of a series
+    alone.  The values do not depend on the chunks."""
+    multiply, add = np.multiply, np.add
+    if i is not None:
+        top = stack.sizes[i]
+        steps = stack.cols[: top + 1, i : i + 1]
         chunk = _HORNER_BYTES // (16 * 3)
-        steps, starts = stack.cols[: top + 1, i : i + 1], {}
+        for s in range(0, z.size, chunk):
+            zc = z[s : s + chunk]
+            w = zc.size
+            tiled = np.empty(3 * w, dtype=np.complex128)
+            tiled.reshape(3, w)[...] = zc
+            a = np.zeros(3 * w, dtype=np.complex128)
+            a[:w] = steps[top]
+            b = np.empty_like(a)
+            # (whole, p, [p; p'], [p'; p''/2]) of the current and the next state
+            cur = (a, a[:w], a[: 2 * w], a[w:])
+            nxt = (b, b[:w], b[: 2 * w], b[w:])
+            for k in range(top - 1, -1, -1):
+                multiply(cur[0], tiled, nxt[0])
+                add(nxt[3], cur[2], nxt[3])
+                add(nxt[1], steps[k], nxt[1])
+                cur, nxt = nxt, cur
+            state = cur[0].reshape(3, 1, w)
+            out[:2, :, s : s + w] = state[:2]
+            np.multiply(2.0, state[2], out=out[2, :, s : s + w])
+        return
+    m, top = len(stack.sizes), stack.top
+    chunk = stack._chunk(z.size)
     for s in range(0, z.size, chunk):
         zc = z[s : s + chunk]
         w = zc.size
-        if i is None:
-            steps, starts = stack._table(w)
-        mw = m * w
-        tiled = np.empty(3 * mw, dtype=np.complex128)
+        rows, steps, tiled, product, starts = stack._pass(w)
+        rows[...] = stack.cols[:, :, None]
         tiled.reshape(3 * m, w)[...] = zc
-        a = np.zeros(3 * mw, dtype=np.complex128)
-        a[:mw] = steps[top]
-        b = np.empty_like(a)
-        # (whole, p, [p; p'], [p'; p''/2]) of the current and the next state
-        cur = (a, a[:mw], a[: 2 * mw], a[mw:])
-        nxt = (b, b[:mw], b[: 2 * mw], b[mw:])
-        multiply, add = np.multiply, np.add
         for k in range(top - 1, -1, -1):
-            multiply(cur[0], tiled, nxt[0])
-            add(nxt[3], cur[2], nxt[3])
-            add(nxt[1], steps[k], nxt[1])
+            multiply(steps[k + 1], tiled, product)
+            add(product, steps[k], steps[k])
             if k in starts:
                 for row, value, _ in starts[k]:
-                    nxt[1][row] = value
-            cur, nxt = nxt, cur
-        state = cur[0].reshape(3, m, w)
-        out[:2, :, s : s + w] = state[:2]
-        np.multiply(2.0, state[2], out=out[2, :, s : s + w])
+                    steps[k][row] = value
+        out[:2, :, s : s + w] = rows[:2]
+        np.multiply(2.0, rows[2], out=out[2, :, s : s + w])
 
 
 def polyvals(stack, z):
@@ -310,31 +361,29 @@ def _horner0(stack, z, out):
     """Fill out (m, z.size) with the values of the m short polynomials of
     the ValueStack stack by Horner, each with the bits of polyval alone.
 
-    As in _horner012 the series advance together in one flat buffer, with z
-    tiled to its length, against the stack's table for the width of the
-    chunk: p <- p z + a_k is one product and one sum per coefficient.  A
-    series of degree n waits at 0 and starts one step below its top with p =
-    z a_n + a_(n-1), formed from the chunk's points as polyval forms it:
-    numpy's complex product is not bitwise commutative, and polyval takes z
-    first there and p first in every later step.  The table of a chunk
-    stays within _HORNER_BYTES, as in _horner012."""
+    As in _horner012 the series advance together in the buffer of the
+    width's _Pass, here through views of one row: p <- p z + a_k is one
+    product and one sum per coefficient.  A series of degree n starts one
+    step below its top with p = z a_n + a_(n-1), formed from the chunk's
+    points as polyval forms it: numpy's complex product is not bitwise
+    commutative, and polyval takes z first there and p first in every later
+    step.  The buffers of a chunk hold (N + 3) m values per point, within
+    _HORNER_BYTES as in _horner012."""
     m, top = len(stack.sizes), stack.top
-    chunk = max(1, _HORNER_BYTES // (16 * m * (top + 1)))
+    chunk = stack._chunk(z.size)
     multiply, add = np.multiply, np.add
     for s in range(0, z.size, chunk):
         zc = z[s : s + chunk]
         w = zc.size
-        steps, starts = stack._table(w)
-        tiled = np.empty(m * w, dtype=np.complex128)
+        rows, steps, tiled, product, starts = stack._pass(w)
+        rows[...] = stack.cols[:, :, None]
         tiled.reshape(m, w)[...] = zc
-        a = np.zeros(m * w, dtype=np.complex128)
-        b = np.empty_like(a)
         for k in range(top - 1, -1, -1):
-            multiply(a, tiled, b)
-            add(b, steps[k], a)
+            multiply(steps[k + 1], tiled, product)
+            add(product, steps[k], steps[k])
             for row, high, low in starts.get(k + 1, ()):
-                a[row] = zc * high + low
-        out[:, s : s + w] = a.reshape(m, w)
+                steps[k][row] = zc * high + low
+        out[:, s : s + w] = rows[0]
 
 
 def circle_rows(rows, radii, n):

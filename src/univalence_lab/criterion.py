@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import ConvergenceError, DerivativeVanishes, HypothesisViolation
+from .errors import ConvergenceError, DerivativeVanishes, DomainError, HypothesisViolation
 from .series import (
     _IDENTITY,
     _bracket,
@@ -42,8 +42,8 @@ STRICTNESS_TOL = 1e-12
 # without moving, up to _LOOK_AHEAD_HOPS hops of 4 probes, as many points
 # as the stacked Horner path takes (_kernels._STACK_POINTS); calls of 300
 # and 1000 levels at once were 2-5x slower.  Each width a call takes gets
-# its Horner coefficient table once per statement (_kernels.SeriesStack),
-# so a call costs its arithmetic and a few fixed array steps
+# its Horner buffer once per statement (_kernels.SeriesStack), so a call
+# costs its arithmetic and a few fixed array steps
 _FIRST_HOPS = 4
 _LOOK_AHEAD_HOPS = _kernels._STACK_POINTS // 4
 # the pruned grid scan (_grid_max) evaluates the whole grid when the series of
@@ -71,24 +71,28 @@ class ParameterSet:
     k: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "gamma", complex(self.gamma))
+        """Raises DomainError for a value outside its range, each message
+        led by the field's name."""
+        for name in ("alpha", "beta", "gamma"):
+            try:
+                object.__setattr__(self, name, complex(getattr(self, name)))
+            except (TypeError, ValueError):
+                raise DomainError(f"{name}: must be a complex number") from None
         for name in ("m", "a", "k"):
             if not isinstance(getattr(self, name), numbers.Real):
-                raise ValueError(f"{name}: must be a real number")
+                raise DomainError(f"{name}: must be a real number")
         for name in ("alpha", "beta", "gamma", "m", "a"):
             z = complex(getattr(self, name))
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError(f"{name}: must be finite")
+                raise DomainError(f"{name}: must be finite")
         if self.gamma == 0:
-            raise ValueError("gamma: must be nonzero")
+            raise DomainError("gamma: must be nonzero")
         if not self.m >= 0:
-            raise ValueError("m: must be >= 0")
+            raise DomainError("m: must be >= 0")
         if not self.a > 0:
-            raise ValueError("a: must be > 0")
+            raise DomainError("a: must be > 0")
         if not 0.0 <= self.k <= 1.0:
-            raise ValueError("k: must lie in [0, 1]")
+            raise DomainError("k: must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -100,21 +104,22 @@ class DiskGrid:
     refine_steps: int = 20
 
     def __post_init__(self):
+        """Raises DomainError for radii or counts outside their range."""
         r = tuple(self.radii)
         real = (isinstance(x, numbers.Real) and not isinstance(x, bool) for x in r)
         if not all(real) or not all(map(math.isfinite, r)):
-            raise ValueError("radii must be finite real numbers")
+            raise DomainError("radii must be finite real numbers")
         r = tuple(map(float, r))
         if not r or any(b <= a for a, b in zip(r, r[1:])):
-            raise ValueError("radii must be a nonempty increasing sequence")
+            raise DomainError("radii must be a nonempty increasing sequence")
         if not (0.0 < r[0] and r[-1] < 1.0):
-            raise ValueError("radii must lie in (0, 1)")
+            raise DomainError("radii must lie in (0, 1)")
         for name in ("angles_per_radius", "refine_steps"):
             object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.angles_per_radius < 8:
-            raise ValueError("angles_per_radius must be >= 8")
+            raise DomainError("angles_per_radius must be >= 8")
         if self.refine_steps < 0:
-            raise ValueError("refine_steps must be >= 0")
+            raise DomainError("refine_steps must be >= 0")
         object.__setattr__(self, "radii", r)
 
     def points(self):
@@ -162,7 +167,7 @@ class _Statement(NamedTuple):
     whose bracket_quotients are quotients (weighted by alpha and beta; beta
     also weights the zero of a bracket without g and phi) and fac =
     (1 - |z|^{(m+1) gamma})/gamma.  series is their _bracket_series: the
-    prepared stack of their distinct series (its Horner tables and rows
+    prepared stack of their distinct series (its Horner buffers and rows
     kept for every call of the check) and each quotient's slot in it."""
 
     beta: complex
@@ -202,10 +207,12 @@ def criterion_values(variant, z, p, f, g=None, phi=None):
     return _values(_statement(variant, p, f, g, phi), np.asarray(z, dtype=np.complex128))
 
 
-def _values(st, z):
-    """The criterion of the statement st at a complex128 array z."""
+def _values(st, z, check_disk=True):
+    """The criterion of the statement st at a complex128 array z; with
+    check_disk False, at points the caller knows to lie in the disk (see
+    series._bracket)."""
     r = np.abs(z)
-    return _expression(st, r, _bracket(st.quotients, st.series, st.beta, z, r))[0]
+    return _expression(st, r, _bracket(st.quotients, st.series, st.beta, z, r, check_disk))[0]
 
 
 def _expression(st, r, bracket):
@@ -379,16 +386,21 @@ def _look_ahead(st, probes):
 
     If that call raises HypothesisViolation (f' vanishes at a probe, say),
     the first hop is evaluated alone: it raises again only if the zero is
-    one of its own probes, as its own call would."""
+    one of its own probes, as its own call would.
+
+    The calls skip the disk check: _hops clamps every probe to the
+    outermost grid radius, which DiskGrid keeps below 1, so its DomainError
+    cannot fire, and criterion_check discards the truncation warnings of
+    the search and states them once."""
     unit = cmath.exp(1j * probes[0][1])
     points = []
     for (out, _), (inward, _), (r, plus), (_, minus) in zip(*[iter(probes)] * 4):
         points += (out * unit, inward * unit, r * cmath.exp(1j * plus), r * cmath.exp(1j * minus))
     pz = np.array(points)
     try:
-        values = _values(st, pz).tolist()
+        values = _values(st, pz, check_disk=False).tolist()
     except HypothesisViolation:
-        values = _values(st, pz[:4]).tolist()
+        values = _values(st, pz[:4], check_disk=False).tolist()
     return [(probes[j : j + 4], values[j : j + 4]) for j in range(0, len(values), 4)]
 
 

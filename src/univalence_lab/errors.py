@@ -5,8 +5,10 @@ class UnivalenceLabError(Exception):
     """Base class for all package errors."""
 
 
-class DomainError(UnivalenceLabError):
-    """An argument left the domain an operation is defined on."""
+class DomainError(ValueError, UnivalenceLabError):
+    """An argument left the domain an operation is defined on.  It is a
+    ValueError too, as ConfigError is, so a caller that catches the
+    ValueError of a bad argument catches it."""
 
 
 class HypothesisViolation(UnivalenceLabError):

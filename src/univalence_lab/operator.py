@@ -73,9 +73,12 @@ _SHEET_TOL = 1e-9  # relative change of a power that counts as a sheet crossing
 def principal_power(w, c):
     """w^c = exp(c Log w) with Log the principal logarithm.
 
-    w = 0 is allowed only for Re c > 0 (result 0); 0^0 is rejected."""
+    w = 0 is allowed only for Re c > 0 (result 0); 0^0 is rejected, and a
+    w or c that is not finite raises DomainError."""
     w = complex(w)
     c = complex(c)
+    if not (cmath.isfinite(w) and cmath.isfinite(c)):
+        raise DomainError(f"w and c must be finite, not {w} and {c}")
     if w == 0:
         if c.real > 0:
             return 0.0 + 0.0j

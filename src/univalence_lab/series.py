@@ -183,14 +183,17 @@ def _bracket_series(quotients):
     return _kernels.SeriesStack(series.values()), slots
 
 
-def _bracket(quotients, series, beta, z, r):
+def _bracket(quotients, series, beta, z, r, check_disk=True):
     """criterion_bracket at the complex128 array z of moduli r, from its
     bracket_quotients, their _bracket_series and beta.  beta weights lr =
     0 too when g and phi do not enter, so the signs of zero parts stay.
-    The points are taken in order, flat."""
+    The points are taken in order, flat.  With check_disk False the caller
+    vouches that every point is finite and lies in the closed disk, and
+    _check_disk, its DomainError and its truncation warnings are skipped."""
     (f, _, alpha, _), *logs = quotients
     stack, slots = series
-    _check_disk(r, f)
+    if check_disk:
+        _check_disk(r, f)
     shape, z, r = z.shape, z.ravel(), r.ravel()
     p, dp, ddp = _kernels.polyval012(stack, z)
     fp, fpp = dp[slots[0]], ddp[slots[0]]
@@ -201,7 +204,8 @@ def _bracket(quotients, series, beta, z, r):
     pre = z * fpp / fp
     if logs:
         (g, *_), (phi, *_) = logs
-        _check_disk(r, g, phi)  # for their truncation warnings
+        if check_disk:
+            _check_disk(r, g, phi)  # for their truncation warnings
         j, k = slots[1:]
         small = _small(r)
         lr = _log_quotient(g, z, p[j], dp[j], small) - _log_quotient(phi, z, p[k], dp[k], small)
@@ -212,10 +216,10 @@ def _bracket(quotients, series, beta, z, r):
 
 def as_integer(value, name):
     """value as an int: an integer, or a float with an integral value, and
-    not a bool; else ValueError.  Counts read from a config pass here."""
+    not a bool; else DomainError.  Counts read from a config pass here."""
     integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
-        raise ValueError(f"{name} must be an integer")
+        raise DomainError(f"{name} must be an integer")
     return int(value)
 
 

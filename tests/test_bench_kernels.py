@@ -47,6 +47,24 @@ def test_kernel_rows():
     assert timed == [0, 1, 0] * 2  # polyval012, prepare, polyval
 
 
+def test_horner_rows():
+    # each row times the stacked pass (no series alone) of the expscaled
+    # statement's three series of degree up to 32 on its points
+    bench = _bench("bench_kernels")
+    passes = []
+
+    def horner(stack, z, out, i=None, _run=bench._kernels._horner012):
+        passes.append((len(stack), stack.top, z.size, i))
+        return _run(stack, z, out, i)
+
+    with mock.patch.object(bench, "_best", _once), mock.patch.object(bench._kernels, "_horner012", horner):
+        rows = [bench._horner_row(n, np.random.default_rng(0), 1) for n in bench.HORNER_POINTS]
+    assert bench.HORNER_POINTS == (16, 80, 256)
+    assert [row.split()[0::2] for row in rows] == [["16", "us"], ["80", "us"], ["256", "us"]]
+    # the pass that builds the width's buffer, then the one of the timing loop
+    assert passes == [(3, 32, n, None) for n in bench.HORNER_POINTS for _ in range(2)]
+
+
 def test_criterion_and_scan_rows():
     bench = _bench("bench_kernels")
     lam = np.exp(0.3j)
@@ -63,9 +81,9 @@ def test_criterion_and_scan_rows():
     probes, points = map(int, cells[8:10])
     assert probes > 0  # the probe calls of the check were counted
     assert 0 < points <= 4 * DiskGrid().refine_steps * probes
-    with mock.patch.object(np, "repeat", wraps=np.repeat) as repeat:
+    with mock.patch.object(bench._kernels, "_Pass", wraps=bench._kernels._Pass) as built:
         bench._first_call("thm31", p, f, g, phi, np.full(16, 0.5 + 0.1j), 1)
-    assert repeat.call_count == 50  # each timed call built its statement's table
+    assert built.call_count == 50  # each timed call built its statement's pass buffer
     terms, _, _, cands, fallback = scan.split()
     assert int(terms) == 68 and 0 < int(cands) < 5120 and fallback == "-"
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from univalence_lab import principal_power
-from univalence_lab.errors import SingularPowerError
+from univalence_lab.errors import DomainError, SingularPowerError
 from univalence_lab.operator import sheet_crossed
 
 nonzero_complex = st.complex_numbers(
@@ -41,6 +41,16 @@ class TestPrincipalPower:
             principal_power(0.0, 1j)
         with pytest.raises(SingularPowerError):
             principal_power(0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)]
+    )
+    def test_non_finite_rejected(self, bad):
+        # a typed error, not nan+nanj or inf+nanj; 0 and 1 as the other
+        # argument take the early returns of w = 0 and c = 0 otherwise
+        for w, c in ((bad, 0.5), (bad, 0.0), (0.5, bad), (0.0, bad), (1.0, bad)):
+            with pytest.raises(DomainError, match="must be finite"):
+                principal_power(w, c)
 
     @given(w=nonzero_complex)
     @settings(max_examples=100, deadline=None)

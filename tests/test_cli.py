@@ -23,7 +23,7 @@ from univalence_lab.cli import (
     run_command,
     serialize,
 )
-from univalence_lab.errors import ConfigError
+from univalence_lab.errors import ConfigError, DomainError
 from univalence_lab.extension import beltrami_grid
 
 
@@ -382,6 +382,31 @@ class TestEndToEnd:
 
     def test_config_error_exit_64(self, write_config):
         assert main(["check", write_config({"params": {"gamma": 0}})]) == 64
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ({"radii": [0.5, 1.0]}, "radii must lie in (0, 1)"),
+            ({"radii": [0.9, 0.5]}, "radii must be a nonempty increasing sequence"),
+            ({"angles_per_radius": 4}, "angles_per_radius must be >= 8"),
+            ({"refine_steps": 2.5}, "refine_steps must be an integer"),
+        ],
+    )
+    def test_bad_grid_exit_64(self, write_config, capsys, grid, message):
+        # DiskGrid's DomainError is a ValueError, which parsing turns into
+        # a config error
+        assert main(["check", write_config({"grid": grid})]) == 64
+        assert capsys.readouterr().err == f"config error: grid: {message}\n"
+
+    def test_domain_error_in_a_command_exit_70(self, write_config, capsys, monkeypatch):
+        # raised inside a command, a DomainError stays a numerical failure,
+        # though it is a ValueError too
+        def refuse(*args, **kwargs):
+            raise DomainError("max |z| = 2 > 1")
+
+        monkeypatch.setattr(cli, "criterion_check", refuse)
+        assert main(["check", write_config(REFERENCE_DOC)]) == 70
+        assert capsys.readouterr() == ("", "numerical failure: max |z| = 2 > 1\n")
 
     def test_missing_file_exit_70(self, tmp_path):
         assert main(["check", str(tmp_path / "absent.json")]) == 70

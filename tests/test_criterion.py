@@ -18,7 +18,7 @@ from univalence_lab import (
     series,
 )
 from univalence_lab.criterion import criterion_bound
-from univalence_lab.errors import ConvergenceError, HypothesisViolation
+from univalence_lab.errors import ConvergenceError, DomainError, HypothesisViolation, UnivalenceLabError
 from univalence_lab.series import SeriesFunction, polar_grid
 from .conftest import random_disk_points
 
@@ -215,14 +215,26 @@ class TestValuesRefuseParameters:
 
 class TestParameterValidation:
     def test_parameter_set(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             ParameterSet(gamma=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             ParameterSet(m=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             ParameterSet(a=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             ParameterSet(k=1.5)
+
+    @pytest.mark.parametrize("value", [None, "x", [1.0], object()])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+    def test_not_a_number_rejected(self, name, value):
+        # a typed error, not complex()'s TypeError or ValueError
+        with pytest.raises(DomainError, match=f"^{name}: must be a complex number$"):
+            ParameterSet(**{name: value})
+
+    def test_domain_error_is_a_value_error(self):
+        # every caller that catches the ValueError of a bad argument keeps
+        # catching it
+        assert issubclass(DomainError, ValueError) and issubclass(DomainError, UnivalenceLabError)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -232,22 +244,22 @@ class TestParameterValidation:
     )
     def test_non_finite_rejected(self, kwargs):
         name = next(iter(kwargs))
-        with pytest.raises(ValueError, match=f"^{name}: "):
+        with pytest.raises(DomainError, match=f"^{name}: "):
             ParameterSet(**kwargs)
 
     @pytest.mark.parametrize("name", ["m", "a", "k"])
     def test_complex_rejected(self, name):
-        with pytest.raises(ValueError, match=f"^{name}: must be a real number"):
+        with pytest.raises(DomainError, match=f"^{name}: must be a real number"):
             ParameterSet(**{name: 1j})
 
     def test_disk_grid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             DiskGrid(radii=())
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             DiskGrid(radii=(0.9, 0.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             DiskGrid(radii=(0.5, 1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             DiskGrid(angles_per_radius=4)
 
     @pytest.mark.parametrize(
@@ -255,7 +267,7 @@ class TestParameterValidation:
         [(0.5, float("nan"), 0.9), (0.5, float("inf")), (0.5, "0.7", 0.9), ("0.5",), (False, 0.5), (0.5, True)],
     )
     def test_disk_grid_radii_must_be_finite_reals(self, radii):
-        with pytest.raises(ValueError, match="radii must be finite real numbers"):
+        with pytest.raises(DomainError, match="radii must be finite real numbers"):
             DiskGrid(radii=radii)
 
     @pytest.mark.parametrize(
@@ -271,7 +283,7 @@ class TestParameterValidation:
         ],
     )
     def test_disk_grid_integers(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(DomainError, match=message):
             DiskGrid(**kwargs)
 
     def test_disk_grid_points_are_read_only_polar_grid(self):

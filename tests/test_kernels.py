@@ -512,9 +512,9 @@ class TestPreparedStack:
                 assert bracket.tobytes() == _bracket_reference(f, g, phi, p.alpha, p.beta, z).tobytes()
 
     @pytest.mark.parametrize("family", ["example31", "expscaled"])
-    def test_each_table_is_built_once_per_check(self, family):
-        # the coefficient table of a width is built on the first pass of
-        # that width and read by every later one of the check
+    def test_each_pass_buffer_is_built_once_per_stack(self, family):
+        # the buffer of a width is built on the first pass of that width,
+        # kept, and read by every later one of the check
         ident = catalog_build("identity")
         if family == "example31":
             f, g = catalog_build("quadratic", {"c": 0.25}), catalog_build("quadratic", {"c": 0.5})
@@ -539,16 +539,17 @@ class TestPreparedStack:
             with (
                 mock.patch.object(criterion, "_statement", statement),
                 mock.patch.object(_kernels, "_horner012", horner),
-                mock.patch.object(np, "repeat", wraps=np.repeat) as repeat,
+                mock.patch.object(_kernels, "_Pass", wraps=_kernels._Pass) as built,
                 warnings.catch_warnings(),
             ):
                 warnings.simplefilter("ignore", TruncationWarning)
                 criterion_check(variant, p, f, g, ident, DiskGrid())
             (st_,) = statements
             stack = st_.series[0]
-            widths = [c.args[1] for c in repeat.call_args_list if c.args and c.args[0] is stack.cols]
-            assert widths and len(widths) == len(set(widths)) == len(stack._tables)
-            assert len(passes) > 2 * len(widths)  # tables are read far more often than built
+            widths = [c.args[0].shape[2] for c in built.call_args_list]
+            assert widths and len(widths) == len(set(widths)) == len(stack._passes)
+            assert len(passes) > 2 * len(widths)  # buffers are read far more often than built
+            assert stack._kept <= _kernels._HORNER_BYTES
 
     def test_stack_counts_as_its_series(self):
         # a caller at the polyval012 boundary may count the series of its
@@ -634,6 +635,62 @@ class TestValueStack:
                 want = _kernels.polyval(a, z) if a.size else np.zeros(n, dtype=np.complex128)
                 assert row.tobytes() == want.tobytes()
         assert stack._kept <= _kernels._HORNER_BYTES
+
+
+class TestTwoOperationHorner:
+    """The stacked _horner012 pass, two array operations per coefficient on
+    the kept buffer of its width, gives every series the bits of the
+    three-operation Horner loop of _horner_reference: unequal lengths, zero
+    coefficient parts of either sign, widths of 1 to 256 points, and widths
+    the pass splits into chunks."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 62), min_size=1, max_size=4),
+        npts=st.lists(st.sampled_from([1, 4, 16, 80, 81, 256, -1, -3]), min_size=1, max_size=4),
+        zero_parts=st.booleans(),
+    )
+    @example(seed=1, sizes=[32, 32, 1], npts=[16, 80, 81, 16], zero_parts=False)  # the expscaled statement
+    @example(seed=2, sizes=[62, 3, 62, 1], npts=[256, -1, 1, -3], zero_parts=True)
+    @example(seed=3, sizes=[2, 2, 1], npts=[4, 16, 256], zero_parts=True)
+    @settings(max_examples=60, deadline=None)
+    def test_bits_equal_the_three_operation_loop(self, seed, sizes, npts, zero_parts):
+        # npts -k stands for k times the widest chunk, (top + 9) m values
+        # per point, and one more point, which the pass splits into k + 1
+        # chunks; the same stack runs every width, some again
+        rng = np.random.default_rng(seed)
+        coeffs = [_random_polynomial(rng, n, zero_parts) for n in sizes]
+        stack = _kernels.SeriesStack(coeffs)
+        widest = _kernels._HORNER_BYTES // (16 * len(coeffs) * (stack.top + 9))
+        for n in npts:
+            if n < 0:
+                k = -n
+                n = k * widest + 1
+                assert stack._chunk(n) == -(-n // (k + 1))  # k + 1 chunks of even width
+            z = _probe_points(rng, n)
+            real = rng.uniform(size=n) < 0.3  # real points, imaginary part +0.0 or -0.0
+            z.imag[real] = _signed_zeros(rng, np.ones(int(real.sum())))
+            out = np.empty((3, len(coeffs), n), dtype=np.complex128)
+            _kernels._horner012(stack, z, out)
+            for j, c in enumerate(coeffs):
+                for got, ref in zip(out, _horner_reference(c, z)):
+                    assert got[j].tobytes() == ref.tobytes()
+        assert stack._kept <= _kernels._HORNER_BYTES
+
+    def test_a_pass_leaves_nothing_behind(self):
+        # a kept buffer is scratch: a pass that met a non-finite point
+        # leaves the next pass of its width the bits of a fresh stack
+        rng = np.random.default_rng(5)
+        coeffs = [_random_polynomial(rng, n, False) for n in (9, 4)]
+        stack = _kernels.SeriesStack(coeffs)
+        z = _probe_points(rng, 16)
+        out = np.empty((3, 2, 16), dtype=np.complex128)
+        for bad in (np.nan, np.inf, complex(np.inf, np.nan)):
+            with np.errstate(all="ignore"):
+                _kernels._horner012(stack, np.where(np.arange(16) == 3, bad, z), out)
+            _kernels._horner012(stack, z, out)
+            assert out.tobytes() == _polyval012(coeffs, z).tobytes()
+        assert list(stack._passes) == [16]
 
 
 class TestDispatchAgreesWithNumpy:

@@ -15,11 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from univalence_lab import DiskGrid, ParameterSet, catalog_build, criterion_check, criterion_values
-from univalence_lab import criterion
+from univalence_lab import criterion, series
 from univalence_lab.cli import bundled_configs, parse_config
 from univalence_lab.criterion import VARIANTS
-from univalence_lab.errors import DerivativeVanishes, TruncationWarning, UnivalenceLabError
-from univalence_lab.series import SeriesFunction
+from univalence_lab.errors import DerivativeVanishes, DomainError, TruncationWarning, UnivalenceLabError
+from univalence_lab.series import DISK_SLACK, SeriesFunction
 
 # name -> (passed, sup, witness) from the one-probe-at-a-time refinement
 GOLDEN = {
@@ -181,6 +181,59 @@ def test_truncation_warnings_match_one_call_per_hop():
     rep = criterion_check("cor32", ParameterSet(gamma=1.0), k, grid=grid)
     assert rep.sup_value == 1100.6982787515117
     assert rep.warnings == ["series koebe: tail bound 33.6 exceeds 1e-12 at |z|=0.99"]
+
+
+@pytest.mark.parametrize("variant", ["cor32", "thm31"])
+def test_probes_skip_the_disk_check(variant):
+    # the look-ahead calls run no _check_disk, since every probe lies
+    # within the outermost grid radius: the check runs on the grid scan's
+    # call alone, once for f and, where they enter, once for g and phi.
+    # The report still states each truncation gap once, at the grid's
+    # largest |z|, and no warning escapes the check
+    k = catalog_build("koebe", {"degree": 64})
+    g = catalog_build("expscaled", {"lam": 3.0, "degree": 16})
+    grid = DiskGrid(radii=(0.5, 0.9, 0.99), angles_per_radius=64, refine_steps=8)
+    p = ParameterSet(alpha=1.0, beta=0.5, gamma=1.0)
+    checked, probes = [], []
+    check_disk, look_ahead = series._check_disk, criterion._look_ahead
+
+    def counted(r, *fns):
+        checked.append([s.label for s in fns])
+        return check_disk(r, *fns)
+
+    def recorded(st, hops):
+        probes.extend(r for r, _ in hops)
+        return look_ahead(st, hops)
+
+    with (
+        mock.patch.object(series, "_check_disk", counted),
+        mock.patch.object(criterion, "_look_ahead", recorded),
+        warnings.catch_warnings(record=True) as caught,
+    ):
+        warnings.simplefilter("always")
+        rep = criterion_check(variant, p, k, g, None, grid)
+    assert probes and max(probes) <= grid.radii[-1]
+    assert checked == ([["koebe"]] if variant == "cor32" else [["koebe"], ["expscaled", "identity"]])
+    assert caught == []
+    expected = ["series koebe: tail bound 33.6 exceeds 1e-12 at |z|=0.99"]
+    if variant == "thm31":
+        expected.append("series expscaled: tail bound 5.84e-07 exceeds 1e-12 at |z|=0.99")
+    assert rep.warnings == expected
+
+
+def test_criterion_values_keeps_the_disk_check():
+    # the public entry points still refuse points past the closed disk and
+    # warn at the largest |z| of their points
+    k = catalog_build("koebe", {"degree": 64})
+    p = ParameterSet(gamma=1.0)
+    for bad in (1.0 + 4 * DISK_SLACK, 1.5j, math.nan):
+        with pytest.raises(DomainError, match="max"):
+            criterion_values("cor32", np.array([0.5, bad]), p, k)
+    with pytest.warns(TruncationWarning, match=r"at \|z\|=0\.99$"):
+        criterion_values("cor32", np.array([0.5, 0.99j, -0.3]), p, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        criterion_values("cor32", np.array([0.5, 1.0 + DISK_SLACK]), p, catalog_build("quadratic", {"c": 0.25}))
 
 
 # g shapes the landscape; at alpha = 0, f enters only through the check
